@@ -12,7 +12,9 @@ Subcommands:
 * ``examples``        - shorthand for ``verify examples-section1``.
 
 The default truncation depth is 4, overridable with --depth or the
-MOULDCALC_DEPTH environment variable; depths above MAX_DEPTH are refused.
+MOULDCALC_DEPTH environment variable.  Depths and ``verify --dmax`` below 1
+or above MAX_DEPTH are refused, as are parameters a target or claim rejects
+(a ValueError from the library) and claims that would run no check.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -53,6 +55,13 @@ def _parse_int(token: str, what: str) -> int:
         return int(token)
     except ValueError:
         raise UsageError(f"{what} must be an integer, got {token!r}")
+
+
+def _check_depth(depth: int, what: str) -> None:
+    if depth < 1:
+        raise UsageError(f"{what} must be at least 1")
+    if depth > MAX_DEPTH:
+        raise UsageError(f"{what} {depth} exceeds the configured maximum {MAX_DEPTH}")
 
 
 def build_target(target: str, depth: int) -> Mould:
@@ -126,11 +135,11 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_compute(args) -> int:
     depth = args.depth if args.depth is not None else _default_depth()
-    if depth < 1:
-        raise UsageError("depth must be at least 1")
-    if depth > MAX_DEPTH:
-        raise UsageError(f"depth {depth} exceeds the configured maximum {MAX_DEPTH}")
-    M = build_target(args.target, depth)
+    _check_depth(depth, "depth")
+    try:
+        M = build_target(args.target, depth)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     _emit(render_mould(M, args.format), args.out)
     return 0
 
@@ -144,14 +153,19 @@ def _cmd_verify(args) -> int:
     if args.n is not None:
         params["n"] = args.n
     if args.dmax is not None:
+        _check_depth(args.dmax, "--dmax")
         params["dmax"] = args.dmax
     if args.depth is not None:
+        _check_depth(args.depth, "--depth")
         params["depth"] = args.depth
     if args.a is not None:
         params["a"] = args.a
     if args.b is not None:
         params["b"] = args.b
-    report = run_claim(args.claim, **params)
+    try:
+        report = run_claim(args.claim, **params)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
     return 0 if report["status"] == "pass" else 1
 

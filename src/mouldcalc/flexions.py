@@ -8,6 +8,20 @@ pre-Lie product ``preari``, the Lie bracket ``ari``, the twisted action
 ``expari``/``logari``, the group inverse ``invgari`` and the conjugation
 ``adari``.
 
+``adari(S)(A)`` is defined as ``logari(gari(gari(S, expari(A)), invgari(S)))``
+and evaluated in the closed form ``gari(preari(S, A), invgari(S))``:
+
+* conjugation by S is a group automorphism, so ``adari(S)`` is linear in A
+  and ``adari(S)(A)`` is the coefficient of t in ``adari(S)(tA)``;
+* ``garit(expari(tA)) = id + t arit(A) + O(t^2)``, so
+  ``gari(S, expari(tA)) = S + t preari(S, A) + O(t^2)``;
+* ``gari`` is linear in its first argument and
+  ``logari(1 + tY + O(t^2)) = tY + O(t^2)``, so that coefficient is
+  ``gari(preari(S, A), invgari(S))``.
+
+The closed form needs one solver (``invgari``) instead of three, and is
+checked against the solver-chain definition in the test suite.
+
 Every factorization sum is implemented once, at the level of words, as a
 function of evaluation callables (``*_at`` helpers).  Concrete moulds run
 them at the canonical words; the lazy wrappers in this module run them at
@@ -320,14 +334,17 @@ def invgari(S: Mould) -> Mould:
 def adari(S: Mould) -> Callable[[Mould], Mould]:
     """Conjugation of the Lie structure by the group element S.
 
-    adari(S)(A) = logari(gari(gari(S, expari(A)), invgari(S))).
+    adari(S)(A) = logari(gari(gari(S, expari(A)), invgari(S))), evaluated in
+    the closed form gari(preari(S, A), invgari(S)) (see the module
+    docstring).  invgari(S) is solved once per operator and shared by all
+    applications.
     """
     _require_gari(S, "adari")
+    conj = lazy_adari(S)
 
     def apply(A: Mould) -> Mould:
         _require_ari(A, "adari")
-        d = min(S.depth, A.depth)
-        return _materialize(lazy_adari(S)(A), d)
+        return _materialize(conj(A), min(S.depth, A.depth))
 
     return apply
 
@@ -538,8 +555,11 @@ def lazy_invgari(S) -> LazyMould:
 
 
 def lazy_adari(S) -> Callable:
+    """adari(S)(A) = gari(preari(S, A), invgari(S)); invgari(S) is built
+    once, so its memo is shared by every application of the operator."""
+    Sinv = lazy_invgari(S)
+
     def apply(A) -> LazyMould:
-        inner = lazy_gari(lazy_gari(S, lazy_expari(A)), lazy_invgari(S))
-        return lazy_logari(inner)
+        return lazy_gari(lazy_preari(S, A), Sinv)
 
     return apply

@@ -366,11 +366,6 @@ def equal_mod_depth(M: Mould, N: Mould, k: int) -> bool:
     return all(M.components[m] == N.components[m] for m in range(k))
 
 
-def agree_up_to(M: Mould, N: Mould, depth: int) -> bool:
-    """True iff the components agree for all depths m <= depth."""
-    return equal_mod_depth(M, N, depth + 1)
-
-
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------

@@ -547,6 +547,11 @@ CLAIMS: dict[str, Callable[..., dict]] = {
 
 
 def run_claim(name: str, **params) -> dict:
+    """Run a named claim; a claim whose parameters leave it no check to run
+    is refused with ValueError rather than reported as a vacuous pass."""
     if name not in CLAIMS:
         raise KeyError(name)
-    return CLAIMS[name](**params)
+    report = CLAIMS[name](**params)
+    if not report["checks"]:
+        raise ValueError(f"claim {name!r} has no checks to run with {params}")
+    return report

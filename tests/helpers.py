@@ -1,8 +1,9 @@
 """Shared oracles and generators for the test suite.
 
 The oracles here are deliberately independent of the canonical-form
-machinery they check: equality via dense cross-multiplication, and
-divisibility certificates via evaluation at points on a form's zero set.
+machinery they check: equality via dense cross-multiplication,
+divisibility certificates via evaluation at points on a form's zero set,
+and the solver-chain definition of adari that the closed form replaced.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ import random
 from fractions import Fraction
 
 from mouldcalc.algebra import LinearForm, Polynomial, RationalFunction
+from mouldcalc.flexions import lazy_expari, lazy_gari, lazy_invgari, lazy_logari
 from mouldcalc.verify import random_ari_mould, random_gari_mould
 
 __all__ = [
+    "adari_via_logari",
     "den_polynomial",
     "cross_equal",
     "poly_eval",
@@ -22,6 +25,17 @@ __all__ = [
     "random_gari_mould",
     "random_rf",
 ]
+
+
+def adari_via_logari(S):
+    """The defining form of the conjugation, through three nested solvers:
+    adari(S)(A) = logari(gari(gari(S, expari(A)), invgari(S)))."""
+    Sinv = lazy_invgari(S)
+
+    def apply(A):
+        return lazy_logari(lazy_gari(lazy_gari(S, lazy_expari(A)), Sinv))
+
+    return apply
 
 
 def den_polynomial(r: RationalFunction) -> Polynomial:

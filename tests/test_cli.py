@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
 
 from mouldcalc.cli import MAX_DEPTH, build_target, main
 from mouldcalc.moulds import mould_from_json, mould_to_json
 from mouldcalc.special import pal
+from mouldcalc.verify import run_claim
 
 
 def run(capsys, *argv):
@@ -91,6 +93,42 @@ def test_verify_pass_exit_zero(capsys):
     report = json.loads(out)
     assert report["status"] == "pass"
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "sa:0"),
+        ("compute", "slang:0:sa:3"),
+        ("verify", "comparison", "--n", "0"),
+    ],
+)
+def test_invalid_parameter_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "psi-odd", "--dmax", "0"), "at least 1"),
+        (("verify", "pal-symmetral", "--depth", "0"), "at least 1"),
+        (("verify", "psi-minus1", "--dmax", str(MAX_DEPTH + 1)), "exceeds"),
+        (("verify", "pal-symmetral", "--depth", str(MAX_DEPTH + 1)), "exceeds"),
+    ],
+)
+def test_verify_depth_bounds_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_claim_without_checks_is_refused():
+    with pytest.raises(ValueError, match="no checks"):
+        run_claim("psi-odd", n=1, dmax=0)
 
 
 def test_verify_unknown_claim_exit_2(capsys):

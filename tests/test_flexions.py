@@ -32,15 +32,18 @@ from mouldcalc.flexions import (
     preari_n,
     tri_factorizations,
 )
+from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.moulds import (
     Mould,
     NotInvertibleError,
     canonical_word,
+    mu,
     mu_inverse,
     word,
 )
+from mouldcalc.special import mupaj, paj, pal, sa
 
-from helpers import random_ari_mould, random_gari_mould
+from helpers import adari_via_logari, random_ari_mould, random_gari_mould
 
 x1, x2, x3, x4 = (x_var(i) for i in range(1, 5))
 
@@ -280,6 +283,33 @@ def test_adari_conjugation_inverse():
     S = random_gari_mould(rng, 4)
     A = random_ari_mould(rng, 4)
     assert adari(S)(adari(invgari(S))(A)) == A
+
+
+@pytest.mark.parametrize("depth, seed", [(3, 19), (3, 20), (4, 21)])
+def test_adari_closed_form_matches_logari_definition(depth, seed):
+    rng = random.Random(seed)
+    S = random_gari_mould(rng, depth)
+    A = random_ari_mould(rng, depth)
+    want = Mould.from_word_function(depth, adari_via_logari(S)(A).eval_word)
+    assert adari(S)(A) == want
+    assert Mould.from_word_function(depth, lazy_adari(S)(A).eval_word) == want
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_adari_closed_form_matches_logari_definition_generic(depth):
+    # opaque symbols make this a polynomial identity: it holds for every
+    # pair of moulds truncated at this depth
+    reg = SymbolRegistry()
+    S = OpaqueMould(reg, "S", depth, unit_value=1)
+    A = OpaqueMould(reg, "A", depth)
+    w = canonical_word(depth)
+    assert lazy_adari(S)(A).eval_word(w) == adari_via_logari(S)(A).eval_word(w)
+
+
+def test_adari_conjugation_inverse_polar():
+    S = pal(4)
+    A = mu(mu(mupaj(4), sa(3, 4)), paj(4))
+    assert adari(invgari(S))(adari(S)(A)) == A
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+import pytest
 
 from mouldcalc.algebra import (
     Polynomial,
@@ -30,6 +31,7 @@ from mouldcalc.solutions import (
     xi,
     xi_prime,
 )
+from mouldcalc.verify import run_claim
 
 x1, x2, x3 = x_var(1), x_var(2), x_var(3)
 
@@ -127,6 +129,21 @@ def test_psi_minus1_theorem_small():
 def test_comparison_theorem_n1():
     report = verify_comparison_theorem(1)
     assert report["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "claim, params, n_checks",
+    [
+        ("psi-odd", {"n": 1, "dmax": 5}, 5),
+        ("sang-expansion", {"depth": 5}, 12),
+    ],
+)
+def test_claims_verify_beyond_stated_depth(claim, params, n_checks):
+    # the paper states these identities to depth 4
+    report = run_claim(claim, **params)
+    assert report["status"] == "pass"
+    assert len(report["checks"]) == n_checks
+    assert all(c["status"] == "pass" for c in report["checks"])
 
 
 # ---------------------------------------------------------------------------
