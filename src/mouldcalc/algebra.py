@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -71,14 +72,6 @@ def _trim(seq: Sequence[int]) -> tuple:
     while n > 0 and seq[n - 1] == 0:
         n -= 1
     return tuple(seq[:n])
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
-    return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
 
 
 def monomial_degree(m: Monomial) -> int:
@@ -208,8 +201,12 @@ class Polynomial:
         if len(a) > len(b):
             a, b = b, a
         for ma, ca in a.items():
+            na = len(ma)
             for mb, cb in b.items():
-                m = monomial_mul(ma, mb)
+                if len(mb) < na:
+                    m = tuple(map(add, ma, mb)) + ma[len(mb):]
+                else:
+                    m = tuple(map(add, mb, ma)) + mb[na:]
                 s = out.get(m, 0) + ca * cb
                 if s:
                     out[m] = s
@@ -250,32 +247,24 @@ class Polynomial:
         return Polynomial({(pad + m if m else m): c for m, c in self.terms.items()})
 
     def compose(self, forms: Sequence["LinearForm"]) -> "Polynomial":
-        """Substitute ``forms[i-1]`` for x_i.  Result is exact."""
-        nvars = len(forms)
-        if self.max_var() > nvars:
+        """Substitute ``forms[i-1]`` for x_i.  Result is exact.
+
+        A renaming or scaling (every form ``c*x_j`` or zero) maps each
+        monomial to one monomial.  Otherwise the substitution runs by Horner
+        evaluation in the last variable, recursively (``_horner``).
+        """
+        width = self.max_var()
+        if width > len(forms):
             raise ValueError(
-                f"polynomial uses x_{self.max_var()} but only {nvars} forms given"
+                f"polynomial uses x_{width} but only {len(forms)} forms given"
             )
-        form_polys = [f.as_polynomial() for f in forms]
-        powers: list[list[Polynomial]] = [[_POLY_ONE] for _ in range(nvars)]
-
-        def power(i: int, e: int) -> Polynomial:
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * form_polys[i])
-            return cache[e]
-
-        total = _POLY_ZERO
-        for m, c in self.terms.items():
-            term = Polynomial.constant(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * power(i, e)
-            total = total + term
-        return total
+        lins = [_linear_terms(f.coeffs) for f in forms[:width]]
+        if all(len(lin) <= 1 for lin in lins):
+            return Polynomial(_rename(self.terms, lins))
+        return Polynomial(_horner(self.terms, lins))
 
     def mul_linear(self, form: "LinearForm") -> "Polynomial":
-        return self * form.as_polynomial()
+        return Polynomial(_mul_form(self.terms, _linear_terms(form.coeffs)))
 
     def try_div_linear(self, form: "LinearForm") -> "Polynomial | None":
         """Exact quotient ``self / form`` or None.
@@ -293,7 +282,7 @@ class Polynomial:
             return _POLY_ZERO
         j = form.leading_var() - 1  # 0-based position of x_j
         c = form.coeffs[j]
-        rest = [(i, fc) for i, fc in enumerate(form.coeffs) if fc and i != j]
+        neg_rest = [(i, -fc) for i, fc in enumerate(form.coeffs) if fc and i != j]
         # bucket by x_j exponent, storing monomials with x_j removed
         levels: dict[int, dict] = {}
         deg = 0
@@ -306,21 +295,6 @@ class Polynomial:
         if deg == 0:
             return None
 
-        def mul_rest(d: dict) -> dict:
-            out: dict = {}
-            for i, fc in rest:
-                for m, cf in d.items():
-                    if len(m) > i:
-                        key = m[:i] + (m[i] + 1,) + m[i + 1:]
-                    else:
-                        key = m + (0,) * (i - len(m)) + (1,)
-                    s = out.get(key, 0) + fc * cf
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-            return out
-
         q_levels: dict[int, dict] = {}
         carry = levels.get(deg, {})
         for k in range(deg, 0, -1):
@@ -330,13 +304,7 @@ class Polynomial:
                     return None
                 qk[m] = cf // c
             q_levels[k - 1] = qk
-            carry = dict(levels.get(k - 1, {}))
-            for m, cf in mul_rest(qk).items():
-                s = carry.get(m, 0) - cf
-                if s:
-                    carry[m] = s
-                else:
-                    carry.pop(m, None)
+            carry = _mul_form(qk, neg_rest, levels.get(k - 1, {}))
         if carry:
             return None
         out: dict = {}
@@ -359,6 +327,93 @@ class Polynomial:
 
 _POLY_ZERO = Polynomial({})
 _POLY_ONE = Polynomial({(): 1})
+
+
+# ---------------------------------------------------------------------------
+# kernels on raw term dicts: products with linear forms and substitution
+# ---------------------------------------------------------------------------
+
+
+def _linear_terms(coeffs: tuple) -> list:
+    """The nonzero ``(i, c)`` of a form's coefficients, i 0-based."""
+    return [(i, c) for i, c in enumerate(coeffs) if c]
+
+
+def _mul_form(terms: dict, lin: list, out: dict | None = None) -> dict:
+    """``terms * sum(c * x_{i+1} for i, c in lin)``, added into ``out``.
+
+    Each term product bumps one exponent, so no monomial is multiplied
+    out.  Returns ``out`` (a new dict when not given).
+    """
+    if out is None:
+        out = {}
+    for i, c in lin:
+        for m, cf in terms.items():
+            n = len(m)
+            if n > i:
+                key = list(m)
+                key[i] += 1
+                key = tuple(key)
+            else:
+                key = m + (0,) * (i - n) + (1,)
+            s = out.get(key, 0) + c * cf
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def _rename(terms: dict, lins: list) -> dict:
+    """Substitute ``c*x_j`` or 0 for each variable: one monomial per term."""
+    width = max((lin[0][0] + 1 for lin in lins if lin), default=0)
+    out: dict = {}
+    for m, c in terms.items():
+        exps = [0] * width
+        for i, e in enumerate(m):
+            if e:
+                lin = lins[i]
+                if not lin:
+                    break  # x_i -> 0 kills the term
+                j, a = lin[0]
+                exps[j] += e
+                if a != 1:
+                    c *= a**e
+        else:
+            key = _trim(exps)
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def _horner(terms: dict, lins: list) -> dict:
+    """Substitute ``lins[i]`` for x_{i+1} by Horner in the last variable.
+
+    With ``P = sum_k P_k(x_1..x_{n-1}) x_n^k`` and ``L = lins[n-1]``,
+    ``P(lins) = (..(P_d(lins) L + P_{d-1}(lins)) L + ..) L + P_0(lins)``;
+    each ``P_k`` is substituted the same way in one variable fewer.
+    """
+    n = max(map(len, terms), default=0)
+    if n == 0:
+        return dict(terms)
+    levels: dict[int, dict] = {}
+    for m, c in terms.items():
+        e = 0
+        if len(m) == n:
+            e = m[-1]
+            m = _trim(m[:-1])
+        levels.setdefault(e, {})[m] = c
+    lin = lins[n - 1]
+    if not lin:  # x_n -> 0 keeps only P_0
+        return _horner(levels.get(0, {}), lins)
+    top = max(levels)
+    acc = _horner(levels[top], lins)
+    for k in range(top - 1, -1, -1):
+        acc = _mul_form(acc, lin, _horner(levels.get(k, {}), lins))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -601,28 +656,7 @@ class RationalFunction:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.scalar == 0:
-            return other
-        if other.scalar == 0:
-            return self
-        da = dict(self.denominator)
-        db = dict(other.denominator)
-        common = {f: max(da.get(f, 0), db.get(f, 0)) for f in {*da, *db}}
-        num_a = self.numerator
-        for f, m in common.items():
-            for _ in range(m - da.get(f, 0)):
-                num_a = num_a.mul_linear(f)
-        num_b = other.numerator
-        for f, m in common.items():
-            for _ in range(m - db.get(f, 0)):
-                num_b = num_b.mul_linear(f)
-        # integer cross-scaling so the combined numerator stays integral
-        sa, sb = self.scalar, other.scalar
-        lcm = sa.denominator * sb.denominator // gcd(sa.denominator, sb.denominator)
-        num = (sa.numerator * (lcm // sa.denominator)) * num_a + (
-            sb.numerator * (lcm // sb.denominator)
-        ) * num_b
-        return RationalFunction.make(Fraction(1, lcm), num, common.items())
+        return rf_sum((self, other))
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + (-other)
@@ -718,9 +752,14 @@ RF_ONE = RationalFunction(Fraction(1), _POLY_ONE, ())
 def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
     """Sum many rational functions over one common denominator.
 
-    Equivalent to repeated ``+`` but canonicalizes once, which matters in
-    the factorization sums where dozens of terms share most denominator
-    factors.
+    Canonicalizes once, which matters in the factorization sums where
+    dozens of terms share most denominator factors.  Lifting to the common
+    denominator is Horner-split: the denominator is expanded into units
+    ``(form, j)``, one per unit of multiplicity, ordered by how many
+    summands miss them (most first), and
+    ``S(items, k) = u_k * S(items missing u_k, k+1) + S(the rest, k+1)``,
+    so each unit multiplies one partial sum instead of every summand that
+    lacks it.
     """
     terms = [r for r in items if r.scalar != 0]
     if not terms:
@@ -728,23 +767,69 @@ def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
     if len(terms) == 1:
         return terms[0]
     common: dict[LinearForm, int] = {}
+    have: dict[tuple, int] = {}  # unit (coeffs, j) -> summands with it
     for r in terms:
         for f, m in r.denominator:
             if common.get(f, 0) < m:
                 common[f] = m
+            for j in range(1, m + 1):
+                u = (f.coeffs, j)
+                have[u] = have.get(u, 0) + 1
     lcm = 1
     for r in terms:
         q = r.scalar.denominator
         lcm = lcm * q // gcd(lcm, q)
-    total = _POLY_ZERO
+    units = sorted(
+        (u for u, n in have.items() if n < len(terms)),
+        key=lambda u: (have[u], u),
+    )
+    bits = {u: 1 << k for k, u in enumerate(units)}
+    lins = [_linear_terms(coeffs) for coeffs, _ in units]
+    everything = (1 << len(units)) - 1
+    summands = []
     for r in terms:
-        num = r.numerator
-        da = dict(r.denominator)
-        for f, m in common.items():
-            for _ in range(m - da.get(f, 0)):
-                num = num.mul_linear(f)
-        total = total + (r.scalar.numerator * (lcm // r.scalar.denominator)) * num
-    return RationalFunction.make(Fraction(1, lcm), total, common.items())
+        mask = everything
+        for f, m in r.denominator:
+            for j in range(1, m + 1):
+                mask &= ~bits.get((f.coeffs, j), 0)
+        scale = r.scalar.numerator * (lcm // r.scalar.denominator)
+        summands.append((r.numerator.terms, scale, mask))
+    total = _lift_sum(summands, 0, lins)
+    return RationalFunction.make(Fraction(1, lcm), Polynomial(total), common.items())
+
+
+def _lift_sum(summands: list, k: int, lins: list) -> dict:
+    """``sum(scale * terms * prod(units k.. in mask))`` as a new terms dict.
+
+    ``summands`` holds ``(terms, scale, mask)``; bit k of ``mask`` says the
+    summand misses unit k, whose linear terms are ``lins[k]``.
+    """
+    union = 0
+    for _, _, mask in summands:
+        union |= mask
+    union >>= k
+    if union:
+        k += (union & -union).bit_length() - 1  # next unit someone misses
+        bit = 1 << k
+        miss = [s for s in summands if s[2] & bit]
+        rest = [s for s in summands if not s[2] & bit]
+        out = _lift_sum(rest, k + 1, lins) if rest else {}
+        return _mul_form(_lift_sum(miss, k + 1, lins), lins[k], out)
+    # leaf: nothing left to lift; add into a copy of the largest summand
+    big = max(summands, key=lambda s: len(s[0]))
+    terms, scale, _ = big
+    out = dict(terms) if scale == 1 else {m: c * scale for m, c in terms.items()}
+    for s in summands:
+        if s is big:
+            continue
+        terms, scale, _ = s
+        for m, c in terms.items():
+            v = out.get(m, 0) + c * scale
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return out
 
 
 def rf_from_int(c: int) -> RationalFunction:

@@ -11,8 +11,9 @@ Subcommands:
 * ``render FILE``     - re-render a mould JSON file deterministically.
 * ``examples``        - shorthand for ``verify examples-section1``.
 
-The default truncation depth is 4, overridable with --depth or the
-MOULDCALC_DEPTH environment variable.  Depths and ``verify --dmax`` below 1
+The default ``compute`` depth is 4, overridable with --depth or the
+MOULDCALC_DEPTH environment variable; ``verify`` ignores the variable and
+uses each claim's own defaults.  Depths and ``verify --dmax`` below 1
 or above MAX_DEPTH are refused, as are parameters a target or claim rejects
 (a ValueError from the library) and claims that would run no check.
 Exit codes: 0 success, 1 verification failure, 2 usage error.

@@ -3,7 +3,9 @@
 The oracles here are deliberately independent of the canonical-form
 machinery they check: equality via dense cross-multiplication,
 divisibility certificates via evaluation at points on a form's zero set,
-and the solver-chain definition of adari that the closed form replaced.
+the solver-chain definition of adari that the closed form replaced, and
+the kernel's former substitution (powers of whole forms) and summation
+(every summand lifted to the full common denominator by full products).
 """
 
 from __future__ import annotations
@@ -11,12 +13,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from math import gcd
+
 from mouldcalc.algebra import LinearForm, Polynomial, RationalFunction
 from mouldcalc.flexions import lazy_expari, lazy_gari, lazy_invgari, lazy_logari
 from mouldcalc.verify import random_ari_mould, random_gari_mould
 
 __all__ = [
     "adari_via_logari",
+    "compose_via_powers",
+    "rf_sum_via_full_lift",
+    "substitute_via_powers",
     "den_polynomial",
     "cross_equal",
     "poly_eval",
@@ -36,6 +43,58 @@ def adari_via_logari(S):
         return lazy_logari(lazy_gari(lazy_gari(S, lazy_expari(A)), Sinv))
 
     return apply
+
+
+def compose_via_powers(p: Polynomial, forms) -> Polynomial:
+    """Substitute ``forms[i-1]`` for x_i by expanding every monomial with
+    cached powers of the whole forms, using only ``*`` and ``+``."""
+    form_polys = [f.as_polynomial() for f in forms]
+    powers = [[Polynomial.one()] for _ in forms]
+
+    def power(i: int, e: int) -> Polynomial:
+        cache = powers[i]
+        while len(cache) <= e:
+            cache.append(cache[-1] * form_polys[i])
+        return cache[e]
+
+    total = Polynomial.zero()
+    for m, c in p.terms.items():
+        term = Polynomial.constant(c)
+        for i, e in enumerate(m):
+            if e:
+                term = term * power(i, e)
+        total = total + term
+    return total
+
+
+def substitute_via_powers(r: RationalFunction, forms) -> RationalFunction:
+    """``r.substitute(forms)`` with the numerator through compose_via_powers."""
+    if r.is_zero():
+        return r
+    den = [(f.compose(forms), m) for f, m in r.denominator]
+    return RationalFunction.make(r.scalar, compose_via_powers(r.numerator, forms), den)
+
+
+def rf_sum_via_full_lift(items) -> RationalFunction:
+    """Sum over the common denominator, lifting every summand on its own by
+    full products with each missing form, then adding the lifted numerators."""
+    terms = [r for r in items if not r.is_zero()]
+    common: dict = {}
+    for r in terms:
+        for f, m in r.denominator:
+            common[f] = max(common.get(f, 0), m)
+    lcm = 1
+    for r in terms:
+        lcm = lcm * r.scalar.denominator // gcd(lcm, r.scalar.denominator)
+    total = Polynomial.zero()
+    for r in terms:
+        num = r.numerator
+        da = dict(r.denominator)
+        for f, m in common.items():
+            for _ in range(m - da.get(f, 0)):
+                num = num * f.as_polynomial()
+        total = total + (r.scalar.numerator * (lcm // r.scalar.denominator)) * num
+    return RationalFunction.make(Fraction(1, lcm), total, common.items())
 
 
 def den_polynomial(r: RationalFunction) -> Polynomial:

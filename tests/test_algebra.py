@@ -24,7 +24,18 @@ from mouldcalc.algebra import (
     x_var,
 )
 
-from helpers import cross_equal, form_eval, poly_eval, random_rf
+from mouldcalc.moulds import sharp, sum_form
+from mouldcalc.solutions import psi_minus1_mould
+
+from helpers import (
+    compose_via_powers,
+    cross_equal,
+    form_eval,
+    poly_eval,
+    random_rf,
+    rf_sum_via_full_lift,
+    substitute_via_powers,
+)
 
 x1, x2, x3 = x_var(1), x_var(2), x_var(3)
 
@@ -286,6 +297,125 @@ def test_evaluation_consistency(seed):
         assert vs == vf + vg
     if vp is not None:
         assert vp == vf * vg
+
+
+# ---------------------------------------------------------------------------
+# kernel fast paths against their former algorithms (seeded random)
+# ---------------------------------------------------------------------------
+
+
+def random_poly(rng, nvars, nterms=6, maxexp=3):
+    return poly(
+        {
+            tuple(rng.randint(0, maxexp) for _ in range(nvars)): rng.randint(-5, 5)
+            for _ in range(nterms)
+        }
+    )
+
+
+def random_forms(rng, kind, nvars):
+    """``nvars`` forms of one kind; ``wide`` forms reach past x_nvars."""
+    width = nvars + 2
+    out = []
+    for _ in range(nvars):
+        j = rng.randrange(width)
+        if kind == "renaming":
+            coeffs = [0] * j + [1]
+        elif kind == "scaling":
+            coeffs = [0] * j + [rng.choice([-3, -2, -1, 2, 3])]
+        elif kind == "zero":
+            coeffs = [] if rng.random() < 0.5 else [0] * j + [rng.choice([-1, 1, 2])]
+        elif kind == "multi":
+            coeffs = [rng.randint(-2, 2) for _ in range(nvars)]
+        else:  # wide: multi-term forms over more variables than the polynomial
+            coeffs = [rng.randint(-2, 2) for _ in range(width)]
+        out.append(LinearForm(coeffs))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["renaming", "scaling", "zero", "multi", "wide"])
+def test_compose_matches_powers_oracle(kind):
+    rng = random.Random(f"compose-{kind}")
+    for _ in range(40):
+        nvars = rng.randint(1, 4)
+        p = random_poly(rng, nvars)
+        forms = random_forms(rng, kind, nvars)
+        assert p.compose(forms) == compose_via_powers(p, forms)
+
+
+def test_compose_edge_cases():
+    p = poly({(1, 2): 3, (): -1})  # 3 x1 x2^2 - 1
+    assert p.compose((x1, x2)) == p
+    assert p.compose((x2, x1, x3)) == poly({(2, 1): 3, (): -1})
+    assert p.compose((LinearForm.zero(), x1 + x2)) == poly({(): -1})
+    assert poly({}).compose(()) == poly({})
+    assert poly({(1, 1): 1, (2,): -1}).compose((x1, x1)) == poly({})
+    with pytest.raises(ValueError):
+        p.compose((x1,))
+
+
+def test_mul_and_mul_linear_match_naive_product():
+    rng = random.Random("mul")
+    for _ in range(40):
+        p = random_poly(rng, rng.randint(0, 4))
+        q = random_poly(rng, rng.randint(0, 4))
+        naive: dict = {}
+        for ma, ca in p.terms.items():
+            for mb, cb in q.terms.items():
+                width = max(len(ma), len(mb))
+                m = tuple(
+                    (ma[i] if i < len(ma) else 0) + (mb[i] if i < len(mb) else 0)
+                    for i in range(width)
+                )
+                naive[m] = naive.get(m, 0) + ca * cb
+        assert p * q == Polynomial.from_dict(naive)
+        form = LinearForm([rng.randint(-2, 2) for _ in range(rng.randint(0, 5))])
+        assert p.mul_linear(form) == p * form.as_polynomial()
+
+
+def random_summands(rng, n):
+    """Summands over a shared pool of forms: repeated and missing factors."""
+    pool = [
+        LinearForm([rng.randint(-2, 2) for _ in range(3)]) for _ in range(4)
+    ]
+    pool = [f for f in pool if not f.is_zero()] or [x1]
+    items = []
+    for _ in range(n):
+        den = [(f, rng.randint(0, 3)) for f in pool if rng.random() < 0.7]
+        num = random_poly(rng, 3, nterms=rng.randint(1, 4), maxexp=2)
+        if rng.random() < 0.3 and den:  # a numerator sharing a factor
+            num = num.mul_linear(den[0][0])
+        scalar = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        items.append(RationalFunction.make(scalar, num, den))
+    return items
+
+
+def test_rf_sum_matches_full_lift_oracle():
+    rng = random.Random("rf_sum")
+    for _ in range(60):
+        items = random_summands(rng, rng.randint(2, 8))
+        assert rf_sum(items) == rf_sum_via_full_lift(items)
+
+
+def test_rf_sum_zero_and_single_summands():
+    rng = random.Random("rf_sum-edges")
+    for _ in range(20):
+        items = random_summands(rng, rng.randint(1, 5))
+        both = items + [-r for r in items]
+        rng.shuffle(both)
+        assert rf_sum(both) == RationalFunction.zero() == rf_sum_via_full_lift(both)
+        assert rf_sum([items[0]]) == items[0]
+        assert rf_sum([RationalFunction.zero(), items[0]]) == items[0]
+        assert items[0] + items[-1] == rf_sum_via_full_lift([items[0], items[-1]])
+    assert rf_sum([]) == RationalFunction.zero()
+
+
+def test_sharp_psi_minus1_matches_powers_oracle():
+    M = psi_minus1_mould(5)
+    got = sharp(M)
+    for m in range(1, 6):
+        forms = tuple(sum_form(i) for i in range(1, m + 1))
+        assert got.components[m] == substitute_via_powers(M.components[m], forms)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,7 @@ def test_comparison_theorem_n1():
     [
         ("psi-odd", {"n": 1, "dmax": 5}, 5),
         ("sang-expansion", {"depth": 5}, 12),
+        ("psi-minus1", {"dmax": 6}, 6),
     ],
 )
 def test_claims_verify_beyond_stated_depth(claim, params, n_checks):
