@@ -3,9 +3,8 @@
 Subcommands:
 
 * ``compute TARGET``  - build a named mould at a truncation depth and render
-  it (plain, latex or json).  Targets: paj, mupaj, dupal, pal, dur, sa:S,
-  sang:sa:S, slang:R:sa:S, psi:K (odd K >= 3), psi:-1, xi:N, sigma_c:N,
-  luma:N, D:A:B.
+  it (plain, latex or json).  ``TARGETS`` lists the target patterns; it
+  drives the parser, ``compute --help`` and the unknown-target message.
 * ``verify CLAIM``    - run a named verification claim and emit a JSON
   report; exit status 0 on pass, 1 on failure.
 * ``render FILE``     - re-render a mould JSON file deterministically.
@@ -25,16 +24,17 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import rf_latex, rf_str
 from .moulds import Mould, dur, mould_from_json, mould_to_json
+from .solutions import D_ab, luma, psi_minus1_mould, psi_odd_mould, sigma_c, xi
 from .special import dupal, mupaj, paj, pal, sa, sang, slang
 from .verify import CLAIMS, run_claim
 
 MAX_DEPTH = 8
 
-__all__ = ["main", "build_target", "render_mould", "MAX_DEPTH"]
+__all__ = ["main", "build_target", "render_mould", "MAX_DEPTH", "TARGETS"]
 
 
 class UsageError(Exception):
@@ -65,53 +65,58 @@ def _check_depth(depth: int, what: str) -> None:
         raise UsageError(f"{what} {depth} exceeds the configured maximum {MAX_DEPTH}")
 
 
+def _psi_target(depth: int, k: int) -> Mould:
+    if k >= 3 and k % 2 == 1:
+        return psi_odd_mould((k - 1) // 2, depth)
+    raise UsageError("psi index must be -1 or an odd integer >= 3")
+
+
+# Compute targets: ``:``-separated patterns, a name followed by tokens of
+# which the upper-case ones stand for integers; a builder takes the depth
+# and those integers in order.  Patterns are tried in order, so the literal
+# ``psi:-1`` comes before ``psi:K``.  Builders look their functions up
+# when called, so a rebinding of the module names reaches them.
+TARGETS: dict[str, Callable[..., Mould]] = {
+    "paj": lambda depth: paj(depth),
+    "mupaj": lambda depth: mupaj(depth),
+    "dupal": lambda depth: dupal(depth),
+    "pal": lambda depth: pal(depth),
+    "dur": lambda depth: dur(depth),
+    "sa:S": lambda depth, s: sa(s, depth),
+    "sang:sa:S": lambda depth, s: sang(sa(s, depth)),
+    "slang:R:sa:S": lambda depth, r, s: slang(r, sa(s, depth)),
+    "psi:-1": lambda depth: psi_minus1_mould(depth),
+    "psi:K": lambda depth, k: _psi_target(depth, k),
+    "xi:N": lambda depth, n: xi(n),
+    "sigma_c:N": lambda depth, n: sigma_c(n),
+    "luma:N": lambda depth, n: luma(n),
+    "D:A:B": lambda depth, a, b: D_ab(a, b),
+}
+
+
+def _match(pattern: str, parts: list[str]) -> list[int] | None:
+    """The integers a target's parts give the pattern's placeholders, or
+    None when the target does not have the pattern's shape."""
+    tokens = pattern.split(":")
+    if len(tokens) != len(parts) or tokens[0] != parts[0]:
+        return None
+    ints = []
+    for token, part in zip(tokens[1:], parts[1:]):
+        if token.isupper():
+            ints.append(_parse_int(part, f"{token} in {pattern}"))
+        elif token != part:
+            return None
+    return ints
+
+
 def build_target(target: str, depth: int) -> Mould:
     """Resolve a compute target name to a mould at the given depth."""
     parts = target.split(":")
-    head = parts[0]
-    if head == "paj" and len(parts) == 1:
-        return paj(depth)
-    if head == "mupaj" and len(parts) == 1:
-        return mupaj(depth)
-    if head == "dupal" and len(parts) == 1:
-        return dupal(depth)
-    if head == "pal" and len(parts) == 1:
-        return pal(depth)
-    if head == "dur" and len(parts) == 1:
-        return dur(depth)
-    if head == "sa" and len(parts) == 2:
-        return sa(_parse_int(parts[1], "sa exponent"), depth)
-    if head == "sang" and len(parts) == 3 and parts[1] == "sa":
-        return sang(sa(_parse_int(parts[2], "sa exponent"), depth))
-    if head == "slang" and len(parts) == 4 and parts[2] == "sa":
-        r = _parse_int(parts[1], "slice index")
-        return slang(r, sa(_parse_int(parts[3], "sa exponent"), depth))
-    if head == "psi" and len(parts) == 2:
-        from .solutions import psi_minus1_mould, psi_odd_mould
-
-        k = _parse_int(parts[1], "psi index")
-        if k == -1:
-            return psi_minus1_mould(depth)
-        if k >= 3 and k % 2 == 1:
-            return psi_odd_mould((k - 1) // 2, depth)
-        raise UsageError("psi index must be -1 or an odd integer >= 3")
-    if head == "xi" and len(parts) == 2:
-        from .solutions import xi
-
-        return xi(_parse_int(parts[1], "xi index"))
-    if head == "sigma_c" and len(parts) == 2:
-        from .solutions import sigma_c
-
-        return sigma_c(_parse_int(parts[1], "sigma_c index"))
-    if head == "luma" and len(parts) == 2:
-        from .solutions import luma
-
-        return luma(_parse_int(parts[1], "luma index"))
-    if head == "D" and len(parts) == 3:
-        from .solutions import D_ab
-
-        return D_ab(_parse_int(parts[1], "a"), _parse_int(parts[2], "b"))
-    raise UsageError(f"unknown target {target!r}")
+    for pattern, builder in TARGETS.items():
+        ints = _match(pattern, parts)
+        if ints is not None:
+            return builder(depth, *ints)
+    raise UsageError(f"unknown target {target!r}; choose from {', '.join(TARGETS)}")
 
 
 def render_mould(M: Mould, fmt: str) -> str:
@@ -145,24 +150,33 @@ def _cmd_compute(args) -> int:
     return 0
 
 
+def _parameters(fn) -> tuple[str, ...]:
+    """The parameter names of a function, through any ``functools.wraps``
+    wrappers; read from the code object, which costs no ``inspect`` import."""
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
+    code = fn.__code__
+    return code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+
+
 def _cmd_verify(args) -> int:
     if args.claim not in CLAIMS:
         raise UsageError(
             f"unknown claim {args.claim!r}; choose from {', '.join(sorted(CLAIMS))}"
         )
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.dmax is not None:
-        _check_depth(args.dmax, "--dmax")
-        params["dmax"] = args.dmax
-    if args.depth is not None:
-        _check_depth(args.depth, "--depth")
-        params["depth"] = args.depth
-    if args.a is not None:
-        params["a"] = args.a
-    if args.b is not None:
-        params["b"] = args.b
+    params = {
+        key: getattr(args, key)
+        for key in ("n", "dmax", "depth")
+        if getattr(args, key) is not None
+    }
+    takes = _parameters(CLAIMS[args.claim])
+    for key in params:
+        if key not in takes:
+            flags = ", ".join(f"--{name}" for name in takes) or "no flags"
+            raise UsageError(f"claim {args.claim!r} takes no --{key} (it takes {flags})")
+    for key in ("dmax", "depth"):
+        if key in params:
+            _check_depth(params[key], f"--{key}")
     try:
         report = run_claim(args.claim, **params)
     except ValueError as exc:
@@ -189,15 +203,27 @@ def _cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ``error:`` line, like every
+    other usage error, instead of argparse's usage block."""
+
+    def error(self, message):
+        raise UsageError(f"{message} (see {self.prog} --help)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mouldcalc",
         description="Exact mould calculus: compute named moulds and verify identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", help="compute and render a named mould")
-    c.add_argument("target")
+    c.add_argument(
+        "target",
+        help=f"one of {', '.join(TARGETS)}; upper-case letters after the name "
+        "stand for integers",
+    )
     c.add_argument("--depth", type=int, default=None)
     c.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
     c.add_argument("--out", default=None)
@@ -208,8 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--dmax", type=int, default=None)
     v.add_argument("--depth", type=int, default=None)
-    v.add_argument("--a", type=int, default=None)
-    v.add_argument("--b", type=int, default=None)
     v.add_argument("--out", default=None)
     v.set_defaults(fn=_cmd_verify)
 
@@ -223,20 +247,17 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", default=None)
     e.set_defaults(fn=lambda args: _cmd_verify(
         argparse.Namespace(claim="examples-section1", n=None, dmax=None, depth=None,
-                           a=None, b=None, out=args.out)
+                           out=args.out)
     ))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; keep that contract
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

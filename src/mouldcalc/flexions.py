@@ -8,6 +8,22 @@ pre-Lie product ``preari``, the Lie bracket ``ari``, the twisted action
 ``expari``/``logari``, the group inverse ``invgari`` and the conjugation
 ``adari``.
 
+Every operator has one evaluation path, in three layers:
+
+* the factorization sums (``mu_at``, ``arit_at``, ``preari_at``,
+  ``garit_at``) are written once, at a single word, as functions of
+  evaluation callables;
+* the lazy wrappers (``lazy_*``) run them at arbitrary words and memoize
+  the values.  Their inputs only need ``depth`` and ``eval_word``, so
+  concrete moulds, opaque symbol moulds and other lazy moulds mix freely.
+  The solvers are lazy fixed points solved depth by depth: ``logari``
+  inverts ``expari``, and ``invgari(S)`` is the G with
+  ``G = mu_inverse(garit(G)(S))``, which is ``gari(S, G) = 1``;
+* each eager operator checks its preconditions and materializes its lazy
+  twin at the canonical words.  The operator of ``adari(S)`` materializes
+  only a concrete argument and leaves a lazy one lazy, so composite
+  operators such as the singulator can chain it.
+
 ``adari(S)(A)`` is defined as ``logari(gari(gari(S, expari(A)), invgari(S)))``
 and evaluated in the closed form ``gari(preari(S, A), invgari(S))``:
 
@@ -21,12 +37,6 @@ and evaluated in the closed form ``gari(preari(S, A), invgari(S))``:
 
 The closed form needs one solver (``invgari``) instead of three, and is
 checked against the solver-chain definition in the test suite.
-
-Every factorization sum is implemented once, at the level of words, as a
-function of evaluation callables (``*_at`` helpers).  Concrete moulds run
-them at the canonical words; the lazy wrappers in this module run them at
-arbitrary words, which is what the generic (opaque-symbol) identity checks
-and the depth-by-depth solvers need.
 """
 
 from __future__ import annotations
@@ -35,15 +45,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .algebra import LinearForm, RationalFunction, rf_sum
-from .moulds import (
-    Mould,
-    NotDefinedError,
-    NotInvertibleError,
-    Word,
-    canonical_word,
-    mu,
-    mu_inverse,
-)
+from .moulds import Mould, NotDefinedError, NotInvertibleError, Word
 
 __all__ = [
     "flexion_up",
@@ -249,22 +251,13 @@ def _require_gari(S: Mould, what: str) -> None:
 
 def arit(N: Mould) -> Callable[[Mould], Mould]:
     """The derivation-like operator attached to N."""
-
-    def apply(M: Mould) -> Mould:
-        d = min(M.depth, N.depth)
-        return Mould(
-            [arit_at(canonical_word(m), M.eval_word, N.eval_word) for m in range(d + 1)]
-        )
-
-    return apply
+    op = lazy_arit(N)
+    return lambda M: _materialize(op(M))
 
 
 def preari(M: Mould, N: Mould) -> Mould:
     """Pre-Lie product preari(M, N) = arit(N)(M) + M x N."""
-    d = min(M.depth, N.depth)
-    return Mould(
-        [preari_at(canonical_word(m), M.eval_word, N.eval_word) for m in range(d + 1)]
-    )
+    return _materialize(lazy_preari(M, N))
 
 
 def preari_n(n: int, A: Mould) -> Mould:
@@ -281,54 +274,38 @@ def preari_n(n: int, A: Mould) -> Mould:
 
 def ari(M: Mould, N: Mould) -> Mould:
     """Lie bracket ari(M, N) = preari(M, N) - preari(N, M)."""
-    return preari(M, N) - preari(N, M)
+    return _materialize(lazy_ari(M, N))
 
 
 def garit(T: Mould) -> Callable[[Mould], Mould]:
     """The twisted action of the group element T."""
     _require_gari(T, "garit")
-    Tinv = mu_inverse(T)
-
-    def apply(S: Mould) -> Mould:
-        d = min(S.depth, T.depth)
-        return Mould(
-            [
-                garit_at(canonical_word(m), S.eval_word, T.eval_word, Tinv.eval_word)
-                for m in range(d + 1)
-            ]
-        )
-
-    return apply
+    op = lazy_garit(T)
+    return lambda S: _materialize(op(S))
 
 
 def gari(S: Mould, T: Mould) -> Mould:
     """Group law gari(S, T) = garit(T)(S) x T."""
-    return mu(garit(T)(S), T)
+    _require_gari(T, "gari")
+    return _materialize(lazy_gari(S, T))
 
 
 def expari(A: Mould) -> Mould:
     """Exponential sum of pre-Lie iterates: sum_n preari_n(A) / n!."""
     _require_ari(A, "expari")
-    total = Mould.unit(A.depth) + A
-    chain = A
-    fact = 1
-    for n in range(2, A.depth + 1):
-        chain = preari(chain, A)
-        fact *= n
-        total = total + chain * Fraction(1, fact)
-    return total
+    return _materialize(lazy_expari(A))
 
 
 def logari(S: Mould) -> Mould:
     """Inverse of expari, solved depth by depth."""
     _require_gari(S, "logari")
-    return _materialize(lazy_logari(S), S.depth)
+    return _materialize(lazy_logari(S))
 
 
 def invgari(S: Mould) -> Mould:
     """Inverse element for the gari group law, solved depth by depth."""
     _require_gari(S, "invgari")
-    return _materialize(lazy_invgari(S), S.depth)
+    return _materialize(lazy_invgari(S))
 
 
 def adari(S: Mould) -> Callable[[Mould], Mould]:
@@ -337,14 +314,17 @@ def adari(S: Mould) -> Callable[[Mould], Mould]:
     adari(S)(A) = logari(gari(gari(S, expari(A)), invgari(S))), evaluated in
     the closed form gari(preari(S, A), invgari(S)) (see the module
     docstring).  invgari(S) is solved once per operator and shared by all
-    applications.
+    applications.  A concrete A gives a concrete mould; any other A (a lazy
+    or opaque mould) gives the lazy conjugate, unevaluated.
     """
     _require_gari(S, "adari")
     conj = lazy_adari(S)
 
-    def apply(A: Mould) -> Mould:
+    def apply(A):
+        if not isinstance(A, Mould):
+            return conj(A)
         _require_ari(A, "adari")
-        return _materialize(conj(A), min(S.depth, A.depth))
+        return _materialize(conj(A))
 
     return apply
 
@@ -376,8 +356,9 @@ class LazyMould:
         return got
 
 
-def _materialize(L, depth: int) -> Mould:
-    return Mould.from_word_function(min(depth, L.depth), L.eval_word)
+def _materialize(L) -> Mould:
+    """The concrete mould of a lazy one: its values at the canonical words."""
+    return Mould.from_word_function(L.depth, L.eval_word)
 
 
 def lazy_unit(depth: int) -> LazyMould:
@@ -394,12 +375,6 @@ def lazy_scale(c, M) -> LazyMould:
 def lazy_add(A, B) -> LazyMould:
     return LazyMould(
         min(A.depth, B.depth), lambda w: A.eval_word(w) + B.eval_word(w)
-    )
-
-
-def lazy_sub(A, B) -> LazyMould:
-    return LazyMould(
-        min(A.depth, B.depth), lambda w: A.eval_word(w) - B.eval_word(w)
     )
 
 
@@ -527,30 +502,15 @@ def lazy_logari(S) -> LazyMould:
 
 
 def lazy_invgari(S) -> LazyMould:
-    """Solve gari(S, G) = 1 for G; the depth-m value only involves G at
-    strictly shorter words (every garit block is flanked by a nonempty b)."""
-    depth = S.depth
-    G = LazyMould(depth, None)
-    Ginv = lazy_mu_inverse(G)
-    garit_sg = LazyMould(
-        depth, lambda w: garit_at(w, S.eval_word, G.eval_word, Ginv.eval_word)
-    )
+    """Solve gari(S, G) = 1 for G, i.e. G = mu_inverse(garit(G)(S)).
 
-    def fn(w: Word) -> RationalFunction:
-        if not w:
-            return RationalFunction.one()
-        parts = []
-        for i in range(1, len(w) + 1):
-            a = garit_sg.eval_word(w[:i])
-            if a.is_zero():
-                continue
-            b = G.eval_word(w[i:])
-            if b.is_zero():
-                continue
-            parts.append(a * b)
-        return -rf_sum(parts)
-
-    G._fn = fn
+    The fixed point is well founded: garit(G)(S) at a word only involves G
+    at strictly shorter words (every garit block is flanked by a nonempty
+    b), and mu_inverse at a word only involves its argument at that word
+    and its own values at strictly shorter words.
+    """
+    G = LazyMould(S.depth, None)
+    G._fn = lazy_mu_inverse(lazy_garit(G)(S)).eval_word
     return G
 
 

@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .flexions import ari
 from .moulds import Mould, dur_unscale, mu_log, sharp
-from .special import bernoulli, paj, sa, slang, s_prime
+from .special import bernoulli, paj, sa, sang, slang, s_prime
 
 __all__ = [
     "x_AB",
@@ -247,8 +247,10 @@ def D_ab(a: int, b: int) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-def _check(claim: str, depth: int, residual: RationalFunction | None) -> dict:
-    ok = residual is None or residual.is_zero()
+def _check(claim: str, depth: int, residual: RationalFunction) -> dict:
+    """One check of a report: it passes when the residual is zero, and a
+    failing check carries the residual as text and as JSON."""
+    ok = residual.is_zero()
     report = {"claim": claim, "depth": depth, "status": "pass" if ok else "fail"}
     if not ok:
         report["residual"] = rf_str(residual)
@@ -274,8 +276,6 @@ def verify_psi_odd_theorem(
     ``psi_components`` may be overridden (negative controls inject mutated
     components here).
     """
-    from .special import sang  # local import to keep module load light
-
     target = sang(sa(2 * n + 1, dmax))
     psi = Mould(
         [RationalFunction.zero()]

@@ -5,6 +5,13 @@ moulds sa_s, the polar moulds paj and mupaj, the Bernoulli mould dupal and
 its symmetral partner pal (defined by dur . pal = pal x dupal), the depth-2
 corrector s', the singulator sang with its expanded four-sum form, and the
 depth projections slang_r conjugated by pal.
+
+The singulator and its slices follow the flexion layer's single path:
+``lazy_sang``/``lazy_slang`` compose lazy flexion operators over any input
+with ``depth`` and ``eval_word`` (concrete or opaque), and ``sang``,
+``slang`` and ``slang_split`` check their input and materialize them.  The
+conjugations go through ``adari``, whose operator leaves a lazy argument
+lazy; pal's inverse is solved once, by ``invgari``, as a concrete mould.
 """
 
 from __future__ import annotations
@@ -20,8 +27,19 @@ from .algebra import (
     RationalFunction,
     one_over_forms,
 )
-from .flexions import adari, invgari
-from .moulds import Mould, NotDefinedError, leng, mu, neg, sum_form
+from .flexions import (
+    LazyMould,
+    _materialize,
+    _require_ari,
+    adari,
+    invgari,
+    lazy_add,
+    lazy_leng,
+    lazy_mu,
+    lazy_neg,
+    lazy_scale,
+)
+from .moulds import Mould, sum_form
 
 __all__ = [
     "bernoulli",
@@ -35,6 +53,8 @@ __all__ = [
     "sang_expanded",
     "slang",
     "slang_split",
+    "lazy_sang",
+    "lazy_slang",
     "UnsupportedInputError",
 ]
 
@@ -176,13 +196,31 @@ def s_prime(depth: int = 3) -> Mould:
     return Mould(comps)
 
 
+def lazy_sang(M) -> LazyMould:
+    """Singulator (1/2)(id + neg . adari(paj)) (mupaj x M x paj), lazily."""
+    d = M.depth
+    B = lazy_mu(lazy_mu(mupaj(d), M), paj(d))
+    return lazy_scale(Fraction(1, 2), lazy_add(B, lazy_neg(adari(paj(d))(B))))
+
+
+def _lazy_slicer(A):
+    """r -> slang_r(A); the slices share pal's conjugations and the inner
+    mould adari(pal)^{-1} . sang(A)."""
+    p = pal(A.depth)
+    conj = adari(p)
+    inner = adari(invgari(p))(lazy_sang(A))
+    return lambda r: conj(lazy_leng(r, inner))
+
+
+def lazy_slang(r: int, A) -> LazyMould:
+    """Depth-r slice of the singulator conjugated by pal, lazily."""
+    return _lazy_slicer(A)(r)
+
+
 def sang(M: Mould) -> Mould:
     """Singulator: (1/2)(id + neg . adari(paj)) (mupaj x M x paj)."""
-    if not M.components[0].is_zero():
-        raise NotDefinedError("the singulator needs depth-0 component 0")
-    d = M.depth
-    B = mu(mu(mupaj(d), M), paj(d))
-    return (B + neg(adari(paj(d))(B))) * Fraction(1, 2)
+    _require_ari(M, "sang")
+    return _materialize(lazy_sang(M))
 
 
 def sang_expanded(M: Mould) -> Mould:
@@ -246,10 +284,8 @@ def slang(r: int, A: Mould) -> Mould:
     adari(pal) . leng_r . adari(pal)^{-1} . sang(A)."""
     if r < 1:
         raise ValueError("slice index must be positive")
-    d = A.depth
-    p = pal(d)
-    inner = adari(invgari(p))(sang(A))
-    return adari(p)(leng(r, inner))
+    _require_ari(A, "slang")
+    return _materialize(lazy_slang(r, A))
 
 
 def slang_split(A: Mould) -> list[Mould]:
@@ -257,8 +293,6 @@ def slang_split(A: Mould) -> list[Mould]:
 
     Their sum recovers sang(A) up to the truncation depth.
     """
-    d = A.depth
-    p = pal(d)
-    conj = adari(p)
-    inner = adari(invgari(p))(sang(A))
-    return [conj(leng(r, inner)) for r in range(1, d + 1)]
+    _require_ari(A, "slang_split")
+    slice_r = _lazy_slicer(A)
+    return [_materialize(slice_r(r)) for r in range(1, A.depth + 1)]

@@ -6,13 +6,17 @@ singulator and its slices) and checks it two ways:
 
 * generically, with opaque moulds whose evaluations are fresh symbols, so
   equality of both sides is a polynomial identity valid for all moulds;
-* concretely, with seeded random polynomial moulds run through the eager
-  operator implementations.
+* concretely, with seeded random polynomial moulds.
 
-Both ways share the same right-hand-side builders, so a typo would have to
-appear twice to go unnoticed.  The named claims drive these checks plus the
-theorem verifiers from the solutions module; every claim returns a report
-dict {claim, status, checks: [{claim, depth, status, residual?}]}.
+Both ways evaluate the same lazy operators (the flexion module's
+``lazy_*`` and the singulator's ``lazy_sang``/``lazy_slang``) and share the
+same right-hand-side builders, so a typo would have to appear twice to go
+unnoticed.  The concrete rounds also check the eager ``arit``, ``gari``,
+``expari`` and ``adari`` at their top depth; each of those materializes
+its lazy twin at the canonical words.  The named claims drive these checks
+plus the theorem verifiers from the solutions module; every claim returns a
+report dict {claim, status, checks: [{claim, depth, status, residual?,
+residual_json?}]}, the residuals present on failing checks.
 """
 
 from __future__ import annotations
@@ -35,22 +39,23 @@ from .flexions import (
     expari,
     gari,
     lazy_adari,
-    lazy_add,
     lazy_ari,
     lazy_arit,
     lazy_expari,
     lazy_gari,
     lazy_garit,
-    lazy_invgari,
-    lazy_leng,
-    lazy_mu,
-    lazy_neg,
     lazy_preari,
-    lazy_scale,
 )
 from .generic import OpaqueMould, SymbolRegistry
 from .moulds import Mould, canonical_word
-from .special import dupal, mupaj, paj, pal, sa, sang, sang_expanded
+from .solutions import (
+    _check,
+    _wrap,
+    verify_comparison_theorem,
+    verify_psi_minus1_theorem,
+    verify_psi_odd_theorem,
+)
+from .special import dupal, lazy_sang, lazy_slang, pal, sa, sang, sang_expanded
 from .symmetry import is_alternal, is_symmetral, is_alternal_via_sh, is_symmetral_via_sh
 
 __all__ = [
@@ -73,14 +78,6 @@ def _rf(form: LinearForm) -> RationalFunction:
 
 def _frac(num_form: LinearForm, *den_forms: LinearForm) -> RationalFunction:
     return _rf(num_form) * one_over_forms(*den_forms)
-
-
-def _check(name: str, depth: int, lhs: RationalFunction, rhs: RationalFunction) -> dict:
-    residual = lhs - rhs
-    out = {"claim": name, "depth": depth, "status": "pass" if residual.is_zero() else "fail"}
-    if out["status"] == "fail":
-        out["residual"] = rf_str(residual)
-    return out
 
 
 def random_ari_mould(rng: random.Random, depth: int, max_deg: int = 3) -> Mould:
@@ -309,21 +306,6 @@ def _slang_rhs2(A, r):
 # ---------------------------------------------------------------------------
 
 
-def _lazy_sang(A):
-    """Singulator assembled lazily over any eval-word-capable input."""
-    d = A.depth
-    B = lazy_mu(lazy_mu(mupaj(d), A), paj(d))
-    conj = lazy_adari(paj(d))(B)
-    return lazy_scale(_HALF, lazy_add(B, lazy_neg(conj)))
-
-
-def _lazy_slang(r: int, A):
-    d = A.depth
-    p = pal(d)
-    inner = lazy_adari(lazy_invgari(p))(_lazy_sang(A))
-    return lazy_adari(p)(lazy_leng(r, inner))
-
-
 def expansion_checks(M, N, S, T, A, SG, AD, label: str) -> list[dict]:
     """All closed-expansion identities, for the given inputs.
 
@@ -336,56 +318,56 @@ def expansion_checks(M, N, S, T, A, SG, AD, label: str) -> list[dict]:
     checks = []
 
     la = lazy_arit(N)(M)
-    checks.append(_check(f"arit vanishing [{label}]", 1, la.eval_word(w(1)), RationalFunction.zero()))
-    checks.append(_check(f"arit depth 2 [{label}]", 2, la.eval_word(w(2)), _arit_rhs2(M, N)))
-    checks.append(_check(f"arit depth 3 [{label}]", 3, la.eval_word(w(3)), _arit_rhs3(M, N)))
+    checks.append(_check(f"arit vanishing [{label}]", 1, la.eval_word(w(1))))
+    checks.append(_check(f"arit depth 2 [{label}]", 2, la.eval_word(w(2)) - _arit_rhs2(M, N)))
+    checks.append(_check(f"arit depth 3 [{label}]", 3, la.eval_word(w(3)) - _arit_rhs3(M, N)))
 
     p2 = lazy_preari(A, A)
     p3 = lazy_preari(p2, A)
-    checks.append(_check(f"preari_2 depth 1 [{label}]", 1, p2.eval_word(w(1)), RationalFunction.zero()))
-    checks.append(_check(f"preari_2 depth 2 [{label}]", 2, p2.eval_word(w(2)), _preari2_rhs2(A)))
-    checks.append(_check(f"preari_2 depth 3 [{label}]", 3, p2.eval_word(w(3)), _preari2_rhs3(A)))
-    checks.append(_check(f"preari_3 depth 2 [{label}]", 2, p3.eval_word(w(2)), RationalFunction.zero()))
-    checks.append(_check(f"preari_3 depth 3 [{label}]", 3, p3.eval_word(w(3)), _preari3_rhs3(A)))
+    checks.append(_check(f"preari_2 depth 1 [{label}]", 1, p2.eval_word(w(1))))
+    checks.append(_check(f"preari_2 depth 2 [{label}]", 2, p2.eval_word(w(2)) - _preari2_rhs2(A)))
+    checks.append(_check(f"preari_2 depth 3 [{label}]", 3, p2.eval_word(w(3)) - _preari2_rhs3(A)))
+    checks.append(_check(f"preari_3 depth 2 [{label}]", 2, p3.eval_word(w(2))))
+    checks.append(_check(f"preari_3 depth 3 [{label}]", 3, p3.eval_word(w(3)) - _preari3_rhs3(A)))
 
     lr = lazy_ari(M, N)
-    checks.append(_check(f"ari depth 2 [{label}]", 2, lr.eval_word(w(2)), _ari_rhs2(M, N)))
-    checks.append(_check(f"ari depth 3 [{label}]", 3, lr.eval_word(w(3)), _ari_rhs3(M, N)))
+    checks.append(_check(f"ari depth 2 [{label}]", 2, lr.eval_word(w(2)) - _ari_rhs2(M, N)))
+    checks.append(_check(f"ari depth 3 [{label}]", 3, lr.eval_word(w(3)) - _ari_rhs3(M, N)))
 
     lg = lazy_garit(T)(S)
-    checks.append(_check(f"garit depth 1 [{label}]", 1, lg.eval_word(w(1)), _garit_rhs1(S, T)))
-    checks.append(_check(f"garit depth 2 [{label}]", 2, lg.eval_word(w(2)), _garit_rhs2(S, T)))
-    checks.append(_check(f"garit depth 3 [{label}]", 3, lg.eval_word(w(3)), _garit_rhs3(S, T)))
+    checks.append(_check(f"garit depth 1 [{label}]", 1, lg.eval_word(w(1)) - _garit_rhs1(S, T)))
+    checks.append(_check(f"garit depth 2 [{label}]", 2, lg.eval_word(w(2)) - _garit_rhs2(S, T)))
+    checks.append(_check(f"garit depth 3 [{label}]", 3, lg.eval_word(w(3)) - _garit_rhs3(S, T)))
 
     gr = lazy_gari(S, T)
-    checks.append(_check(f"gari depth 0 [{label}]", 0, gr.eval_word(w(0)), RationalFunction.one()))
-    checks.append(_check(f"gari depth 1 [{label}]", 1, gr.eval_word(w(1)), _gari_rhs1(S, T)))
-    checks.append(_check(f"gari depth 2 [{label}]", 2, gr.eval_word(w(2)), _gari_rhs2(S, T)))
-    checks.append(_check(f"gari depth 3 [{label}]", 3, gr.eval_word(w(3)), _gari_rhs3(S, T)))
+    checks.append(_check(f"gari depth 0 [{label}]", 0, gr.eval_word(w(0)) - RationalFunction.one()))
+    checks.append(_check(f"gari depth 1 [{label}]", 1, gr.eval_word(w(1)) - _gari_rhs1(S, T)))
+    checks.append(_check(f"gari depth 2 [{label}]", 2, gr.eval_word(w(2)) - _gari_rhs2(S, T)))
+    checks.append(_check(f"gari depth 3 [{label}]", 3, gr.eval_word(w(3)) - _gari_rhs3(S, T)))
 
     ex = lazy_expari(A)
-    checks.append(_check(f"expari depth 0 [{label}]", 0, ex.eval_word(w(0)), RationalFunction.one()))
-    checks.append(_check(f"expari depth 1 [{label}]", 1, ex.eval_word(w(1)), _expari_rhs1(A)))
-    checks.append(_check(f"expari depth 2 [{label}]", 2, ex.eval_word(w(2)), _expari_rhs2(A)))
-    checks.append(_check(f"expari depth 3 [{label}]", 3, ex.eval_word(w(3)), _expari_rhs3(A)))
+    checks.append(_check(f"expari depth 0 [{label}]", 0, ex.eval_word(w(0)) - RationalFunction.one()))
+    checks.append(_check(f"expari depth 1 [{label}]", 1, ex.eval_word(w(1)) - _expari_rhs1(A)))
+    checks.append(_check(f"expari depth 2 [{label}]", 2, ex.eval_word(w(2)) - _expari_rhs2(A)))
+    checks.append(_check(f"expari depth 3 [{label}]", 3, ex.eval_word(w(3)) - _expari_rhs3(A)))
 
     ad = lazy_adari(SG)(A)
-    checks.append(_check(f"adari depth 0 [{label}]", 0, ad.eval_word(w(0)), RationalFunction.zero()))
-    checks.append(_check(f"adari depth 1 [{label}]", 1, ad.eval_word(w(1)), _adari_rhs1(SG, A)))
-    checks.append(_check(f"adari depth 2 [{label}]", 2, ad.eval_word(w(2)), _adari_rhs2(SG, A)))
+    checks.append(_check(f"adari depth 0 [{label}]", 0, ad.eval_word(w(0))))
+    checks.append(_check(f"adari depth 1 [{label}]", 1, ad.eval_word(w(1)) - _adari_rhs1(SG, A)))
+    checks.append(_check(f"adari depth 2 [{label}]", 2, ad.eval_word(w(2)) - _adari_rhs2(SG, A)))
 
-    sg = _lazy_sang(AD)
-    checks.append(_check(f"sang depth 0 [{label}]", 0, sg.eval_word(w(0)), RationalFunction.zero()))
-    checks.append(_check(f"sang depth 1 [{label}]", 1, sg.eval_word(w(1)), _sang_rhs1(AD)))
-    checks.append(_check(f"sang depth 2 [{label}]", 2, sg.eval_word(w(2)), _sang_rhs2(AD)))
+    sg = lazy_sang(AD)
+    checks.append(_check(f"sang depth 0 [{label}]", 0, sg.eval_word(w(0))))
+    checks.append(_check(f"sang depth 1 [{label}]", 1, sg.eval_word(w(1)) - _sang_rhs1(AD)))
+    checks.append(_check(f"sang depth 2 [{label}]", 2, sg.eval_word(w(2)) - _sang_rhs2(AD)))
 
     for r in (1, 2):
-        sl = _lazy_slang(r, AD)
+        sl = lazy_slang(r, AD)
         checks.append(
-            _check(f"slang_{r} depth 1 [{label}]", 1, sl.eval_word(w(1)), _slang_rhs1(AD, r))
+            _check(f"slang_{r} depth 1 [{label}]", 1, sl.eval_word(w(1)) - _slang_rhs1(AD, r))
         )
         checks.append(
-            _check(f"slang_{r} depth 2 [{label}]", 2, sl.eval_word(w(2)), _slang_rhs2(AD, r))
+            _check(f"slang_{r} depth 2 [{label}]", 2, sl.eval_word(w(2)) - _slang_rhs2(AD, r))
         )
     return checks
 
@@ -404,7 +386,7 @@ def generic_expansion_checks() -> list[dict]:
 
 def random_expansion_checks(seed: int = 2024, rounds: int = 2) -> list[dict]:
     """Expansion identities instantiated with random polynomial moulds,
-    run through the eager operator implementations as well."""
+    plus top-depth checks of the eager operators."""
     checks = []
     rng = random.Random(seed)
     for k in range(rounds):
@@ -420,32 +402,28 @@ def random_expansion_checks(seed: int = 2024, rounds: int = 2) -> list[dict]:
             _check(
                 f"eager arit depth 3 [random {k}]",
                 3,
-                arit(N)(M).components[3],
-                _arit_rhs3(M, N),
+                arit(N)(M).components[3] - _arit_rhs3(M, N),
             )
         )
         checks.append(
             _check(
                 f"eager gari depth 3 [random {k}]",
                 3,
-                gari(S, T).components[3],
-                _gari_rhs3(S, T),
+                gari(S, T).components[3] - _gari_rhs3(S, T),
             )
         )
         checks.append(
             _check(
                 f"eager expari depth 3 [random {k}]",
                 3,
-                expari(A).components[3],
-                _expari_rhs3(A),
+                expari(A).components[3] - _expari_rhs3(A),
             )
         )
         checks.append(
             _check(
                 f"eager adari depth 2 [random {k}]",
                 2,
-                adari(S)(A).components[2],
-                _adari_rhs2(S, A),
+                adari(S)(A).components[2] - _adari_rhs2(S, A),
             )
         )
     return checks
@@ -454,14 +432,6 @@ def random_expansion_checks(seed: int = 2024, rounds: int = 2) -> list[dict]:
 # ---------------------------------------------------------------------------
 # named claims
 # ---------------------------------------------------------------------------
-
-
-def _wrap(claim: str, checks: list[dict]) -> dict:
-    return {
-        "claim": claim,
-        "status": "pass" if all(c["status"] == "pass" for c in checks) else "fail",
-        "checks": checks,
-    }
 
 
 def _symmetry_report(claim: str, report, cross_ok: bool) -> dict:
@@ -483,37 +453,31 @@ def _symmetry_report(claim: str, report, cross_ok: bool) -> dict:
     return _wrap(claim, checks)
 
 
-def claim_psi_odd(n: int = 1, dmax: int = 3, **_) -> dict:
-    from .solutions import verify_psi_odd_theorem
-
+def claim_psi_odd(n: int = 1, dmax: int = 3) -> dict:
     return verify_psi_odd_theorem(n, dmax)
 
 
-def claim_psi_minus1(dmax: int = 4, **_) -> dict:
-    from .solutions import verify_psi_minus1_theorem
-
+def claim_psi_minus1(dmax: int = 4) -> dict:
     return verify_psi_minus1_theorem(dmax)
 
 
-def claim_comparison(n: int = 2, **_) -> dict:
-    from .solutions import verify_comparison_theorem
-
+def claim_comparison(n: int = 2) -> dict:
     return verify_comparison_theorem(n)
 
 
-def claim_pal_symmetral(depth: int = 5, **_) -> dict:
+def claim_pal_symmetral(depth: int = 5) -> dict:
     p = pal(depth)
     cross = is_symmetral_via_sh(p.truncate(min(depth, 4)))
     return _symmetry_report(f"pal symmetral to depth {depth}", is_symmetral(p), cross)
 
 
-def claim_dupal_alternal(depth: int = 6, **_) -> dict:
+def claim_dupal_alternal(depth: int = 6) -> dict:
     d = dupal(depth)
     cross = is_alternal_via_sh(d.truncate(min(depth, 4)))
     return _symmetry_report(f"dupal alternal to depth {depth}", is_alternal(d), cross)
 
 
-def claim_sang_expansion(depth: int = 4, **_) -> dict:
+def claim_sang_expansion(depth: int = 4) -> dict:
     checks = []
     for s in (3, 5):
         compositional = sang(sa(s, depth))
@@ -523,14 +487,13 @@ def claim_sang_expansion(depth: int = 4, **_) -> dict:
                 _check(
                     f"sang(sa_{s}) composition == four-sum expansion, depth {m}",
                     m,
-                    compositional.components[m],
-                    expanded.components[m],
+                    compositional.components[m] - expanded.components[m],
                 )
             )
     return _wrap(f"sang-expansion to depth {depth}", checks)
 
 
-def claim_examples_section1(**_) -> dict:
+def claim_examples_section1() -> dict:
     checks = generic_expansion_checks() + random_expansion_checks()
     return _wrap("operator expansion identity suite", checks)
 

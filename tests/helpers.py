@@ -3,9 +3,11 @@
 The oracles here are deliberately independent of the canonical-form
 machinery they check: equality via dense cross-multiplication,
 divisibility certificates via evaluation at points on a form's zero set,
-the solver-chain definition of adari that the closed form replaced, and
-the kernel's former substitution (powers of whole forms) and summation
-(every summand lifted to the full common denominator by full products).
+the solver-chain definition of adari that the closed form replaced, the
+kernel's former substitution (powers of whole forms) and summation
+(every summand lifted to the full common denominator by full products),
+and the former eager gari, expari, singulator and slices, built from the
+shift-based mould product and the component-wise neg and leng.
 """
 
 from __future__ import annotations
@@ -16,11 +18,26 @@ from fractions import Fraction
 from math import gcd
 
 from mouldcalc.algebra import LinearForm, Polynomial, RationalFunction
-from mouldcalc.flexions import lazy_expari, lazy_gari, lazy_invgari, lazy_logari
+from mouldcalc.flexions import (
+    adari,
+    garit_at,
+    invgari,
+    lazy_expari,
+    lazy_gari,
+    lazy_invgari,
+    lazy_logari,
+    preari,
+)
+from mouldcalc.moulds import Mould, canonical_word, leng, mu, mu_inverse, neg
+from mouldcalc.special import mupaj, paj, pal
 from mouldcalc.verify import random_ari_mould, random_gari_mould
 
 __all__ = [
     "adari_via_logari",
+    "gari_via_shift_mu",
+    "expari_via_materialized_chain",
+    "sang_via_eager_moulds",
+    "slang_via_eager_moulds",
     "compose_via_powers",
     "rf_sum_via_full_lift",
     "substitute_via_powers",
@@ -43,6 +60,46 @@ def adari_via_logari(S):
         return lazy_logari(lazy_gari(lazy_gari(S, lazy_expari(A)), Sinv))
 
     return apply
+
+
+def gari_via_shift_mu(S: Mould, T: Mould) -> Mould:
+    """gari(S, T) = garit(T)(S) x T, with garit summed at the canonical words
+    over the eager mu_inverse(T) and the product taken by shifts."""
+    Tinv = mu_inverse(T)
+    d = min(S.depth, T.depth)
+    twisted = Mould(
+        [
+            garit_at(canonical_word(m), S.eval_word, T.eval_word, Tinv.eval_word)
+            for m in range(d + 1)
+        ]
+    )
+    return mu(twisted, T)
+
+
+def expari_via_materialized_chain(A: Mould) -> Mould:
+    """expari(A) = sum_n preari_n(A) / n!, every iterate a concrete mould."""
+    total = Mould.unit(A.depth) + A
+    chain = A
+    fact = 1
+    for n in range(2, A.depth + 1):
+        chain = preari(chain, A)
+        fact *= n
+        total = total + chain * Fraction(1, fact)
+    return total
+
+
+def sang_via_eager_moulds(M: Mould) -> Mould:
+    """(1/2)(id + neg . adari(paj)) (mupaj x M x paj) on concrete moulds."""
+    d = M.depth
+    B = mu(mu(mupaj(d), M), paj(d))
+    return (B + neg(adari(paj(d))(B))) * Fraction(1, 2)
+
+
+def slang_via_eager_moulds(r: int, A: Mould) -> Mould:
+    """adari(pal) . leng_r . adari(pal)^{-1} . sang(A) on concrete moulds."""
+    p = pal(A.depth)
+    inner = adari(invgari(p))(sang_via_eager_moulds(A))
+    return adari(p)(leng(r, inner))
 
 
 def compose_via_powers(p: Polynomial, forms) -> Polynomial:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from mouldcalc.cli import MAX_DEPTH, build_target, main
+from mouldcalc.cli import MAX_DEPTH, TARGETS, build_target, main
 from mouldcalc.moulds import mould_from_json, mould_to_json
 from mouldcalc.special import pal
 from mouldcalc.verify import run_claim
@@ -188,7 +189,31 @@ def test_render_unit_mould(tmp_path, capsys):
     assert out.strip() == "m=0: 1"
 
 
-def test_verify_accepts_ab_flags(capsys):
-    # --a/--b are part of the flag surface; claims ignore extras safely
-    code, out, _ = run(capsys, "verify", "comparison", "--n", "1", "--a", "1", "--b", "1")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "comparison", "--n", "1", "--a", "1"), "unrecognized arguments"),
+        (("verify", "pal-symmetral", "--dmax", "3"), "takes no --dmax"),
+    ],
+    ids=["unknown-flag", "flag-of-another-claim"],
+)
+def test_verify_flag_the_claim_does_not_take_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+# a value for each integer placeholder that every pattern using it accepts
+_SAMPLE = {"S": "3", "R": "1", "K": "3", "N": "1", "A": "1", "B": "1"}
+
+
+@pytest.mark.parametrize("pattern", list(TARGETS))
+def test_every_target_pattern_builds_and_is_documented(capsys, pattern):
+    head, *rest = pattern.split(":")
+    target = ":".join([head] + [_SAMPLE.get(token, token) for token in rest])
+    assert build_target(target, 2).depth >= 2
+    code, out, _ = run(capsys, "compute", "--help")
     assert code == 0
+    assert pattern in re.split(r"[\s,;]+", out)

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from mouldcalc.algebra import RationalFunction, x_var
+from mouldcalc import verify
+from mouldcalc.algebra import RationalFunction, rf_from_json, x_var
+from mouldcalc.flexions import lazy_arit
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.moulds import canonical_word
-from mouldcalc.verify import (
-    _lazy_sang,
-    _lazy_slang,
-    generic_expansion_checks,
-    random_expansion_checks,
-)
+from mouldcalc.special import lazy_sang, lazy_slang
+from mouldcalc.verify import generic_expansion_checks, random_expansion_checks
 
 
 def _assert_all_pass(checks):
@@ -46,8 +44,8 @@ def test_generic_slices_sum_to_singulator():
     reg = SymbolRegistry()
     A = OpaqueMould(reg, "A", 2)
     w = canonical_word(2)
-    total = _lazy_slang(1, A).eval_word(w) + _lazy_slang(2, A).eval_word(w)
-    assert total == _lazy_sang(A).eval_word(w)
+    total = lazy_slang(1, A).eval_word(w) + lazy_slang(2, A).eval_word(w)
+    assert total == lazy_sang(A).eval_word(w)
 
 
 def test_wrong_display_is_caught():
@@ -56,11 +54,25 @@ def test_wrong_display_is_caught():
     reg = SymbolRegistry()
     M = OpaqueMould(reg, "M", 2)
     N = OpaqueMould(reg, "N", 2)
-    from mouldcalc.flexions import lazy_arit
-
     x1, x2 = x_var(1), x_var(2)
     lhs = lazy_arit(N)(M).eval_word(canonical_word(2))
     wrong_rhs = M.eval_word((x1 + x2,)) * (
         N.eval_word((x1,)) + N.eval_word((x2,))
     )
     assert lhs != wrong_rhs
+
+
+def test_failing_expansion_check_carries_its_residual(monkeypatch):
+    # a deliberately wrong depth-2 arit expansion fails, and the failing
+    # checks carry the residual as text and as JSON, like theorem checks
+    monkeypatch.setattr(verify, "_arit_rhs2", lambda M, N: RationalFunction.zero())
+    checks = verify.generic_expansion_checks()
+    failing = {c["claim"]: c for c in checks if c["status"] != "pass"}
+    assert "arit depth 2 [generic]" in failing
+    reg = SymbolRegistry()
+    M, N = OpaqueMould(reg, "M", 3), OpaqueMould(reg, "N", 3)
+    want = lazy_arit(N)(M).eval_word(canonical_word(2))
+    check = failing["arit depth 2 [generic]"]
+    assert rf_from_json(check["residual_json"]) == want
+    assert check["residual"] != "0"
+    assert all("residual_json" in c for c in failing.values())

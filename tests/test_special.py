@@ -31,7 +31,7 @@ from mouldcalc.special import (
 )
 from mouldcalc.symmetry import inductive_alternality_oracle, is_alternal, is_symmetral
 
-from helpers import random_ari_mould
+from helpers import random_ari_mould, sang_via_eager_moulds, slang_via_eager_moulds
 
 x1, x2, x3, x4 = (x_var(i) for i in range(1, 5))
 
@@ -250,6 +250,19 @@ def test_slang_depth1_kronecker():
     A = sa(3, 3)
     assert slang(1, A).component(1) == rf_poly({(2,): 1})
     assert slang(2, A).component(1).is_zero()
+
+
+@pytest.mark.parametrize("s", [3, 5])
+def test_singulator_matches_eager_compositions(s):
+    # sang and slang materialize lazy compositions; the oracle composes the
+    # eager shift-based mu, the component-wise neg and leng, and adari
+    A = sa(s, 4)
+    assert sang(A) == sang_via_eager_moulds(A)
+    slices = slang_split(A)
+    for r in range(1, 5):
+        want = slang_via_eager_moulds(r, A)
+        assert slang(r, A) == want
+        assert slices[r - 1] == want
 
 
 def test_slang_slices_sum_to_sang():
