@@ -21,12 +21,44 @@ Canonical forms
   is uniquely ``(0, 1, ())``.  Structural equality is therefore semantic
   equality.
 
+Where cancellation is attempted
+-------------------------------
+Canonicalizing means dividing the numerator by each denominator form while
+the division is exact (``try_div_linear``).  Most such attempts fail, so
+the ring operations attempt only those a cancellation is possible for;
+every attempt skipped is one that provably fails.  The argument rests on
+two facts: a linear form is irreducible, hence prime in the polynomial
+ring, and a canonical numerator is divisible by none of its own
+denominator forms.  ``RationalFunction.make`` called directly tries every
+form; the operations below build through ``_build``, which takes the forms
+still worth trying.
+
+* ``substitute``: when the forms put in for x_1..x_n are linearly
+  independent (checked by fraction-free elimination, cached per word), the
+  substitution extends to a ring automorphism, which maps a numerator
+  coprime to every denominator form to one coprime to every image form.
+  No form is tried.  Renamings, shuffle permutations, ``neg`` and
+  ``sharp`` are such maps; a dependent word tries every form.
+* ``__mul__``: cross-cancellation, as in ``fractions.Fraction``.  A form of
+  one denominator that is not in the other can divide the product only
+  through the other numerator, so only that numerator is tried; a form of
+  both denominators divides neither numerator, and is not tried.
+* ``rf_sum``: lifted to the common denominator, a summand that holds a form
+  at its top multiplicity keeps a term the form does not divide, while
+  every other lifted term is divisible by it.  If exactly one summand holds
+  the form at top multiplicity, the form cannot divide the sum, so only
+  forms held at top multiplicity by two or more summands are tried.
+* ``mul_linear`` and ``div_linear``: only the form multiplied or divided
+  by can cancel.  Multiplying by a denominator form removes one power of
+  it; dividing tries the form only when the denominator lacks it.
+
 All values are immutable; every operation returns a new value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
@@ -569,7 +601,10 @@ class RationalFunction:
         numerator: Polynomial,
         denominator: Iterable[tuple[LinearForm, int]] = (),
     ) -> "RationalFunction":
-        """Canonicalize and build.  The only sanctioned constructor."""
+        """Canonicalize and build.  The only sanctioned constructor.
+
+        Tries every denominator form against the numerator.
+        """
         scalar = Fraction(scalar)
         if scalar == 0 or numerator.is_zero():
             return RF_ZERO
@@ -582,27 +617,10 @@ class RationalFunction:
             k, f = form.primitive()
             if k == 0:
                 raise ZeroDenominatorError("zero linear form in denominator")
-            scalar /= Fraction(k) ** mult
+            if k != 1:
+                scalar /= k**mult
             den[f] = den.get(f, 0) + mult
-        # cancel numerator against denominator factors
-        for f in list(den):
-            mult = den[f]
-            while mult > 0:
-                q = numerator.try_div_linear(f)
-                if q is None:
-                    break
-                numerator = q
-                mult -= 1
-            if mult:
-                den[f] = mult
-            else:
-                del den[f]
-        c, prim = numerator.content_sign_primitive()
-        scalar *= c
-        if scalar == 0:
-            return RF_ZERO
-        dens = tuple(sorted(den.items(), key=lambda kv: kv[0].coeffs))
-        return RationalFunction(scalar, prim, dens)
+        return _build(scalar, numerator, den, list(den))
 
     @staticmethod
     def zero() -> "RationalFunction":
@@ -675,14 +693,20 @@ class RationalFunction:
             )
         if self.scalar == 0 or other.scalar == 0:
             return RF_ZERO
-        den: dict[LinearForm, int] = dict(self.denominator)
-        for f, m in other.denominator:
-            den[f] = den.get(f, 0) + m
-        return RationalFunction.make(
-            self.scalar * other.scalar,
-            self.numerator * other.numerator,
-            den.items(),
-        )
+        p, q = self.numerator, other.numerator
+        mine = dict(self.denominator)
+        theirs = dict(other.denominator)
+        den = dict(mine)
+        for f, m in theirs.items():
+            if f in mine:  # divides neither numerator
+                den[f] += m
+            else:
+                p, den[f] = _cancel(p, f, m)
+        for f, m in mine.items():
+            if f not in theirs:
+                q, den[f] = _cancel(q, f, m)
+        den = {f: m for f, m in den.items() if m}
+        return _build(self.scalar * other.scalar, p * q, den, ())
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -698,16 +722,25 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero form")
         if self.scalar == 0:
             return self
+        k, f = form.primitive()
         den = dict(self.denominator)
-        den[form] = den.get(form, 0) + 1
-        return RationalFunction.make(self.scalar, self.numerator, den.items())
+        trial = () if f in den else (f,)
+        den[f] = den.get(f, 0) + 1
+        return _build(self.scalar / k, self.numerator, den, trial)
 
     def mul_linear(self, form: LinearForm) -> "RationalFunction":
         if self.scalar == 0:
             return self
-        return RationalFunction.make(
-            self.scalar, self.numerator.mul_linear(form), self.denominator
-        )
+        k, f = form.primitive()
+        if k == 0:
+            return RF_ZERO
+        den = dict(self.denominator)
+        mult = den.pop(f, 0)
+        if mult:  # f does not divide the numerator, so exactly one f cancels
+            if mult > 1:
+                den[f] = mult - 1
+            return _build(self.scalar * k, self.numerator, den, ())
+        return _build(self.scalar * k, self.numerator.mul_linear(f), den, ())
 
     # -- structural operations -------------------------------------------------
 
@@ -723,16 +756,21 @@ class RationalFunction:
             raise ValueError(
                 f"value uses x_{self.max_var()} but only {len(forms)} forms given"
             )
-        num = self.numerator.compose(forms)
-        den = []
+        scalar = self.scalar
+        den: dict[LinearForm, int] = {}
         for f, m in self.denominator:
-            g = f.compose(forms)
-            if g.is_zero():
+            k, g = f.compose(forms).primitive()
+            if k == 0:
                 raise ZeroDenominatorError(
                     f"denominator factor {f} vanishes under substitution"
                 )
-            den.append((g, m))
-        return RationalFunction.make(self.scalar, num, den)
+            if k != 1:
+                scalar /= k**m
+            den[g] = den.get(g, 0) + m
+        num = self.numerator.compose(forms)
+        if den and not _independent(tuple(forms[: self.max_var()])):
+            return _build(scalar, num, den, list(den))
+        return _build(scalar, num, den, ())
 
     def shift(self, k: int) -> "RationalFunction":
         """Rename every variable x_i to x_{i+k}."""
@@ -749,6 +787,69 @@ RF_ZERO = RationalFunction(Fraction(0), _POLY_ONE, ())
 RF_ONE = RationalFunction(Fraction(1), _POLY_ONE, ())
 
 
+def _build(
+    scalar: Fraction, numerator: Polynomial, den: dict, trial: Iterable[LinearForm]
+) -> RationalFunction:
+    """Canonical ``scalar * numerator / prod(f ** den[f])``.
+
+    ``den`` maps primitive forms to positive multiplicities and is consumed.
+    Only the forms in ``trial`` are divided out of the numerator; every other
+    form must be one that provably does not divide it (see "Where
+    cancellation is attempted" in the module docstring).
+    """
+    if not numerator.terms:
+        return RF_ZERO
+    for f in trial:
+        numerator, mult = _cancel(numerator, f, den[f])
+        if mult:
+            den[f] = mult
+        else:
+            del den[f]
+    c, prim = numerator.content_sign_primitive()
+    dens = tuple(sorted(den.items(), key=lambda kv: kv[0].coeffs))
+    return RationalFunction(scalar * c, prim, dens)
+
+
+def _cancel(p: Polynomial, f: LinearForm, mult: int) -> tuple[Polynomial, int]:
+    """Divide ``f`` out of ``p`` while exact, at most ``mult`` times.
+
+    Returns the quotient and the multiplicity left over.
+    """
+    while mult:
+        q = p.try_div_linear(f)
+        if q is None:
+            break
+        p = q
+        mult -= 1
+    return p, mult
+
+
+@lru_cache(maxsize=1 << 14)
+def _independent(forms: tuple) -> bool:
+    """Whether the linear forms are linearly independent over Q.
+
+    Fraction-free elimination: each row is reduced against the earlier
+    pivot rows by cross-multiplication, so every entry stays an integer, and
+    a row that reduces to zero is a combination of the rows before it.
+    """
+    width = max((len(f.coeffs) for f in forms), default=0)
+    if len(forms) > width:
+        return False
+    pivots: list[tuple[int, list]] = []
+    for f in forms:
+        row = list(f.coeffs) + [0] * (width - len(f.coeffs))
+        for j, prow in pivots:
+            c = row[j]
+            if c:
+                p = prow[j]
+                row = [p * a - c * b for a, b in zip(row, prow)]
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is None:
+            return False
+        pivots.append((lead, row))
+    return True
+
+
 def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
     """Sum many rational functions over one common denominator.
 
@@ -759,7 +860,8 @@ def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
     summands miss them (most first), and
     ``S(items, k) = u_k * S(items missing u_k, k+1) + S(the rest, k+1)``,
     so each unit multiplies one partial sum instead of every summand that
-    lacks it.
+    lacks it.  Only forms that two or more summands hold at the top
+    multiplicity are tried against the sum's numerator.
     """
     terms = [r for r in items if r.scalar != 0]
     if not terms:
@@ -795,7 +897,8 @@ def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
         scale = r.scalar.numerator * (lcm // r.scalar.denominator)
         summands.append((r.numerator.terms, scale, mask))
     total = _lift_sum(summands, 0, lins)
-    return RationalFunction.make(Fraction(1, lcm), Polynomial(total), common.items())
+    shared = [f for f, m in common.items() if have[(f.coeffs, m)] > 1]
+    return _build(Fraction(1, lcm), Polynomial(total), common, shared)
 
 
 def _lift_sum(summands: list, k: int, lins: list) -> dict:

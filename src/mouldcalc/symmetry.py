@@ -12,9 +12,10 @@ reports carry the verified depth and a failing cell witness.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Mapping
 
-from .algebra import RationalFunction, rf_to_json
+from .algebra import RationalFunction, rf_sum, rf_to_json
 from .moulds import Mould, canonical_word, shuffle
 
 __all__ = [
@@ -167,9 +168,16 @@ class SymmetryReport:
         )
 
 
-def _shuffle_sum(M: Mould, p: int, q: int) -> RationalFunction:
+def _shuffle_sum(
+    M: Mould, p: int, q: int, *extra: RationalFunction
+) -> RationalFunction:
+    """``M`` summed over the shuffle of blocks p and q, plus ``extra``.
+
+    One ``rf_sum``, so the whole residual is canonicalized once.
+    """
     comb = shuffle(canonical_word(p), canonical_word(q, offset=p))
-    return M.eval_combination(comb)
+    terms = [M.eval_word(w) * Fraction(coeff) for w, coeff in comb.items()]
+    return rf_sum(terms + list(extra))
 
 
 def is_alternal(M: Mould) -> SymmetryReport:
@@ -193,9 +201,8 @@ def is_symmetral(S: Mould) -> SymmetryReport:
     for total in range(2, S.depth + 1):
         for p in range(1, total):
             q = total - p
-            residual = _shuffle_sum(S, p, q) - S.components[p] * S.components[
-                q
-            ].shift(p)
+            product = S.components[p] * S.components[q].shift(p)
+            residual = _shuffle_sum(S, p, q, -product)
             if not residual.is_zero():
                 return SymmetryReport(False, S.depth, p, q, residual)
     return SymmetryReport(True, S.depth)

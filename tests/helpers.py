@@ -6,7 +6,8 @@ divisibility certificates via evaluation at points on a form's zero set,
 the solver-chain definition of adari that the closed form replaced, the
 kernel's former substitution (powers of whole forms) and summation
 (every summand lifted to the full common denominator by full products),
-and the former eager gari, expari, singulator and slices, built from the
+the product canonicalized by ``make`` trying every denominator form, and
+the former eager gari, expari, singulator and slices, built from the
 shift-based mould product and the component-wise neg and leng.
 """
 
@@ -41,6 +42,8 @@ __all__ = [
     "compose_via_powers",
     "rf_sum_via_full_lift",
     "substitute_via_powers",
+    "mul_via_full_make",
+    "count_div_attempts",
     "den_polynomial",
     "cross_equal",
     "poly_eval",
@@ -152,6 +155,29 @@ def rf_sum_via_full_lift(items) -> RationalFunction:
                 num = num * f.as_polynomial()
         total = total + (r.scalar.numerator * (lcm // r.scalar.denominator)) * num
     return RationalFunction.make(Fraction(1, lcm), total, common.items())
+
+
+def mul_via_full_make(a: RationalFunction, b: RationalFunction) -> RationalFunction:
+    """``a * b`` as ``make`` of the full product, which tries every form."""
+    if a.is_zero() or b.is_zero():
+        return RationalFunction.zero()
+    return RationalFunction.make(
+        a.scalar * b.scalar, a.numerator * b.numerator, a.denominator + b.denominator
+    )
+
+
+def count_div_attempts(monkeypatch) -> list:
+    """Patch ``Polynomial.try_div_linear`` to record the form of every call;
+    returns the (growing) list of forms."""
+    attempts: list = []
+    original = Polynomial.try_div_linear
+
+    def counting(self, form):
+        attempts.append(form)
+        return original(self, form)
+
+    monkeypatch.setattr(Polynomial, "try_div_linear", counting)
+    return attempts
 
 
 def den_polynomial(r: RationalFunction) -> Polynomial:

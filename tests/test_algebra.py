@@ -23,14 +23,17 @@ from mouldcalc.algebra import (
     rf_to_json,
     x_var,
 )
+from mouldcalc.algebra import _independent
 
 from mouldcalc.moulds import sharp, sum_form
 from mouldcalc.solutions import psi_minus1_mould
 
 from helpers import (
     compose_via_powers,
+    count_div_attempts,
     cross_equal,
     form_eval,
+    mul_via_full_make,
     poly_eval,
     random_rf,
     rf_sum_via_full_lift,
@@ -38,6 +41,7 @@ from helpers import (
 )
 
 x1, x2, x3 = x_var(1), x_var(2), x_var(3)
+ONE = RationalFunction.one()
 
 
 def poly(d):
@@ -416,6 +420,173 @@ def test_sharp_psi_minus1_matches_powers_oracle():
     for m in range(1, 6):
         forms = tuple(sum_form(i) for i in range(1, m + 1))
         assert got.components[m] == substitute_via_powers(M.components[m], forms)
+
+
+# ---------------------------------------------------------------------------
+# where cancellation is attempted: the ring operations against make trying
+# every form, and the attempts they skip
+# ---------------------------------------------------------------------------
+
+
+def test_genuine_cancellations_still_happen():
+    # a dependent word makes x1 + x3 and x1 + x2 the same form
+    assert rf(1, (x1 + x3).as_polynomial(), [(x1 + x2, 1)]).substitute((x1, x2, x2)) == ONE
+    a = rf(1, (x1 + x2).as_polynomial(), [(x1, 1)])
+    b = rf(1, x1.as_polynomial(), [(x1 + x2, 1)])
+    assert a * b == ONE
+    assert b + rf(1, x2.as_polynomial(), [(x1 + x2, 1)]) == ONE
+    assert one_over_forms(x1, x1 + x2).mul_linear(2 * x1 + 2 * x2) == 2 * one_over_forms(x1)
+    twice = rf(3, x3.as_polynomial(), [(x1 + x2, 2)])
+    assert twice.mul_linear(-x1 - x2) == rf(-3, x3.as_polynomial(), [(x1 + x2, 1)])
+    square = rf(1, poly({(2,): 1, (1, 1): 1}))  # x1^2 + x1 x2
+    assert square.div_linear(-2 * x1 - 2 * x2) == rf(Fraction(-1, 2), x1.as_polynomial())
+
+
+def random_form(rng, nvars):
+    """A nonzero form in x_1..x_nvars with small coefficients."""
+    while True:
+        f = LinearForm([rng.randint(-2, 2) for _ in range(nvars)])
+        if not f.is_zero():
+            return f
+
+
+def word_with_kernel(rng, nvars):
+    """A dependent word (form j is a multiple of form i) and a nonzero form h
+    it sends to zero."""
+    forms = [LinearForm([rng.randint(-2, 2) for _ in range(nvars)]) for _ in range(nvars)]
+    i, j = rng.sample(range(nvars), 2)
+    a = rng.choice([-2, -1, 1, 2])
+    forms[j] = a * forms[i]
+    h = [0] * nvars
+    h[i], h[j] = a, -1
+    return forms, LinearForm(h)
+
+
+@pytest.mark.parametrize("kind", ["independent", "dependent"])
+def test_substitute_matches_full_make(kind):
+    """Values whose numerator holds f + t*h, with h in the word's kernel: a
+    dependent word turns it into the denominator form f and must cancel it."""
+    rng = random.Random(f"substitute-{kind}")
+    cancelled = 0
+    for _ in range(60):
+        nvars = rng.randint(2, 4)
+        forms, h = word_with_kernel(rng, nvars)
+        if kind == "independent":
+            forms = [x_var(k) + rng.randint(-2, 2) * x_var(k + 1) for k in range(1, nvars + 1)]
+            rng.shuffle(forms)
+        f = random_form(rng, nvars)
+        g = f + rng.choice([-1, 1, 3]) * h
+        num = random_poly(rng, nvars, nterms=3, maxexp=2).mul_linear(g)
+        other = random_form(rng, nvars)
+        r = rf(Fraction(rng.randint(1, 9), rng.randint(1, 9)), num, [(f, 2), (other, 1)])
+        if any(form.compose(forms).is_zero() for form, _ in r.denominator):
+            with pytest.raises(ZeroDenominatorError):
+                r.substitute(forms)
+            continue
+        got = r.substitute(forms)
+        assert got == substitute_via_powers(r, forms)
+        cancelled += sum(m for _, m in r.denominator) > sum(m for _, m in got.denominator)
+    if kind == "dependent":
+        assert cancelled > 10
+    else:
+        assert cancelled == 0
+
+
+def test_mul_and_linear_ops_match_full_make():
+    rng = random.Random("mul-full-make")
+    cancelled = 0
+    for _ in range(80):
+        a, b = random_summands(rng, 2)
+        got = a * b
+        assert got == mul_via_full_make(a, b)
+        cancelled += sum(m for _, m in got.denominator) < sum(
+            m for _, m in a.denominator + b.denominator
+        )
+        for f, _ in a.denominator + b.denominator + ((x1 - 2 * x3, 1),):
+            f = rng.choice([-2, -1, 1, 3]) * f
+            assert a.mul_linear(f) == rf(a.scalar, a.numerator.mul_linear(f), a.denominator)
+            assert a.div_linear(f) == rf(a.scalar, a.numerator, a.denominator + ((f, 1),))
+    assert cancelled > 10
+
+
+def test_rf_sum_cancels_a_form_two_summands_share():
+    """Numerators that add up to a multiple of a form every summand holds."""
+    rng = random.Random("rf_sum-shared")
+    for _ in range(30):
+        f = random_form(rng, 3)
+        if f.primitive()[1] == x2:
+            continue
+        nums = [random_poly(rng, 3, nterms=3, maxexp=2) for _ in range(rng.randint(1, 4))]
+        rest = Polynomial.zero()
+        for p in nums:
+            rest = rest - p
+        nums.append(rest + random_poly(rng, 3, nterms=2, maxexp=2).mul_linear(f))
+        items = [rf(1, p, [(f, 2), (x2, 1)]) for p in nums]
+        got = rf_sum(items)
+        assert got == rf_sum_via_full_lift(items)
+        assert all(form != f.primitive()[1] or m < 2 for form, m in got.denominator)
+
+
+def test_independence_check_matches_rank():
+    def rank(forms):
+        rows = [[Fraction(c) for c in f.coeffs] for f in forms]
+        width = max((len(r) for r in rows), default=0)
+        rows = [r + [Fraction(0)] * (width - len(r)) for r in rows]
+        rk = 0
+        for col in range(width):
+            pivot = next((r for r in rows[rk:] if r[col]), None)
+            if pivot is None:
+                continue
+            rows.remove(pivot)
+            rows.insert(rk, pivot)
+            for r in rows[rk + 1:]:
+                t = r[col] / pivot[col]
+                r[:] = [a - t * b for a, b in zip(r, pivot)]
+            rk += 1
+        return rk
+
+    rng = random.Random("independent")
+    for _ in range(300):
+        n, width = rng.randint(1, 4), rng.randint(1, 5)
+        forms = tuple(LinearForm([rng.randint(-2, 2) for _ in range(width)]) for _ in range(n))
+        assert _independent(forms) == (rank(forms) == n)
+
+
+def test_make_tries_every_form(monkeypatch):
+    attempts = count_div_attempts(monkeypatch)
+    dens = [(x1, 1), (x2, 2), (x1 + x2, 1)]
+    rf(1, x3.as_polynomial(), dens)
+    assert len(attempts) == 3
+
+
+def test_renaming_and_sharp_make_no_division_attempt(monkeypatch):
+    M = psi_minus1_mould(5)
+    value = M.components[4]
+    assert value.denominator
+    attempts = count_div_attempts(monkeypatch)
+    value.substitute((x3, x_var(4), x1, x2))
+    value.substitute(tuple(-x_var(k) for k in range(1, 5)))
+    sharp(M)
+    assert attempts == []
+    # a dependent word still tries its forms
+    rf(1, (x1 + x3).as_polynomial(), [(x1 + x2, 1)]).substitute((x1, x2, x2))
+    assert attempts
+
+
+def test_products_and_sums_skip_forms_that_cannot_cancel(monkeypatch):
+    a = rf(1, poly({(1, 1): 1, (): 1}), [(x1, 1), (x1 + x2, 2)])
+    b = rf(1, poly({(0, 2): 1, (): -1}), [(x1, 2), (x2, 1)])
+    attempts = count_div_attempts(monkeypatch)
+    a * b
+    # only x1 + x2 (against b's numerator) and x2 (against a's) are tried
+    assert set(attempts) == {x1 + x2, x2}
+    polar = [one_over_forms(x1), one_over_forms(x2), one_over_forms(x1 + x2)]
+    pairs = [one_over_forms(x1, x2), one_over_forms(x1, x1 + x2)]
+    attempts.clear()
+    rf_sum(polar)
+    assert attempts == []
+    rf_sum(pairs)  # x1 is the only form two summands hold
+    assert attempts == [x1]
 
 
 # ---------------------------------------------------------------------------

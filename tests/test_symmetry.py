@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mouldcalc.algebra import Polynomial, RationalFunction, x_var
 from mouldcalc.flexions import expari
 from mouldcalc.moulds import Mould, dur, dur_scale, mu, word
+from mouldcalc import symmetry
 from mouldcalc.special import dupal, pal
 from mouldcalc.symmetry import (
     Dimould,
@@ -26,7 +27,7 @@ from mouldcalc.symmetry import (
     tensor,
 )
 
-from helpers import random_ari_mould, random_gari_mould
+from helpers import count_div_attempts, random_ari_mould, random_gari_mould
 
 x1, x2 = x_var(1), x_var(2)
 
@@ -141,6 +142,26 @@ def test_alternality_failure_witness():
 
 def test_pal_symmetral_to_depth_5():
     assert is_symmetral(pal(5))
+
+
+def test_passing_symmetral_residuals_make_no_division_attempt(monkeypatch):
+    """Each residual is one sum of the shuffle terms and -S^p S^q; in a
+    passing cell its numerator is zero and no form is tried against it."""
+    S = pal(5)
+    attempts = count_div_attempts(monkeypatch)
+    per_residual = []
+    original = symmetry.rf_sum
+
+    def residual_sum(items):
+        items = list(items)
+        before = len(attempts)
+        total = original(items)
+        per_residual.append(len(attempts) - before)
+        return total
+
+    monkeypatch.setattr(symmetry, "rf_sum", residual_sum)
+    assert is_symmetral(S)
+    assert per_residual == [0] * 10  # cells p, q >= 1 with p + q <= 5
 
 
 def test_unit_is_symmetral():
