@@ -1081,10 +1081,17 @@ def rf_to_json(r: RationalFunction) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """An integer field; a fractional number is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def rf_from_json(obj: Mapping) -> RationalFunction:
     scalar = Fraction(obj["scalar"])
     raw = [
-        (_trim(tuple(int(e) for e in mono)), Fraction(coeff))
+        (_trim(tuple(_json_int(e) for e in mono)), Fraction(coeff))
         for mono, coeff in obj["numerator"]
     ]
     lcm = 1
@@ -1093,5 +1100,8 @@ def rf_from_json(obj: Mapping) -> RationalFunction:
     num_terms: dict = {}
     for m, c in raw:
         num_terms[m] = num_terms.get(m, 0) + int(c * lcm)
-    den = [(LinearForm(int(c) for c in coeffs), int(m)) for coeffs, m in obj["denominator"]]
+    den = [
+        (LinearForm(_json_int(c) for c in coeffs), _json_int(m))
+        for coeffs, m in obj["denominator"]
+    ]
     return RationalFunction.make(scalar / lcm, Polynomial.from_dict(num_terms), den)

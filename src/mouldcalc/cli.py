@@ -11,10 +11,11 @@ Subcommands:
 * ``examples``        - shorthand for ``verify examples-section1``.
 
 The default ``compute`` depth is 4, overridable with --depth or the
-MOULDCALC_DEPTH environment variable; ``verify`` ignores the variable and
-uses each claim's own defaults.  Depths and ``verify --dmax`` below 1
-or above MAX_DEPTH are refused, as are parameters a target or claim rejects
-(a ValueError from the library) and claims that would run no check.
+MOULDCALC_DEPTH environment variable; the families xi, sigma_c, luma and D
+are defined below depth 4, so they stop at depth 3.  ``verify`` ignores the
+variable and uses each claim's own defaults.  Depths and ``verify --dmax``
+below 1 or above MAX_DEPTH are refused, as are parameters a target or claim
+rejects (a ValueError from the library) and claims that would run no check.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -87,10 +88,10 @@ TARGETS: dict[str, Callable[..., Mould]] = {
     "slang:R:sa:S": lambda depth, r, s: slang(r, sa(s, depth)),
     "psi:-1": lambda depth: psi_minus1_mould(depth),
     "psi:K": lambda depth, k: _psi_target(depth, k),
-    "xi:N": lambda depth, n: xi(n),
-    "sigma_c:N": lambda depth, n: sigma_c(n),
-    "luma:N": lambda depth, n: luma(n),
-    "D:A:B": lambda depth, a, b: D_ab(a, b),
+    "xi:N": lambda depth, n: xi(n).truncate(depth),
+    "sigma_c:N": lambda depth, n: sigma_c(n).truncate(depth),
+    "luma:N": lambda depth, n: luma(n).truncate(depth),
+    "D:A:B": lambda depth, a, b: D_ab(a, b).truncate(depth),
 }
 
 
@@ -197,7 +198,7 @@ def _cmd_render(args) -> int:
         )
     try:
         M = mould_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid mould file {args.file!r}: {exc}")
     _emit(render_mould(M, args.format), args.out)
     return 0
@@ -222,7 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "target",
         help=f"one of {', '.join(TARGETS)}; upper-case letters after the name "
-        "stand for integers",
+        "stand for integers; xi, sigma_c, luma and D are defined below depth 4, "
+        "so they stop at depth 3",
     )
     c.add_argument("--depth", type=int, default=None)
     c.add_argument("--format", choices=("plain", "latex", "json"), default="plain")

@@ -8,17 +8,20 @@ pre-Lie product ``preari``, the Lie bracket ``ari``, the twisted action
 ``expari``/``logari``, the group inverse ``invgari`` and the conjugation
 ``adari``.
 
-Every operator has one evaluation path, in three layers:
+Every operator has one evaluation path, in three layers, on top of the
+word-level mould product of ``moulds`` (``mu_at``, ``LazyMould``,
+``lazy_mu``, ``lazy_mu_inverse``), which this module re-exports:
 
-* the factorization sums (``mu_at``, ``arit_at``, ``preari_at``,
-  ``garit_at``) are written once, at a single word, as functions of
-  evaluation callables;
+* the factorization sums (``arit_at``, ``preari_at``, ``garit_at``) are
+  written once, at a single word, as functions of evaluation callables;
 * the lazy wrappers (``lazy_*``) run them at arbitrary words and memoize
   the values.  Their inputs only need ``depth`` and ``eval_word``, so
   concrete moulds, opaque symbol moulds and other lazy moulds mix freely.
-  The solvers are lazy fixed points solved depth by depth: ``logari``
-  inverts ``expari``, and ``invgari(S)`` is the G with
-  ``G = mu_inverse(garit(G)(S))``, which is ``gari(S, G) = 1``;
+  ``expari`` and ``logari`` are series of pre-Lie iterates summed like
+  the mould exponential, by one ``rf_sum`` per word.  The solvers are
+  lazy fixed points solved depth by depth: ``logari`` inverts ``expari``,
+  and ``invgari(S)`` is the G with ``G = mu_inverse(garit(G)(S))``, which
+  is ``gari(S, G) = 1``;
 * each eager operator checks its preconditions and materializes its lazy
   twin at the canonical words.  The operator of ``adari(S)`` materializes
   only a concrete argument and leaves a lazy one lazy, so composite
@@ -45,7 +48,22 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .algebra import LinearForm, RationalFunction, rf_sum
-from .moulds import Mould, NotDefinedError, NotInvertibleError, Word
+from .moulds import (
+    Eval,
+    LazyMould,
+    Mould,
+    Word,
+    _inverse_factorials,
+    _materialize,
+    _powers,
+    _require_ari,
+    _require_gari,
+    _series,
+    lazy_mu,
+    lazy_mu_inverse,
+    lazy_unit,
+    mu_at,
+)
 
 __all__ = [
     "flexion_up",
@@ -150,37 +168,9 @@ def garit_factorizations(
     yield from rec(0, True, True)
 
 
-Eval = Callable[[Word], RationalFunction]
-
-
 # ---------------------------------------------------------------------------
 # factorization sums at the level of words
 # ---------------------------------------------------------------------------
-
-
-def mu_at(w: Word, f: Eval, g: Eval) -> RationalFunction:
-    # The shorter factor is evaluated first: self-referential evaluators
-    # (the logari solver) rely on never being probed at the full word when
-    # the complementary factor already vanishes on the empty word.
-    parts = []
-    n = len(w)
-    for i in range(n + 1):
-        if i <= n - i:
-            a = f(w[:i])
-            if a.is_zero():
-                continue
-            b = g(w[i:])
-            if b.is_zero():
-                continue
-        else:
-            b = g(w[i:])
-            if b.is_zero():
-                continue
-            a = f(w[:i])
-            if a.is_zero():
-                continue
-        parts.append(a * b)
-    return rf_sum(parts)
 
 
 def arit_at(w: Word, m_eval: Eval, n_eval: Eval) -> RationalFunction:
@@ -236,17 +226,6 @@ def garit_at(w: Word, s_eval: Eval, t_eval: Eval, tinv_eval: Eval) -> RationalFu
 # ---------------------------------------------------------------------------
 # concrete operations on moulds
 # ---------------------------------------------------------------------------
-
-
-def _require_ari(M: Mould, what: str) -> None:
-    if not M.components[0].is_zero():
-        raise NotDefinedError(f"{what} needs depth-0 component 0")
-
-
-def _require_gari(S: Mould, what: str) -> None:
-    c = S.components[0]
-    if not (c.is_constant() and c.constant_value() == 1):
-        raise NotInvertibleError(f"{what} needs depth-0 component 1")
 
 
 def arit(N: Mould) -> Callable[[Mould], Mould]:
@@ -334,50 +313,6 @@ def adari(S: Mould) -> Callable[[Mould], Mould]:
 # ---------------------------------------------------------------------------
 
 
-class LazyMould:
-    """A mould given by an evaluation rule rather than stored components.
-
-    Anything with ``depth`` and ``eval_word`` interoperates with these
-    wrappers, including concrete moulds and opaque symbol moulds.
-    """
-
-    __slots__ = ("depth", "_fn", "_memo")
-
-    def __init__(self, depth: int, fn: Callable[[Word], RationalFunction] | None):
-        self.depth = depth
-        self._fn = fn
-        self._memo: dict = {}
-
-    def eval_word(self, w: Word) -> RationalFunction:
-        got = self._memo.get(w)
-        if got is None:
-            got = self._fn(w)
-            self._memo[w] = got
-        return got
-
-
-def _materialize(L) -> Mould:
-    """The concrete mould of a lazy one: its values at the canonical words."""
-    return Mould.from_word_function(L.depth, L.eval_word)
-
-
-def lazy_unit(depth: int) -> LazyMould:
-    one = RationalFunction.one()
-    zero = RationalFunction.zero()
-    return LazyMould(depth, lambda w: one if not w else zero)
-
-
-def lazy_scale(c, M) -> LazyMould:
-    c = Fraction(c)
-    return LazyMould(M.depth, lambda w: M.eval_word(w) * c)
-
-
-def lazy_add(A, B) -> LazyMould:
-    return LazyMould(
-        min(A.depth, B.depth), lambda w: A.eval_word(w) + B.eval_word(w)
-    )
-
-
 def lazy_neg(M) -> LazyMould:
     return LazyMould(
         M.depth, lambda w: M.eval_word(tuple(-letter for letter in w))
@@ -388,12 +323,6 @@ def lazy_leng(r: int, M) -> LazyMould:
     zero = RationalFunction.zero()
     return LazyMould(
         M.depth, lambda w: M.eval_word(w) if len(w) == r else zero
-    )
-
-
-def lazy_mu(M, N) -> LazyMould:
-    return LazyMould(
-        min(M.depth, N.depth), lambda w: mu_at(w, M.eval_word, N.eval_word)
     )
 
 
@@ -420,27 +349,6 @@ def lazy_ari(M, N) -> LazyMould:
     )
 
 
-def lazy_mu_inverse(T) -> LazyMould:
-    U = LazyMould(T.depth, None)
-
-    def fn(w: Word) -> RationalFunction:
-        if not w:
-            return RationalFunction.one()
-        parts = []
-        for i in range(1, len(w) + 1):
-            a = T.eval_word(w[:i])
-            if a.is_zero():
-                continue
-            b = U.eval_word(w[i:])
-            if b.is_zero():
-                continue
-            parts.append(a * b)
-        return -rf_sum(parts)
-
-    U._fn = fn
-    return U
-
-
 def lazy_garit(T) -> Callable:
     Tinv = lazy_mu_inverse(T)
 
@@ -458,46 +366,25 @@ def lazy_gari(S, T) -> LazyMould:
 
 
 def lazy_expari(A) -> LazyMould:
-    depth = A.depth
-    chain = [lazy_unit(depth), A]
-    for _ in range(2, depth + 1):
-        chain.append(lazy_preari(chain[-1], A))
-    facts = [1]
-    for n in range(1, depth + 1):
-        facts.append(facts[-1] * n)
-
-    def fn(w: Word) -> RationalFunction:
-        if not w:
-            return RationalFunction.one()
-        total = RationalFunction.zero()
-        for n in range(1, len(w) + 1):
-            total = total + chain[n].eval_word(w) * Fraction(1, facts[n])
-        return total
-
-    return LazyMould(depth, fn)
+    return LazyMould(
+        A.depth,
+        _series(
+            RationalFunction.one(),
+            _inverse_factorials(A.depth),
+            _powers(A, lazy_preari),
+        ),
+    )
 
 
 def lazy_logari(S) -> LazyMould:
-    """Solve expari(X) = S for X; the correction terms at a word only
-    involve X at strictly shorter words, so the recursion is well founded."""
-    depth = S.depth
-    X = LazyMould(depth, None)
-    chain = [lazy_unit(depth), X]
-    for _ in range(2, depth + 1):
-        chain.append(lazy_preari(chain[-1], X))
-    facts = [1]
-    for n in range(1, depth + 1):
-        facts.append(facts[-1] * n)
-
-    def fn(w: Word) -> RationalFunction:
-        if not w:
-            return RationalFunction.zero()
-        val = S.eval_word(w)
-        for n in range(2, len(w) + 1):
-            val = val - chain[n].eval_word(w) * Fraction(1, facts[n])
-        return val
-
-    X._fn = fn
+    """Solve expari(X) = S for X: X = S - sum_{n >= 2} preari_n(X) / n!.
+    The correction terms at a word only involve X at strictly shorter
+    words, so the recursion is well founded."""
+    X = LazyMould(S.depth, None)
+    chain = _powers(X, lazy_preari)
+    chain[1] = S
+    coeffs = [None, Fraction(1)] + [-c for c in _inverse_factorials(S.depth)[2:]]
+    X._fn = _series(RationalFunction.zero(), coeffs, chain)
     return X
 
 

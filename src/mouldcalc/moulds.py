@@ -6,6 +6,12 @@ of linear forms; evaluating a mould on a word substitutes the letters into
 the component of matching depth.  This module provides the word algebra
 (shuffle product), the mould product ``mu`` with its inverse / log / exp, and
 the elementary unary operators (neg, dur scaling, sharp, leng).
+
+The mould product has one evaluation path: ``mu_at`` sums over the
+splittings of one word, ``LazyMould`` memoizes a rule's values at any word,
+and ``mu``, ``mu_inverse``, ``mu_exp`` and ``mu_log`` check their input and
+materialize ``lazy_mu``, ``lazy_mu_inverse`` or a series of lazy powers,
+which ``_series`` sums by one ``rf_sum`` per word, as for ``expari``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .algebra import (
 )
 
 Word = tuple  # tuple[LinearForm, ...]
+Eval = Callable[[Word], RationalFunction]
 
 __all__ = [
     "Word",
@@ -49,6 +56,11 @@ __all__ = [
     "equal_mod_depth",
     "mould_to_json",
     "mould_from_json",
+    "LazyMould",
+    "mu_at",
+    "lazy_mu",
+    "lazy_mu_inverse",
+    "lazy_unit",
 ]
 
 
@@ -226,24 +238,141 @@ class Mould:
 
 
 # ---------------------------------------------------------------------------
-# the mould product and its friends
+# lazy moulds and the mould product at the level of words
 # ---------------------------------------------------------------------------
+
+
+class LazyMould:
+    """A mould given by an evaluation rule rather than stored components.
+
+    Anything with ``depth`` and ``eval_word`` interoperates with these
+    wrappers, including concrete moulds and opaque symbol moulds.
+    """
+
+    __slots__ = ("depth", "_fn", "_memo")
+
+    def __init__(self, depth: int, fn: Eval | None):
+        self.depth = depth
+        self._fn = fn
+        self._memo: dict = {}
+
+    def eval_word(self, w: Word) -> RationalFunction:
+        got = self._memo.get(w)
+        if got is None:
+            got = self._fn(w)
+            self._memo[w] = got
+        return got
+
+
+def _materialize(L) -> Mould:
+    """The concrete mould of a lazy one: its values at the canonical words."""
+    return Mould.from_word_function(L.depth, L.eval_word)
+
+
+def _require_ari(M, what: str) -> None:
+    if not M.components[0].is_zero():
+        raise NotDefinedError(f"{what} needs depth-0 component 0")
+
+
+def _require_gari(S, what: str) -> None:
+    c = S.components[0]
+    if not (c.is_constant() and c.constant_value() == 1):
+        raise NotInvertibleError(f"{what} needs depth-0 component 1")
+
+
+def lazy_unit(depth: int) -> LazyMould:
+    one = RationalFunction.one()
+    zero = RationalFunction.zero()
+    return LazyMould(depth, lambda w: one if not w else zero)
+
+
+def mu_at(w: Word, f: Eval, g: Eval) -> RationalFunction:
+    """The mould product at one word: sum over w = ab of f(a) g(b)."""
+    # The shorter factor is evaluated first: self-referential evaluators
+    # (the logari solver) rely on never being probed at the full word when
+    # the complementary factor already vanishes on the empty word.
+    parts = []
+    n = len(w)
+    for i in range(n + 1):
+        if i <= n - i:
+            a = f(w[:i])
+            if a.is_zero():
+                continue
+            b = g(w[i:])
+            if b.is_zero():
+                continue
+        else:
+            b = g(w[i:])
+            if b.is_zero():
+                continue
+            a = f(w[:i])
+            if a.is_zero():
+                continue
+        parts.append(a * b)
+    return rf_sum(parts)
+
+
+def lazy_mu(M, N) -> LazyMould:
+    return LazyMould(
+        min(M.depth, N.depth), lambda w: mu_at(w, M.eval_word, N.eval_word)
+    )
+
+
+def lazy_mu_inverse(T) -> LazyMould:
+    U = LazyMould(T.depth, None)
+
+    def fn(w: Word) -> RationalFunction:
+        if not w:
+            return RationalFunction.one()
+        parts = []
+        for i in range(1, len(w) + 1):
+            a = T.eval_word(w[:i])
+            if a.is_zero():
+                continue
+            b = U.eval_word(w[i:])
+            if b.is_zero():
+                continue
+            parts.append(a * b)
+        return -rf_sum(parts)
+
+    U._fn = fn
+    return U
+
+
+def _powers(A, product) -> list:
+    """[1, A, product(A, A), product(product(A, A), A), ...], lazily, up to
+    the A.depth-fold product."""
+    chain = [lazy_unit(A.depth), A]
+    for _ in range(2, A.depth + 1):
+        chain.append(product(chain[-1], A))
+    return chain
+
+
+def _inverse_factorials(depth: int) -> list[Fraction]:
+    """1/n! for 0 <= n <= depth: the coefficients of an exponential."""
+    coeffs = [Fraction(1)]
+    for n in range(1, depth + 1):
+        coeffs.append(coeffs[-1] / n)
+    return coeffs
+
+
+def _series(empty: RationalFunction, coeffs, chain) -> Eval:
+    """The evaluation rule of sum_n coeffs[n] chain[n]: ``empty`` on the
+    empty word, and one sum over 1 <= n <= len(w) on a word w.  The terms
+    with n > len(w) are left out, because each chain[n] used here is an
+    n-fold product of moulds that vanish on the empty word."""
+
+    def fn(w: Word) -> RationalFunction:
+        if not w:
+            return empty
+        return rf_sum(chain[n].eval_word(w) * coeffs[n] for n in range(1, len(w) + 1))
+
+    return fn
 
 
 def mu(M: Mould, N: Mould) -> Mould:
     """Mould product: (M x N)^m = sum_k M^k(x_1..x_k) N^{m-k}(x_{k+1}..x_m)."""
-    d = min(M.depth, N.depth)
-    comps = []
-    for m in range(d + 1):
-        comps.append(
-            rf_sum(
-                M.components[k] * N.components[m - k].shift(k)
-                for k in range(m + 1)
-                if not M.components[k].is_zero()
-                and not N.components[m - k].is_zero()
-            )
-        )
-    return Mould(comps)
+    return _materialize(lazy_mu(M, N))
 
 
 def lu(M: Mould, N: Mould) -> Mould:
@@ -253,31 +382,17 @@ def lu(M: Mould, N: Mould) -> Mould:
 
 def mu_inverse(S: Mould) -> Mould:
     """Inverse for the mould product; requires S^0 = 1."""
-    if not S.components[0].is_constant() or S.components[0].constant_value() != 1:
-        raise NotInvertibleError("mu-inverse needs depth-0 component 1")
-    comps = [RationalFunction.one()]
-    for m in range(1, S.depth + 1):
-        total = rf_sum(
-            S.components[k] * comps[m - k].shift(k)
-            for k in range(1, m + 1)
-            if not S.components[k].is_zero() and not comps[m - k].is_zero()
-        )
-        comps.append(-total)
-    return Mould(comps)
+    _require_gari(S, "mu-inverse")
+    return _materialize(lazy_mu_inverse(S))
 
 
 def mu_exp(A: Mould) -> Mould:
     """Exponential for the mould product; requires A^0 = 0."""
-    if not A.components[0].is_zero():
-        raise NotDefinedError("mu-exponential needs depth-0 component 0")
-    total = Mould.unit(A.depth)
-    power = Mould.unit(A.depth)
-    fact = 1
-    for h in range(1, A.depth + 1):
-        power = mu(power, A)
-        fact *= h
-        total = total + power * Fraction(1, fact)
-    return total
+    _require_ari(A, "mu-exponential")
+    series = _series(
+        RationalFunction.one(), _inverse_factorials(A.depth), _powers(A, lazy_mu)
+    )
+    return _materialize(LazyMould(A.depth, series))
 
 
 def mu_log(S: Mould) -> Mould:
@@ -288,14 +403,11 @@ def mu_log(S: Mould) -> Mould:
     """
     if not S.components[0].is_constant() or S.components[0].constant_value() != 1:
         raise NotDefinedError("mu-logarithm needs depth-0 component 1")
-    D = S - Mould.unit(S.depth)
-    total = Mould.zero(S.depth)
-    power = D
-    for h in range(1, S.depth + 1):
-        total = total + power * Fraction((-1) ** (h + 1), h)
-        if h < S.depth:
-            power = mu(power, D)
-    return total
+    zero = RationalFunction.zero()
+    D = LazyMould(S.depth, lambda w: S.eval_word(w) if w else zero)
+    coeffs = [Fraction((-1) ** (h + 1), h) for h in range(1, S.depth + 1)]
+    series = _series(zero, [None] + coeffs, _powers(D, lazy_mu))
+    return _materialize(LazyMould(S.depth, series))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +442,7 @@ def dur_scale(M: Mould) -> Mould:
 
 def dur_unscale(M: Mould) -> Mould:
     """Divide depth m by x_1 + ... + x_m; requires M^0 = 0."""
-    if not M.components[0].is_zero():
-        raise NotDefinedError("dur-unscale needs depth-0 component 0")
+    _require_ari(M, "dur-unscale")
     comps = [M.components[0]]
     for m in range(1, M.depth + 1):
         comps.append(M.components[m].div_linear(sum_form(m)))

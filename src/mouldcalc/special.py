@@ -26,20 +26,10 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     one_over_forms,
+    rf_sum,
 )
-from .flexions import (
-    LazyMould,
-    _materialize,
-    _require_ari,
-    adari,
-    invgari,
-    lazy_add,
-    lazy_leng,
-    lazy_mu,
-    lazy_neg,
-    lazy_scale,
-)
-from .moulds import Mould, sum_form
+from .flexions import adari, invgari, lazy_leng, lazy_neg
+from .moulds import LazyMould, Mould, _materialize, _require_ari, lazy_mu, sum_form
 
 __all__ = [
     "bernoulli",
@@ -167,15 +157,11 @@ def pal(depth: int) -> Mould:
     dup = dupal(depth)
     comps = [RationalFunction.one()]
     for m in range(1, depth + 1):
-        rhs = RationalFunction.zero()
-        for k in range(m):
-            a = comps[k]
-            if a.is_zero():
-                continue
-            b = dup.components[m - k]
-            if b.is_zero():
-                continue
-            rhs = rhs + a * b.shift(k)
+        rhs = rf_sum(
+            comps[k] * dup.components[m - k].shift(k)
+            for k in range(m)
+            if not comps[k].is_zero() and not dup.components[m - k].is_zero()
+        )
         comps.append(rhs.div_linear(sum_form(m)))
     return Mould(comps)
 
@@ -200,7 +186,9 @@ def lazy_sang(M) -> LazyMould:
     """Singulator (1/2)(id + neg . adari(paj)) (mupaj x M x paj), lazily."""
     d = M.depth
     B = lazy_mu(lazy_mu(mupaj(d), M), paj(d))
-    return lazy_scale(Fraction(1, 2), lazy_add(B, lazy_neg(adari(paj(d))(B))))
+    C = lazy_neg(adari(paj(d))(B))
+    half = Fraction(1, 2)
+    return LazyMould(d, lambda w: (B.eval_word(w) + C.eval_word(w)) * half)
 
 
 def _lazy_slicer(A):
@@ -247,26 +235,24 @@ def sang_expanded(M: Mould) -> Mould:
 
     comps = [RationalFunction.zero()]
     for d in range(1, d_max + 1):
-        total = RationalFunction.zero()
+        terms = []
         whole = sum_form(d)
         # mupaj(x_1..x_{i-1}) S(x_i) paj(x_{i+1}..x_d)
         for i in range(1, d + 1):
             term = mp.components[i - 1] * f_at(LinearForm.variable(i))
-            term = term * pj.components[d - i].shift(i)
-            total = total + term
+            terms.append(term * pj.components[d - i].shift(i))
         # paj(x_1..x_{i-1}) S(-(x_1+..+x_d)) mupaj(x_{i+1}..x_d)
         s_whole = f_at(-whole)
         for i in range(1, d + 1):
             term = pj.components[i - 1] * s_whole
-            term = term * mp.components[d - i].shift(i)
-            total = total + term
+            terms.append(term * mp.components[d - i].shift(i))
         # - paj(x_1..x_{i-1}) S(-(x_1+..+x_{d-1})) mupaj(x_{i+1}..x_{d-1}) / (x_1+..+x_d)
         if d >= 2:
             s_head = f_at(-sum_form(d - 1))
             for i in range(1, d):
                 term = pj.components[i - 1] * s_head
                 term = term * mp.components[d - 1 - i].shift(i)
-                total = total - term.div_linear(whole)
+                terms.append(-term.div_linear(whole))
         # + paj(x_2..x_{i-1}) S(-(x_2+..+x_d)) mupaj(x_{i+1}..x_d) / (x_1+..+x_d)
         if d >= 2:
             tail = LinearForm((0,) + (1,) * (d - 1))  # x_2 + ... + x_d
@@ -274,8 +260,8 @@ def sang_expanded(M: Mould) -> Mould:
             for i in range(2, d + 1):
                 term = pj.components[i - 2].shift(1) * s_tail
                 term = term * mp.components[d - i].shift(i)
-                total = total + term.div_linear(whole)
-        comps.append(total * Fraction(1, 2))
+                terms.append(term.div_linear(whole))
+        comps.append(rf_sum(terms) * Fraction(1, 2))
     return Mould(comps)
 
 

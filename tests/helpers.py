@@ -6,9 +6,11 @@ divisibility certificates via evaluation at points on a form's zero set,
 the solver-chain definition of adari that the closed form replaced, the
 kernel's former substitution (powers of whole forms) and summation
 (every summand lifted to the full common denominator by full products),
-the product canonicalized by ``make`` trying every denominator form, and
-the former eager gari, expari, singulator and slices, built from the
-shift-based mould product and the component-wise neg and leng.
+the product canonicalized by ``make`` trying every denominator form, the
+former shift-based mould product with its inverse, exponential and
+logarithm (component by component, summed by chained ``+``), and the
+former eager gari, expari, singulator and slices, built from that product
+and the component-wise neg and leng.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from math import gcd
 
-from mouldcalc.algebra import LinearForm, Polynomial, RationalFunction
+from mouldcalc.algebra import LinearForm, Polynomial, RationalFunction, rf_sum
 from mouldcalc.flexions import (
     adari,
     garit_at,
@@ -29,11 +31,22 @@ from mouldcalc.flexions import (
     lazy_logari,
     preari,
 )
-from mouldcalc.moulds import Mould, canonical_word, leng, mu, mu_inverse, neg
+from mouldcalc.moulds import (
+    Mould,
+    NotDefinedError,
+    NotInvertibleError,
+    canonical_word,
+    leng,
+    neg,
+)
 from mouldcalc.special import mupaj, paj, pal
 from mouldcalc.verify import random_ari_mould, random_gari_mould
 
 __all__ = [
+    "mu_via_shift",
+    "mu_inverse_via_shift",
+    "mu_exp_via_shift",
+    "mu_log_via_shift",
     "adari_via_logari",
     "gari_via_shift_mu",
     "expari_via_materialized_chain",
@@ -54,6 +67,69 @@ __all__ = [
 ]
 
 
+def mu_via_shift(M: Mould, N: Mould) -> Mould:
+    """Mould product: (M x N)^m = sum_k M^k(x_1..x_k) N^{m-k}(x_{k+1}..x_m)."""
+    d = min(M.depth, N.depth)
+    comps = []
+    for m in range(d + 1):
+        comps.append(
+            rf_sum(
+                M.components[k] * N.components[m - k].shift(k)
+                for k in range(m + 1)
+                if not M.components[k].is_zero()
+                and not N.components[m - k].is_zero()
+            )
+        )
+    return Mould(comps)
+
+
+def mu_inverse_via_shift(S: Mould) -> Mould:
+    """Inverse for the mould product; requires S^0 = 1."""
+    if not S.components[0].is_constant() or S.components[0].constant_value() != 1:
+        raise NotInvertibleError("mu-inverse needs depth-0 component 1")
+    comps = [RationalFunction.one()]
+    for m in range(1, S.depth + 1):
+        total = rf_sum(
+            S.components[k] * comps[m - k].shift(k)
+            for k in range(1, m + 1)
+            if not S.components[k].is_zero() and not comps[m - k].is_zero()
+        )
+        comps.append(-total)
+    return Mould(comps)
+
+
+def mu_exp_via_shift(A: Mould) -> Mould:
+    """Exponential for the mould product; requires A^0 = 0."""
+    if not A.components[0].is_zero():
+        raise NotDefinedError("mu-exponential needs depth-0 component 0")
+    total = Mould.unit(A.depth)
+    power = Mould.unit(A.depth)
+    fact = 1
+    for h in range(1, A.depth + 1):
+        power = mu_via_shift(power, A)
+        fact *= h
+        total = total + power * Fraction(1, fact)
+    return total
+
+
+def mu_log_via_shift(S: Mould) -> Mould:
+    """Logarithm for the mould product; requires S^0 = 1.
+
+    Computed as sum_h ((-1)^{h+1}/h) (S - 1)^{x h}; the series is finite at
+    each truncation depth.
+    """
+    if not S.components[0].is_constant() or S.components[0].constant_value() != 1:
+        raise NotDefinedError("mu-logarithm needs depth-0 component 1")
+    D = S - Mould.unit(S.depth)
+    total = Mould.zero(S.depth)
+    power = D
+    for h in range(1, S.depth + 1):
+        total = total + power * Fraction((-1) ** (h + 1), h)
+        if h < S.depth:
+            power = mu_via_shift(power, D)
+    return total
+
+
 def adari_via_logari(S):
     """The defining form of the conjugation, through three nested solvers:
     adari(S)(A) = logari(gari(gari(S, expari(A)), invgari(S)))."""
@@ -67,8 +143,8 @@ def adari_via_logari(S):
 
 def gari_via_shift_mu(S: Mould, T: Mould) -> Mould:
     """gari(S, T) = garit(T)(S) x T, with garit summed at the canonical words
-    over the eager mu_inverse(T) and the product taken by shifts."""
-    Tinv = mu_inverse(T)
+    over the shift-based inverse of T and the product taken by shifts."""
+    Tinv = mu_inverse_via_shift(T)
     d = min(S.depth, T.depth)
     twisted = Mould(
         [
@@ -76,7 +152,7 @@ def gari_via_shift_mu(S: Mould, T: Mould) -> Mould:
             for m in range(d + 1)
         ]
     )
-    return mu(twisted, T)
+    return mu_via_shift(twisted, T)
 
 
 def expari_via_materialized_chain(A: Mould) -> Mould:
@@ -94,7 +170,7 @@ def expari_via_materialized_chain(A: Mould) -> Mould:
 def sang_via_eager_moulds(M: Mould) -> Mould:
     """(1/2)(id + neg . adari(paj)) (mupaj x M x paj) on concrete moulds."""
     d = M.depth
-    B = mu(mu(mupaj(d), M), paj(d))
+    B = mu_via_shift(mu_via_shift(mupaj(d), M), paj(d))
     return (B + neg(adari(paj(d))(B))) * Fraction(1, 2)
 
 

@@ -179,6 +179,34 @@ def test_usage_error_exit_2(capsys):
     assert main(["compute"]) == 2
 
 
+_PAL1 = mould_to_json(pal(1))
+
+
+def _with_component(**fields):
+    obj = json.loads(json.dumps(_PAL1))
+    obj["components"][1].update(fields)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _with_component(denominator=[[[0], 1]]),
+        _with_component(scalar="1/0"),
+        _with_component(numerator=[[[2.5], "1"]]),
+        _with_component(denominator=[[[1], 2.5]]),
+    ],
+    ids=["zero-form", "zero-scalar-denominator", "fractional-exponent", "fractional-multiplicity"],
+)
+def test_render_malformed_mould_exits_2_with_one_line(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "render", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid mould file") and err.count("\n") == 1
+
+
 def test_render_unit_mould(tmp_path, capsys):
     from mouldcalc.moulds import Mould
 
@@ -217,3 +245,33 @@ def test_every_target_pattern_builds_and_is_documented(capsys, pattern):
     code, out, _ = run(capsys, "compute", "--help")
     assert code == 0
     assert pattern in re.split(r"[\s,;]+", out)
+
+
+# the families defined below depth 4, with their output at the default
+# depth, unchanged from before --depth was honoured
+_SIGMA_C_2 = """m=0: 0
+m=1: x1^4
+m=2: (-1/2)*(4*x1^3 + x1^2*x2 - x1*x2^2 - 4*x2^3)
+m=3: (1/2)*(4*x1^2 - 3*x1*x2 + 6*x1*x3 - 8*x2^2 - 3*x2*x3 + 4*x3^2)
+"""
+_BELOW_DEPTH_4 = {
+    "xi:1": """m=0: 0
+m=1: x1^2
+m=2: (-1)*(x1 - x2)
+m=3: (1/12)*(3*x1^3*x2 - 3*x1^3*x3 + 3*x1^2*x2^2 + x1^2*x2*x3 - 6*x1^2*x3^2 \
+- 2*x1*x2^2*x3 + x1*x2*x3^2 - 3*x1*x3^3 + 3*x2^2*x3^2 + 3*x2*x3^3)/[(x3)*(x2)*(x1)*(x1 + x2 + x3)]
+""",
+    "sigma_c:2": _SIGMA_C_2,
+    "luma:2": _SIGMA_C_2,
+    "D:1:1": "m=0: 0\nm=1: 0\nm=2: 0\nm=3: 0\n",
+}
+
+
+@pytest.mark.parametrize("target", list(_BELOW_DEPTH_4))
+def test_families_below_depth_4_honour_depth(capsys, target):
+    code, out, _ = run(capsys, "compute", target, "--depth", "2")
+    assert code == 0
+    assert out == "".join(_BELOW_DEPTH_4[target].splitlines(keepends=True)[:3])
+    code, out, _ = run(capsys, "compute", target)
+    assert code == 0
+    assert out == _BELOW_DEPTH_4[target]

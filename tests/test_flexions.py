@@ -37,7 +37,6 @@ from mouldcalc.moulds import (
     NotInvertibleError,
     canonical_word,
     mu,
-    mu_inverse,
     word,
 )
 from mouldcalc.special import mupaj, paj, pal, sa
@@ -46,6 +45,7 @@ from helpers import (
     adari_via_logari,
     expari_via_materialized_chain,
     gari_via_shift_mu,
+    mu_inverse_via_shift,
     random_ari_mould,
     random_gari_mould,
 )
@@ -330,14 +330,14 @@ def test_adari_conjugation_inverse_polar():
 @given(st.integers(0, 10**6))
 def test_lazy_matches_eager(seed):
     # the eager operators materialize the lazy ones, so the reference side
-    # is built from the shift-based moulds layer and the old eager forms
+    # is built from the shift-based product oracles and the old eager forms
     rng = random.Random(seed)
     S = random_gari_mould(rng, 3)
     T = random_gari_mould(rng, 3)
     A = random_ari_mould(rng, 3)
     Sinv = invgari(S)
     pairs = [
-        (lazy_mu_inverse(S), mu_inverse(S)),
+        (lazy_mu_inverse(S), mu_inverse_via_shift(S)),
         (lazy_gari(S, T), gari_via_shift_mu(S, T)),
         (lazy_expari(A), expari_via_materialized_chain(A)),
         (lazy_adari(S)(A), Mould.from_word_function(3, adari_via_logari(S)(A).eval_word)),

@@ -34,9 +34,16 @@ from mouldcalc.moulds import (
     shuffle,
     word,
 )
-from mouldcalc.special import paj, sa
+from mouldcalc.special import paj, pal, sa
 
-from helpers import random_ari_mould, random_gari_mould
+from helpers import (
+    mu_exp_via_shift,
+    mu_inverse_via_shift,
+    mu_log_via_shift,
+    mu_via_shift,
+    random_ari_mould,
+    random_gari_mould,
+)
 
 x1, x2, x3 = x_var(1), x_var(2), x_var(3)
 
@@ -210,6 +217,29 @@ def test_mu_exp_log_roundtrip():
 def test_mu_log_requires_group_element():
     with pytest.raises(NotDefinedError):
         mu_log(Mould.zero(2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_product_and_series_match_shift_oracles(seed):
+    # mu, mu_inverse, mu_exp and mu_log materialize the word-level product;
+    # the oracles are the former component-wise forms built from shifts
+    rng = random.Random(seed)
+    S, T = random_gari_mould(rng, 4), random_gari_mould(rng, 4)
+    A = random_ari_mould(rng, 4)
+    P, Q = paj(5), pal(5)
+    cases = [
+        (mu, mu_via_shift, (S, T)),
+        (mu, mu_via_shift, (P, Q)),
+        (mu_inverse, mu_inverse_via_shift, (S,)),
+        (mu_inverse, mu_inverse_via_shift, (Q,)),
+        (mu_exp, mu_exp_via_shift, (A,)),
+        (mu_exp, mu_exp_via_shift, (Q - Mould.unit(5),)),
+        (mu_log, mu_log_via_shift, (S,)),
+        (mu_log, mu_log_via_shift, (P,)),
+        (mu_log, mu_log_via_shift, (Q,)),
+    ]
+    for fn, oracle, args in cases:
+        assert fn(*args) == oracle(*args), fn.__name__
 
 
 # ---------------------------------------------------------------------------

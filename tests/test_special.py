@@ -255,7 +255,7 @@ def test_slang_depth1_kronecker():
 @pytest.mark.parametrize("s", [3, 5])
 def test_singulator_matches_eager_compositions(s):
     # sang and slang materialize lazy compositions; the oracle composes the
-    # eager shift-based mu, the component-wise neg and leng, and adari
+    # shift-based mu oracle, the component-wise neg and leng, and adari
     A = sa(s, 4)
     assert sang(A) == sang_via_eager_moulds(A)
     slices = slang_split(A)
