@@ -1,6 +1,7 @@
 """Exact symbolic mould calculus at finite truncation depth."""
 
 from .algebra import (
+    ExponentOverflowError,
     LinearForm,
     NotDivisibleError,
     Polynomial,

@@ -9,7 +9,17 @@ denominators factored sidesteps multivariate gcd computations entirely.
 
 Canonical forms
 ---------------
-* ``Monomial``: tuple of exponents for x_1..x_k with trailing zeros trimmed.
+* ``Monomial``: inside the kernel, one ``int`` with a fixed field of
+  ``_BITS`` bits per exponent: the total degree in field 0 (the lowest bits)
+  and the exponent of x_i in field i.  A term product is then one integer
+  addition, and the constant monomial is 0.  At the public boundary
+  (``Polynomial.from_dict``, ``Polynomial.terms``, ``rf_monomial``,
+  rendering and JSON) a monomial is the tuple of exponents of x_1..x_k with
+  trailing zeros trimmed.  A field never wraps: every exponent is at most
+  the total degree, so it is enough to check the degree field where a
+  degree grows (a product, a product with a linear form, the lifting of a
+  sum) and where a tuple is packed.  A degree above ``_MAX_EXP`` raises
+  ``ExponentOverflowError``.
 * ``Polynomial``: integer coefficients only; rational content lives in the
   enclosing ``RationalFunction`` scalar.
 * ``LinearForm``: arbitrary integer coefficient vector; denominators store
@@ -17,7 +27,9 @@ Canonical forms
   with sign and content absorbed into the scalar.
 * ``RationalFunction``: ``scalar * numerator / prod(form**mult)`` where the
   numerator has content 1 and positive leading coefficient under graded
-  lexicographic order, and no denominator form divides the numerator.  Zero
+  lexicographic order (total degree first, then x_1 major: on packed
+  monomials, the degree field, then the lowest field that differs), and no
+  denominator form divides the numerator.  Zero
   is uniquely ``(0, 1, ())``.  Structural equality is therefore semantic
   equality.
 
@@ -57,11 +69,12 @@ All values are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add
-from typing import Callable, Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -73,6 +86,7 @@ __all__ = [
     "RationalFunction",
     "NotDivisibleError",
     "ZeroDenominatorError",
+    "ExponentOverflowError",
     "x_var",
     "rf_from_int",
     "rf_from_fraction",
@@ -92,11 +106,19 @@ class ZeroDenominatorError(ZeroDivisionError):
     """A denominator linear form became identically zero."""
 
 
+class ExponentOverflowError(ArithmeticError):
+    """A total degree outgrew the exponent field of a packed monomial."""
+
+
 # ---------------------------------------------------------------------------
-# monomials: exponent tuples, trailing zeros trimmed, () is the constant 1
+# monomials: one int, the total degree in field 0 and x_i's exponent in field i
 # ---------------------------------------------------------------------------
 
-Monomial = tuple
+Monomial = tuple  # the public form: exponents of x_1..x_k, trailing zeros trimmed
+
+_BITS = 16  # width of one exponent field
+_MAX_EXP = (1 << _BITS) - 1  # the largest exponent, and the degree field's mask
+_FIELD_TYPE = "H"  # memoryview format of one unsigned _BITS-bit field
 
 
 def _trim(seq: Sequence[int]) -> tuple:
@@ -106,13 +128,61 @@ def _trim(seq: Sequence[int]) -> tuple:
     return tuple(seq[:n])
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
+def _check_degree(degree: int) -> None:
+    if degree > _MAX_EXP:
+        raise ExponentOverflowError(
+            f"total degree {degree} exceeds the largest supported exponent {_MAX_EXP}"
+        )
 
 
-def grlex_key(m: Monomial):
-    # Trimmed tuples compare correctly under (degree, lex with x_1 major).
-    return (sum(m), m)
+def _unit(i: int) -> int:
+    """The packed monomial x_i: a one in field i and in the degree field."""
+    return (1 << _BITS * i) | 1
+
+
+def _pack(exps: Sequence[int]) -> int:
+    """The packed monomial of an exponent tuple for x_1, x_2, ..."""
+    if any(e < 0 for e in exps):
+        raise ValueError(f"negative exponent in monomial {tuple(exps)}")
+    degree = sum(exps)
+    _check_degree(degree)
+    m = 0
+    for e in reversed(exps):
+        m = m << _BITS | e
+    return m << _BITS | degree
+
+
+def _unpack(m: int) -> Monomial:
+    """The trimmed exponent tuple of a packed monomial."""
+    size = -(-m.bit_length() // _BITS) * (_BITS // 8)
+    # native byte order, so that each field reads as one native integer
+    fields = tuple(memoryview(m.to_bytes(size, sys.byteorder)).cast(_FIELD_TYPE))
+    return fields[1:] if sys.byteorder == "little" else fields[-2::-1]
+
+
+def _degree(terms) -> int:
+    """The total degree of a packed term dict (0 when empty)."""
+    return max(map(_MAX_EXP.__and__, terms), default=0)
+
+
+def _leading(terms) -> int:
+    """The grlex-largest of a nonempty collection of packed monomials: the
+    highest degree, then the larger exponent in the lowest field where two
+    monomials differ (x_1 major)."""
+    it = iter(terms)
+    best = next(it)
+    top = best & _MAX_EXP
+    for m in it:
+        degree = m & _MAX_EXP
+        if degree != top:
+            if degree > top:
+                best, top = m, degree
+            continue
+        diff = m ^ best  # its lowest set bit lies in the lowest field that differs
+        shift = ((diff & -diff).bit_length() - 1) // _BITS * _BITS
+        if m >> shift & _MAX_EXP > best >> shift & _MAX_EXP:
+            best = m
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -123,25 +193,29 @@ def grlex_key(m: Monomial):
 class Polynomial:
     """Sparse multivariate polynomial with integer coefficients.
 
-    ``terms`` maps monomials to nonzero integers.  Instances are treated as
-    immutable; do not mutate ``terms`` after construction.
+    ``_terms`` maps packed monomials to nonzero integers; ``terms`` is the
+    same map keyed by exponent tuples.  Instances are treated as immutable.
+    The constructor takes packed keys and is internal: build from exponent
+    tuples with ``from_dict``.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: dict):
-        self.terms = terms
+        self._terms = terms
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_dict(d: Mapping[Monomial, int]) -> "Polynomial":
+        """Build from exponent tuples; raises ExponentOverflowError for a
+        monomial whose total degree exceeds the exponent field."""
         out: dict = {}
         for m, c in d.items():
             if not c:
                 continue
-            key = _trim(m)
+            key = _pack(m)
             s = out.get(key, 0) + c
             if s:
                 out[key] = s
@@ -159,51 +233,57 @@ class Polynomial:
 
     @staticmethod
     def constant(c: int) -> "Polynomial":
-        return Polynomial({(): c}) if c else _POLY_ZERO
+        return Polynomial({0: c}) if c else _POLY_ZERO
 
     @staticmethod
     def variable(i: int) -> "Polynomial":
         if i < 1:
             raise ValueError("variable indices start at 1")
-        return Polynomial({(0,) * (i - 1) + (1,): 1})
+        return Polynomial({_unit(i): 1})
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Monomial, int]:
+        """The terms keyed by trimmed exponent tuples, as a read-only map."""
+        return MappingProxyType({_unpack(m): c for m, c in self._terms.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return not self.terms or self.terms.keys() == {()}
+        return not self._terms or self._terms.keys() == {0}
 
     def constant_value(self) -> int:
-        return self.terms.get((), 0)
+        return self._terms.get(0, 0)
 
     def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return _degree(self._terms)
 
     def max_var(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
+        # The monomial with the highest variable is the largest int.
+        return max(0, (max(self._terms, default=0).bit_length() - 1) // _BITS)
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grlex_key)
+        return _unpack(_leading(self._terms))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        return isinstance(other, Polynomial) and self._terms == other._terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     def __repr__(self):
-        return f"Polynomial({self.terms!r})"
+        return f"Polynomial({dict(self.terms)!r})"
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        big, small = (self.terms, other.terms)
+        big, small = (self._terms, other._terms)
         if len(big) < len(small):
             big, small = small, big
         out = dict(big)
@@ -216,7 +296,7 @@ class Polynomial:
         return Polynomial(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return Polynomial({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -227,19 +307,23 @@ class Polynomial:
                 return _POLY_ZERO
             if other == 1:
                 return self
-            return Polynomial({m: c * other for m, c in self.terms.items()})
-        out: dict = {}
-        a, b = self.terms, other.terms
+            return Polynomial({m: c * other for m, c in self._terms.items()})
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return _POLY_ZERO
+        _check_degree(_degree(a) + _degree(b))
         if len(a) > len(b):
             a, b = b, a
-        for ma, ca in a.items():
-            na = len(ma)
+        # The first row's products are distinct monomials, so it fills the
+        # dict with one hash per key; hashing an int costs its length.
+        rows = iter(a.items())
+        ma, ca = next(rows)
+        out = {ma + mb: ca * cb for mb, cb in b.items()}
+        get = out.get
+        for ma, ca in rows:
             for mb, cb in b.items():
-                if len(mb) < na:
-                    m = tuple(map(add, ma, mb)) + ma[len(mb):]
-                else:
-                    m = tuple(map(add, mb, ma)) + mb[na:]
-                s = out.get(m, 0) + ca * cb
+                m = ma + mb
+                s = get(m, 0) + ca * cb
                 if s:
                     out[m] = s
                 else:
@@ -256,34 +340,40 @@ class Polynomial:
         under graded lexicographic order.  The zero polynomial returns
         ``(0, 1)``.
         """
-        if not self.terms:
+        terms = self._terms
+        if not terms:
             return 0, _POLY_ONE
         g = 0
-        for c in self.terms.values():
+        for c in terms.values():
             g = gcd(g, c)
             if g == 1:
                 break
-        if self.terms[self.leading_monomial()] < 0:
+        if terms[_leading(terms)] < 0:
             g = -g
         if g == 1:
             return 1, self
-        return g, Polynomial({m: c // g for m, c in self.terms.items()})
+        return g, Polynomial({m: c // g for m, c in terms.items()})
 
     # -- structural operations ---------------------------------------------
 
     def shift(self, k: int) -> "Polynomial":
         """Rename every variable x_i to x_{i+k}."""
-        if k == 0 or not self.terms:
+        if k == 0 or not self._terms:
             return self
-        pad = (0,) * k
-        return Polynomial({(pad + m if m else m): c for m, c in self.terms.items()})
+        bits = _BITS * k
+        out: dict = {}
+        for m, c in self._terms.items():
+            degree = m & _MAX_EXP
+            out[(m - degree << bits) + degree] = c
+        return Polynomial(out)
 
     def compose(self, forms: Sequence["LinearForm"]) -> "Polynomial":
         """Substitute ``forms[i-1]`` for x_i.  Result is exact.
 
         A renaming or scaling (every form ``c*x_j`` or zero) maps each
         monomial to one monomial.  Otherwise the substitution runs by Horner
-        evaluation in the last variable, recursively (``_horner``).
+        evaluation in the last variable, recursively (``_horner``).  Linear
+        forms are homogeneous, so no degree grows.
         """
         width = self.max_var()
         if width > len(forms):
@@ -292,11 +382,13 @@ class Polynomial:
             )
         lins = [_linear_terms(f.coeffs) for f in forms[:width]]
         if all(len(lin) <= 1 for lin in lins):
-            return Polynomial(_rename(self.terms, lins))
-        return Polynomial(_horner(self.terms, lins))
+            return Polynomial(_rename(self._terms, lins))
+        return Polynomial(_horner(self._terms, lins))
 
     def mul_linear(self, form: "LinearForm") -> "Polynomial":
-        return Polynomial(_mul_form(self.terms, _linear_terms(form.coeffs)))
+        if self._terms:
+            _check_degree(_degree(self._terms) + 1)
+        return Polynomial(_mul_form(self._terms, _linear_terms(form.coeffs)))
 
     def try_div_linear(self, form: "LinearForm") -> "Polynomial | None":
         """Exact quotient ``self / form`` or None.
@@ -310,20 +402,21 @@ class Polynomial:
         """
         if form.is_zero():
             raise ZeroDivisionError("division by the zero form")
-        if not self.terms:
+        if not self._terms:
             return _POLY_ZERO
-        j = form.leading_var() - 1  # 0-based position of x_j
-        c = form.coeffs[j]
-        neg_rest = [(i, -fc) for i, fc in enumerate(form.coeffs) if fc and i != j]
+        j = form.leading_var()
+        c = form.coeffs[j - 1]
+        bits = _BITS * j
+        unit = _unit(j)
+        neg_rest = [(u, -fc) for u, fc in _linear_terms(form.coeffs) if u != unit]
         # bucket by x_j exponent, storing monomials with x_j removed
         levels: dict[int, dict] = {}
         deg = 0
-        for m, coeff in self.terms.items():
-            e = m[j] if len(m) > j else 0
+        for m, coeff in self._terms.items():
+            e = m >> bits & _MAX_EXP
             if e > deg:
                 deg = e
-            key = _trim(m[:j] + (0,) + m[j + 1:]) if len(m) > j else m
-            levels.setdefault(e, {})[key] = coeff
+            levels.setdefault(e, {})[m - e * unit] = coeff
         if deg == 0:
             return None
 
@@ -341,13 +434,9 @@ class Polynomial:
             return None
         out: dict = {}
         for e, level in q_levels.items():
+            bump = e * unit
             for m, cf in level.items():
-                if e == 0:
-                    out[m] = cf
-                elif len(m) > j:
-                    out[m[:j] + (e,) + m[j + 1:]] = cf
-                else:
-                    out[m + (0,) * (j - len(m)) + (e,)] = cf
+                out[m + bump] = cf
         return Polynomial(out)
 
     def div_linear(self, form: "LinearForm") -> "Polynomial":
@@ -358,37 +447,34 @@ class Polynomial:
 
 
 _POLY_ZERO = Polynomial({})
-_POLY_ONE = Polynomial({(): 1})
+_POLY_ONE = Polynomial({0: 1})
 
 
 # ---------------------------------------------------------------------------
-# kernels on raw term dicts: products with linear forms and substitution
+# kernels on raw packed term dicts: products with linear forms and substitution
 # ---------------------------------------------------------------------------
 
 
 def _linear_terms(coeffs: tuple) -> list:
-    """The nonzero ``(i, c)`` of a form's coefficients, i 0-based."""
-    return [(i, c) for i, c in enumerate(coeffs) if c]
+    """The nonzero ``(x_i's packed monomial, c)`` of a form's coefficients."""
+    return [(_unit(i), c) for i, c in enumerate(coeffs, start=1) if c]
 
 
 def _mul_form(terms: dict, lin: list, out: dict | None = None) -> dict:
-    """``terms * sum(c * x_{i+1} for i, c in lin)``, added into ``out``.
+    """``terms * sum(c * u for u, c in lin)``, added into ``out``.
 
-    Each term product bumps one exponent, so no monomial is multiplied
-    out.  Returns ``out`` (a new dict when not given).
+    Each term product adds x_i's packed monomial, which bumps the exponent
+    and the degree field by one.  The degree is not checked here: callers
+    that raise a degree check it first.  Returns ``out`` (a new dict when
+    not given).
     """
     if out is None:
         out = {}
-    for i, c in lin:
+    get = out.get
+    for u, c in lin:
         for m, cf in terms.items():
-            n = len(m)
-            if n > i:
-                key = list(m)
-                key[i] += 1
-                key = tuple(key)
-            else:
-                key = m + (0,) * (i - n) + (1,)
-            s = out.get(key, 0) + c * cf
+            key = m + u
+            s = get(key, 0) + c * cf
             if s:
                 out[key] = s
             else:
@@ -398,21 +484,24 @@ def _mul_form(terms: dict, lin: list, out: dict | None = None) -> dict:
 
 def _rename(terms: dict, lins: list) -> dict:
     """Substitute ``c*x_j`` or 0 for each variable: one monomial per term."""
-    width = max((lin[0][0] + 1 for lin in lins if lin), default=0)
     out: dict = {}
     for m, c in terms.items():
-        exps = [0] * width
-        for i, e in enumerate(m):
+        key = m & _MAX_EXP  # a renaming keeps the degree
+        rest = m >> _BITS  # the exponents of x_1, x_2, ... in its low fields
+        i = 0
+        while rest:
+            e = rest & _MAX_EXP
             if e:
                 lin = lins[i]
                 if not lin:
                     break  # x_i -> 0 kills the term
-                j, a = lin[0]
-                exps[j] += e
+                u, a = lin[0]
+                key += e * (u - 1)
                 if a != 1:
                     c *= a**e
+            rest >>= _BITS
+            i += 1
         else:
-            key = _trim(exps)
             s = out.get(key, 0) + c
             if s:
                 out[key] = s
@@ -428,16 +517,15 @@ def _horner(terms: dict, lins: list) -> dict:
     ``P(lins) = (..(P_d(lins) L + P_{d-1}(lins)) L + ..) L + P_0(lins)``;
     each ``P_k`` is substituted the same way in one variable fewer.
     """
-    n = max(map(len, terms), default=0)
-    if n == 0:
+    n = (max(terms, default=0).bit_length() - 1) // _BITS  # the last variable
+    if n <= 0:
         return dict(terms)
+    bits = _BITS * n
+    unit = _unit(n)
     levels: dict[int, dict] = {}
     for m, c in terms.items():
-        e = 0
-        if len(m) == n:
-            e = m[-1]
-            m = _trim(m[:-1])
-        levels.setdefault(e, {})[m] = c
+        e = m >> bits  # field n is the top field
+        levels.setdefault(e, {})[m - e * unit] = c
     lin = lins[n - 1]
     if not lin:  # x_n -> 0 keeps only P_0
         return _horner(levels.get(0, {}), lins)
@@ -523,13 +611,7 @@ class LinearForm:
         return g, LinearForm(tuple(c // g for c in self.coeffs))
 
     def as_polynomial(self) -> Polynomial:
-        return Polynomial(
-            {
-                (0,) * i + (1,): c
-                for i, c in enumerate(self.coeffs)
-                if c
-            }
-        )
+        return Polynomial(dict(_linear_terms(self.coeffs)))
 
     def compose(self, forms: Sequence["LinearForm"]) -> "LinearForm":
         """Substitute ``forms[i-1]`` for x_i; linear in, linear out."""
@@ -797,7 +879,7 @@ def _build(
     form must be one that provably does not divide it (see "Where
     cancellation is attempted" in the module docstring).
     """
-    if not numerator.terms:
+    if not numerator._terms:
         return RF_ZERO
     for f in trial:
         numerator, mult = _cancel(numerator, f, den[f])
@@ -894,8 +976,10 @@ def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
         for f, m in r.denominator:
             for j in range(1, m + 1):
                 mask &= ~bits.get((f.coeffs, j), 0)
+        # lifting multiplies by one linear form per unit the summand misses
+        _check_degree(_degree(r.numerator._terms) + mask.bit_count())
         scale = r.scalar.numerator * (lcm // r.scalar.denominator)
-        summands.append((r.numerator.terms, scale, mask))
+        summands.append((r.numerator._terms, scale, mask))
     total = _lift_sum(summands, 0, lins)
     shared = [f for f, m in common.items() if have[(f.coeffs, m)] > 1]
     return _build(Fraction(1, lcm), Polynomial(total), common, shared)
@@ -949,8 +1033,8 @@ def rf_monomial(scalar, *var_exponents: tuple[int, int]) -> RationalFunction:
     for i, e in var_exponents:
         mono[i] = mono.get(i, 0) + e
     width = max(mono, default=0)
-    m = _trim(tuple(mono.get(i, 0) for i in range(1, width + 1)))
-    return RationalFunction.make(Fraction(scalar), Polynomial({m: 1}))
+    m = tuple(mono.get(i, 0) for i in range(1, width + 1))
+    return RationalFunction.make(Fraction(scalar), Polynomial({_pack(m): 1}))
 
 
 def one_over_forms(*forms: LinearForm) -> RationalFunction:
@@ -964,7 +1048,8 @@ def one_over_forms(*forms: LinearForm) -> RationalFunction:
 
 
 def _sorted_terms(p: Polynomial):
-    return sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+    # Trimmed tuples compare correctly under (degree, lex with x_1 major).
+    return sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
 
 def monomial_str(m: Monomial, var: str = "x") -> str:
@@ -1091,7 +1176,7 @@ def _json_int(value) -> int:
 def rf_from_json(obj: Mapping) -> RationalFunction:
     scalar = Fraction(obj["scalar"])
     raw = [
-        (_trim(tuple(_json_int(e) for e in mono)), Fraction(coeff))
+        (tuple(_json_int(e) for e in mono), Fraction(coeff))
         for mono, coeff in obj["numerator"]
     ]
     lcm = 1

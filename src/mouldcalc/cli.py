@@ -14,8 +14,11 @@ The default ``compute`` depth is 4, overridable with --depth or the
 MOULDCALC_DEPTH environment variable; the families xi, sigma_c, luma and D
 are defined below depth 4, so they stop at depth 3.  ``verify`` ignores the
 variable and uses each claim's own defaults.  Depths and ``verify --dmax``
-below 1 or above MAX_DEPTH are refused, as are parameters a target or claim
-rejects (a ValueError from the library) and claims that would run no check.
+below 1 or above MAX_DEPTH are refused, as are compute depths above a
+target's own cap in ``TARGETS`` (6 for ``sang`` and ``slang``, whose depth 7
+runs for minutes without finishing), parameters a target or claim rejects
+(a ValueError from the library), targets whose total degree outgrows the
+kernel's exponent field, and claims that would run no check.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -27,7 +30,7 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from .algebra import rf_latex, rf_str
+from .algebra import ExponentOverflowError, rf_latex, rf_str
 from .moulds import Mould, dur, mould_from_json, mould_to_json
 from .solutions import D_ab, luma, psi_minus1_mould, psi_odd_mould, sigma_c, xi
 from .special import dupal, mupaj, paj, pal, sa, sang, slang
@@ -73,25 +76,28 @@ def _psi_target(depth: int, k: int) -> Mould:
 
 
 # Compute targets: ``:``-separated patterns, a name followed by tokens of
-# which the upper-case ones stand for integers; a builder takes the depth
-# and those integers in order.  Patterns are tried in order, so the literal
-# ``psi:-1`` comes before ``psi:K``.  Builders look their functions up
-# when called, so a rebinding of the module names reaches them.
-TARGETS: dict[str, Callable[..., Mould]] = {
-    "paj": lambda depth: paj(depth),
-    "mupaj": lambda depth: mupaj(depth),
-    "dupal": lambda depth: dupal(depth),
-    "pal": lambda depth: pal(depth),
-    "dur": lambda depth: dur(depth),
-    "sa:S": lambda depth, s: sa(s, depth),
-    "sang:sa:S": lambda depth, s: sang(sa(s, depth)),
-    "slang:R:sa:S": lambda depth, r, s: slang(r, sa(s, depth)),
-    "psi:-1": lambda depth: psi_minus1_mould(depth),
-    "psi:K": lambda depth, k: _psi_target(depth, k),
-    "xi:N": lambda depth, n: xi(n).truncate(depth),
-    "sigma_c:N": lambda depth, n: sigma_c(n).truncate(depth),
-    "luma:N": lambda depth, n: luma(n).truncate(depth),
-    "D:A:B": lambda depth, a, b: D_ab(a, b).truncate(depth),
+# which the upper-case ones stand for integers, each with a builder and the
+# largest depth the target admits.  A builder takes the depth and those
+# integers in order.  Patterns are tried in order, so the literal ``psi:-1``
+# comes before ``psi:K``.  Builders look their functions up when called, so
+# a rebinding of the module names reaches them.  The compositional singulator
+# behind sang and slang does not finish depth 7 within minutes, and grows past
+# 500 MB trying, so those two stop at depth 6.
+TARGETS: dict[str, tuple[Callable[..., Mould], int]] = {
+    "paj": (lambda depth: paj(depth), MAX_DEPTH),
+    "mupaj": (lambda depth: mupaj(depth), MAX_DEPTH),
+    "dupal": (lambda depth: dupal(depth), MAX_DEPTH),
+    "pal": (lambda depth: pal(depth), MAX_DEPTH),
+    "dur": (lambda depth: dur(depth), MAX_DEPTH),
+    "sa:S": (lambda depth, s: sa(s, depth), MAX_DEPTH),
+    "sang:sa:S": (lambda depth, s: sang(sa(s, depth)), 6),
+    "slang:R:sa:S": (lambda depth, r, s: slang(r, sa(s, depth)), 6),
+    "psi:-1": (lambda depth: psi_minus1_mould(depth), MAX_DEPTH),
+    "psi:K": (lambda depth, k: _psi_target(depth, k), MAX_DEPTH),
+    "xi:N": (lambda depth, n: xi(n).truncate(depth), MAX_DEPTH),
+    "sigma_c:N": (lambda depth, n: sigma_c(n).truncate(depth), MAX_DEPTH),
+    "luma:N": (lambda depth, n: luma(n).truncate(depth), MAX_DEPTH),
+    "D:A:B": (lambda depth, a, b: D_ab(a, b).truncate(depth), MAX_DEPTH),
 }
 
 
@@ -113,9 +119,13 @@ def _match(pattern: str, parts: list[str]) -> list[int] | None:
 def build_target(target: str, depth: int) -> Mould:
     """Resolve a compute target name to a mould at the given depth."""
     parts = target.split(":")
-    for pattern, builder in TARGETS.items():
+    for pattern, (builder, max_depth) in TARGETS.items():
         ints = _match(pattern, parts)
         if ints is not None:
+            if depth > max_depth:
+                raise UsageError(
+                    f"depth {depth} exceeds the maximum {max_depth} of target {pattern}"
+                )
             return builder(depth, *ints)
     raise UsageError(f"unknown target {target!r}; choose from {', '.join(TARGETS)}")
 
@@ -145,7 +155,7 @@ def _cmd_compute(args) -> int:
     _check_depth(depth, "depth")
     try:
         M = build_target(args.target, depth)
-    except ValueError as exc:
+    except (ValueError, ExponentOverflowError) as exc:
         raise UsageError(str(exc))
     _emit(render_mould(M, args.format), args.out)
     return 0
@@ -198,7 +208,7 @@ def _cmd_render(args) -> int:
         )
     try:
         M = mould_from_json(obj)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise UsageError(f"invalid mould file {args.file!r}: {exc}")
     _emit(render_mould(M, args.format), args.out)
     return 0
@@ -224,7 +234,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "target",
         help=f"one of {', '.join(TARGETS)}; upper-case letters after the name "
         "stand for integers; xi, sigma_c, luma and D are defined below depth 4, "
-        "so they stop at depth 3",
+        "so they stop at depth 3; "
+        + "; ".join(
+            f"{pattern} admits depth {cap} at most"
+            for pattern, (_, cap) in TARGETS.items()
+            if cap < MAX_DEPTH
+        ),
     )
     c.add_argument("--depth", type=int, default=None)
     c.add_argument("--format", choices=("plain", "latex", "json"), default="plain")

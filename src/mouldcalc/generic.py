@@ -40,8 +40,7 @@ class SymbolRegistry:
             self._vars[key] = idx
             args = ", ".join(form_str(f) for f in word)
             self._labels[idx] = f"{name}^{len(word)}({args})"
-        mono = (0,) * (idx - 1) + (1,)
-        return RationalFunction.make(1, Polynomial({mono: 1}))
+        return RationalFunction.make(1, Polynomial.variable(idx))
 
     def label(self, index: int) -> str:
         return self._labels.get(index, f"x{index}")

@@ -26,6 +26,7 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     one_over_forms,
+    rf_monomial,
     rf_sum,
 )
 from .flexions import adari, invgari, lazy_leng, lazy_neg
@@ -82,7 +83,7 @@ def sa(s: int, depth: int) -> Mould:
         raise ValueError("exponent s must be nonzero")
     e = s - 1
     if e >= 0:
-        comp = RationalFunction.make(1, Polynomial({(e,) if e else (): 1}))
+        comp = rf_monomial(1, (1, e))
     else:
         comp = RationalFunction.make(
             1, Polynomial.one(), [(LinearForm.variable(1), -e)]

@@ -10,7 +10,10 @@ the product canonicalized by ``make`` trying every denominator form, the
 former shift-based mould product with its inverse, exponential and
 logarithm (component by component, summed by chained ``+``), and the
 former eager gari, expari, singulator and slices, built from that product
-and the component-wise neg and leng.
+and the component-wise neg and leng, and the former tuple kernel (products,
+products with a linear form, exact division, substitution and the lifting of
+sums, on monomials as exponent tuples) that the packed-integer kernel
+replaced.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import random
 from fractions import Fraction
 
 from math import gcd
+from operator import add
 
 from mouldcalc.algebra import LinearForm, Polynomial, RationalFunction, rf_sum
 from mouldcalc.flexions import (
@@ -57,6 +61,11 @@ __all__ = [
     "substitute_via_powers",
     "mul_via_full_make",
     "count_div_attempts",
+    "mul_via_tuples",
+    "mul_linear_via_tuples",
+    "try_div_linear_via_tuples",
+    "compose_via_tuples",
+    "rf_sum_via_tuples",
     "den_polynomial",
     "cross_equal",
     "poly_eval",
@@ -254,6 +263,199 @@ def count_div_attempts(monkeypatch) -> list:
 
     monkeypatch.setattr(Polynomial, "try_div_linear", counting)
     return attempts
+
+
+# ---------------------------------------------------------------------------
+# the former tuple kernel: a monomial is its exponent tuple, trailing zeros
+# trimmed; each oracle reads ``Polynomial.terms`` and returns a tuple-keyed
+# dict (None for a failed division)
+# ---------------------------------------------------------------------------
+
+
+def _trim(seq) -> tuple:
+    n = len(seq)
+    while n > 0 and seq[n - 1] == 0:
+        n -= 1
+    return tuple(seq[:n])
+
+
+def _tuple_linear_terms(form: LinearForm) -> list:
+    return [(i, c) for i, c in enumerate(form.coeffs) if c]
+
+
+def mul_via_tuples(p: Polynomial, q: Polynomial) -> dict:
+    """``p * q``: each term product adds two exponent tuples entry by entry."""
+    out: dict = {}
+    a, b = p.terms, q.terms
+    if len(a) > len(b):
+        a, b = b, a
+    for ma, ca in a.items():
+        na = len(ma)
+        for mb, cb in b.items():
+            if len(mb) < na:
+                m = tuple(map(add, ma, mb)) + ma[len(mb):]
+            else:
+                m = tuple(map(add, mb, ma)) + mb[na:]
+            s = out.get(m, 0) + ca * cb
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def _mul_form_via_tuples(terms, lin: list, out: dict | None = None) -> dict:
+    """``terms * sum(c * x_{i+1} for i, c in lin)``, added into ``out``."""
+    if out is None:
+        out = {}
+    for i, c in lin:
+        for m, cf in terms.items():
+            n = len(m)
+            if n > i:
+                key = list(m)
+                key[i] += 1
+                key = tuple(key)
+            else:
+                key = m + (0,) * (i - n) + (1,)
+            s = out.get(key, 0) + c * cf
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def mul_linear_via_tuples(p: Polynomial, form: LinearForm) -> dict:
+    """``p.mul_linear(form)``: each term product bumps one tuple entry."""
+    return _mul_form_via_tuples(p.terms, _tuple_linear_terms(form))
+
+
+def try_div_linear_via_tuples(p: Polynomial, form: LinearForm) -> dict | None:
+    """``p.try_div_linear(form)`` by synthetic division in the form's
+    leading variable, bucketing the tuples by that variable's entry."""
+    terms = p.terms
+    if not terms:
+        return {}
+    j = form.leading_var() - 1
+    c = form.coeffs[j]
+    neg_rest = [(i, -fc) for i, fc in enumerate(form.coeffs) if fc and i != j]
+    levels: dict = {}
+    deg = 0
+    for m, coeff in terms.items():
+        e = m[j] if len(m) > j else 0
+        deg = max(deg, e)
+        key = _trim(m[:j] + (0,) + m[j + 1:]) if len(m) > j else m
+        levels.setdefault(e, {})[key] = coeff
+    if deg == 0:
+        return None
+    q_levels: dict = {}
+    carry = levels.get(deg, {})
+    for k in range(deg, 0, -1):
+        qk: dict = {}
+        for m, cf in carry.items():
+            if cf % c:
+                return None
+            qk[m] = cf // c
+        q_levels[k - 1] = qk
+        carry = _mul_form_via_tuples(qk, neg_rest, levels.get(k - 1, {}))
+    if carry:
+        return None
+    out: dict = {}
+    for e, level in q_levels.items():
+        for m, cf in level.items():
+            if e == 0:
+                out[m] = cf
+            elif len(m) > j:
+                out[m[:j] + (e,) + m[j + 1:]] = cf
+            else:
+                out[m + (0,) * (j - len(m)) + (e,)] = cf
+    return out
+
+
+def _rename_via_tuples(terms, lins: list) -> dict:
+    width = max((lin[0][0] + 1 for lin in lins if lin), default=0)
+    out: dict = {}
+    for m, c in terms.items():
+        exps = [0] * width
+        for i, e in enumerate(m):
+            if e:
+                lin = lins[i]
+                if not lin:
+                    break
+                j, a = lin[0]
+                exps[j] += e
+                if a != 1:
+                    c *= a**e
+        else:
+            key = _trim(exps)
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def _horner_via_tuples(terms, lins: list) -> dict:
+    n = max(map(len, terms), default=0)
+    if n == 0:
+        return dict(terms)
+    levels: dict = {}
+    for m, c in terms.items():
+        e = 0
+        if len(m) == n:
+            e = m[-1]
+            m = _trim(m[:-1])
+        levels.setdefault(e, {})[m] = c
+    lin = lins[n - 1]
+    if not lin:
+        return _horner_via_tuples(levels.get(0, {}), lins)
+    top = max(levels)
+    acc = _horner_via_tuples(levels[top], lins)
+    for k in range(top - 1, -1, -1):
+        acc = _mul_form_via_tuples(acc, lin, _horner_via_tuples(levels.get(k, {}), lins))
+    return acc
+
+
+def compose_via_tuples(p: Polynomial, forms) -> dict:
+    """``p.compose(forms)``: a renaming maps each tuple to one tuple,
+    anything else runs Horner in the last variable."""
+    terms = p.terms
+    width = max(map(len, terms), default=0)
+    lins = [_tuple_linear_terms(f) for f in forms[:width]]
+    if all(len(lin) <= 1 for lin in lins):
+        return _rename_via_tuples(terms, lins)
+    return _horner_via_tuples(terms, lins)
+
+
+def rf_sum_via_tuples(items) -> RationalFunction:
+    """``rf_sum(items)`` with the numerators lifted to the common denominator
+    on tuples: each summand times the units it misses, one unit at a time."""
+    terms = [r for r in items if not r.is_zero()]
+    common: dict = {}
+    for r in terms:
+        for f, m in r.denominator:
+            common[f] = max(common.get(f, 0), m)
+    lcm = 1
+    for r in terms:
+        lcm = lcm * r.scalar.denominator // gcd(lcm, r.scalar.denominator)
+    total: dict = {}
+    for r in terms:
+        lifted = r.numerator.terms
+        have = dict(r.denominator)
+        for f, m in common.items():
+            for _ in range(m - have.get(f, 0)):
+                lifted = _mul_form_via_tuples(lifted, _tuple_linear_terms(f))
+        scale = r.scalar.numerator * (lcm // r.scalar.denominator)
+        for mono, c in lifted.items():
+            v = total.get(mono, 0) + scale * c
+            if v:
+                total[mono] = v
+            else:
+                del total[mono]
+    return RationalFunction.make(
+        Fraction(1, lcm), Polynomial.from_dict(total), common.items()
+    )
 
 
 def den_polynomial(r: RationalFunction) -> Polynomial:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mouldcalc.algebra import (
+    ExponentOverflowError,
     LinearForm,
     NotDivisibleError,
     Polynomial,
@@ -23,21 +24,26 @@ from mouldcalc.algebra import (
     rf_to_json,
     x_var,
 )
-from mouldcalc.algebra import _independent
+from mouldcalc.algebra import _MAX_EXP, _independent
 
 from mouldcalc.moulds import sharp, sum_form
 from mouldcalc.solutions import psi_minus1_mould
 
 from helpers import (
     compose_via_powers,
+    compose_via_tuples,
     count_div_attempts,
     cross_equal,
     form_eval,
+    mul_linear_via_tuples,
     mul_via_full_make,
+    mul_via_tuples,
     poly_eval,
     random_rf,
     rf_sum_via_full_lift,
+    rf_sum_via_tuples,
     substitute_via_powers,
+    try_div_linear_via_tuples,
 )
 
 x1, x2, x3 = x_var(1), x_var(2), x_var(3)
@@ -587,6 +593,127 @@ def test_products_and_sums_skip_forms_that_cannot_cancel(monkeypatch):
     assert attempts == []
     rf_sum(pairs)  # x1 is the only form two summands hold
     assert attempts == [x1]
+
+
+# ---------------------------------------------------------------------------
+# packed monomials against the former tuple kernel (seeded random)
+# ---------------------------------------------------------------------------
+
+# slot variables next to opaque-symbol indices, as the generic checks mix them
+_MIXED = (1, 2, 3, 7, 1000, 1001, 1013)
+
+
+def sparse_poly(rng, nterms=5, maxexp=3):
+    d = {}
+    for _ in range(nterms):
+        exps: dict = {}
+        for _ in range(rng.randint(0, 3)):
+            i = rng.choice(_MIXED)
+            exps[i] = exps.get(i, 0) + rng.randint(1, maxexp)
+        width = max(exps, default=0)
+        d[tuple(exps.get(i, 0) for i in range(1, width + 1))] = rng.randint(-5, 5)
+    return poly(d)
+
+
+def sparse_form(rng, nterms=3):
+    coeffs = [0] * max(_MIXED)
+    for i in rng.sample(_MIXED, rng.randint(1, nterms)):
+        coeffs[i - 1] = rng.choice([-2, -1, 1, 2, 3])
+    return LinearForm(coeffs)
+
+
+def test_packed_kernel_matches_tuple_kernel():
+    rng = random.Random("packed")
+    for _ in range(60):
+        p, q = sparse_poly(rng), sparse_poly(rng)
+        assert dict((p * q).terms) == mul_via_tuples(p, q)
+        form = sparse_form(rng)
+        assert dict(p.mul_linear(form).terms) == mul_linear_via_tuples(p, form)
+        for num in (p, p.mul_linear(form)):  # a division that may fail, one that holds
+            got, want = num.try_div_linear(form), try_div_linear_via_tuples(num, form)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert dict(got.terms) == want
+        assert want is not None
+        if not p.is_zero():
+            assert p.leading_monomial() == max(p.terms, key=lambda m: (sum(m), m))
+        k = rng.randint(1, 3)
+        assert dict(p.shift(k).terms) == {
+            ((0,) * k + m if m else m): c for m, c in p.terms.items()
+        }
+
+
+@pytest.mark.parametrize("kind", ["renaming", "multi"])
+def test_packed_compose_matches_tuple_kernel(kind):
+    rng = random.Random(f"packed-compose-{kind}")
+    for _ in range(30):
+        p = sparse_poly(rng)
+        # only the pool variables occur; the forms for the others are unused
+        forms = [LinearForm.zero()] * p.max_var()
+        for i in (i for i in _MIXED if i <= len(forms)):
+            if kind == "renaming":
+                j = rng.choice(_MIXED)
+                forms[i - 1] = LinearForm([0] * (j - 1) + [rng.choice([-2, 1, 3])])
+            else:
+                forms[i - 1] = sparse_form(rng, nterms=2)
+        assert dict(p.compose(forms).terms) == compose_via_tuples(p, forms)
+
+
+def test_packed_rf_sum_matches_tuple_lifting():
+    rng = random.Random("packed-rf-sum")
+    for _ in range(30):
+        pool = [sparse_form(rng, nterms=2) for _ in range(3)]
+        items = [
+            rf(
+                Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+                sparse_poly(rng, nterms=3, maxexp=2),
+                [(f, rng.randint(0, 2)) for f in pool if rng.random() < 0.7],
+            )
+            for _ in range(rng.randint(2, 5))
+        ]
+        assert rf_sum(items) == rf_sum_via_tuples(items)
+
+
+def test_packed_round_trips_at_high_indices():
+    rng = random.Random("packed-round-trip")
+    for _ in range(30):
+        p = sparse_poly(rng)
+        assert poly(p.terms) == p
+        assert all(not m or m[-1] for m in p.terms)  # trimmed tuples
+        padded = {m + (0,) * rng.randint(0, 2): c for m, c in p.terms.items()}
+        assert poly(padded) == p
+        r = rf(Fraction(rng.randint(1, 6), 5), p, [(sparse_form(rng), rng.randint(1, 2))])
+        assert rf_from_json(rf_to_json(r)) == r
+    m = (0,) * 1012 + (2,)
+    assert poly({m: 3}).terms == {m: 3}
+    assert rf_to_json(rf(1, poly({m: 3})))["numerator"] == [[list(m), "1"]]
+
+
+def test_exponent_field_boundary_raises_never_wraps():
+    top = _MAX_EXP
+    big = poly({(top,): 1})
+    assert big.terms == {(top,): 1} and big.degree() == top
+    for d in ({(top + 1,): 1}, {(top, 1): 1}, {(0,) * 1000 + (top + 1,): 1}):
+        with pytest.raises(ExponentOverflowError):
+            poly(d)
+    with pytest.raises(ValueError):
+        poly({(1, -1): 1})
+    # products: the degree field is checked once, before any term product
+    a = poly({(top - 5,): 1})
+    assert (a * poly({(0, 5): 2})).terms == {(top - 5, 5): 2}
+    with pytest.raises(ExponentOverflowError):
+        a * poly({(0, 6): 1})
+    assert poly({(top - 1,): 1}).mul_linear(x2).terms == {(top - 1, 1): 1}
+    with pytest.raises(ExponentOverflowError):
+        big.mul_linear(x1)
+    # sums: lifting to the common denominator multiplies by the missing forms
+    near = rf(1, poly({(top - 1,): 1}), [(x2, 1)])
+    assert rf_sum([near, rf(1, Polynomial.one(), [(x3, 1)])]) == rf_sum_via_tuples(
+        [near, rf(1, Polynomial.one(), [(x3, 1)])]
+    )
+    with pytest.raises(ExponentOverflowError):
+        rf_sum([rf(1, big, [(x2, 1)]), rf(1, Polynomial.one(), [(x3, 1)])])
+    assert issubclass(ExponentOverflowError, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------

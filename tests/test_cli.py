@@ -81,6 +81,18 @@ def test_depth_cap(capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize(
+    "target, pattern", [("sang:sa:3", "sang:sa:S"), ("slang:1:sa:3", "slang:R:sa:S")]
+)
+def test_singulator_targets_stop_at_depth_6(capsys, target, pattern):
+    code, out, err = run(capsys, "compute", target, "--depth", "7")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: depth 7 exceeds the maximum 6 of target {pattern}\n"
+    _, out, _ = run(capsys, "compute", "--help")
+    assert f"{pattern} admits depth 6 at most" in " ".join(out.split())
+
+
 def test_env_default_depth(capsys, monkeypatch):
     monkeypatch.setenv("MOULDCALC_DEPTH", "2")
     code, out, _ = run(capsys, "compute", "paj")
@@ -102,6 +114,7 @@ def test_verify_pass_exit_zero(capsys):
         ("compute", "sa:0"),
         ("compute", "slang:0:sa:3"),
         ("verify", "comparison", "--n", "0"),
+        ("compute", "sa:70000"),  # degree 69999 outgrows the exponent field
     ],
 )
 def test_invalid_parameter_exits_2_with_one_line(capsys, argv):
@@ -195,8 +208,17 @@ def _with_component(**fields):
         _with_component(scalar="1/0"),
         _with_component(numerator=[[[2.5], "1"]]),
         _with_component(denominator=[[[1], 2.5]]),
+        _with_component(numerator=[[[-1], "1"]]),
+        _with_component(numerator=[[[70000], "1"]]),
     ],
-    ids=["zero-form", "zero-scalar-denominator", "fractional-exponent", "fractional-multiplicity"],
+    ids=[
+        "zero-form",
+        "zero-scalar-denominator",
+        "fractional-exponent",
+        "fractional-multiplicity",
+        "negative-exponent",
+        "exponent-beyond-field",
+    ],
 )
 def test_render_malformed_mould_exits_2_with_one_line(tmp_path, capsys, obj):
     path = tmp_path / "bad.json"

@@ -273,7 +273,7 @@ def test_dur_scale_unscale_roundtrip():
 
 def test_dur_scale_sa3():
     got = dur_scale(sa(3, 1)).component(1)
-    assert got == RationalFunction.make(1, Polynomial({(3,): 1}))
+    assert got == RationalFunction.make(1, Polynomial.from_dict({(3,): 1}))
 
 
 def test_dur_scale_matches_dur_mould():

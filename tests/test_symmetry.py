@@ -130,11 +130,11 @@ def test_depth1_supported_mould_is_alternal():
 
 def test_alternality_failure_witness():
     comps = [RationalFunction.zero()] * 3
-    comps[2] = RationalFunction.make(1, Polynomial({(1,): 1}))  # M^2 = x1
+    comps[2] = RationalFunction.make(1, Polynomial.from_dict({(1,): 1}))  # M^2 = x1
     report = is_alternal(Mould(comps))
     assert not report
     assert (report.p, report.q) == (1, 1)
-    want = RationalFunction.make(1, Polynomial({(1,): 1, (0, 1): 1}))
+    want = RationalFunction.make(1, Polynomial.from_dict({(1,): 1, (0, 1): 1}))
     assert report.residual == want  # x1 + x2
     blob = json.dumps(report.witness_json())
     assert '"p": 1' in blob and '"q": 1' in blob
