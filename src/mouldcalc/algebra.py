@@ -13,9 +13,10 @@ Canonical forms
   ``_BITS`` bits per exponent: the total degree in field 0 (the lowest bits)
   and the exponent of x_i in field i.  A term product is then one integer
   addition, and the constant monomial is 0.  At the public boundary
-  (``Polynomial.from_dict``, ``Polynomial.terms``, ``rf_monomial``,
-  rendering and JSON) a monomial is the tuple of exponents of x_1..x_k with
-  trailing zeros trimmed.  A field never wraps: every exponent is at most
+  (``Polynomial.from_dict``, ``Polynomial.terms``, ``rf_monomial`` and
+  JSON) a monomial is the tuple of exponents of x_1..x_k with trailing
+  zeros trimmed; plain and LaTeX text read only the fields of the variables
+  that occur in the polynomial.  A field never wraps: every exponent is at most
   the total degree, so it is enough to check the degree field where a
   degree grows (a product, a product with a linear form, the lifting of a
   sum) and where a tuple is packed.  A degree above ``_MAX_EXP`` raises
@@ -71,7 +72,8 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -1047,29 +1049,60 @@ def one_over_forms(*forms: LinearForm) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_terms(p: Polynomial):
-    # Trimmed tuples compare correctly under (degree, lex with x_1 major).
-    return sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+def _occupied(m: int) -> list:
+    """The indices i of the nonzero fields x_i of a packed monomial (or of
+    the bitwise or of several), in increasing order; only the nonzero fields
+    are visited, however high the indices."""
+    out = []
+    m >>= _BITS
+    i = 0
+    while m:
+        skip = ((m & -m).bit_length() - 1) // _BITS
+        m >>= _BITS * (skip + 1)
+        i += skip + 1
+        out.append(i)
+    return out
 
 
-def monomial_str(m: Monomial, var: str = "x") -> str:
-    if not m:
-        return "1"
+def _sorted_terms(p: Polynomial) -> tuple[list, list]:
+    """The indices of the variables that occur in ``p``, and its terms as
+    (degree, exponents of those variables, coefficient), grlex-largest
+    first.
+
+    Only the occupied fields are read: an opaque symbol x_1000 would cost a
+    thousand entries in a full exponent tuple.  (degree, exponents) still
+    compares under grlex with x_1 major, since the fields left out are 0 in
+    every term.
+    """
+    indices = _occupied(reduce(or_, p._terms, 0))
+    shifts = [_BITS * i for i in indices]
+    terms = [
+        (m & _MAX_EXP, tuple([m >> s & _MAX_EXP for s in shifts]), c)
+        for m, c in p._terms.items()
+    ]
+    terms.sort(reverse=True)
+    return indices, terms
+
+
+def monomial_str(names: Sequence[str], exps: Sequence[int]) -> str:
+    """The product of ``names[k]^exps[k]``; "1" when every exponent is 0."""
     parts = []
-    for i, e in enumerate(m, start=1):
+    for name, e in zip(names, exps):
         if e == 1:
-            parts.append(f"{var}{i}")
-        elif e > 1:
-            parts.append(f"{var}{i}^{e}")
-    return "*".join(parts)
+            parts.append(name)
+        elif e:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts) or "1"
 
 
 def poly_str(p: Polynomial, var: str = "x") -> str:
     if p.is_zero():
         return "0"
     out = []
-    for m, c in _sorted_terms(p):
-        mono = monomial_str(m, var)
+    indices, terms = _sorted_terms(p)
+    names = [f"{var}{i}" for i in indices]
+    for _, exps, c in terms:
+        mono = monomial_str(names, exps)
         if mono == "1":
             piece = str(abs(c))
         elif abs(c) == 1:
@@ -1106,15 +1139,14 @@ def rf_str(r: RationalFunction, var: str = "x") -> str:
     return f"{head}/[{den}]"
 
 
-def monomial_latex(m: Monomial, var: str = "x") -> str:
-    if not m:
-        return ""
+def monomial_latex(names: Sequence[str], exps: Sequence[int]) -> str:
+    """The product of ``names[k]^{exps[k]}``; empty when every exponent is 0."""
     parts = []
-    for i, e in enumerate(m, start=1):
+    for name, e in zip(names, exps):
         if e == 1:
-            parts.append(f"{var}_{{{i}}}")
-        elif e > 1:
-            parts.append(f"{var}_{{{i}}}^{{{e}}}")
+            parts.append(name)
+        elif e:
+            parts.append(f"{name}^{{{e}}}")
     return " ".join(parts)
 
 
@@ -1122,8 +1154,10 @@ def poly_latex(p: Polynomial, var: str = "x") -> str:
     if p.is_zero():
         return "0"
     out = []
-    for m, c in _sorted_terms(p):
-        mono = monomial_latex(m, var)
+    indices, terms = _sorted_terms(p)
+    names = [f"{var}_{{{i}}}" for i in indices]
+    for _, exps, c in terms:
+        mono = monomial_latex(names, exps)
         if not mono:
             piece = str(abs(c))
         elif abs(c) == 1:
@@ -1159,9 +1193,15 @@ def rf_latex(r: RationalFunction, var: str = "x") -> str:
 
 
 def rf_to_json(r: RationalFunction) -> dict:
+    # JSON writes every exponent of x_1..x_k, so it sorts the full tuples:
+    # trimmed tuples compare correctly under (degree, lex with x_1 major)
+    terms = sorted(
+        ((m & _MAX_EXP, _unpack(m), c) for m, c in r.numerator._terms.items()),
+        reverse=True,
+    )
     return {
         "scalar": str(r.scalar),
-        "numerator": [[list(m), str(c)] for m, c in _sorted_terms(r.numerator)],
+        "numerator": [[list(exps), str(c)] for _, exps, c in terms],
         "denominator": [[list(f.coeffs), m] for f, m in r.denominator],
     }
 

@@ -18,7 +18,9 @@ below 1 or above MAX_DEPTH are refused, as are compute depths above a
 target's own cap in ``TARGETS`` (6 for ``sang`` and ``slang``, whose depth 7
 runs for minutes without finishing), parameters a target or claim rejects
 (a ValueError from the library), targets whose total degree outgrows the
-kernel's exponent field, and claims that would run no check.
+kernel's exponent field, and claims that would run no check or would pass
+vacuously (``pal-symmetral`` and ``dupal-alternal`` at depth 1, where no
+shuffle sum exists).
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 

@@ -8,6 +8,34 @@ dimoulds: the shuffle-evaluation map Sh is an algebra map into bi-indexed
 moulds, and a mould is alternal iff Sh(M) = M (x) 1 + 1 (x) M, symmetral
 iff Sh(M) = M (x) M.  Decisions are valid up to the truncation depth only;
 reports carry the verified depth and a failing cell witness.
+
+Which cells are evaluated
+-------------------------
+Write A = (x_1..x_p), B = (x_{p+1}..x_{p+q}) for the canonical blocks of
+cell (p, q), A' = (x_1..x_q), B' = (x_{q+1}..x_{q+p}) for those of cell
+(q, p), and R(p, q) for the residual of cell (p, q): the shuffle sum, minus
+``M^p(A) M^q(B)`` when deciding symmetrality.
+
+*Lemma.* Let pi be the relabelling that swaps the two blocks,
+x_i -> x_{i+q} for i <= p and x_{p+j} -> x_j for j <= q.  Then
+R(q, p) = R(p, q) o pi, so R(q, p) = 0 exactly when R(p, q) = 0.
+
+*Proof.* pi maps the letters of A onto B' and those of B onto A', in
+order, so it maps each interleaving of A and B to one of B' and A', and
+the shuffle product is commutative: sh(A', B') = sh(B', A') = pi(sh(A, B))
+as multisets of words.  Hence the (q, p) shuffle sum is the (p, q) sum with
+pi substituted.  The product term maps the same way:
+``M^p(A) M^q(B)`` o pi = ``M^p(B') M^q(A')`` = ``M^q(A') M^p(B')``.  A
+permutation of the variables is invertible, so it maps a rational function
+to zero only if the function is zero.
+
+So ``is_alternal`` and ``is_symmetral`` evaluate, at each total p + q, only
+the cells with p <= q, in increasing p.  The set of failing cells at a
+total is closed under p <-> q, so the first failing cell of the full order
+(total, then p) already has p <= q: the report, residual included, is the
+one the full loop gives.  The dimould cross-checks (``sh_map`` and the
+``*_via_sh`` deciders) still evaluate every component (r, s); they are the
+independent oracle of this shortcut.
 """
 
 from __future__ import annotations
@@ -181,11 +209,14 @@ def _shuffle_sum(
 
 
 def is_alternal(M: Mould) -> SymmetryReport:
-    """All shuffle sums with p, q >= 1 vanish; requires M^0 = 0."""
+    """All shuffle sums with p, q >= 1 vanish; requires M^0 = 0.
+
+    Only the cells with p <= q are evaluated (see the module docstring).
+    """
     if not M.components[0].is_zero():
         return SymmetryReport(False, M.depth, 0, 0, M.components[0])
     for total in range(2, M.depth + 1):
-        for p in range(1, total):
+        for p in range(1, total // 2 + 1):
             q = total - p
             residual = _shuffle_sum(M, p, q)
             if not residual.is_zero():
@@ -194,12 +225,15 @@ def is_alternal(M: Mould) -> SymmetryReport:
 
 
 def is_symmetral(S: Mould) -> SymmetryReport:
-    """Shuffle sums factor multiplicatively; requires S^0 = 1."""
+    """Shuffle sums factor multiplicatively; requires S^0 = 1.
+
+    Only the cells with p <= q are evaluated (see the module docstring).
+    """
     c0 = S.components[0]
     if not (c0.is_constant() and not c0.is_zero() and c0.constant_value() == 1):
         return SymmetryReport(False, S.depth, 0, 0, c0 - RationalFunction.one())
     for total in range(2, S.depth + 1):
-        for p in range(1, total):
+        for p in range(1, total // 2 + 1):
             q = total - p
             product = S.components[p] * S.components[q].shift(p)
             residual = _shuffle_sum(S, p, q, -product)

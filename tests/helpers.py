@@ -13,7 +13,10 @@ former eager gari, expari, singulator and slices, built from that product
 and the component-wise neg and leng, and the former tuple kernel (products,
 products with a linear form, exact division, substitution and the lifting of
 sums, on monomials as exponent tuples) that the packed-integer kernel
-replaced.
+replaced, the former rendering of monomials from their full exponent
+tuples, and the former alternality and symmetrality deciders, which
+evaluate every ordered cell (p, q) where the deciders now evaluate only
+p <= q.
 """
 
 from __future__ import annotations
@@ -24,7 +27,14 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from mouldcalc.algebra import LinearForm, Polynomial, RationalFunction, rf_sum
+from mouldcalc.algebra import (
+    LinearForm,
+    Polynomial,
+    RationalFunction,
+    one_over_forms,
+    rf_sum,
+    x_var,
+)
 from mouldcalc.flexions import (
     adari,
     garit_at,
@@ -41,9 +51,11 @@ from mouldcalc.moulds import (
     NotInvertibleError,
     canonical_word,
     leng,
+    mu,
     neg,
 )
 from mouldcalc.special import mupaj, paj, pal
+from mouldcalc.symmetry import SymmetryReport, _shuffle_sum
 from mouldcalc.verify import random_ari_mould, random_gari_mould
 
 __all__ = [
@@ -66,6 +78,15 @@ __all__ = [
     "try_div_linear_via_tuples",
     "compose_via_tuples",
     "rf_sum_via_tuples",
+    "sorted_terms_via_tuples",
+    "monomial_str_via_tuple",
+    "monomial_latex_via_tuple",
+    "is_alternal_all_pairs",
+    "is_symmetral_all_pairs",
+    "with_component",
+    "depth_supported",
+    "middle_cell_mould",
+    "first_fails_at_2_3",
     "den_polynomial",
     "cross_equal",
     "poly_eval",
@@ -456,6 +477,99 @@ def rf_sum_via_tuples(items) -> RationalFunction:
     return RationalFunction.make(
         Fraction(1, lcm), Polynomial.from_dict(total), common.items()
     )
+
+
+def sorted_terms_via_tuples(p: Polynomial) -> list:
+    """(exponent tuple, coefficient) pairs, grlex-largest first."""
+    return sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+
+def monomial_str_via_tuple(m: tuple, var: str = "x") -> str:
+    if not m:
+        return "1"
+    parts = []
+    for i, e in enumerate(m, start=1):
+        if e == 1:
+            parts.append(f"{var}{i}")
+        elif e > 1:
+            parts.append(f"{var}{i}^{e}")
+    return "*".join(parts)
+
+
+def monomial_latex_via_tuple(m: tuple, var: str = "x") -> str:
+    if not m:
+        return ""
+    parts = []
+    for i, e in enumerate(m, start=1):
+        if e == 1:
+            parts.append(f"{var}_{{{i}}}")
+        elif e > 1:
+            parts.append(f"{var}_{{{i}}}^{{{e}}}")
+    return " ".join(parts)
+
+
+def is_alternal_all_pairs(M: Mould) -> SymmetryReport:
+    """All shuffle sums with p, q >= 1 vanish; requires M^0 = 0."""
+    if not M.components[0].is_zero():
+        return SymmetryReport(False, M.depth, 0, 0, M.components[0])
+    for total in range(2, M.depth + 1):
+        for p in range(1, total):
+            q = total - p
+            residual = _shuffle_sum(M, p, q)
+            if not residual.is_zero():
+                return SymmetryReport(False, M.depth, p, q, residual)
+    return SymmetryReport(True, M.depth)
+
+
+def is_symmetral_all_pairs(S: Mould) -> SymmetryReport:
+    """Shuffle sums factor multiplicatively; requires S^0 = 1."""
+    c0 = S.components[0]
+    if not (c0.is_constant() and not c0.is_zero() and c0.constant_value() == 1):
+        return SymmetryReport(False, S.depth, 0, 0, c0 - RationalFunction.one())
+    for total in range(2, S.depth + 1):
+        for p in range(1, total):
+            q = total - p
+            product = S.components[p] * S.components[q].shift(p)
+            residual = _shuffle_sum(S, p, q, -product)
+            if not residual.is_zero():
+                return SymmetryReport(False, S.depth, p, q, residual)
+    return SymmetryReport(True, S.depth)
+
+
+def with_component(M: Mould, k: int, fn) -> Mould:
+    """``M`` with its depth-k component replaced by ``fn`` of it."""
+    comps = list(M.components)
+    comps[k] = fn(comps[k])
+    return Mould(comps)
+
+
+def depth_supported(depth: int, k: int, value: RationalFunction) -> Mould:
+    """The mould whose only nonzero component is ``value`` at depth k."""
+    comps = [RationalFunction.zero()] * (depth + 1)
+    comps[k] = value
+    return Mould(comps)
+
+
+def middle_cell_mould() -> Mould:
+    """mu(A, B) with A = x_1 - x_2 and B = 1/x_1 - 1/x_2, alternal and
+    supported at depth 2.  Its shuffle sums vanish at every cell except the
+    middle one, (2, 2); ``1 + mu(A, B)`` fails symmetrality there too."""
+    x1, x2 = x_var(1), x_var(2)
+    A = depth_supported(4, 2, RationalFunction.make(1, (x1 - x2).as_polynomial()))
+    B = depth_supported(4, 2, one_over_forms(x1) - one_over_forms(x2))
+    return mu(A, B)
+
+
+def first_fails_at_2_3() -> Mould:
+    """mu(A, B) with A = x_1 - x_2, alternal at depth 2, and
+    B = 1/x_1 - 2/x_2 + 1/x_3, alternal at depth 3: the cells (1, 3) and
+    (1, 4) vanish, (2, 3) does not."""
+    x1, x2, x3 = x_var(1), x_var(2), x_var(3)
+    A = depth_supported(5, 2, RationalFunction.make(1, (x1 - x2).as_polynomial()))
+    B = depth_supported(
+        5, 3, one_over_forms(x1) - one_over_forms(x2) * 2 + one_over_forms(x3)
+    )
+    return mu(A, B)
 
 
 def den_polynomial(r: RationalFunction) -> Polynomial:

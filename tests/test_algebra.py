@@ -24,6 +24,7 @@ from mouldcalc.algebra import (
     rf_to_json,
     x_var,
 )
+from mouldcalc import algebra
 from mouldcalc.algebra import _MAX_EXP, _independent
 
 from mouldcalc.moulds import sharp, sum_form
@@ -37,11 +38,14 @@ from helpers import (
     form_eval,
     mul_linear_via_tuples,
     mul_via_full_make,
+    monomial_latex_via_tuple,
+    monomial_str_via_tuple,
     mul_via_tuples,
     poly_eval,
     random_rf,
     rf_sum_via_full_lift,
     rf_sum_via_tuples,
+    sorted_terms_via_tuples,
     substitute_via_powers,
     try_div_linear_via_tuples,
 )
@@ -734,6 +738,29 @@ def test_json_round_trip_random(seed):
     rng = random.Random(seed)
     f = random_rf(rng)
     assert rf_from_json(rf_to_json(f)) == f
+
+
+def test_rendering_from_occupied_fields_matches_full_exponent_tuples():
+    # term order, monomial text and JSON exponent lists, on slot variables
+    # mixed with opaque-symbol indices and on the first few variables alone
+    rng = random.Random("render")
+    polys = [sparse_poly(rng, nterms=8, maxexp=300) for _ in range(60)]
+    polys += [random_rf(rng, nvars=4).numerator for _ in range(60)]  # few variables
+    for p in polys:
+        indices, got = algebra._sorted_terms(p)
+        want = sorted_terms_via_tuples(p)
+        assert [t[2] for t in got] == [c for _, c in want]
+        json_rows = rf_to_json(RationalFunction.make(1, p))["numerator"]
+        assert [row[0] for row in json_rows] == [list(m) for m, _ in want]
+        for var in ("x", "y"):
+            names = [f"{var}{i}" for i in indices]
+            assert [algebra.monomial_str(names, e) for _, e, _ in got] == [
+                monomial_str_via_tuple(m, var) for m, _ in want
+            ]
+            names = [f"{var}_{{{i}}}" for i in indices]
+            assert [algebra.monomial_latex(names, e) for _, e, _ in got] == [
+                monomial_latex_via_tuple(m, var) for m, _ in want
+            ]
 
 
 def test_render_plain_and_latex():

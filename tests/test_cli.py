@@ -115,6 +115,8 @@ def test_verify_pass_exit_zero(capsys):
         ("compute", "slang:0:sa:3"),
         ("verify", "comparison", "--n", "0"),
         ("compute", "sa:70000"),  # degree 69999 outgrows the exponent field
+        ("verify", "pal-symmetral", "--depth", "1"),  # no shuffle sum below depth 2
+        ("verify", "dupal-alternal", "--depth", "1"),
     ],
 )
 def test_invalid_parameter_exits_2_with_one_line(capsys, argv):
@@ -143,6 +145,12 @@ def test_verify_depth_bounds_exit_2(capsys, argv, message):
 def test_claim_without_checks_is_refused():
     with pytest.raises(ValueError, match="no checks"):
         run_claim("psi-odd", n=1, dmax=0)
+
+
+@pytest.mark.parametrize("claim", ["pal-symmetral", "dupal-alternal"])
+def test_symmetry_claim_below_depth_2_is_refused(claim):
+    with pytest.raises(ValueError, match="no shuffle sum"):
+        run_claim(claim, depth=1)
 
 
 def test_verify_unknown_claim_exit_2(capsys):

@@ -7,14 +7,15 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mouldcalc.algebra import Polynomial, RationalFunction, x_var
 from mouldcalc.flexions import expari
-from mouldcalc.moulds import Mould, dur, dur_scale, mu, word
+from mouldcalc.moulds import Mould, dur, dur_scale, mu, mu_log, word
 from mouldcalc import symmetry
-from mouldcalc.special import dupal, pal
+from mouldcalc.special import dupal, paj, pal
 from mouldcalc.symmetry import (
     Dimould,
     dimould_mu,
@@ -27,7 +28,16 @@ from mouldcalc.symmetry import (
     tensor,
 )
 
-from helpers import count_div_attempts, random_ari_mould, random_gari_mould
+from helpers import (
+    count_div_attempts,
+    first_fails_at_2_3,
+    is_alternal_all_pairs,
+    is_symmetral_all_pairs,
+    middle_cell_mould,
+    random_ari_mould,
+    random_gari_mould,
+    with_component,
+)
 
 x1, x2 = x_var(1), x_var(2)
 
@@ -161,7 +171,7 @@ def test_passing_symmetral_residuals_make_no_division_attempt(monkeypatch):
 
     monkeypatch.setattr(symmetry, "rf_sum", residual_sum)
     assert is_symmetral(S)
-    assert per_residual == [0] * 10  # cells p, q >= 1 with p + q <= 5
+    assert per_residual == [0] * 6  # cells 1 <= p <= q with p + q <= 5
 
 
 def test_unit_is_symmetral():
@@ -207,6 +217,110 @@ def test_characterizations_agree_random():
         assert bool(is_alternal(M)) == is_alternal_via_sh(M)
         S = random_gari_mould(rng, 4)
         assert bool(is_symmetral(S)) == is_symmetral_via_sh(S)
+
+
+# ---------------------------------------------------------------------------
+# the block-swap lemma: only the cells with p <= q are evaluated
+# ---------------------------------------------------------------------------
+
+
+def _block_swap(p, q):
+    """x_i -> x_{i+q} for i <= p, x_{p+j} -> x_j for j <= q."""
+    return [x_var(i + q) for i in range(1, p + 1)] + [x_var(j) for j in range(1, q + 1)]
+
+
+def _product_term(S, p, q):
+    return -(S.components[p] * S.components[q].shift(p))
+
+
+def test_mirror_cell_is_the_block_swap_of_its_cell():
+    M = random_ari_mould(random.Random(11), 5)
+    assert not is_alternal(M)
+    S = random_gari_mould(random.Random(12), 5)
+    assert not is_symmetral(S)
+    for total in range(3, 6):
+        for p in range(1, (total + 1) // 2):
+            q = total - p
+            pi = _block_swap(p, q)
+            mirror = symmetry._shuffle_sum(M, q, p)
+            assert not mirror.is_zero()
+            assert mirror == symmetry._shuffle_sum(M, p, q).substitute(pi)
+            mirror = symmetry._shuffle_sum(S, q, p, _product_term(S, q, p))
+            assert not mirror.is_zero()
+            cell = symmetry._shuffle_sum(S, p, q, _product_term(S, p, q))
+            assert mirror == cell.substitute(pi)
+
+
+def _perturbed(M, k, by):
+    return with_component(M, k, lambda c: c + by)
+
+
+_x1_squared = RationalFunction.make(1, Polynomial.from_dict({(2,): 1}))
+ALTERNAL_CASES = {
+    "dupal(6)": lambda: dupal(6),
+    "mu_log(paj(4))": lambda: mu_log(paj(4)),
+    "dupal(6) + x1^2 at depth 4": lambda: _perturbed(dupal(6), 4, _x1_squared),
+    "mu(A, B), middle cell": middle_cell_mould,
+    "mu(A, B3)": first_fails_at_2_3,
+    "random": lambda: random_ari_mould(random.Random(13), 4),
+}
+SYMMETRAL_CASES = {
+    "pal(6)": lambda: pal(6),
+    "paj(6)": lambda: paj(6),
+    "pal(6) doubled at depth 5": lambda: with_component(pal(6), 5, lambda c: c * 2),
+    "paj(6) + x1^2 at depth 3": lambda: _perturbed(paj(6), 3, _x1_squared),
+    "1 + mu(A, B), middle cell": lambda: middle_cell_mould() + Mould.unit(4),
+    "random": lambda: random_gari_mould(random.Random(14), 4),
+}
+
+
+def _same_report(got, want):
+    assert (got.ok, got.depth, got.p, got.q) == (want.ok, want.depth, want.p, want.q)
+    assert got.residual == want.residual
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name", ALTERNAL_CASES)
+def test_is_alternal_matches_all_pairs_oracle(name):
+    M = ALTERNAL_CASES[name]()
+    _same_report(is_alternal(M), is_alternal_all_pairs(M))
+
+
+@pytest.mark.parametrize("name", SYMMETRAL_CASES)
+def test_is_symmetral_matches_all_pairs_oracle(name):
+    S = SYMMETRAL_CASES[name]()
+    _same_report(is_symmetral(S), is_symmetral_all_pairs(S))
+
+
+def test_a_failure_only_at_the_middle_cell_is_found():
+    # every cell but (2, 2) vanishes, so a loop that skips p = q passes it
+    M = middle_cell_mould()
+    for p, q in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1)):
+        assert symmetry._shuffle_sum(M, p, q).is_zero()
+    report = is_alternal(M)
+    assert not report and (report.p, report.q) == (2, 2)
+    report = is_symmetral(M + Mould.unit(4))
+    assert not report and (report.p, report.q) == (2, 2)
+
+
+def test_passing_deciders_evaluate_only_cells_with_p_at_most_q(monkeypatch):
+    # the sum over totals 2..d of floor(total / 2); every ordered cell
+    # would be the sum of total - 1: 28 at depth 8 and 21 at depth 7
+    calls = []
+    original = symmetry._shuffle_sum
+
+    def counting(M, p, q, *extra):
+        calls.append((p, q))
+        return original(M, p, q, *extra)
+
+    monkeypatch.setattr(symmetry, "_shuffle_sum", counting)
+    assert is_alternal(dupal(8))
+    assert len(calls) == 16
+    assert all(p <= q for p, q in calls)
+    calls.clear()
+    assert is_symmetral(pal(7))
+    assert len(calls) == 12
+    assert all(p <= q for p, q in calls)
 
 
 # ---------------------------------------------------------------------------
