@@ -11,8 +11,17 @@ Canonical forms
 ---------------
 * ``Monomial``: inside the kernel, one ``int`` with a fixed field of
   ``_BITS`` bits per exponent: the total degree in field 0 (the lowest bits)
-  and the exponent of x_i in field i.  A term product is then one integer
-  addition, and the constant monomial is 0.  At the public boundary
+  and one field per variable.  A term product is then one integer
+  addition, and the constant monomial is 0.  x_1..x_K keep field i, where
+  ``_K`` = 64 is a fixed constant that covers every slot variable.  A
+  variable above x_K, such as an opaque symbol x_1001, gets the next free
+  field the first time it is packed, from one append-only table that grows
+  under a lock; so a monomial costs one field per variable that has been
+  used, not one per index.  Every conversion between an index and a field
+  goes through ``_field`` and ``_index``; the term-product kernels need
+  none.  A packed value means something only under its own process's
+  table, so a ``Polynomial`` refuses to be pickled: values cross processes
+  as JSON.  At the public boundary
   (``Polynomial.from_dict``, ``Polynomial.terms``, ``rf_monomial`` and
   JSON) a monomial is the tuple of exponents of x_1..x_k with trailing
   zeros trimmed; plain and LaTeX text read only the fields of the variables
@@ -28,9 +37,13 @@ Canonical forms
   with sign and content absorbed into the scalar.
 * ``RationalFunction``: ``scalar * numerator / prod(form**mult)`` where the
   numerator has content 1 and positive leading coefficient under graded
-  lexicographic order (total degree first, then x_1 major: on packed
-  monomials, the degree field, then the lowest field that differs), and no
-  denominator form divides the numerator.  Zero
+  lexicographic order on indices (total degree first, then x_1 major), and
+  no denominator form divides the numerator.  On packed monomials that is
+  the degree field, then the field of the lowest-indexed variable that
+  differs: the lowest field that differs, unless that field lies above x_K
+  and the table has given fields out of index order (``_leading``).  So
+  canonical forms, signs and every rendering do not depend on the order in
+  which variables were first used.  Zero
   is uniquely ``(0, 1, ())``.  Structural equality is therefore semantic
   equality.
 
@@ -71,6 +84,7 @@ All values are immutable; every operation returns a new value.
 from __future__ import annotations
 
 import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
@@ -113,7 +127,7 @@ class ExponentOverflowError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# monomials: one int, the total degree in field 0 and x_i's exponent in field i
+# monomials: one int, the total degree in field 0 and one field per variable
 # ---------------------------------------------------------------------------
 
 Monomial = tuple  # the public form: exponents of x_1..x_k, trailing zeros trimmed
@@ -121,6 +135,17 @@ Monomial = tuple  # the public form: exponents of x_1..x_k, trailing zeros trimm
 _BITS = 16  # width of one exponent field
 _MAX_EXP = (1 << _BITS) - 1  # the largest exponent, and the degree field's mask
 _FIELD_TYPE = "H"  # memoryview format of one unsigned _BITS-bit field
+_K = 64  # x_1.._K keep field i; this covers every slot variable
+
+# The field of each variable above x_K, given the first time it is packed
+# and never changed, so a packed value stays valid for the life of the
+# process.  Both maps grow under the lock; _INDEX_OF is appended to before
+# _FIELD_OF publishes the new field.
+_FIELD_OF: dict[int, int] = {}  # index above _K -> its field
+_INDEX_OF: list[int] = []  # the index of field _K + 1 + n, at position n
+_FIELD_LOCK = threading.Lock()
+_in_index_order = True  # whether field order above _K is still index order
+_LOW_SIZE = (_K + 1) * (_BITS // 8)  # bytes of the degree field and x_1..x_K
 
 
 def _trim(seq: Sequence[int]) -> tuple:
@@ -137,9 +162,31 @@ def _check_degree(degree: int) -> None:
         )
 
 
+def _field(i: int) -> int:
+    """The field of x_i: i itself up to _K, else from the table."""
+    global _in_index_order
+    if i <= _K:
+        return i
+    f = _FIELD_OF.get(i)
+    if f is None:
+        with _FIELD_LOCK:
+            f = _FIELD_OF.get(i)
+            if f is None:
+                if _INDEX_OF and i < _INDEX_OF[-1]:
+                    _in_index_order = False
+                _INDEX_OF.append(i)
+                f = _FIELD_OF[i] = _K + len(_INDEX_OF)
+    return f
+
+
+def _index(f: int) -> int:
+    """The variable index of field f."""
+    return f if f <= _K else _INDEX_OF[f - _K - 1]
+
+
 def _unit(i: int) -> int:
-    """The packed monomial x_i: a one in field i and in the degree field."""
-    return (1 << _BITS * i) | 1
+    """The packed monomial x_i: a one in x_i's field and in the degree field."""
+    return (1 << _BITS * (i if i <= _K else _field(i))) | 1
 
 
 def _pack(exps: Sequence[int]) -> int:
@@ -149,9 +196,13 @@ def _pack(exps: Sequence[int]) -> int:
     degree = sum(exps)
     _check_degree(degree)
     m = 0
-    for e in reversed(exps):
+    for e in reversed(exps[:_K]):
         m = m << _BITS | e
-    return m << _BITS | degree
+    m = m << _BITS | degree
+    for i in range(_K, len(exps)):
+        if exps[i]:
+            m |= exps[i] << _BITS * _field(i + 1)
+    return m
 
 
 def _unpack(m: int) -> Monomial:
@@ -159,7 +210,18 @@ def _unpack(m: int) -> Monomial:
     size = -(-m.bit_length() // _BITS) * (_BITS // 8)
     # native byte order, so that each field reads as one native integer
     fields = tuple(memoryview(m.to_bytes(size, sys.byteorder)).cast(_FIELD_TYPE))
-    return fields[1:] if sys.byteorder == "little" else fields[-2::-1]
+    if sys.byteorder != "little":
+        fields = fields[::-1]  # fields[f] is field f
+    if size <= _LOW_SIZE:
+        return fields[1:]
+    exps = list(fields[1 : _K + 1])
+    for n, e in enumerate(fields[_K + 1 :]):
+        if e:
+            i = _INDEX_OF[n]
+            if i > len(exps):
+                exps.extend([0] * (i - len(exps)))
+            exps[i - 1] = e
+    return _trim(exps)
 
 
 def _degree(terms) -> int:
@@ -169,8 +231,15 @@ def _degree(terms) -> int:
 
 def _leading(terms) -> int:
     """The grlex-largest of a nonempty collection of packed monomials: the
-    highest degree, then the larger exponent in the lowest field where two
-    monomials differ (x_1 major)."""
+    highest degree, then the larger exponent of the lowest-indexed variable
+    where two monomials differ (x_1 major).
+
+    Up to x_K and while the table is in index order, the lowest field that
+    differs is that variable; otherwise the differing fields are looked up.
+    """
+    # the monomials exist, so their fields were given before this read;
+    # a lowest differing field above this shift is looked up
+    mixed = sys.maxsize if _in_index_order else _K * _BITS
     it = iter(terms)
     best = next(it)
     top = best & _MAX_EXP
@@ -182,6 +251,8 @@ def _leading(terms) -> int:
             continue
         diff = m ^ best  # its lowest set bit lies in the lowest field that differs
         shift = ((diff & -diff).bit_length() - 1) // _BITS * _BITS
+        if shift > mixed:
+            shift = min(_occupied(diff), key=_index) * _BITS
         if m >> shift & _MAX_EXP > best >> shift & _MAX_EXP:
             best = m
     return best
@@ -263,8 +334,11 @@ class Polynomial:
         return _degree(self._terms)
 
     def max_var(self) -> int:
-        # The monomial with the highest variable is the largest int.
-        return max(0, (max(self._terms, default=0).bit_length() - 1) // _BITS)
+        # The largest int holds the highest field; up to x_K that is the index.
+        top = (max(self._terms, default=0).bit_length() - 1) // _BITS
+        if top <= _K:
+            return max(0, top)
+        return max(map(_index, _occupied(reduce(or_, self._terms))))
 
     def leading_monomial(self) -> Monomial:
         if not self._terms:
@@ -281,6 +355,10 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({dict(self.terms)!r})"
+
+    def __reduce__(self):
+        # a field above x_K means something only under this process's table
+        raise TypeError("packed polynomials are not picklable; use rf_to_json")
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -362,6 +440,10 @@ class Polynomial:
         """Rename every variable x_i to x_{i+k}."""
         if k == 0 or not self._terms:
             return self
+        if self.max_var() + k > _K:  # some x_{i+k} has a field from the table
+            fields = _occupied(reduce(or_, self._terms))
+            lins = {f: [(_unit(_index(f) + k), 1)] for f in fields}
+            return Polynomial(_rename(self._terms, lins))
         bits = _BITS * k
         out: dict = {}
         for m, c in self._terms.items():
@@ -382,8 +464,12 @@ class Polynomial:
             raise ValueError(
                 f"polynomial uses x_{width} but only {len(forms)} forms given"
             )
-        lins = [_linear_terms(f.coeffs) for f in forms[:width]]
-        if all(len(lin) <= 1 for lin in lins):
+        if width <= _K:
+            fields = range(1, width + 1)
+        else:
+            fields = _occupied(reduce(or_, self._terms))
+        lins = {f: _linear_terms(forms[_index(f) - 1].coeffs) for f in fields}
+        if all(len(lin) <= 1 for lin in lins.values()):
             return Polynomial(_rename(self._terms, lins))
         return Polynomial(_horner(self._terms, lins))
 
@@ -408,7 +494,7 @@ class Polynomial:
             return _POLY_ZERO
         j = form.leading_var()
         c = form.coeffs[j - 1]
-        bits = _BITS * j
+        bits = _BITS * _field(j)
         unit = _unit(j)
         neg_rest = [(u, -fc) for u, fc in _linear_terms(form.coeffs) if u != unit]
         # bucket by x_j exponent, storing monomials with x_j removed
@@ -484,13 +570,16 @@ def _mul_form(terms: dict, lin: list, out: dict | None = None) -> dict:
     return out
 
 
-def _rename(terms: dict, lins: list) -> dict:
-    """Substitute ``c*x_j`` or 0 for each variable: one monomial per term."""
+def _rename(terms: dict, lins: dict) -> dict:
+    """Substitute ``c*x_j`` or 0 for each variable: one monomial per term.
+
+    ``lins[f]`` is the linear terms put in for the variable of field f.
+    """
     out: dict = {}
     for m, c in terms.items():
         key = m & _MAX_EXP  # a renaming keeps the degree
-        rest = m >> _BITS  # the exponents of x_1, x_2, ... in its low fields
-        i = 0
+        rest = m >> _BITS  # fields 1, 2, ... in its low bits
+        i = 1
         while rest:
             e = rest & _MAX_EXP
             if e:
@@ -512,23 +601,24 @@ def _rename(terms: dict, lins: list) -> dict:
     return out
 
 
-def _horner(terms: dict, lins: list) -> dict:
-    """Substitute ``lins[i]`` for x_{i+1} by Horner in the last variable.
+def _horner(terms: dict, lins: dict) -> dict:
+    """Substitute ``lins[f]`` for the variable of field f by Horner in the
+    variable of the top field.
 
-    With ``P = sum_k P_k(x_1..x_{n-1}) x_n^k`` and ``L = lins[n-1]``,
+    With ``P = sum_k P_k x_n^k``, x_n that variable, and ``L = lins[n]``,
     ``P(lins) = (..(P_d(lins) L + P_{d-1}(lins)) L + ..) L + P_0(lins)``;
     each ``P_k`` is substituted the same way in one variable fewer.
     """
-    n = (max(terms, default=0).bit_length() - 1) // _BITS  # the last variable
+    n = (max(terms, default=0).bit_length() - 1) // _BITS  # the top field
     if n <= 0:
         return dict(terms)
     bits = _BITS * n
-    unit = _unit(n)
+    unit = (1 << bits) | 1
     levels: dict[int, dict] = {}
     for m, c in terms.items():
-        e = m >> bits  # field n is the top field
+        e = m >> bits
         levels.setdefault(e, {})[m - e * unit] = c
-    lin = lins[n - 1]
+    lin = lins[n]
     if not lin:  # x_n -> 0 keeps only P_0
         return _horner(levels.get(0, {}), lins)
     top = max(levels)
@@ -1050,9 +1140,9 @@ def one_over_forms(*forms: LinearForm) -> RationalFunction:
 
 
 def _occupied(m: int) -> list:
-    """The indices i of the nonzero fields x_i of a packed monomial (or of
-    the bitwise or of several), in increasing order; only the nonzero fields
-    are visited, however high the indices."""
+    """The nonzero variable fields of a packed monomial (or of the bitwise
+    or of several), in increasing order; only the nonzero fields are
+    visited, however many lie between them."""
     out = []
     m >>= _BITS
     i = 0
@@ -1070,12 +1160,13 @@ def _sorted_terms(p: Polynomial) -> tuple[list, list]:
     first.
 
     Only the occupied fields are read: an opaque symbol x_1000 would cost a
-    thousand entries in a full exponent tuple.  (degree, exponents) still
-    compares under grlex with x_1 major, since the fields left out are 0 in
-    every term.
+    thousand entries in a full exponent tuple.  They are read in index
+    order, so (degree, exponents) compares under grlex with x_1 major; the
+    fields left out are 0 in every term.
     """
-    indices = _occupied(reduce(or_, p._terms, 0))
-    shifts = [_BITS * i for i in indices]
+    fields = sorted(_occupied(reduce(or_, p._terms, 0)), key=_index)
+    indices = [_index(f) for f in fields]
+    shifts = [_BITS * f for f in fields]
     terms = [
         (m & _MAX_EXP, tuple([m >> s & _MAX_EXP for s in shifts]), c)
         for m, c in p._terms.items()
@@ -1095,29 +1186,41 @@ def monomial_str(names: Sequence[str], exps: Sequence[int]) -> str:
     return "*".join(parts) or "1"
 
 
-def poly_str(p: Polynomial, var: str = "x") -> str:
-    if p.is_zero():
-        return "0"
+def _signed_sum(pieces: Iterable[tuple[str, int]]) -> str:
+    """Join (text of a term without its sign, coefficient) pairs into
+    ``a + b - c``; "0" when there are none."""
     out = []
-    indices, terms = _sorted_terms(p)
-    names = [f"{var}{i}" for i in indices]
-    for _, exps, c in terms:
-        mono = monomial_str(names, exps)
-        if mono == "1":
-            piece = str(abs(c))
-        elif abs(c) == 1:
-            piece = mono
-        else:
-            piece = f"{abs(c)}*{mono}"
+    for piece, c in pieces:
         if not out:
             out.append(piece if c > 0 else f"-{piece}")
         else:
             out.append(f"+ {piece}" if c > 0 else f"- {piece}")
-    return " ".join(out)
+    return " ".join(out) or "0"
+
+
+def _term_str(c: int, mono: str, times: str, one: str) -> str:
+    """A term's text without its sign; ``one`` is the text of monomial 1."""
+    if mono == one:
+        return str(abs(c))
+    return mono if abs(c) == 1 else f"{abs(c)}{times}{mono}"
+
+
+def poly_str(p: Polynomial, var: str = "x") -> str:
+    indices, terms = _sorted_terms(p)
+    names = [f"{var}{i}" for i in indices]
+    return _signed_sum(
+        (_term_str(c, monomial_str(names, exps), "*", "1"), c) for _, exps, c in terms
+    )
 
 
 def form_str(f: LinearForm, var: str = "x") -> str:
-    return poly_str(f.as_polynomial(), var) if not f.is_zero() else "0"
+    """A linear form's text, read from its coefficients: its terms are in
+    increasing index order, which is grlex order."""
+    return _signed_sum(
+        (_term_str(c, f"{var}{i}", "*", "1"), c)
+        for i, c in enumerate(f.coeffs, start=1)
+        if c
+    )
 
 
 def rf_str(r: RationalFunction, var: str = "x") -> str:
@@ -1151,24 +1254,20 @@ def monomial_latex(names: Sequence[str], exps: Sequence[int]) -> str:
 
 
 def poly_latex(p: Polynomial, var: str = "x") -> str:
-    if p.is_zero():
-        return "0"
-    out = []
     indices, terms = _sorted_terms(p)
     names = [f"{var}_{{{i}}}" for i in indices]
-    for _, exps, c in terms:
-        mono = monomial_latex(names, exps)
-        if not mono:
-            piece = str(abs(c))
-        elif abs(c) == 1:
-            piece = mono
-        else:
-            piece = f"{abs(c)} {mono}"
-        if not out:
-            out.append(piece if c > 0 else f"-{piece}")
-        else:
-            out.append(f"+ {piece}" if c > 0 else f"- {piece}")
-    return " ".join(out)
+    return _signed_sum(
+        (_term_str(c, monomial_latex(names, exps), " ", ""), c) for _, exps, c in terms
+    )
+
+
+def form_latex(f: LinearForm, var: str = "x") -> str:
+    """A linear form's LaTeX, read from its coefficients as in ``form_str``."""
+    return _signed_sum(
+        (_term_str(c, f"{var}_{{{i}}}", " ", ""), c)
+        for i, c in enumerate(f.coeffs, start=1)
+        if c
+    )
 
 
 def rf_latex(r: RationalFunction, var: str = "x") -> str:
@@ -1183,7 +1282,7 @@ def rf_latex(r: RationalFunction, var: str = "x") -> str:
         return sign + num
     den_parts = [] if q == 1 else [str(q)]
     for f, m in r.denominator:
-        factor = poly_latex(f.as_polynomial(), var)
+        factor = form_latex(f, var)
         if len(f.coeffs) - f.coeffs.count(0) > 1 or m > 1:
             factor = f"\\left({factor}\\right)"
         if m > 1:

@@ -7,7 +7,10 @@ become rational functions in the slot variables and these symbols, and
 equality of the canonical forms proves the identity generically.
 
 Symbols are allocated from a registry; indices start high enough that they
-never collide with slot variables.  Values built from opaque moulds are
+never collide with slot variables.  The base costs nothing: an index above
+the kernel's slot range takes the next free exponent field of the packed
+monomials (see ``algebra``), so x_1001 is one field, not a thousand.
+Values built from opaque moulds are
 only ever combined by ring operations, never substituted into, so the
 symbols behave exactly like constants.
 """

@@ -343,15 +343,16 @@ def verify_comparison_theorem(
     sig = sigma_c(n) if sigma is None else sigma
     lum = luma(n) if luma_mould is None else luma_mould
     diff = sig - lum
+    Ds = {(a, b): D_ab(a, b) for a, b in _correction_pairs(n)}
     weighted = Mould.zero(3)
-    for a, b in _correction_pairs(n):
+    for (a, b), D in Ds.items():
         coeff = (
             bernoulli(2 * a)
             * bernoulli(2 * b)
             / (24 * b * bernoulli(2 * n))
             * comb(2 * n, 2 * a)
         )
-        weighted = weighted + D_ab(a, b) * coeff
+        weighted = weighted + D * coeff
     for m in range(4):
         checks.append(
             _check(
@@ -360,8 +361,7 @@ def verify_comparison_theorem(
                 diff.components[m] - weighted.components[m],
             )
         )
-    for a, b in _correction_pairs(n):
-        D = D_ab(a, b)
+    for (a, b), D in Ds.items():
         for m in (1, 2):
             checks.append(
                 _check(f"D_{a},{b}^({m}) == 0", m, D.components[m])

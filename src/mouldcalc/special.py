@@ -30,7 +30,15 @@ from .algebra import (
     rf_sum,
 )
 from .flexions import adari, invgari, lazy_leng, lazy_neg
-from .moulds import LazyMould, Mould, _materialize, _require_ari, lazy_mu, sum_form
+from .moulds import (
+    LazyMould,
+    Mould,
+    _materialize,
+    _require_ari,
+    canonical_word,
+    lazy_mu,
+    sum_form,
+)
 
 __all__ = [
     "bernoulli",
@@ -221,18 +229,26 @@ def sang_expanded(M: Mould) -> Mould:
     -(x_2+..+x_d).  Agreement with the compositional sang is a test, not an
     assumption.
     """
+    return Mould(_sang_expanded_components(M))
+
+
+def _sang_expanded_components(M) -> list[RationalFunction]:
+    """The components of ``sang_expanded(M)``, depth 0 to ``M.depth``.
+
+    M is read only through ``eval_word``, so it may be opaque: on an opaque
+    depth-1 mould the result proves the expansion for every such mould.
+    """
     for m in range(M.depth + 1):
-        if m != 1 and not M.components[m].is_zero():
+        if m != 1 and not M.eval_word(canonical_word(m)).is_zero():
             raise UnsupportedInputError(
                 "expanded singulator needs a depth-1-supported mould"
             )
-    f = M.components[1]
     d_max = M.depth
     pj = paj(d_max)
     mp = mupaj(d_max)
 
     def f_at(form: LinearForm) -> RationalFunction:
-        return f.substitute((form,))
+        return M.eval_word((form,))
 
     comps = [RationalFunction.zero()]
     for d in range(1, d_max + 1):
@@ -263,7 +279,7 @@ def sang_expanded(M: Mould) -> Mould:
                 term = term * mp.components[d - i].shift(i)
                 terms.append(term.div_linear(whole))
         comps.append(rf_sum(terms) * Fraction(1, 2))
-    return Mould(comps)
+    return comps
 
 
 def slang(r: int, A: Mould) -> Mould:

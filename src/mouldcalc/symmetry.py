@@ -208,11 +208,22 @@ def _shuffle_sum(
     return rf_sum(terms + list(extra))
 
 
+def _require_shuffle_sums(what: str, depth: int) -> None:
+    """Refuse depths below 2: there is no shuffle sum there, so a decider
+    would pass vacuously."""
+    if depth < 2:
+        raise ValueError(
+            f"{what} needs depth 2 or more: there is no shuffle sum below it"
+        )
+
+
 def is_alternal(M: Mould) -> SymmetryReport:
-    """All shuffle sums with p, q >= 1 vanish; requires M^0 = 0.
+    """All shuffle sums with p, q >= 1 vanish; requires M^0 = 0 and depth
+    at least 2 (ValueError below it).
 
     Only the cells with p <= q are evaluated (see the module docstring).
     """
+    _require_shuffle_sums("is_alternal", M.depth)
     if not M.components[0].is_zero():
         return SymmetryReport(False, M.depth, 0, 0, M.components[0])
     for total in range(2, M.depth + 1):
@@ -225,10 +236,12 @@ def is_alternal(M: Mould) -> SymmetryReport:
 
 
 def is_symmetral(S: Mould) -> SymmetryReport:
-    """Shuffle sums factor multiplicatively; requires S^0 = 1.
+    """Shuffle sums factor multiplicatively; requires S^0 = 1 and depth at
+    least 2 (ValueError below it).
 
     Only the cells with p <= q are evaluated (see the module docstring).
     """
+    _require_shuffle_sums("is_symmetral", S.depth)
     c0 = S.components[0]
     if not (c0.is_constant() and not c0.is_zero() and c0.constant_value() == 1):
         return SymmetryReport(False, S.depth, 0, 0, c0 - RationalFunction.one())

@@ -56,7 +56,13 @@ from .solutions import (
     verify_psi_odd_theorem,
 )
 from .special import dupal, lazy_sang, lazy_slang, pal, sa, sang, sang_expanded
-from .symmetry import is_alternal, is_symmetral, is_alternal_via_sh, is_symmetral_via_sh
+from .symmetry import (
+    _require_shuffle_sums,
+    is_alternal,
+    is_alternal_via_sh,
+    is_symmetral,
+    is_symmetral_via_sh,
+)
 
 __all__ = [
     "run_claim",
@@ -465,24 +471,15 @@ def claim_comparison(n: int = 2) -> dict:
     return verify_comparison_theorem(n)
 
 
-def _require_shuffle_sums(claim: str, depth: int) -> None:
-    """Refuse a symmetry claim below depth 2, where no shuffle sum exists
-    and the decider would pass vacuously."""
-    if depth < 2:
-        raise ValueError(
-            f"claim {claim!r} needs depth 2 or more: there is no shuffle sum below it"
-        )
-
-
 def claim_pal_symmetral(depth: int = 5) -> dict:
-    _require_shuffle_sums("pal-symmetral", depth)
+    _require_shuffle_sums("claim 'pal-symmetral'", depth)
     p = pal(depth)
     cross = is_symmetral_via_sh(p.truncate(min(depth, 4)))
     return _symmetry_report(f"pal symmetral to depth {depth}", is_symmetral(p), cross)
 
 
 def claim_dupal_alternal(depth: int = 6) -> dict:
-    _require_shuffle_sums("dupal-alternal", depth)
+    _require_shuffle_sums("claim 'dupal-alternal'", depth)
     d = dupal(depth)
     cross = is_alternal_via_sh(d.truncate(min(depth, 4)))
     return _symmetry_report(f"dupal alternal to depth {depth}", is_alternal(d), cross)

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +59,7 @@ from helpers import (
 
 x1, x2, x3 = x_var(1), x_var(2), x_var(3)
 ONE = RationalFunction.one()
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def poly(d):
@@ -607,21 +615,21 @@ def test_products_and_sums_skip_forms_that_cannot_cancel(monkeypatch):
 _MIXED = (1, 2, 3, 7, 1000, 1001, 1013)
 
 
-def sparse_poly(rng, nterms=5, maxexp=3):
+def sparse_poly(rng, nterms=5, maxexp=3, pool=_MIXED):
     d = {}
     for _ in range(nterms):
         exps: dict = {}
         for _ in range(rng.randint(0, 3)):
-            i = rng.choice(_MIXED)
+            i = rng.choice(pool)
             exps[i] = exps.get(i, 0) + rng.randint(1, maxexp)
         width = max(exps, default=0)
         d[tuple(exps.get(i, 0) for i in range(1, width + 1))] = rng.randint(-5, 5)
     return poly(d)
 
 
-def sparse_form(rng, nterms=3):
-    coeffs = [0] * max(_MIXED)
-    for i in rng.sample(_MIXED, rng.randint(1, nterms)):
+def sparse_form(rng, nterms=3, pool=_MIXED):
+    coeffs = [0] * max(pool)
+    for i in rng.sample(pool, rng.randint(1, nterms)):
         coeffs[i - 1] = rng.choice([-2, -1, 1, 2, 3])
     return LinearForm(coeffs)
 
@@ -721,6 +729,151 @@ def test_exponent_field_boundary_raises_never_wraps():
 
 
 # ---------------------------------------------------------------------------
+# the field table: variables above x_K get fields in order of first use
+# ---------------------------------------------------------------------------
+
+
+def fresh_indices(n):
+    """The n lowest indices above x_K that have no field yet."""
+    free = (i for i in itertools.count(algebra._K + 1) if i not in algebra._FIELD_OF)
+    return list(itertools.islice(free, n))
+
+
+def run_fresh(script: str, *args: str) -> str:
+    """Standard output of ``script`` run in a fresh interpreter, whose field
+    table holds only what the script packs."""
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_fields_given_out_of_index_order_keep_grlex_on_indices():
+    a, b, c = fresh_indices(3)
+    for i in (c, a, b):  # x_c gets its field first
+        Polynomial.variable(i)
+    assert algebra._field(c) < algebra._field(a) < algebra._field(b)
+    pool = (1, 2, 3, a, b, c)
+    rng = random.Random("out-of-order")
+    for _ in range(40):
+        p = sparse_poly(rng, pool=pool)
+        if p.is_zero():
+            continue
+        lead = max(p.terms, key=lambda m: (sum(m), m))
+        assert p.leading_monomial() == lead
+        sign, prim = p.content_sign_primitive()
+        assert prim.terms[lead] > 0 and prim * sign == p
+        assert_renders_like_tuples(p)
+        k = rng.randint(1, 3)
+        assert dict(p.shift(k).terms) == {
+            ((0,) * k + m if m else m): v for m, v in p.terms.items()
+        }
+        forms = [LinearForm.zero()] * p.max_var()
+        for i in (i for i in pool if i <= len(forms)):
+            forms[i - 1] = sparse_form(rng, nterms=2, pool=pool)
+        assert dict(p.compose(forms).terms) == compose_via_tuples(p, forms)
+        q = sparse_poly(rng, pool=pool)
+        assert dict((p * q).terms) == mul_via_tuples(p, q)
+        form = sparse_form(rng, pool=pool)
+        num = p.mul_linear(form)
+        assert dict(num.try_div_linear(form).terms) == try_div_linear_via_tuples(num, form)
+    # x_a^2 leads x_c^2 by index, though x_c's field is the lower one
+    sq = poly({(0,) * (c - 1) + (2,): 1, (0,) * (a - 1) + (2,): -1})
+    assert sq.leading_monomial() == (0,) * (a - 1) + (2,)
+    assert sq.content_sign_primitive()[0] == -1
+    r = rf(1, sq, [(LinearForm((1,) + (0,) * (c - 2) + (-2,)), 1)])
+    assert rf_str(r) == f"(-1)*(x{a}^2 - x{c}^2)/[(x1 - 2*x{c})]"
+    assert rf_latex(r) == (
+        f"-\\frac{{x_{{{a}}}^{{2}} - x_{{{c}}}^{{2}}}}"
+        f"{{\\left(x_{{1}} - 2 x_{{{c}}}\\right)}}"
+    )
+    assert rf_from_json(rf_to_json(r)) == r
+
+
+_HISTORY = """
+import json, sys
+from mouldcalc.algebra import Polynomial, RationalFunction, rf_latex, rf_str, rf_sum
+from mouldcalc.algebra import rf_to_json, x_var
+
+order = [int(i) for i in sys.argv[1:]]
+for i in order:
+    Polynomial.variable(i)
+a, b, c = sorted(order)
+X = lambda i: RationalFunction.make(1, Polynomial.variable(i))
+r = rf_sum([X(c) * X(c), -(X(a) * X(a)) * 3, X(b).div_linear(x_var(1) + x_var(2))])
+print(rf_str(r), rf_latex(r), json.dumps(rf_to_json(r)), sep="\\n")
+"""
+
+
+def test_output_does_not_depend_on_the_order_fields_were_given():
+    forward = run_fresh(_HISTORY, "5001", "5002", "5003")
+    assert forward == run_fresh(_HISTORY, "5003", "5001", "5002")
+    # -3 x1 x_a^2 leads: x_a is the lowest index where it and x1 x_c^2 differ
+    assert forward.startswith("(-1)*(3*x1*x5001^2 ")
+
+
+def test_high_index_monomial_packs_into_a_few_fields():
+    script = (
+        "from mouldcalc.algebra import Polynomial, _BITS, _K, poly_latex, poly_str\n"
+        "p = Polynomial.variable(10**6) * Polynomial.variable(10**6 + 1)\n"
+        "(m,) = p._terms\n"
+        "print(m.bit_length() <= (_K + 3) * _BITS, poly_str(p), poly_latex(p))\n"
+    )
+    assert run_fresh(script) == "True x1000000*x1000001 x_{1000000} x_{1000001}\n"
+
+
+def test_exponent_field_boundary_raises_for_high_fields_too():
+    top = _MAX_EXP
+    a, b = fresh_indices(2)
+    high = poly({(0,) * (a - 1) + (top - 5,): 1})
+    assert (high * poly({(0,) * (b - 1) + (5,): 2})).terms == {
+        (0,) * (a - 1) + (top - 5,) + (0,) * (b - a - 1) + (5,): 2
+    }
+    with pytest.raises(ExponentOverflowError):
+        high * poly({(0,) * (b - 1) + (6,): 1})
+    with pytest.raises(ExponentOverflowError):
+        poly({(0,) * (b - 1) + (top + 1,): 1})
+    near = poly({(0,) * (a - 1) + (top - 1,): 1})
+    assert near.mul_linear(LinearForm.variable(b)).degree() == top
+    with pytest.raises(ExponentOverflowError):
+        near.mul_linear(LinearForm.variable(b)).mul_linear(LinearForm.variable(a))
+
+
+def test_field_table_grows_consistently_under_threads():
+    indices = fresh_indices(300)
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda k=k: [algebra._field(i) for i in indices[k::2] + indices])
+            for k in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(before)
+    fields = [algebra._FIELD_OF[i] for i in indices]
+    assert len(set(fields)) == len(indices)
+    assert all(algebra._index(f) == i for f, i in zip(fields, indices))
+
+
+def test_packed_polynomials_are_not_pickled():
+    with pytest.raises(TypeError):
+        pickle.dumps(Polynomial.variable(1))
+    with pytest.raises(TypeError):
+        pickle.dumps(rf(1, Polynomial.variable(2), [(x1, 1)]))
+
+
+# ---------------------------------------------------------------------------
 # rendering and JSON
 # ---------------------------------------------------------------------------
 
@@ -740,27 +893,43 @@ def test_json_round_trip_random(seed):
     assert rf_from_json(rf_to_json(f)) == f
 
 
+def assert_renders_like_tuples(p):
+    """Term order, monomial text and JSON exponent lists of ``p`` match the
+    full exponent tuples."""
+    indices, got = algebra._sorted_terms(p)
+    want = sorted_terms_via_tuples(p)
+    assert [t[2] for t in got] == [c for _, c in want]
+    json_rows = rf_to_json(RationalFunction.make(1, p))["numerator"]
+    assert [row[0] for row in json_rows] == [list(m) for m, _ in want]
+    for var in ("x", "y"):
+        names = [f"{var}{i}" for i in indices]
+        assert [algebra.monomial_str(names, e) for _, e, _ in got] == [
+            monomial_str_via_tuple(m, var) for m, _ in want
+        ]
+        names = [f"{var}_{{{i}}}" for i in indices]
+        assert [algebra.monomial_latex(names, e) for _, e, _ in got] == [
+            monomial_latex_via_tuple(m, var) for m, _ in want
+        ]
+
+
 def test_rendering_from_occupied_fields_matches_full_exponent_tuples():
-    # term order, monomial text and JSON exponent lists, on slot variables
-    # mixed with opaque-symbol indices and on the first few variables alone
+    # on slot variables mixed with opaque-symbol indices and on the first
+    # few variables alone
     rng = random.Random("render")
     polys = [sparse_poly(rng, nterms=8, maxexp=300) for _ in range(60)]
     polys += [random_rf(rng, nvars=4).numerator for _ in range(60)]  # few variables
     for p in polys:
-        indices, got = algebra._sorted_terms(p)
-        want = sorted_terms_via_tuples(p)
-        assert [t[2] for t in got] == [c for _, c in want]
-        json_rows = rf_to_json(RationalFunction.make(1, p))["numerator"]
-        assert [row[0] for row in json_rows] == [list(m) for m, _ in want]
+        assert_renders_like_tuples(p)
+
+
+def test_forms_render_from_coefficients_as_polynomials_do():
+    rng = random.Random("forms")
+    forms = [sparse_form(rng, nterms=4) for _ in range(40)]
+    forms += [LinearForm([rng.choice([-3, -1, 0, 1, 2]) for _ in range(5)]) for _ in range(40)]
+    for f in forms:
         for var in ("x", "y"):
-            names = [f"{var}{i}" for i in indices]
-            assert [algebra.monomial_str(names, e) for _, e, _ in got] == [
-                monomial_str_via_tuple(m, var) for m, _ in want
-            ]
-            names = [f"{var}_{{{i}}}" for i in indices]
-            assert [algebra.monomial_latex(names, e) for _, e, _ in got] == [
-                monomial_latex_via_tuple(m, var) for m, _ in want
-            ]
+            assert algebra.form_str(f, var) == algebra.poly_str(f.as_polynomial(), var)
+            assert algebra.form_latex(f, var) == algebra.poly_latex(f.as_polynomial(), var)
 
 
 def test_render_plain_and_latex():

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import pytest
+
 from mouldcalc import verify
 from mouldcalc.algebra import RationalFunction, rf_from_json, x_var
 from mouldcalc.flexions import lazy_arit
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.moulds import canonical_word
-from mouldcalc.special import lazy_sang, lazy_slang
+from mouldcalc.special import (
+    UnsupportedInputError,
+    _sang_expanded_components,
+    lazy_sang,
+    lazy_slang,
+)
 from mouldcalc.verify import generic_expansion_checks, random_expansion_checks
 
 
@@ -46,6 +53,23 @@ def test_generic_slices_sum_to_singulator():
     w = canonical_word(2)
     total = lazy_slang(1, A).eval_word(w) + lazy_slang(2, A).eval_word(w)
     assert total == lazy_sang(A).eval_word(w)
+
+
+def test_sang_expansion_holds_for_every_depth1_mould():
+    # on an opaque depth-1-supported S the four-sum form and the
+    # compositional singulator agree as canonical forms at each depth 1..5,
+    # so the expansion holds for every depth-1-supported mould there
+    S = OpaqueMould(SymbolRegistry(), "S", 5, support=(1,))
+    L = lazy_sang(S)
+    got = _sang_expanded_components(S)
+    assert got == [L.eval_word(canonical_word(m)) for m in range(6)]
+    assert all(not c.is_zero() for c in got[1:])
+
+
+def test_sang_expansion_refuses_opaque_input_beyond_depth_1():
+    S = OpaqueMould(SymbolRegistry(), "S", 3, support=(1, 2))
+    with pytest.raises(UnsupportedInputError):
+        _sang_expanded_components(S)
 
 
 def test_wrong_display_is_caught():

@@ -270,6 +270,24 @@ def test_reports_serialize_to_json():
     assert '"status": "pass"' in blob
 
 
+def test_comparison_builds_each_discrepancy_mould_once(monkeypatch):
+    # D_ab is built once per pair for the weighted sum and checks (iii):
+    # at n = 3 that is 2 pairs and 4 slang calls, plus slang_1 in (i) and
+    # the 5 of luma (14 when each D_ab was built twice)
+    from mouldcalc import solutions
+
+    calls = []
+
+    def counting(r, A):
+        calls.append(r)
+        return slang(r, A)
+
+    monkeypatch.setattr(solutions, "slang", counting)
+    report = verify_comparison_theorem(3)
+    assert report["status"] == "pass"
+    assert len(calls) == 10
+
+
 def test_comparison_nonvacuous_at_n5():
     # at n = 5 the two polynomial families genuinely differ at depth 3
     # (the b = 4 discrepancy term survives), and the weighted D sum still

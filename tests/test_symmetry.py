@@ -150,6 +150,19 @@ def test_alternality_failure_witness():
     assert '"p": 1' in blob and '"q": 1' in blob
 
 
+def test_deciders_refuse_depths_without_a_shuffle_sum():
+    # below depth 2 there is no shuffle sum, so a pass would be vacuous
+    x1_7 = RationalFunction.make(1, Polynomial.from_dict({(7,): 1}))
+    for depth in (0, 1):
+        comps = [RationalFunction.zero(), x1_7][: depth + 1]
+        with pytest.raises(ValueError, match="is_alternal needs depth 2"):
+            is_alternal(Mould(comps))
+        with pytest.raises(ValueError, match="is_symmetral needs depth 2"):
+            is_symmetral(Mould([RationalFunction.one(), x1_7][: depth + 1]))
+    comps = [RationalFunction.zero(), x1_7, RationalFunction.zero()]
+    assert is_alternal(Mould(comps))
+
+
 def test_pal_symmetral_to_depth_5():
     assert is_symmetral(pal(5))
 
