@@ -104,8 +104,6 @@ __all__ = [
     "ZeroDenominatorError",
     "ExponentOverflowError",
     "x_var",
-    "rf_from_int",
-    "rf_from_fraction",
     "rf_monomial",
     "rf_sum",
     "one_over_forms",
@@ -1111,14 +1109,6 @@ def _lift_sum(summands: list, k: int, lins: list) -> dict:
     return out
 
 
-def rf_from_int(c: int) -> RationalFunction:
-    return RationalFunction.make(c, _POLY_ONE)
-
-
-def rf_from_fraction(c: Fraction | int) -> RationalFunction:
-    return RationalFunction.make(Fraction(c), _POLY_ONE)
-
-
 def rf_monomial(scalar, *var_exponents: tuple[int, int]) -> RationalFunction:
     """Build ``scalar * prod(x_i ** e)`` from (index, exponent) pairs."""
     mono: dict[int, int] = {}
@@ -1205,28 +1195,28 @@ def _term_str(c: int, mono: str, times: str, one: str) -> str:
     return mono if abs(c) == 1 else f"{abs(c)}{times}{mono}"
 
 
-def poly_str(p: Polynomial, var: str = "x") -> str:
+def poly_str(p: Polynomial) -> str:
     indices, terms = _sorted_terms(p)
-    names = [f"{var}{i}" for i in indices]
+    names = [f"x{i}" for i in indices]
     return _signed_sum(
         (_term_str(c, monomial_str(names, exps), "*", "1"), c) for _, exps, c in terms
     )
 
 
-def form_str(f: LinearForm, var: str = "x") -> str:
+def form_str(f: LinearForm) -> str:
     """A linear form's text, read from its coefficients: its terms are in
     increasing index order, which is grlex order."""
     return _signed_sum(
-        (_term_str(c, f"{var}{i}", "*", "1"), c)
+        (_term_str(c, f"x{i}", "*", "1"), c)
         for i, c in enumerate(f.coeffs, start=1)
         if c
     )
 
 
-def rf_str(r: RationalFunction, var: str = "x") -> str:
+def rf_str(r: RationalFunction) -> str:
     if r.scalar == 0:
         return "0"
-    num = poly_str(r.numerator, var)
+    num = poly_str(r.numerator)
     parts = []
     if r.scalar != 1:
         parts.append(f"({r.scalar})")
@@ -1236,7 +1226,7 @@ def rf_str(r: RationalFunction, var: str = "x") -> str:
     if not r.denominator:
         return head
     den = "*".join(
-        f"({form_str(f, var)})" + (f"^{m}" if m > 1 else "")
+        f"({form_str(f)})" + (f"^{m}" if m > 1 else "")
         for f, m in r.denominator
     )
     return f"{head}/[{den}]"
@@ -1253,36 +1243,36 @@ def monomial_latex(names: Sequence[str], exps: Sequence[int]) -> str:
     return " ".join(parts)
 
 
-def poly_latex(p: Polynomial, var: str = "x") -> str:
+def poly_latex(p: Polynomial) -> str:
     indices, terms = _sorted_terms(p)
-    names = [f"{var}_{{{i}}}" for i in indices]
+    names = [f"x_{{{i}}}" for i in indices]
     return _signed_sum(
         (_term_str(c, monomial_latex(names, exps), " ", ""), c) for _, exps, c in terms
     )
 
 
-def form_latex(f: LinearForm, var: str = "x") -> str:
+def form_latex(f: LinearForm) -> str:
     """A linear form's LaTeX, read from its coefficients as in ``form_str``."""
     return _signed_sum(
-        (_term_str(c, f"{var}_{{{i}}}", " ", ""), c)
+        (_term_str(c, f"x_{{{i}}}", " ", ""), c)
         for i, c in enumerate(f.coeffs, start=1)
         if c
     )
 
 
-def rf_latex(r: RationalFunction, var: str = "x") -> str:
+def rf_latex(r: RationalFunction) -> str:
     if r.scalar == 0:
         return "0"
     sign = "-" if r.scalar < 0 else ""
     p, q = abs(r.scalar.numerator), r.scalar.denominator
-    num = poly_latex(r.numerator, var)
+    num = poly_latex(r.numerator)
     if p != 1:
         num = f"{p} \\left({num}\\right)" if num != "1" else str(p)
     if not r.denominator and q == 1:
         return sign + num
     den_parts = [] if q == 1 else [str(q)]
     for f, m in r.denominator:
-        factor = form_latex(f, var)
+        factor = form_latex(f)
         if len(f.coeffs) - f.coeffs.count(0) > 1 or m > 1:
             factor = f"\\left({factor}\\right)"
         if m > 1:

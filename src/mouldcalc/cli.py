@@ -17,8 +17,9 @@ variable and uses each claim's own defaults.  Depths and ``verify --dmax``
 below 1 or above MAX_DEPTH are refused, as are compute depths above a
 target's own cap in ``TARGETS`` (6 for ``sang`` and ``slang``, whose depth 7
 runs for minutes without finishing), parameters a target or claim rejects
-(a ValueError from the library), targets whose total degree outgrows the
-kernel's exponent field, and claims that would run no check or would pass
+(a ValueError from the library), targets and claims whose total degree
+outgrows the kernel's exponent field, ``--out`` paths that cannot be
+written, and claims that would run no check or would pass
 vacuously (``pal-symmetral`` and ``dupal-alternal`` at depth 1, where no
 shuffle sum exists).
 Exit codes: 0 success, 1 verification failure, 2 usage error.
@@ -146,8 +147,11 @@ def render_mould(M: Mould, fmt: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc.strerror or exc}")
     else:
         print(text)
 
@@ -192,7 +196,7 @@ def _cmd_verify(args) -> int:
             _check_depth(params[key], f"--{key}")
     try:
         report = run_claim(args.claim, **params)
-    except ValueError as exc:
+    except (ValueError, ExponentOverflowError) as exc:
         raise UsageError(str(exc))
     _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
     return 0 if report["status"] == "pass" else 1

@@ -17,10 +17,8 @@ symbols behave exactly like constants.
 
 from __future__ import annotations
 
-
 from .algebra import Polynomial, RationalFunction
 from .moulds import Word
-from .algebra import form_str
 
 SYMBOL_BASE = 1000
 
@@ -33,7 +31,6 @@ class SymbolRegistry:
     def __init__(self, base: int = SYMBOL_BASE):
         self._base = base
         self._vars: dict[tuple, int] = {}
-        self._labels: dict[int, str] = {}
 
     def symbol(self, name: str, word: Word) -> RationalFunction:
         key = (name, word)
@@ -41,12 +38,7 @@ class SymbolRegistry:
         if idx is None:
             idx = self._base + len(self._vars) + 1
             self._vars[key] = idx
-            args = ", ".join(form_str(f) for f in word)
-            self._labels[idx] = f"{name}^{len(word)}({args})"
         return RationalFunction.make(1, Polynomial.variable(idx))
-
-    def label(self, index: int) -> str:
-        return self._labels.get(index, f"x{index}")
 
 
 class OpaqueMould:

@@ -12,8 +12,12 @@ exact symbolic identities:
   is the Bernoulli-weighted sum of the D_{a,b}, and each D_{a,b}^(3) is a
   polynomial.
 
-Verifiers return report dictionaries (claim, depth, status, residual?)
-rather than raising, so failures surface with their residuals.
+Verifiers return report dictionaries rather than raising, so failures
+surface with their residuals.  Every check goes through ``_check``: it
+passes when its residual is zero, and a failing check carries the residual
+as text and as JSON.  ``_compare`` makes one check per depth from two
+moulds; "D_{a,b}^(3) is a polynomial" has residual 0 when it is one and
+D_{a,b}^(3) when it is not.
 """
 
 from __future__ import annotations
@@ -147,18 +151,20 @@ def psi_minus1(d: int) -> RationalFunction:
     return rf_sum(parts)
 
 
+def _mould_of(component: Callable[[int], RationalFunction], depth: int) -> Mould:
+    """The mould with ``component(d)`` at depths 1..depth and 0 at depth 0."""
+    return Mould(
+        [RationalFunction.zero()] + [component(d) for d in range(1, depth + 1)]
+    )
+
+
 def psi_odd_mould(n: int, depth: int) -> Mould:
     """Components psi_{2n+1}^{(d)} for 1 <= d <= depth (0 at depth 0)."""
-    return Mould(
-        [RationalFunction.zero()]
-        + [psi_odd(n, d) for d in range(1, depth + 1)]
-    )
+    return _mould_of(lambda d: psi_odd(n, d), depth)
 
 
 def psi_minus1_mould(depth: int) -> Mould:
-    return Mould(
-        [RationalFunction.zero()] + [psi_minus1(d) for d in range(1, depth + 1)]
-    )
+    return _mould_of(psi_minus1, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +196,23 @@ def _correction_pairs(n: int) -> Iterator[tuple[int, int]]:
         yield a, n - a
 
 
+def _weight(n: int, a: int) -> Fraction:
+    """The Bernoulli weight B_2a B_2b / B_2n C(2n, 2a), b = n - a, shared by
+    the corrections of sigma_c and luma and by the weighted D sum."""
+    b = n - a
+    return bernoulli(2 * a) * bernoulli(2 * b) / bernoulli(2 * n) * comb(2 * n, 2 * a)
+
+
+def _ari_sa(a: int, b: int) -> Mould:
+    """ari(sa_{2a+1}, ari(sa_{2b+1}, sa_{-1})) below depth 4."""
+    return ari(sa(2 * a + 1, 3), ari(sa(2 * b + 1, 3), sa(-1, 3)))
+
+
+def _ari_slang(a: int, b: int) -> Mould:
+    """ari(slang_1(sa_{2a+1}), slang_2(sa_{2b})) below depth 4."""
+    return ari(slang(1, sa(2 * a + 1, 3)), slang(2, sa(2 * b, 3)))
+
+
 def sigma_c(n: int, correction_scale: Fraction | int = 1) -> Mould:
     """Canonical normalization below depth 4:
     xi_{2n+1} + sum_{a+b=n} (1/24b) (B_2a B_2b / B_2n) C(2n, 2a)
@@ -200,16 +223,8 @@ def sigma_c(n: int, correction_scale: Fraction | int = 1) -> Mould:
     """
     total = xi(n)
     for a, b in _correction_pairs(n):
-        coeff = (
-            Fraction(1, 24 * b)
-            * bernoulli(2 * a)
-            * bernoulli(2 * b)
-            / bernoulli(2 * n)
-            * comb(2 * n, 2 * a)
-            * Fraction(correction_scale)
-        )
-        inner = ari(sa(2 * b + 1, 3), sa(-1, 3))
-        total = total + ari(sa(2 * a + 1, 3), inner) * coeff
+        coeff = _weight(n, a) / (24 * b) * Fraction(correction_scale)
+        total = total + _ari_sa(a, b) * coeff
     return total
 
 
@@ -221,14 +236,7 @@ def luma(n: int) -> Mould:
         raise ValueError("need n >= 1")
     total = slang(1, sa(2 * n + 1, 3))
     for a, b in _correction_pairs(n):
-        coeff = (
-            Fraction(-1, 12)
-            * bernoulli(2 * a)
-            * bernoulli(2 * b)
-            / bernoulli(2 * n)
-            * comb(2 * n, 2 * a)
-        )
-        total = total + ari(slang(1, sa(2 * a + 1, 3)), slang(2, sa(2 * b, 3))) * coeff
+        total = total + _ari_slang(a, b) * (_weight(n, a) * Fraction(-1, 12))
     return total
 
 
@@ -237,9 +245,7 @@ def D_ab(a: int, b: int) -> Mould:
     + 2b ari(slang_1(sa_{2a+1}), slang_2(sa_{2b})); lives in depths >= 3."""
     if a < 1 or b < 1:
         raise ValueError("need a, b >= 1")
-    first = ari(sa(2 * a + 1, 3), ari(sa(2 * b + 1, 3), sa(-1, 3)))
-    second = ari(slang(1, sa(2 * a + 1, 3)), slang(2, sa(2 * b, 3)))
-    return first + second * (2 * b)
+    return _ari_sa(a, b) + _ari_slang(a, b) * (2 * b)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +262,13 @@ def _check(claim: str, depth: int, residual: RationalFunction) -> dict:
         report["residual"] = rf_str(residual)
         report["residual_json"] = rf_to_json(residual)
     return report
+
+
+def _compare(
+    label: Callable[[int], str], lhs: Mould, rhs: Mould, depths: Iterable[int]
+) -> list[dict]:
+    """One check per depth d, named ``label(d)``: lhs^(d) == rhs^(d)."""
+    return [_check(label(d), d, lhs.components[d] - rhs.components[d]) for d in depths]
 
 
 def _wrap(claim: str, checks: list[dict]) -> dict:
@@ -277,19 +290,12 @@ def verify_psi_odd_theorem(
     components here).
     """
     target = sang(sa(2 * n + 1, dmax))
-    psi = Mould(
-        [RationalFunction.zero()]
-        + [psi_components(n, d) for d in range(1, dmax + 1)]
+    checks = _compare(
+        lambda d: f"sharp(psi_{2*n+1})^({d}) == sang(sa_{2*n+1})^({d})",
+        sharp(_mould_of(lambda d: psi_components(n, d), dmax)),
+        target,
+        range(1, dmax + 1),
     )
-    transported = sharp(psi)
-    checks = [
-        _check(
-            f"sharp(psi_{2*n+1})^({d}) == sang(sa_{2*n+1})^({d})",
-            d,
-            transported.components[d] - target.components[d],
-        )
-        for d in range(1, dmax + 1)
-    ]
     return _wrap(f"psi-odd n={n}", checks)
 
 
@@ -299,80 +305,52 @@ def verify_psi_minus1_theorem(
 ) -> dict:
     """Check sharp(psi_{-1})^{(d)} = mu_log(paj)^{(d)} / (x_1+...+x_d)."""
     target = dur_unscale(mu_log(paj(dmax)))
-    psi = Mould(
-        [RationalFunction.zero()] + [psi_components(d) for d in range(1, dmax + 1)]
+    checks = _compare(
+        lambda d: f"sharp(psi_-1)^({d}) == mu_log(paj)^({d})/(x_1+..+x_{d})",
+        sharp(_mould_of(psi_components, dmax)),
+        target,
+        range(1, dmax + 1),
     )
-    transported = sharp(psi)
-    checks = [
-        _check(
-            f"sharp(psi_-1)^({d}) == mu_log(paj)^({d})/(x_1+..+x_{d})",
-            d,
-            transported.components[d] - target.components[d],
-        )
-        for d in range(1, dmax + 1)
-    ]
     return _wrap("psi-minus1", checks)
 
 
-def verify_comparison_theorem(
-    n: int,
-    sigma: Mould | None = None,
-    luma_mould: Mould | None = None,
-) -> dict:
+def verify_comparison_theorem(n: int, sigma: Mould | None = None) -> dict:
     """Depth-3 comparison of the two polynomial families.
 
     (i) xi_{2n+1} == slang_1(sa_{2n+1}) below depth 4;
     (ii) sigma^c - luma equals the Bernoulli-weighted sum of D_{a,b} below
     depth 4;
     (iii) each D_{a,b}^(3) in the sum is a polynomial (and depths 1, 2
-    vanish).
+    vanish); a failing polynomial check carries D_{a,b}^(3) as residual.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    checks = []
-    xi_n = xi(n)
-    sl1 = slang(1, sa(2 * n + 1, 3))
-    for m in range(4):
-        checks.append(
-            _check(
-                f"xi_{2*n+1}^({m}) == slang_1(sa_{2*n+1})^({m})",
-                m,
-                xi_n.components[m] - sl1.components[m],
-            )
-        )
-    sig = sigma_c(n) if sigma is None else sigma
-    lum = luma(n) if luma_mould is None else luma_mould
-    diff = sig - lum
+    checks = _compare(
+        lambda m: f"xi_{2*n+1}^({m}) == slang_1(sa_{2*n+1})^({m})",
+        xi(n),
+        slang(1, sa(2 * n + 1, 3)),
+        range(4),
+    )
+    diff = (sigma_c(n) if sigma is None else sigma) - luma(n)
     Ds = {(a, b): D_ab(a, b) for a, b in _correction_pairs(n)}
     weighted = Mould.zero(3)
     for (a, b), D in Ds.items():
-        coeff = (
-            bernoulli(2 * a)
-            * bernoulli(2 * b)
-            / (24 * b * bernoulli(2 * n))
-            * comb(2 * n, 2 * a)
-        )
-        weighted = weighted + D * coeff
-    for m in range(4):
+        weighted = weighted + D * (_weight(n, a) / (24 * b))
+    checks += _compare(
+        lambda m: f"(sigma_c - luma)^({m}) == weighted D sum, n={n}",
+        diff,
+        weighted,
+        range(4),
+    )
+    zero = Mould.zero(3)
+    for (a, b), D in Ds.items():
+        checks += _compare(lambda m: f"D_{a},{b}^({m}) == 0", D, zero, (1, 2))
+        D3 = D.components[3]
         checks.append(
             _check(
-                f"(sigma_c - luma)^({m}) == weighted D sum, n={n}",
-                m,
-                diff.components[m] - weighted.components[m],
+                f"D_{a},{b}^(3) is a polynomial",
+                3,
+                RationalFunction.zero() if D3.is_polynomial() else D3,
             )
         )
-    for (a, b), D in Ds.items():
-        for m in (1, 2):
-            checks.append(
-                _check(f"D_{a},{b}^({m}) == 0", m, D.components[m])
-            )
-        poly_ok = D.components[3].is_polynomial()
-        report = {
-            "claim": f"D_{a},{b}^(3) is a polynomial",
-            "depth": 3,
-            "status": "pass" if poly_ok else "fail",
-        }
-        if not poly_ok:
-            report["residual"] = rf_str(D.components[3])
-        checks.append(report)
     return _wrap(f"comparison n={n}", checks)

@@ -217,22 +217,33 @@ def _require_shuffle_sums(what: str, depth: int) -> None:
         )
 
 
+def _decide(
+    M: Mould, what: str, unit: RationalFunction, factor: bool
+) -> SymmetryReport:
+    """The first failing cell of ``M``: depth 0 unless M^0 = ``unit``, else
+    the first cell (p, q) with p <= q whose shuffle sum, minus
+    M^p(x_1..x_p) M^q(x_{p+1}..x_{p+q}) when ``factor``, is nonzero."""
+    _require_shuffle_sums(what, M.depth)
+    residual = M.components[0] - unit
+    if not residual.is_zero():
+        return SymmetryReport(False, M.depth, 0, 0, residual)
+    for total in range(2, M.depth + 1):
+        for p in range(1, total // 2 + 1):
+            q = total - p
+            extra = (-(M.components[p] * M.components[q].shift(p)),) if factor else ()
+            residual = _shuffle_sum(M, p, q, *extra)
+            if not residual.is_zero():
+                return SymmetryReport(False, M.depth, p, q, residual)
+    return SymmetryReport(True, M.depth)
+
+
 def is_alternal(M: Mould) -> SymmetryReport:
     """All shuffle sums with p, q >= 1 vanish; requires M^0 = 0 and depth
     at least 2 (ValueError below it).
 
     Only the cells with p <= q are evaluated (see the module docstring).
     """
-    _require_shuffle_sums("is_alternal", M.depth)
-    if not M.components[0].is_zero():
-        return SymmetryReport(False, M.depth, 0, 0, M.components[0])
-    for total in range(2, M.depth + 1):
-        for p in range(1, total // 2 + 1):
-            q = total - p
-            residual = _shuffle_sum(M, p, q)
-            if not residual.is_zero():
-                return SymmetryReport(False, M.depth, p, q, residual)
-    return SymmetryReport(True, M.depth)
+    return _decide(M, "is_alternal", RationalFunction.zero(), factor=False)
 
 
 def is_symmetral(S: Mould) -> SymmetryReport:
@@ -241,18 +252,7 @@ def is_symmetral(S: Mould) -> SymmetryReport:
 
     Only the cells with p <= q are evaluated (see the module docstring).
     """
-    _require_shuffle_sums("is_symmetral", S.depth)
-    c0 = S.components[0]
-    if not (c0.is_constant() and not c0.is_zero() and c0.constant_value() == 1):
-        return SymmetryReport(False, S.depth, 0, 0, c0 - RationalFunction.one())
-    for total in range(2, S.depth + 1):
-        for p in range(1, total // 2 + 1):
-            q = total - p
-            product = S.components[p] * S.components[q].shift(p)
-            residual = _shuffle_sum(S, p, q, -product)
-            if not residual.is_zero():
-                return SymmetryReport(False, S.depth, p, q, residual)
-    return SymmetryReport(True, S.depth)
+    return _decide(S, "is_symmetral", RationalFunction.one(), factor=True)
 
 
 def is_alternal_via_sh(M: Mould) -> bool:

@@ -15,8 +15,11 @@ unnoticed.  The concrete rounds also check the eager ``arit``, ``gari``,
 ``expari`` and ``adari`` at their top depth; each of those materializes
 its lazy twin at the canonical words.  The named claims drive these checks
 plus the theorem verifiers from the solutions module; every claim returns a
-report dict {claim, status, checks: [{claim, depth, status, residual?,
-residual_json?}]}, the residuals present on failing checks.
+report dict {claim, status, checks: [{claim, depth, status, ...}]}.  Checks
+are made by the solutions module's ``_check`` and ``_compare``, so a failing
+check carries ``residual`` and ``residual_json``; the two symmetry claims
+share one body, whose failing shuffle-sum check carries ``residual`` and
+the decider's ``witness`` instead.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .generic import OpaqueMould, SymbolRegistry
 from .moulds import Mould, canonical_word
 from .solutions import (
     _check,
+    _compare,
     _wrap,
     verify_comparison_theorem,
     verify_psi_minus1_theorem,
@@ -440,16 +444,24 @@ def random_expansion_checks(seed: int = 2024, rounds: int = 2) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _symmetry_report(claim: str, report, cross_ok: bool) -> dict:
+def _symmetry_claim(name: str, build, decide, cross_check, depth: int) -> dict:
+    """Claim ``name`` on ``build(depth)``: the shuffle-sum decision
+    ``decide``, whose failing check carries the residual and the witness,
+    and the dimould characterization ``cross_check`` up to depth 4."""
+    _require_shuffle_sums(f"claim {name!r}", depth)
+    M = build(depth)
+    claim = f"{name.replace('-', ' ')} to depth {depth}"
+    report = decide(M)
+    cross_ok = cross_check(M.truncate(min(depth, 4)))
     checks = [
         {
             "claim": f"{claim} (shuffle sums)",
-            "depth": report.depth,
+            "depth": depth,
             "status": "pass" if report.ok else "fail",
         },
         {
             "claim": f"{claim} (dimould characterization)",
-            "depth": report.depth,
+            "depth": depth,
             "status": "pass" if cross_ok else "fail",
         },
     ]
@@ -472,32 +484,22 @@ def claim_comparison(n: int = 2) -> dict:
 
 
 def claim_pal_symmetral(depth: int = 5) -> dict:
-    _require_shuffle_sums("claim 'pal-symmetral'", depth)
-    p = pal(depth)
-    cross = is_symmetral_via_sh(p.truncate(min(depth, 4)))
-    return _symmetry_report(f"pal symmetral to depth {depth}", is_symmetral(p), cross)
+    return _symmetry_claim("pal-symmetral", pal, is_symmetral, is_symmetral_via_sh, depth)
 
 
 def claim_dupal_alternal(depth: int = 6) -> dict:
-    _require_shuffle_sums("claim 'dupal-alternal'", depth)
-    d = dupal(depth)
-    cross = is_alternal_via_sh(d.truncate(min(depth, 4)))
-    return _symmetry_report(f"dupal alternal to depth {depth}", is_alternal(d), cross)
+    return _symmetry_claim("dupal-alternal", dupal, is_alternal, is_alternal_via_sh, depth)
 
 
 def claim_sang_expansion(depth: int = 4) -> dict:
     checks = []
     for s in (3, 5):
-        compositional = sang(sa(s, depth))
-        expanded = sang_expanded(sa(s, depth))
-        for m in range(depth + 1):
-            checks.append(
-                _check(
-                    f"sang(sa_{s}) composition == four-sum expansion, depth {m}",
-                    m,
-                    compositional.components[m] - expanded.components[m],
-                )
-            )
+        checks += _compare(
+            lambda m: f"sang(sa_{s}) composition == four-sum expansion, depth {m}",
+            sang(sa(s, depth)),
+            sang_expanded(sa(s, depth)),
+            range(depth + 1),
+        )
     return _wrap(f"sang-expansion to depth {depth}", checks)
 
 

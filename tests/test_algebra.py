@@ -927,9 +927,8 @@ def test_forms_render_from_coefficients_as_polynomials_do():
     forms = [sparse_form(rng, nterms=4) for _ in range(40)]
     forms += [LinearForm([rng.choice([-3, -1, 0, 1, 2]) for _ in range(5)]) for _ in range(40)]
     for f in forms:
-        for var in ("x", "y"):
-            assert algebra.form_str(f, var) == algebra.poly_str(f.as_polynomial(), var)
-            assert algebra.form_latex(f, var) == algebra.poly_latex(f.as_polynomial(), var)
+        assert algebra.form_str(f) == algebra.poly_str(f.as_polynomial())
+        assert algebra.form_latex(f) == algebra.poly_latex(f.as_polynomial())
 
 
 def test_render_plain_and_latex():

@@ -115,6 +115,8 @@ def test_verify_pass_exit_zero(capsys):
         ("compute", "slang:0:sa:3"),
         ("verify", "comparison", "--n", "0"),
         ("compute", "sa:70000"),  # degree 69999 outgrows the exponent field
+        ("verify", "psi-odd", "--n", "40000", "--dmax", "1"),  # degree 80000
+        ("verify", "comparison", "--n", "40000"),
         ("verify", "pal-symmetral", "--depth", "1"),  # no shuffle sum below depth 2
         ("verify", "dupal-alternal", "--depth", "1"),
     ],
@@ -140,6 +142,21 @@ def test_verify_depth_bounds_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "pal", "--depth", "2"),
+        ("verify", "psi-odd", "--dmax", "2"),
+    ],
+)
+def test_unwritable_out_path_exits_2_with_one_line(capsys, tmp_path, argv):
+    path = str(tmp_path / "missing" / "report.txt")
+    code, out, err = run(capsys, *argv, "--out", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path!r}: ") and err.count("\n") == 1
 
 
 def test_claim_without_checks_is_refused():

@@ -223,6 +223,18 @@ def test_symmetrality_requires_unit():
     assert not is_symmetral(Mould.zero(3))
 
 
+@pytest.mark.parametrize(
+    "decider, c0, residual", [(is_alternal, 3, 3), (is_symmetral, 0, -1), (is_symmetral, 2, 1)]
+)
+def test_wrong_empty_word_value_fails_at_cell_0_0(decider, c0, residual):
+    # M^0 must be 0 for alternality and 1 for symmetrality; the residual is
+    # M^0 minus that value
+    const = lambda c: RationalFunction.make(c, Polynomial.one())
+    report = decider(Mould([const(c0), RationalFunction.zero(), RationalFunction.zero()]))
+    assert (report.ok, report.p, report.q) == (False, 0, 0)
+    assert report.residual == const(residual)
+
+
 def test_characterizations_agree_random():
     rng = random.Random(9)
     for _ in range(4):
