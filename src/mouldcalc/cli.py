@@ -10,18 +10,17 @@ Subcommands:
 * ``render FILE``     - re-render a mould JSON file deterministically.
 * ``examples``        - shorthand for ``verify examples-section1``.
 
-The default ``compute`` depth is 4, overridable with --depth or the
-MOULDCALC_DEPTH environment variable; the families xi, sigma_c, luma and D
-are defined below depth 4, so they stop at depth 3.  ``verify`` ignores the
-variable and uses each claim's own defaults.  Depths and ``verify --dmax``
-below 1 or above MAX_DEPTH are refused, as are compute depths above a
-target's own cap in ``TARGETS`` (6 for ``sang`` and ``slang``, whose depth 7
-runs for minutes without finishing), parameters a target or claim rejects
-(a ValueError from the library), targets and claims whose total degree
-outgrows the kernel's exponent field, ``--out`` paths that cannot be
-written, and claims that would run no check or would pass
-vacuously (``pal-symmetral`` and ``dupal-alternal`` at depth 1, where no
-shuffle sum exists).
+The default ``compute`` depth is 4, overridable with --depth; the families
+xi, sigma_c, luma and D are defined below depth 4, so they stop at depth 3.
+``verify`` uses each claim's own defaults.  Depths and ``verify --dmax``
+below 1 or above MAX_DEPTH are refused, as are parameters a target or claim
+rejects (a ValueError from the library: among them the singulator above
+depth 7 and psi-minus1 above dmax 7, whose cost the library bounds),
+targets and claims whose total degree outgrows the kernel's exponent field,
+``--out`` paths that cannot be written, and claims that would run no check
+or would pass vacuously (``pal-symmetral`` and ``dupal-alternal`` at depth
+1, where no shuffle sum exists, and ``sang-expansion`` at depth 0).  A
+closed stdout ends the output quietly with the command's own exit code.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -48,16 +47,6 @@ class UsageError(Exception):
     pass
 
 
-def _default_depth() -> int:
-    env = os.environ.get("MOULDCALC_DEPTH")
-    if env is None:
-        return 4
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"MOULDCALC_DEPTH must be an integer, got {env!r}")
-
-
 def _parse_int(token: str, what: str) -> int:
     try:
         return int(token)
@@ -79,28 +68,26 @@ def _psi_target(depth: int, k: int) -> Mould:
 
 
 # Compute targets: ``:``-separated patterns, a name followed by tokens of
-# which the upper-case ones stand for integers, each with a builder and the
-# largest depth the target admits.  A builder takes the depth and those
-# integers in order.  Patterns are tried in order, so the literal ``psi:-1``
-# comes before ``psi:K``.  Builders look their functions up when called, so
-# a rebinding of the module names reaches them.  The compositional singulator
-# behind sang and slang does not finish depth 7 within minutes, and grows past
-# 500 MB trying, so those two stop at depth 6.
-TARGETS: dict[str, tuple[Callable[..., Mould], int]] = {
-    "paj": (lambda depth: paj(depth), MAX_DEPTH),
-    "mupaj": (lambda depth: mupaj(depth), MAX_DEPTH),
-    "dupal": (lambda depth: dupal(depth), MAX_DEPTH),
-    "pal": (lambda depth: pal(depth), MAX_DEPTH),
-    "dur": (lambda depth: dur(depth), MAX_DEPTH),
-    "sa:S": (lambda depth, s: sa(s, depth), MAX_DEPTH),
-    "sang:sa:S": (lambda depth, s: sang(sa(s, depth)), 6),
-    "slang:R:sa:S": (lambda depth, r, s: slang(r, sa(s, depth)), 6),
-    "psi:-1": (lambda depth: psi_minus1_mould(depth), MAX_DEPTH),
-    "psi:K": (lambda depth, k: _psi_target(depth, k), MAX_DEPTH),
-    "xi:N": (lambda depth, n: xi(n).truncate(depth), MAX_DEPTH),
-    "sigma_c:N": (lambda depth, n: sigma_c(n).truncate(depth), MAX_DEPTH),
-    "luma:N": (lambda depth, n: luma(n).truncate(depth), MAX_DEPTH),
-    "D:A:B": (lambda depth, a, b: D_ab(a, b).truncate(depth), MAX_DEPTH),
+# which the upper-case ones stand for integers, each mapped to its builder.
+# A builder takes the depth and those integers in order.  Patterns are tried
+# in order, so the literal ``psi:-1`` comes before ``psi:K``.  Builders look
+# their functions up when called, so a rebinding of the module names reaches
+# them.
+TARGETS: dict[str, Callable[..., Mould]] = {
+    "paj": lambda depth: paj(depth),
+    "mupaj": lambda depth: mupaj(depth),
+    "dupal": lambda depth: dupal(depth),
+    "pal": lambda depth: pal(depth),
+    "dur": lambda depth: dur(depth),
+    "sa:S": lambda depth, s: sa(s, depth),
+    "sang:sa:S": lambda depth, s: sang(sa(s, depth)),
+    "slang:R:sa:S": lambda depth, r, s: slang(r, sa(s, depth)),
+    "psi:-1": lambda depth: psi_minus1_mould(depth),
+    "psi:K": lambda depth, k: _psi_target(depth, k),
+    "xi:N": lambda depth, n: xi(n).truncate(depth),
+    "sigma_c:N": lambda depth, n: sigma_c(n).truncate(depth),
+    "luma:N": lambda depth, n: luma(n).truncate(depth),
+    "D:A:B": lambda depth, a, b: D_ab(a, b).truncate(depth),
 }
 
 
@@ -122,13 +109,9 @@ def _match(pattern: str, parts: list[str]) -> list[int] | None:
 def build_target(target: str, depth: int) -> Mould:
     """Resolve a compute target name to a mould at the given depth."""
     parts = target.split(":")
-    for pattern, (builder, max_depth) in TARGETS.items():
+    for pattern, builder in TARGETS.items():
         ints = _match(pattern, parts)
         if ints is not None:
-            if depth > max_depth:
-                raise UsageError(
-                    f"depth {depth} exceeds the maximum {max_depth} of target {pattern}"
-                )
             return builder(depth, *ints)
     raise UsageError(f"unknown target {target!r}; choose from {', '.join(TARGETS)}")
 
@@ -153,14 +136,18 @@ def _emit(text: str, out: str | None) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write {out!r}: {exc.strerror or exc}")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout (``| head``): the output ends here, and
+            # devnull takes the interpreter's final flush, which would raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_compute(args) -> int:
-    depth = args.depth if args.depth is not None else _default_depth()
-    _check_depth(depth, "depth")
+    _check_depth(args.depth, "depth")
     try:
-        M = build_target(args.target, depth)
+        M = build_target(args.target, args.depth)
     except (ValueError, ExponentOverflowError) as exc:
         raise UsageError(str(exc))
     _emit(render_mould(M, args.format), args.out)
@@ -240,14 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "target",
         help=f"one of {', '.join(TARGETS)}; upper-case letters after the name "
         "stand for integers; xi, sigma_c, luma and D are defined below depth 4, "
-        "so they stop at depth 3; "
-        + "; ".join(
-            f"{pattern} admits depth {cap} at most"
-            for pattern, (_, cap) in TARGETS.items()
-            if cap < MAX_DEPTH
-        ),
+        "so they stop at depth 3",
     )
-    c.add_argument("--depth", type=int, default=None)
+    c.add_argument("--depth", type=int, default=4)
     c.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
     c.add_argument("--out", default=None)
     c.set_defaults(fn=_cmd_compute)

@@ -6,8 +6,10 @@ canonically normalized sigma^c_{2n+1}, luma_{2n+1} (all modulo depth >= 4),
 and the depth-3 discrepancy moulds D_{a,b}.  Verifier routines check, as
 exact symbolic identities:
 
-* sharp(psi_{2n+1}) equals the singulator value sang(sa_{2n+1});
-* sharp(psi_{-1}) equals mu-log(paj) divided by x_1 + ... + x_d;
+* sharp(psi_{2n+1}) equals the singulator value sang(sa_{2n+1}), up to
+  the singulator's depth limit ``special.SANG_MAX_DEPTH``;
+* sharp(psi_{-1}) equals mu-log(paj) divided by x_1 + ... + x_d, up to
+  ``PSI_MINUS1_MAX_DMAX``: mu_log(paj) does not finish depth 8 in 600 s;
 * xi_{2n+1} agrees with slang_1(sa_{2n+1}) below depth 4, sigma^c - luma
   is the Bernoulli-weighted sum of the D_{a,b}, and each D_{a,b}^(3) is a
   polynomial.
@@ -17,7 +19,8 @@ surface with their residuals.  Every check goes through ``_check``: it
 passes when its residual is zero, and a failing check carries the residual
 as text and as JSON.  ``_compare`` makes one check per depth from two
 moulds; "D_{a,b}^(3) is a polynomial" has residual 0 when it is one and
-D_{a,b}^(3) when it is not.
+D_{a,b}^(3) when it is not.  A depth beyond a limit is refused with
+ValueError before any work.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ __all__ = [
     "verify_psi_minus1_theorem",
     "verify_comparison_theorem",
 ]
+
+PSI_MINUS1_MAX_DMAX = 7
 
 
 def _x(i: int) -> LinearForm:
@@ -304,6 +309,8 @@ def verify_psi_minus1_theorem(
     psi_components: Callable[[int], RationalFunction] = psi_minus1,
 ) -> dict:
     """Check sharp(psi_{-1})^{(d)} = mu_log(paj)^{(d)} / (x_1+...+x_d)."""
+    if dmax > PSI_MINUS1_MAX_DMAX:
+        raise ValueError(f"psi-minus1 dmax {dmax} exceeds the maximum {PSI_MINUS1_MAX_DMAX}")
     target = dur_unscale(mu_log(paj(dmax)))
     checks = _compare(
         lambda d: f"sharp(psi_-1)^({d}) == mu_log(paj)^({d})/(x_1+..+x_{d})",

@@ -492,6 +492,8 @@ def claim_dupal_alternal(depth: int = 6) -> dict:
 
 
 def claim_sang_expansion(depth: int = 4) -> dict:
+    if depth < 1:
+        raise ValueError("claim 'sang-expansion' needs depth 1 or more: both sides are 0 below it")
     checks = []
     for s in (3, 5):
         checks += _compare(

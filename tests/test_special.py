@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from mouldcalc import special
 from mouldcalc.algebra import (
     Polynomial,
     RationalFunction,
@@ -19,6 +20,8 @@ from mouldcalc.special import (
     UnsupportedInputError,
     bernoulli,
     dupal,
+    lazy_sang,
+    lazy_slang,
     mupaj,
     paj,
     pal,
@@ -219,6 +222,17 @@ def test_sang_requires_zero_constant():
 
     with pytest.raises(NotDefinedError):
         sang(Mould.unit(2))
+
+
+def test_singulator_admits_depth_7_and_refuses_depth_8(monkeypatch):
+    lazy_sang(sa(3, 7))
+    # building the slicer solves invgari(pal(7)), about 30 s; only the depth
+    # check is under test, so any gari mould stands in for the inverse
+    monkeypatch.setattr(special, "invgari", lambda p: p)
+    lazy_slang(1, sa(3, 7))
+    for build in (lazy_sang, sang, lambda A: slang(1, A), slang_split):
+        with pytest.raises(ValueError, match="singulator depth 8 exceeds the maximum 7"):
+            build(sa(3, 8))
 
 
 def test_sang_expanded_agrees_with_compositional():
