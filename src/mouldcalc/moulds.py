@@ -265,7 +265,10 @@ class LazyMould:
 
 
 def _materialize(L) -> Mould:
-    """The concrete mould of a lazy one: its values at the canonical words."""
+    """The concrete mould of a lazy one: its values at the canonical words.
+    A concrete mould is its own."""
+    if isinstance(L, Mould):
+        return L
     return Mould.from_word_function(L.depth, L.eval_word)
 
 

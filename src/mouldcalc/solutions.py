@@ -213,9 +213,15 @@ def _ari_sa(a: int, b: int) -> Mould:
     return ari(sa(2 * a + 1, 3), ari(sa(2 * b + 1, 3), sa(-1, 3)))
 
 
-def _ari_slang(a: int, b: int) -> Mould:
-    """ari(slang_1(sa_{2a+1}), slang_2(sa_{2b})) below depth 4."""
-    return ari(slang(1, sa(2 * a + 1, 3)), slang(2, sa(2 * b, 3)))
+def _slang_sa(r: int, s: int) -> Mould:
+    """slang_r(sa_s) below depth 4, the slice every polynomial family reads."""
+    return slang(r, sa(s, 3))
+
+
+def _ari_slang(a: int, b: int, slice_: Callable[[int, int], Mould]) -> Mould:
+    """ari(slang_1(sa_{2a+1}), slang_2(sa_{2b})) below depth 4, with
+    ``slice_(r, s)`` giving slang_r(sa_s)."""
+    return ari(slice_(1, 2 * a + 1), slice_(2, 2 * b))
 
 
 def sigma_c(n: int, correction_scale: Fraction | int = 1) -> Mould:
@@ -239,9 +245,13 @@ def luma(n: int) -> Mould:
     ari(slang_1(sa_{2a+1}), slang_2(sa_{2b}))."""
     if n < 1:
         raise ValueError("need n >= 1")
-    total = slang(1, sa(2 * n + 1, 3))
+    return _luma(n, _slang_sa)
+
+
+def _luma(n: int, slice_: Callable[[int, int], Mould]) -> Mould:
+    total = slice_(1, 2 * n + 1)
     for a, b in _correction_pairs(n):
-        total = total + _ari_slang(a, b) * (_weight(n, a) * Fraction(-1, 12))
+        total = total + _ari_slang(a, b, slice_) * (_weight(n, a) * Fraction(-1, 12))
     return total
 
 
@@ -250,7 +260,11 @@ def D_ab(a: int, b: int) -> Mould:
     + 2b ari(slang_1(sa_{2a+1}), slang_2(sa_{2b})); lives in depths >= 3."""
     if a < 1 or b < 1:
         raise ValueError("need a, b >= 1")
-    return _ari_sa(a, b) + _ari_slang(a, b) * (2 * b)
+    return _D_ab(a, b, _slang_sa)
+
+
+def _D_ab(a: int, b: int, slice_: Callable[[int, int], Mould]) -> Mould:
+    return _ari_sa(a, b) + _ari_slang(a, b, slice_) * (2 * b)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +305,11 @@ def verify_psi_odd_theorem(
 ) -> dict:
     """Check sharp(psi_{2n+1})^{(d)} = sang(sa_{2n+1})^{(d)} for d <= dmax.
 
-    ``psi_components`` may be overridden (negative controls inject mutated
-    components here).
+    ``sang`` takes the four-sum expansion up to
+    ``special.SANG_EXPANSION_DEPTH``, where the tier-1 suite proves it equal
+    to the compositional singulator for every depth-1-supported mould, and
+    the compositional ``lazy_sang`` above it.  ``psi_components`` may be
+    overridden (negative controls inject mutated components here).
     """
     target = sang(sa(2 * n + 1, dmax))
     checks = _compare(
@@ -332,14 +349,23 @@ def verify_comparison_theorem(n: int, sigma: Mould | None = None) -> dict:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    # each distinct slice is built once per call: (i), luma and the D_{a,b}
+    # share them, and nothing outlives the call
+    slices: dict[tuple[int, int], Mould] = {}
+
+    def slice_(r: int, s: int) -> Mould:
+        if (r, s) not in slices:
+            slices[r, s] = _slang_sa(r, s)
+        return slices[r, s]
+
     checks = _compare(
         lambda m: f"xi_{2*n+1}^({m}) == slang_1(sa_{2*n+1})^({m})",
         xi(n),
-        slang(1, sa(2 * n + 1, 3)),
+        slice_(1, 2 * n + 1),
         range(4),
     )
-    diff = (sigma_c(n) if sigma is None else sigma) - luma(n)
-    Ds = {(a, b): D_ab(a, b) for a, b in _correction_pairs(n)}
+    diff = (sigma_c(n) if sigma is None else sigma) - _luma(n, slice_)
+    Ds = {(a, b): _D_ab(a, b, slice_) for a, b in _correction_pairs(n)}
     weighted = Mould.zero(3)
     for (a, b), D in Ds.items():
         weighted = weighted + D * (_weight(n, a) / (24 * b))

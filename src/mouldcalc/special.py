@@ -11,10 +11,21 @@ The singulator and its slices follow the flexion layer's single path:
 with ``depth`` and ``eval_word`` (concrete or opaque), and ``sang``,
 ``slang`` and ``slang_split`` check their input and materialize them.  The
 conjugations go through ``adari``, whose operator leaves a lazy argument
-lazy; pal's inverse is solved once, by ``invgari``, as a concrete mould.
-``lazy_sang``, where every singulator path starts, refuses a depth above
-``SANG_MAX_DEPTH`` with ValueError before any work: ``sang(sa_3)`` takes
-about 166 s and 483 MB at depth 7 and does not finish in 600 s at depth 8.
+lazy.  Pal's gari inverse is solved eagerly once, by ``invgari``, and then
+again lazily inside each of the two ``adari`` operators of a slicer:
+``adari(invgari(pal))`` solves the inverse of that inverse (pal itself) and
+``adari(pal)`` solves pal's inverse anew.
+
+``sang`` and the slicer's inner singulator take the four-sum expansion
+``sang_expanded`` for concrete depth-1-supported input up to
+``SANG_EXPANSION_DEPTH``, the depth at which the opaque-symbol proof of the
+tier-1 suite (``tests/test_identities.py``) shows it equal to ``lazy_sang``
+for every such input; above that depth, and on any other input, they take
+``lazy_sang``, which stays the oracle of the expansion.  So every depth
+above ``SANG_EXPANSION_DEPTH`` reaches ``lazy_sang``, which refuses a depth
+above ``SANG_MAX_DEPTH`` with ValueError before any work: ``sang(sa_3)``
+takes about 166 s and 483 MB at depth 7 and does not finish in 600 s at
+depth 8.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from .algebra import (
     rf_monomial,
     rf_sum,
 )
-from .flexions import adari, invgari, lazy_leng, lazy_neg
+from .flexions import adari, invgari, lazy_adari, lazy_leng, lazy_neg
 from .moulds import (
     LazyMould,
     Mould,
@@ -61,6 +72,9 @@ __all__ = [
 ]
 
 SANG_MAX_DEPTH = 7
+# the depth up to which tests/test_identities.py proves sang_expanded equal
+# to lazy_sang on an opaque depth-1-supported mould; raise it with the proof
+SANG_EXPANSION_DEPTH = 5
 
 
 class UnsupportedInputError(ValueError):
@@ -207,13 +221,31 @@ def lazy_sang(M) -> LazyMould:
     return LazyMould(d, lambda w: (B.eval_word(w) + C.eval_word(w)) * half)
 
 
+def _singulator(M):
+    """sang(M) by the proven rule: the four-sum expansion for a concrete
+    depth-1-supported M up to ``SANG_EXPANSION_DEPTH``, and otherwise
+    ``lazy_sang(M)``, which refuses a depth above ``SANG_MAX_DEPTH``.
+
+    An opaque M takes ``lazy_sang``: the expansion's components hold its
+    symbols, which a substituted word cannot reach, so they make no mould.
+    """
+    if (
+        isinstance(M, Mould)
+        and M.depth <= SANG_EXPANSION_DEPTH
+        and _is_depth1_supported(M)
+    ):
+        return sang_expanded(M)
+    return lazy_sang(M)
+
+
 def _lazy_slicer(A):
     """r -> slang_r(A); the slices share pal's conjugations and the inner
-    mould adari(pal)^{-1} . sang(A)."""
-    singulator = lazy_sang(A)  # checks the depth before pal is solved
+    mould adari(pal)^{-1} . sang(A), which stays lazy (a slice reads only
+    its own depth of it) even where the singulator is concrete."""
+    singulator = _singulator(A)  # checks the depth before pal is solved
     p = pal(A.depth)
     conj = adari(p)
-    inner = adari(invgari(p))(singulator)
+    inner = lazy_adari(invgari(p))(singulator)
     return lambda r: conj(lazy_leng(r, inner))
 
 
@@ -223,9 +255,10 @@ def lazy_slang(r: int, A) -> LazyMould:
 
 
 def sang(M: Mould) -> Mould:
-    """Singulator: (1/2)(id + neg . adari(paj)) (mupaj x M x paj)."""
+    """Singulator: (1/2)(id + neg . adari(paj)) (mupaj x M x paj), through
+    the four-sum expansion where it is proven equal (see ``_singulator``)."""
     _require_ari(M, "sang")
-    return _materialize(lazy_sang(M))
+    return _materialize(_singulator(M))
 
 
 def sang_expanded(M: Mould) -> Mould:
@@ -240,17 +273,23 @@ def sang_expanded(M: Mould) -> Mould:
     return Mould(_sang_expanded_components(M))
 
 
+def _is_depth1_supported(M) -> bool:
+    return all(
+        m == 1 or M.eval_word(canonical_word(m)).is_zero()
+        for m in range(M.depth + 1)
+    )
+
+
 def _sang_expanded_components(M) -> list[RationalFunction]:
     """The components of ``sang_expanded(M)``, depth 0 to ``M.depth``.
 
     M is read only through ``eval_word``, so it may be opaque: on an opaque
     depth-1 mould the result proves the expansion for every such mould.
     """
-    for m in range(M.depth + 1):
-        if m != 1 and not M.eval_word(canonical_word(m)).is_zero():
-            raise UnsupportedInputError(
-                "expanded singulator needs a depth-1-supported mould"
-            )
+    if not _is_depth1_supported(M):
+        raise UnsupportedInputError(
+            "expanded singulator needs a depth-1-supported mould"
+        )
     d_max = M.depth
     pj = paj(d_max)
     mp = mupaj(d_max)

@@ -50,7 +50,7 @@ from .flexions import (
     lazy_preari,
 )
 from .generic import OpaqueMould, SymbolRegistry
-from .moulds import Mould, canonical_word
+from .moulds import Mould, _materialize, canonical_word
 from .solutions import (
     _check,
     _compare,
@@ -59,7 +59,7 @@ from .solutions import (
     verify_psi_minus1_theorem,
     verify_psi_odd_theorem,
 )
-from .special import dupal, lazy_sang, lazy_slang, pal, sa, sang, sang_expanded
+from .special import dupal, lazy_sang, lazy_slang, pal, sa, sang_expanded
 from .symmetry import (
     _require_shuffle_sums,
     is_alternal,
@@ -496,9 +496,10 @@ def claim_sang_expansion(depth: int = 4) -> dict:
         raise ValueError("claim 'sang-expansion' needs depth 1 or more: both sides are 0 below it")
     checks = []
     for s in (3, 5):
+        # the composition is lazy_sang's: sang itself takes the expansion
         checks += _compare(
             lambda m: f"sang(sa_{s}) composition == four-sum expansion, depth {m}",
-            sang(sa(s, depth)),
+            _materialize(lazy_sang(sa(s, depth))),
             sang_expanded(sa(s, depth)),
             range(depth + 1),
         )

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from mouldcalc.cli import MAX_DEPTH, TARGETS, build_target, main
-from mouldcalc.moulds import mould_from_json, mould_to_json
-from mouldcalc.special import pal
+from mouldcalc.cli import MAX_DEPTH, TARGETS, build_target, main, render_mould
+from mouldcalc.flexions import adari, invgari, lazy_adari, lazy_leng
+from mouldcalc.moulds import _materialize, mould_from_json, mould_to_json
+from mouldcalc.special import lazy_sang, pal, sa
 from mouldcalc.verify import run_claim
 
 
@@ -128,6 +129,35 @@ def test_closed_stdout_keeps_the_exit_status(argv):
         os.close(write)
     assert done.returncode == 0
     assert done.stderr == ""
+
+
+def _lazy_slicer_oracle(r, A):
+    # the slicer with the compositional lazy_sang as its inner singulator
+    p = pal(A.depth)
+    inner = lazy_adari(invgari(p))(lazy_sang(A))
+    return _materialize(adari(p)(lazy_leng(r, inner)))
+
+
+@pytest.mark.parametrize(
+    "argv, oracle",
+    [
+        (("sang:sa:3", "--depth", "5", "--format", "json"), lambda: _materialize(lazy_sang(sa(3, 5)))),
+        (("slang:1:sa:3", "--depth", "4"), lambda: _lazy_slicer_oracle(1, sa(3, 4))),
+        # slang_1 reads only the singulator's depth 1; slang_3 reads depth 3
+        (
+            ("slang:3:sa:3", "--depth", "4", "--format", "latex"),
+            lambda: _lazy_slicer_oracle(3, sa(3, 4)),
+        ),
+    ],
+    ids=["sang-json", "slang-plain", "slang3-latex"],
+)
+def test_singulator_output_is_the_lazy_oracles(argv, oracle):
+    # sang takes the four-sum expansion at these depths; what `mouldcalc
+    # compute` prints must not change by a byte
+    done = run_process("compute", *argv, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    fmt = argv[-1] if "--format" in argv else "plain"
+    assert done.stdout == render_mould(oracle(), fmt) + "\n"
 
 
 def test_verify_pass_exit_zero(capsys):

@@ -10,6 +10,7 @@ from mouldcalc.flexions import lazy_arit
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.moulds import canonical_word
 from mouldcalc.special import (
+    SANG_EXPANSION_DEPTH,
     UnsupportedInputError,
     _sang_expanded_components,
     lazy_sang,
@@ -55,14 +56,25 @@ def test_generic_slices_sum_to_singulator():
     assert total == lazy_sang(A).eval_word(w)
 
 
+def test_generic_slices_of_depth1_input_sum_to_singulator():
+    # an opaque depth-1-supported input must not reach the four-sum
+    # expansion inside the slicer: its symbols make no concrete mould
+    A = OpaqueMould(SymbolRegistry(), "A", 3, support=(1,))
+    w = canonical_word(3)
+    total = sum((lazy_slang(r, A).eval_word(w) for r in (1, 2, 3)), RationalFunction.zero())
+    assert total == lazy_sang(A).eval_word(w)
+
+
 def test_sang_expansion_holds_for_every_depth1_mould():
     # on an opaque depth-1-supported S the four-sum form and the
-    # compositional singulator agree as canonical forms at each depth 1..5,
-    # so the expansion holds for every depth-1-supported mould there
-    S = OpaqueMould(SymbolRegistry(), "S", 5, support=(1,))
+    # compositional singulator agree as canonical forms at each depth up to
+    # SANG_EXPANSION_DEPTH, so the expansion holds for every
+    # depth-1-supported mould there: this is what lets sang take it
+    top = SANG_EXPANSION_DEPTH
+    S = OpaqueMould(SymbolRegistry(), "S", top, support=(1,))
     L = lazy_sang(S)
     got = _sang_expanded_components(S)
-    assert got == [L.eval_word(canonical_word(m)) for m in range(6)]
+    assert got == [L.eval_word(canonical_word(m)) for m in range(top + 1)]
     assert all(not c.is_zero() for c in got[1:])
 
 

@@ -270,22 +270,38 @@ def test_reports_serialize_to_json():
     assert '"status": "pass"' in blob
 
 
-def test_comparison_builds_each_discrepancy_mould_once(monkeypatch):
-    # D_ab is built once per pair for the weighted sum and checks (iii):
-    # at n = 3 that is 2 pairs and 4 slang calls, plus slang_1 in (i) and
-    # the 5 of luma (14 when each D_ab was built twice)
+def _count_slang_calls(monkeypatch) -> list:
     from mouldcalc import solutions
 
     calls = []
 
     def counting(r, A):
-        calls.append(r)
+        calls.append((r, A))
         return slang(r, A)
 
     monkeypatch.setattr(solutions, "slang", counting)
+    return calls
+
+
+def test_comparison_builds_each_discrepancy_mould_once(monkeypatch):
+    # each distinct slice is built once per call: at n = 3, check (i), luma
+    # and the two D_ab read slang_1(sa_7), slang_1(sa_3), slang_2(sa_4),
+    # slang_1(sa_5) and slang_2(sa_2) (10 calls when each reader built its
+    # own, 14 when each D_ab was built twice)
+    calls = _count_slang_calls(monkeypatch)
     report = verify_comparison_theorem(3)
     assert report["status"] == "pass"
+    assert len(calls) == 5
+    assert len({(r, A) for r, A in calls}) == 5
+
+
+def test_comparison_slices_do_not_outlive_the_call(monkeypatch):
+    # no cache survives a verifier call: a second call builds its 5 anew
+    calls = _count_slang_calls(monkeypatch)
+    assert verify_comparison_theorem(3)["status"] == "pass"
+    assert verify_comparison_theorem(3)["status"] == "pass"
     assert len(calls) == 10
+    assert calls[5:] == calls[:5]
 
 
 def test_comparison_nonvacuous_at_n5():

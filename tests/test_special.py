@@ -15,7 +15,7 @@ from mouldcalc.algebra import (
     x_var,
 )
 from mouldcalc.flexions import adari, invgari
-from mouldcalc.moulds import Mould, mu, mu_inverse
+from mouldcalc.moulds import Mould, _materialize, mu, mu_inverse
 from mouldcalc.special import (
     UnsupportedInputError,
     bernoulli,
@@ -236,9 +236,66 @@ def test_singulator_admits_depth_7_and_refuses_depth_8(monkeypatch):
 
 
 def test_sang_expanded_agrees_with_compositional():
+    # the oracle is the compositional lazy_sang: sang itself now takes the
+    # expansion at this depth, so comparing with it would prove nothing
     for s in (3, 5):
         A = sa(s, 4)
-        assert sang_expanded(A) == sang(A)
+        assert sang_expanded(A) == _materialize(lazy_sang(A))
+
+
+def _count_lazy_sang(monkeypatch, module=special) -> list:
+    """The depths of the moulds ``module`` hands to lazy_sang from now on."""
+    calls = []
+
+    def counting(M):
+        calls.append(M.depth)
+        return lazy_sang(M)
+
+    monkeypatch.setattr(module, "lazy_sang", counting)
+    return calls
+
+
+def test_sang_takes_the_expansion_up_to_the_proven_depth(monkeypatch):
+    calls = _count_lazy_sang(monkeypatch)
+    for d in range(1, special.SANG_EXPANSION_DEPTH + 1):
+        assert sang(sa(3, d)) == sang_expanded(sa(3, d))
+    for r in (1, 2):
+        slang(r, sa(3, 3))
+    slang_split(sa(5, 3))
+    assert calls == []
+
+
+def test_sang_falls_back_to_lazy_sang_above_the_proven_depth(monkeypatch):
+    calls = _count_lazy_sang(monkeypatch)
+    d = special.SANG_EXPANSION_DEPTH + 1
+    # lazy_sang builds no component, so the route costs nothing here
+    special._singulator(sa(3, d))
+    assert calls == [d]
+    # one depth over a lowered limit, both sang and the slices take
+    # lazy_sang and equal the lazy oracles
+    monkeypatch.setattr(special, "SANG_EXPANSION_DEPTH", 3)
+    A = sa(3, 4)
+    assert sang(A) == _materialize(lazy_sang(A))
+    assert calls == [d, 4]
+    assert slang_split(A) == [slang_via_eager_moulds(r, A) for r in range(1, 5)]
+    assert calls == [d, 4, 4]
+
+
+def test_sang_expansion_claim_keeps_lazy_sang_as_its_oracle(monkeypatch):
+    # sang takes the expansion, so a claim comparing it with sang_expanded
+    # would compare a mould with itself
+    from mouldcalc import verify
+
+    calls = _count_lazy_sang(monkeypatch, verify)
+    assert verify.run_claim("sang-expansion", depth=3)["status"] == "pass"
+    assert calls == [3, 3]
+
+
+def test_sang_falls_back_to_lazy_sang_off_depth1_support(monkeypatch):
+    calls = _count_lazy_sang(monkeypatch)
+    M = random_ari_mould(random.Random(4), 3)
+    assert sang(M) == _materialize(lazy_sang(M)) == sang_via_eager_moulds(M)
+    assert calls == [3]
 
 
 def test_sang_expanded_depth1():
@@ -326,7 +383,7 @@ def test_adari_pal_conjugation_is_invertible():
 
 def test_sang_expanded_agrees_on_mixed_depth1_input():
     # depth-1 support is the only requirement: mix odd/even polynomial and
-    # polar parts and compare against the compositional singulator
+    # polar parts and compare against the compositional lazy singulator
     f = (
         rf_poly({(3,): 1, (1,): -2})
         + RationalFunction.make(Fraction(5, 2), Polynomial.one(), [(x1, 2)])
@@ -334,4 +391,4 @@ def test_sang_expanded_agrees_on_mixed_depth1_input():
     comps = [RationalFunction.zero()] * 4
     comps[1] = f
     M = Mould(comps)
-    assert sang_expanded(M) == sang(M)
+    assert sang_expanded(M) == _materialize(lazy_sang(M))
