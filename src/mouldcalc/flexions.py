@@ -291,10 +291,9 @@ def adari(S: Mould) -> Callable[[Mould], Mould]:
     """Conjugation of the Lie structure by the group element S.
 
     adari(S)(A) = logari(gari(gari(S, expari(A)), invgari(S))), evaluated in
-    the closed form gari(preari(S, A), invgari(S)) (see the module
-    docstring).  invgari(S) is solved once per operator and shared by all
-    applications.  A concrete A gives a concrete mould; any other A (a lazy
-    or opaque mould) gives the lazy conjugate, unevaluated.
+    the closed form of ``lazy_adari`` (see the module docstring).  A concrete
+    A gives a concrete mould; any other A (a lazy or opaque mould) gives the
+    lazy conjugate, unevaluated.
     """
     _require_gari(S, "adari")
     conj = lazy_adari(S)
@@ -401,12 +400,14 @@ def lazy_invgari(S) -> LazyMould:
     return G
 
 
+def _conjugation(S, Sinv) -> Callable:
+    """A -> gari(preari(S, A), Sinv), for Sinv the gari inverse of S; the
+    twisted action garit(Sinv) and its mu-inverse memo are built once."""
+    twist = lazy_garit(Sinv)
+    return lambda A: lazy_mu(twist(lazy_preari(S, A)), Sinv)
+
+
 def lazy_adari(S) -> Callable:
-    """adari(S)(A) = gari(preari(S, A), invgari(S)); invgari(S) is built
-    once, so its memo is shared by every application of the operator."""
-    Sinv = lazy_invgari(S)
-
-    def apply(A) -> LazyMould:
-        return lazy_gari(lazy_preari(S, A), Sinv)
-
-    return apply
+    """adari(S)(A) = gari(preari(S, A), invgari(S)): one invgari(S) and one
+    twisted action garit(invgari(S)) are shared by all applications."""
+    return _conjugation(S, lazy_invgari(S))

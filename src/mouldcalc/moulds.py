@@ -23,6 +23,7 @@ from typing import Callable, Mapping, Sequence
 from .algebra import (
     LinearForm,
     RationalFunction,
+    _json_int,
     rf_sum,
     rf_from_json,
     rf_to_json,
@@ -493,8 +494,7 @@ def mould_to_json(M: Mould) -> dict:
 
 
 def mould_from_json(obj: Mapping) -> Mould:
-    depth = int(obj["depth"])
     comps = [rf_from_json(c) for c in obj["components"]]
-    if len(comps) != depth + 1:
+    if len(comps) != _json_int(obj["depth"]) + 1:
         raise ValueError("component count does not match depth")
     return Mould(comps)

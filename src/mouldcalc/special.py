@@ -9,12 +9,10 @@ depth projections slang_r conjugated by pal.
 The singulator and its slices follow the flexion layer's single path:
 ``lazy_sang``/``lazy_slang`` compose lazy flexion operators over any input
 with ``depth`` and ``eval_word`` (concrete or opaque), and ``sang``,
-``slang`` and ``slang_split`` check their input and materialize them.  The
-conjugations go through ``adari``, whose operator leaves a lazy argument
-lazy.  Pal's gari inverse is solved eagerly once, by ``invgari``, and then
-again lazily inside each of the two ``adari`` operators of a slicer:
-``adari(invgari(pal))`` solves the inverse of that inverse (pal itself) and
-``adari(pal)`` solves pal's inverse anew.
+``slang`` and ``slang_split`` check their input and materialize them.  A
+slicer solves pal's gari inverse once, lazily, and conjugates by that one
+pair both ways: by pal outward, and by the inverse inward, whose own
+inverse is pal, so neither conjugation solves anything more.
 
 ``sang`` and the slicer's inner singulator take the four-sum expansion
 ``sang_expanded`` for concrete depth-1-supported input up to
@@ -43,7 +41,7 @@ from .algebra import (
     rf_monomial,
     rf_sum,
 )
-from .flexions import adari, invgari, lazy_adari, lazy_leng, lazy_neg
+from .flexions import _conjugation, adari, lazy_invgari, lazy_leng, lazy_neg
 from .moulds import (
     LazyMould,
     Mould,
@@ -244,8 +242,9 @@ def _lazy_slicer(A):
     its own depth of it) even where the singulator is concrete."""
     singulator = _singulator(A)  # checks the depth before pal is solved
     p = pal(A.depth)
-    conj = adari(p)
-    inner = lazy_adari(invgari(p))(singulator)
+    pinv = lazy_invgari(p)
+    conj = _conjugation(p, pinv)
+    inner = _conjugation(pinv, p)(singulator)
     return lambda r: conj(lazy_leng(r, inner))
 
 

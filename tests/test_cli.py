@@ -143,13 +143,15 @@ def _lazy_slicer_oracle(r, A):
     [
         (("sang:sa:3", "--depth", "5", "--format", "json"), lambda: _materialize(lazy_sang(sa(3, 5)))),
         (("slang:1:sa:3", "--depth", "4"), lambda: _lazy_slicer_oracle(1, sa(3, 4))),
+        # pal's inverse, solved once, read at longer words
+        (("slang:1:sa:3", "--depth", "5"), lambda: _lazy_slicer_oracle(1, sa(3, 5))),
         # slang_1 reads only the singulator's depth 1; slang_3 reads depth 3
         (
             ("slang:3:sa:3", "--depth", "4", "--format", "latex"),
             lambda: _lazy_slicer_oracle(3, sa(3, 4)),
         ),
     ],
-    ids=["sang-json", "slang-plain", "slang3-latex"],
+    ids=["sang-json", "slang-plain", "slang-depth5", "slang3-latex"],
 )
 def test_singulator_output_is_the_lazy_oracles(argv, oracle):
     # sang takes the four-sum expansion at these depths; what `mouldcalc
@@ -300,6 +302,7 @@ def _with_component(**fields):
         _with_component(denominator=[[[1], 2.5]]),
         _with_component(numerator=[[[-1], "1"]]),
         _with_component(numerator=[[[70000], "1"]]),
+        {**_PAL1, "depth": 1.5},
     ],
     ids=[
         "zero-form",
@@ -308,6 +311,7 @@ def _with_component(**fields):
         "fractional-multiplicity",
         "negative-exponent",
         "exponent-beyond-field",
+        "fractional-depth",
     ],
 )
 def test_render_malformed_mould_exits_2_with_one_line(tmp_path, capsys, obj):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mouldcalc import special
+from mouldcalc import flexions, special
 from mouldcalc.algebra import (
     Polynomial,
     RationalFunction,
@@ -224,15 +224,33 @@ def test_sang_requires_zero_constant():
         sang(Mould.unit(2))
 
 
-def test_singulator_admits_depth_7_and_refuses_depth_8(monkeypatch):
+def test_singulator_admits_depth_7_and_refuses_depth_8():
+    # neither builder evaluates anything before a value is read
     lazy_sang(sa(3, 7))
-    # building the slicer solves invgari(pal(7)), about 30 s; only the depth
-    # check is under test, so any gari mould stands in for the inverse
-    monkeypatch.setattr(special, "invgari", lambda p: p)
     lazy_slang(1, sa(3, 7))
     for build in (lazy_sang, sang, lambda A: slang(1, A), slang_split):
         with pytest.raises(ValueError, match="singulator depth 8 exceeds the maximum 7"):
             build(sa(3, 8))
+
+
+def test_a_slicer_solves_pals_inverse_once(monkeypatch):
+    A = sa(3, 4)
+    want = [slang_via_eager_moulds(r, A) for r in range(1, 5)]
+    solve = flexions.lazy_invgari
+    solved = []
+
+    def counting(S):
+        solved.append(S)
+        return solve(S)
+
+    def eager(S):
+        raise AssertionError("the slicer made an eager invgari call")
+
+    for module in (flexions, special):
+        monkeypatch.setattr(module, "lazy_invgari", counting)
+    monkeypatch.setattr(flexions, "invgari", eager)
+    assert slang_split(A) == want
+    assert solved == [pal(4)]
 
 
 def test_sang_expanded_agrees_with_compositional():
