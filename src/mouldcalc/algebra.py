@@ -1296,10 +1296,12 @@ def rf_to_json(r: RationalFunction) -> dict:
 
 
 def _json_int(value) -> int:
-    """An integer field; a fractional number is refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    """An integer field: a JSON integer or an integral float.  A fractional
+    number is refused, not truncated, and a boolean or a string is refused,
+    not converted."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def rf_from_json(obj: Mapping) -> RationalFunction:

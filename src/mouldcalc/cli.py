@@ -191,7 +191,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {args.file!r}: {exc}")
@@ -199,6 +199,9 @@ def _cmd_render(args) -> int:
         raise UsageError(
             f"parse error in {args.file!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # text that is not UTF-8, or JSON nested beyond the parser's depth
+        raise UsageError(f"invalid mould file {args.file!r}: {exc}")
     try:
         M = mould_from_json(obj)
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

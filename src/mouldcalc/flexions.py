@@ -10,7 +10,8 @@ pre-Lie product ``preari``, the Lie bracket ``ari``, the twisted action
 
 Every operator has one evaluation path, in three layers, on top of the
 word-level mould product of ``moulds`` (``mu_at``, ``LazyMould``,
-``lazy_mu``, ``lazy_mu_inverse``), which this module re-exports:
+``lazy_mu``, ``lazy_mu_inverse``, ``lazy_neg``, ``lazy_leng``), which this
+module re-exports:
 
 * the factorization sums (``arit_at``, ``preari_at``, ``garit_at``) are
   written once, at a single word, as functions of evaluation callables;
@@ -22,10 +23,10 @@ word-level mould product of ``moulds`` (``mu_at``, ``LazyMould``,
   lazy fixed points solved depth by depth: ``logari`` inverts ``expari``,
   and ``invgari(S)`` is the G with ``G = mu_inverse(garit(G)(S))``, which
   is ``gari(S, G) = 1``;
-* each eager operator checks its preconditions and materializes its lazy
-  twin at the canonical words.  The operator of ``adari(S)`` materializes
-  only a concrete argument and leaves a lazy one lazy, so composite
-  operators such as the singulator can chain it.
+* each eager operator takes any mould, concrete, lazy or opaque, checks
+  its preconditions and materializes its lazy twin at the canonical words,
+  so it always returns a ``Mould``.  Composite operators such as the
+  singulator chain the lazy twins.
 
 ``adari(S)(A)`` is defined as ``logari(gari(gari(S, expari(A)), invgari(S)))``
 and evaluated in the closed form ``gari(preari(S, A), invgari(S))``:
@@ -59,8 +60,10 @@ from .moulds import (
     _require_ari,
     _require_gari,
     _series,
+    lazy_leng,
     lazy_mu,
     lazy_mu_inverse,
+    lazy_neg,
     lazy_unit,
     mu_at,
 )
@@ -247,8 +250,8 @@ def preari_n(n: int, A: Mould) -> Mould:
         return Mould.unit(A.depth)
     out = A
     for _ in range(n - 1):
-        out = preari(out, A)
-    return out
+        out = lazy_preari(out, A)
+    return _materialize(out)
 
 
 def ari(M: Mould, N: Mould) -> Mould:
@@ -291,16 +294,13 @@ def adari(S: Mould) -> Callable[[Mould], Mould]:
     """Conjugation of the Lie structure by the group element S.
 
     adari(S)(A) = logari(gari(gari(S, expari(A)), invgari(S))), evaluated in
-    the closed form of ``lazy_adari`` (see the module docstring).  A concrete
-    A gives a concrete mould; any other A (a lazy or opaque mould) gives the
-    lazy conjugate, unevaluated.
+    the closed form of ``lazy_adari`` (see the module docstring).  Like every
+    eager operator, the operator takes any A and returns a ``Mould``.
     """
     _require_gari(S, "adari")
     conj = lazy_adari(S)
 
     def apply(A):
-        if not isinstance(A, Mould):
-            return conj(A)
         _require_ari(A, "adari")
         return _materialize(conj(A))
 
@@ -310,19 +310,6 @@ def adari(S: Mould) -> Callable[[Mould], Mould]:
 # ---------------------------------------------------------------------------
 # lazy moulds: evaluation at arbitrary words, memoized
 # ---------------------------------------------------------------------------
-
-
-def lazy_neg(M) -> LazyMould:
-    return LazyMould(
-        M.depth, lambda w: M.eval_word(tuple(-letter for letter in w))
-    )
-
-
-def lazy_leng(r: int, M) -> LazyMould:
-    zero = RationalFunction.zero()
-    return LazyMould(
-        M.depth, lambda w: M.eval_word(w) if len(w) == r else zero
-    )
 
 
 def lazy_arit(N) -> Callable:

@@ -7,11 +7,17 @@ the component of matching depth.  This module provides the word algebra
 (shuffle product), the mould product ``mu`` with its inverse / log / exp, and
 the elementary unary operators (neg, dur scaling, sharp, leng).
 
-The mould product has one evaluation path: ``mu_at`` sums over the
-splittings of one word, ``LazyMould`` memoizes a rule's values at any word,
-and ``mu``, ``mu_inverse``, ``mu_exp`` and ``mu_log`` check their input and
-materialize ``lazy_mu``, ``lazy_mu_inverse`` or a series of lazy powers,
-which ``_series`` sums by one ``rf_sum`` per word, as for ``expari``.
+The mould product with its inverse, exponential and logarithm, ``neg`` and
+``leng`` have one evaluation path each, a lazy rule: ``mu_at`` sums over
+the splittings of one word, and ``LazyMould`` memoizes a rule's values at
+any word.  Their eager forms take any mould (concrete, lazy or opaque),
+check its depth-0 value through ``eval_word(())`` and materialize the lazy
+rule at the canonical words, so they always return a ``Mould``: ``mu``,
+``mu_inverse``, ``neg`` and ``leng`` materialize ``lazy_mu``,
+``lazy_mu_inverse``, ``lazy_neg`` and ``lazy_leng``, and ``mu_exp`` and
+``mu_log`` a series of lazy powers, which ``_series`` sums by one
+``rf_sum`` per word, as for ``expari``.  ``dur_scale``, ``dur_unscale`` and
+``sharp`` read the components of a concrete mould.
 """
 
 from __future__ import annotations
@@ -61,6 +67,8 @@ __all__ = [
     "mu_at",
     "lazy_mu",
     "lazy_mu_inverse",
+    "lazy_neg",
+    "lazy_leng",
     "lazy_unit",
 ]
 
@@ -274,12 +282,12 @@ def _materialize(L) -> Mould:
 
 
 def _require_ari(M, what: str) -> None:
-    if not M.components[0].is_zero():
+    if not M.eval_word(()).is_zero():
         raise NotDefinedError(f"{what} needs depth-0 component 0")
 
 
 def _require_gari(S, what: str) -> None:
-    c = S.components[0]
+    c = S.eval_word(())
     if not (c.is_constant() and c.constant_value() == 1):
         raise NotInvertibleError(f"{what} needs depth-0 component 1")
 
@@ -405,7 +413,8 @@ def mu_log(S: Mould) -> Mould:
     Computed as sum_h ((-1)^{h+1}/h) (S - 1)^{x h}; the series is finite at
     each truncation depth.
     """
-    if not S.components[0].is_constant() or S.components[0].constant_value() != 1:
+    c = S.eval_word(())
+    if not (c.is_constant() and c.constant_value() == 1):
         raise NotDefinedError("mu-logarithm needs depth-0 component 1")
     zero = RationalFunction.zero()
     D = LazyMould(S.depth, lambda w: S.eval_word(w) if w else zero)
@@ -419,13 +428,22 @@ def mu_log(S: Mould) -> Mould:
 # ---------------------------------------------------------------------------
 
 
+def lazy_neg(M) -> LazyMould:
+    return LazyMould(
+        M.depth, lambda w: M.eval_word(tuple(-letter for letter in w))
+    )
+
+
+def lazy_leng(r: int, M) -> LazyMould:
+    zero = RationalFunction.zero()
+    return LazyMould(
+        M.depth, lambda w: M.eval_word(w) if len(w) == r else zero
+    )
+
+
 def neg(M: Mould) -> Mould:
     """Sign flip of all arguments: neg(M)^m(x_1..x_m) = M^m(-x_1..-x_m)."""
-    comps = [M.components[0]]
-    for m in range(1, M.depth + 1):
-        forms = tuple(-f for f in canonical_word(m))
-        comps.append(M.components[m].substitute(forms))
-    return Mould(comps)
+    return _materialize(lazy_neg(M))
 
 
 def dur(depth: int) -> Mould:
@@ -466,12 +484,7 @@ def leng(r: int, M: Mould) -> Mould:
     """Keep only the depth-r component."""
     if r < 0:
         raise ValueError("depth selector must be nonnegative")
-    return Mould(
-        [
-            M.components[m] if m == r else RationalFunction.zero()
-            for m in range(M.depth + 1)
-        ]
-    )
+    return _materialize(lazy_leng(r, M))
 
 
 def equal_mod_depth(M: Mould, N: Mould, k: int) -> bool:

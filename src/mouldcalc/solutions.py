@@ -14,6 +14,11 @@ exact symbolic identities:
   is the Bernoulli-weighted sum of the D_{a,b}, and each D_{a,b}^(3) is a
   polynomial.
 
+The families are concrete moulds, built by the eager operators, which take
+any mould and return a concrete one.  The slices slang_r(sa_s) that they
+read come from ``_slang_sa``, cached for the life of the process, so check
+(i), ``luma`` and ``D_ab`` build each distinct slice once.
+
 Verifiers return report dictionaries rather than raising, so failures
 surface with their residuals.  Every check goes through ``_check``: it
 passes when its residual is zero, and a failing check carries the residual
@@ -26,6 +31,7 @@ ValueError before any work.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator
@@ -213,15 +219,15 @@ def _ari_sa(a: int, b: int) -> Mould:
     return ari(sa(2 * a + 1, 3), ari(sa(2 * b + 1, 3), sa(-1, 3)))
 
 
+@lru_cache(maxsize=None)
 def _slang_sa(r: int, s: int) -> Mould:
     """slang_r(sa_s) below depth 4, the slice every polynomial family reads."""
     return slang(r, sa(s, 3))
 
 
-def _ari_slang(a: int, b: int, slice_: Callable[[int, int], Mould]) -> Mould:
-    """ari(slang_1(sa_{2a+1}), slang_2(sa_{2b})) below depth 4, with
-    ``slice_(r, s)`` giving slang_r(sa_s)."""
-    return ari(slice_(1, 2 * a + 1), slice_(2, 2 * b))
+def _ari_slang(a: int, b: int) -> Mould:
+    """ari(slang_1(sa_{2a+1}), slang_2(sa_{2b})) below depth 4."""
+    return ari(_slang_sa(1, 2 * a + 1), _slang_sa(2, 2 * b))
 
 
 def sigma_c(n: int, correction_scale: Fraction | int = 1) -> Mould:
@@ -245,13 +251,9 @@ def luma(n: int) -> Mould:
     ari(slang_1(sa_{2a+1}), slang_2(sa_{2b}))."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _luma(n, _slang_sa)
-
-
-def _luma(n: int, slice_: Callable[[int, int], Mould]) -> Mould:
-    total = slice_(1, 2 * n + 1)
+    total = _slang_sa(1, 2 * n + 1)
     for a, b in _correction_pairs(n):
-        total = total + _ari_slang(a, b, slice_) * (_weight(n, a) * Fraction(-1, 12))
+        total = total + _ari_slang(a, b) * (_weight(n, a) * Fraction(-1, 12))
     return total
 
 
@@ -260,11 +262,7 @@ def D_ab(a: int, b: int) -> Mould:
     + 2b ari(slang_1(sa_{2a+1}), slang_2(sa_{2b})); lives in depths >= 3."""
     if a < 1 or b < 1:
         raise ValueError("need a, b >= 1")
-    return _D_ab(a, b, _slang_sa)
-
-
-def _D_ab(a: int, b: int, slice_: Callable[[int, int], Mould]) -> Mould:
-    return _ari_sa(a, b) + _ari_slang(a, b, slice_) * (2 * b)
+    return _ari_sa(a, b) + _ari_slang(a, b) * (2 * b)
 
 
 # ---------------------------------------------------------------------------
@@ -349,23 +347,14 @@ def verify_comparison_theorem(n: int, sigma: Mould | None = None) -> dict:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    # each distinct slice is built once per call: (i), luma and the D_{a,b}
-    # share them, and nothing outlives the call
-    slices: dict[tuple[int, int], Mould] = {}
-
-    def slice_(r: int, s: int) -> Mould:
-        if (r, s) not in slices:
-            slices[r, s] = _slang_sa(r, s)
-        return slices[r, s]
-
     checks = _compare(
         lambda m: f"xi_{2*n+1}^({m}) == slang_1(sa_{2*n+1})^({m})",
         xi(n),
-        slice_(1, 2 * n + 1),
+        _slang_sa(1, 2 * n + 1),
         range(4),
     )
-    diff = (sigma_c(n) if sigma is None else sigma) - _luma(n, slice_)
-    Ds = {(a, b): _D_ab(a, b, slice_) for a, b in _correction_pairs(n)}
+    diff = (sigma_c(n) if sigma is None else sigma) - luma(n)
+    Ds = {(a, b): D_ab(a, b) for a, b in _correction_pairs(n)}
     weighted = Mould.zero(3)
     for (a, b), D in Ds.items():
         weighted = weighted + D * (_weight(n, a) / (24 * b))

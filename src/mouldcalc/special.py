@@ -41,14 +41,16 @@ from .algebra import (
     rf_monomial,
     rf_sum,
 )
-from .flexions import _conjugation, adari, lazy_invgari, lazy_leng, lazy_neg
+from .flexions import _conjugation, lazy_adari, lazy_invgari
 from .moulds import (
     LazyMould,
     Mould,
     _materialize,
     _require_ari,
     canonical_word,
+    lazy_leng,
     lazy_mu,
+    lazy_neg,
     sum_form,
 )
 
@@ -214,7 +216,7 @@ def lazy_sang(M) -> LazyMould:
     if d > SANG_MAX_DEPTH:
         raise ValueError(f"singulator depth {d} exceeds the maximum {SANG_MAX_DEPTH}")
     B = lazy_mu(lazy_mu(mupaj(d), M), paj(d))
-    C = lazy_neg(adari(paj(d))(B))
+    C = lazy_neg(lazy_adari(paj(d))(B))
     half = Fraction(1, 2)
     return LazyMould(d, lambda w: (B.eval_word(w) + C.eval_word(w)) * half)
 

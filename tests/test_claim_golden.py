@@ -82,17 +82,16 @@ def test_claim_report_matches_golden(name):
 
 def test_failing_polynomial_check_carries_its_residual(monkeypatch):
     # D_ab with a non-polynomial depth-3 component: check (iii) fails, and
-    # its residual is that component, as text and as JSON; the verifier
-    # builds D_ab through _D_ab, which takes the slices it shares
+    # its residual is that component, as text and as JSON
     x1 = x_var(1)
     pole = RationalFunction.make(1, Polynomial.one(), [(x1, 1)])
-    build = solutions._D_ab
+    build = solutions.D_ab
 
-    def with_pole(a, b, slice_):
-        D = build(a, b, slice_)
+    def with_pole(a, b):
+        D = build(a, b)
         return Mould(list(D.components[:3]) + [D.components[3] + pole])
 
-    monkeypatch.setattr(solutions, "_D_ab", with_pole)
+    monkeypatch.setattr(solutions, "D_ab", with_pole)
     report = verify_comparison_theorem(2)
     assert report["status"] == "fail"
     failing = [c for c in report["checks"] if c["status"] == "fail"]

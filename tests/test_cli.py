@@ -303,6 +303,10 @@ def _with_component(**fields):
         _with_component(numerator=[[[-1], "1"]]),
         _with_component(numerator=[[[70000], "1"]]),
         {**_PAL1, "depth": 1.5},
+        {**_PAL1, "depth": True},
+        _with_component(numerator=[[["1"], "1"]]),
+        b"\xff\xfe{}",
+        b"[" * 200_000,
     ],
     ids=[
         "zero-form",
@@ -312,11 +316,16 @@ def _with_component(**fields):
         "negative-exponent",
         "exponent-beyond-field",
         "fractional-depth",
+        "bool-depth",
+        "string-exponent",
+        "not-utf8",
+        "nested-too-deeply",
     ],
 )
 def test_render_malformed_mould_exits_2_with_one_line(tmp_path, capsys, obj):
+    # a bytes case is the raw file, anything else is written as JSON
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(obj))
+    path.write_bytes(obj if isinstance(obj, bytes) else json.dumps(obj).encode())
     code, out, err = run(capsys, "render", str(path))
     assert code == 2
     assert out == ""

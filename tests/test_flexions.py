@@ -34,12 +34,17 @@ from mouldcalc.flexions import (
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.moulds import (
     Mould,
+    NotDefinedError,
     NotInvertibleError,
     canonical_word,
+    leng,
     mu,
+    mu_inverse,
+    mu_log,
+    neg,
     word,
 )
-from mouldcalc.special import mupaj, paj, pal, sa
+from mouldcalc.special import mupaj, paj, pal, sa, sang
 
 from helpers import (
     adari_via_logari,
@@ -136,6 +141,7 @@ def test_preari_iterates():
     assert preari_n(0, A) == Mould.unit(3)
     assert preari_n(1, A) == A
     assert preari_n(2, A) == preari(A, A)
+    assert preari_n(3, A) == preari(preari(A, A), A)
     assert preari_n(3, A).component(2).is_zero()
 
 
@@ -298,10 +304,8 @@ def test_adari_closed_form_matches_logari_definition(depth, seed):
     want = Mould.from_word_function(depth, adari_via_logari(S)(A).eval_word)
     assert adari(S)(A) == want
     assert Mould.from_word_function(depth, lazy_adari(S)(A).eval_word) == want
-    # the eager operator leaves a lazy argument lazy
-    got = adari(S)(LazyMould(depth, A.eval_word))
-    assert isinstance(got, LazyMould)
-    assert Mould.from_word_function(depth, got.eval_word) == want
+    # the eager operator materializes a lazy argument's conjugate too
+    assert adari(S)(LazyMould(depth, A.eval_word)) == want
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
@@ -324,6 +328,48 @@ def test_adari_conjugation_inverse_polar():
 # ---------------------------------------------------------------------------
 # lazy evaluators agree with independent eager oracles
 # ---------------------------------------------------------------------------
+
+
+# (name, operator on a gari-type S and an ari-type A, the argument whose
+# depth-0 value it checks, the error a wrong value raises)
+_EAGER_OPERATORS = [
+    ("mu", lambda S, A: mu(S, A), None, None),
+    ("mu_inverse", lambda S, A: mu_inverse(S), "S", NotInvertibleError),
+    ("mu_log", lambda S, A: mu_log(S), "S", NotDefinedError),
+    ("gari", lambda S, A: gari(A, S), "S", NotInvertibleError),
+    ("expari", lambda S, A: expari(A), "A", NotDefinedError),
+    ("logari", lambda S, A: logari(S), "S", NotInvertibleError),
+    ("invgari", lambda S, A: invgari(S), "S", NotInvertibleError),
+    ("adari", lambda S, A: adari(S)(A), "A", NotDefinedError),
+    ("sang", lambda S, A: sang(A), "A", NotDefinedError),
+    ("neg", lambda S, A: neg(A), None, None),
+    ("leng", lambda S, A: leng(2, A), None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "op, checked, error",
+    [case[1:] for case in _EAGER_OPERATORS],
+    ids=[case[0] for case in _EAGER_OPERATORS],
+)
+def test_eager_operator_takes_lazy_input(op, checked, error):
+    # a lazy argument gives the same concrete mould as the concrete one it
+    # wraps, and a wrong depth-0 value is refused with the same error
+    def lazy(M):
+        return LazyMould(M.depth, M.eval_word)
+
+    rng = random.Random(8)
+    S, A = random_gari_mould(rng, 3), random_ari_mould(rng, 3)
+    got = op(lazy(S), lazy(A))
+    assert type(got) is Mould and got == op(S, A)
+    if checked is None:
+        return
+    bad = (S * 2, A) if checked == "S" else (S, A + Mould.unit(3))
+    with pytest.raises(error) as concrete:
+        op(*bad)
+    with pytest.raises(error) as lazy_error:
+        op(*map(lazy, bad))
+    assert str(lazy_error.value) == str(concrete.value)
 
 
 @settings(max_examples=6, deadline=None)

@@ -56,3 +56,13 @@ def test_tracer_reaches_the_singulator_solvers(capsys):
     calls = tr.summary()["calls"]
     for name in ("special.slang", "flexions.preari_at", "flexions.garit_at"):
         assert calls.get(name, 0) > 0, name
+
+
+def test_tracer_reaches_the_comparison_families(capsys):
+    # the verifier builds luma and each D_{a,b} through the public names
+    # the tracer wraps for its solutions.ari_family group
+    with _tracer_module().Tracer() as tr:
+        assert cli.main(["verify", "comparison", "--n", "3"]) == 0
+    calls = tr.summary()["calls"]
+    assert calls.get("solutions.luma", 0) == 1
+    assert calls.get("solutions.D_ab", 0) == 2

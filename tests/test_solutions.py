@@ -270,7 +270,11 @@ def test_reports_serialize_to_json():
     assert '"status": "pass"' in blob
 
 
-def _count_slang_calls(monkeypatch) -> list:
+@pytest.fixture
+def slang_calls(monkeypatch):
+    """The slang builds of the test, counted from an empty slice cache; the
+    cache is emptied again afterwards, so no counted slice leaks into
+    another test."""
     from mouldcalc import solutions
 
     calls = []
@@ -280,28 +284,27 @@ def _count_slang_calls(monkeypatch) -> list:
         return slang(r, A)
 
     monkeypatch.setattr(solutions, "slang", counting)
-    return calls
+    solutions._slang_sa.cache_clear()
+    yield calls
+    solutions._slang_sa.cache_clear()
 
 
-def test_comparison_builds_each_discrepancy_mould_once(monkeypatch):
-    # each distinct slice is built once per call: at n = 3, check (i), luma
-    # and the two D_ab read slang_1(sa_7), slang_1(sa_3), slang_2(sa_4),
+def test_comparison_builds_each_discrepancy_mould_once(slang_calls):
+    # each distinct slice is built once: at n = 3, check (i), luma and the
+    # two D_ab read slang_1(sa_7), slang_1(sa_3), slang_2(sa_4),
     # slang_1(sa_5) and slang_2(sa_2) (10 calls when each reader built its
     # own, 14 when each D_ab was built twice)
-    calls = _count_slang_calls(monkeypatch)
     report = verify_comparison_theorem(3)
     assert report["status"] == "pass"
-    assert len(calls) == 5
-    assert len({(r, A) for r, A in calls}) == 5
+    assert len(slang_calls) == 5
+    assert len({(r, A) for r, A in slang_calls}) == 5
 
 
-def test_comparison_slices_do_not_outlive_the_call(monkeypatch):
-    # no cache survives a verifier call: a second call builds its 5 anew
-    calls = _count_slang_calls(monkeypatch)
+def test_comparison_second_call_builds_no_slice(slang_calls):
+    # the slices are cached for the process: a second call reuses all 5
     assert verify_comparison_theorem(3)["status"] == "pass"
     assert verify_comparison_theorem(3)["status"] == "pass"
-    assert len(calls) == 10
-    assert calls[5:] == calls[:5]
+    assert len(slang_calls) == 5
 
 
 def test_comparison_nonvacuous_at_n5():
