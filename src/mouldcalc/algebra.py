@@ -45,7 +45,12 @@ Canonical forms
   canonical forms, signs and every rendering do not depend on the order in
   which variables were first used.  Zero
   is uniquely ``(0, 1, ())``.  Structural equality is therefore semantic
-  equality.
+  equality.  A product of canonical numerators, or the quotient of one by
+  a primitive form, needs no content step (``_assemble``): its content is
+  1 by Gauss's lemma, and its leading coefficient is the product or the
+  quotient of the factors' ones (grlex is a monomial order), all positive:
+  a primitive form's leading term is its lowest-indexed variable, whose
+  coefficient is positive.
 
 Where cancellation is attempted
 -------------------------------
@@ -69,6 +74,11 @@ still worth trying.
   one denominator that is not in the other can divide the product only
   through the other numerator, so only that numerator is tried; a form of
   both denominators divides neither numerator, and is not tried.
+* ``try_div_linear`` itself: setting x_i := 0 for every variable of the
+  form is a ring map that sends the form to 0, so it sends every multiple
+  of the form to 0.  It sends a numerator to the sum of its terms free of
+  those variables, and distinct monomials do not cancel; so a numerator
+  with such a term is not divisible, and the division returns at once.
 * ``rf_sum``: lifted to the common denominator, a summand that holds a form
   at its top multiplicity keeps a term the form does not divide, while
   every other lifted term is divisible by it.  If exactly one summand holds
@@ -484,7 +494,9 @@ class Polynomial:
         q_{k-1} = (p_k - r q_k) / c  downward from the top, with the final
         residue p_0 - r q_0 vanishing.  For a primitive linear divisor,
         exactness over the rationals implies integer quotients (Gauss), so
-        any non-integer step already means "not divisible".
+        any non-integer step already means "not divisible".  A term free of
+        every variable of the form proves the same before any step (see
+        "Where cancellation is attempted" in the module docstring).
         """
         if form.is_zero():
             raise ZeroDivisionError("division by the zero form")
@@ -494,7 +506,14 @@ class Polynomial:
         c = form.coeffs[j - 1]
         bits = _BITS * _field(j)
         unit = _unit(j)
-        neg_rest = [(u, -fc) for u, fc in _linear_terms(form.coeffs) if u != unit]
+        lin = _linear_terms(form.coeffs)
+        fields = 0  # every bit of the fields of the form's variables
+        for u, _ in lin:
+            fields |= (u - 1) * _MAX_EXP
+        for m in self._terms:
+            if not m & fields:
+                return None
+        neg_rest = [(u, -fc) for u, fc in lin if u != unit]
         # bucket by x_j exponent, storing monomials with x_j removed
         levels: dict[int, dict] = {}
         deg = 0
@@ -503,17 +522,18 @@ class Polynomial:
             if e > deg:
                 deg = e
             levels.setdefault(e, {})[m - e * unit] = coeff
-        if deg == 0:
-            return None
 
         q_levels: dict[int, dict] = {}
         carry = levels.get(deg, {})
         for k in range(deg, 0, -1):
-            qk: dict = {}
-            for m, cf in carry.items():
-                if cf % c:
-                    return None
-                qk[m] = cf // c
+            if c == 1:  # a primitive form's leading coefficient is often 1
+                qk = carry
+            else:
+                qk = {}
+                for m, cf in carry.items():
+                    if cf % c:
+                        return None
+                    qk[m] = cf // c
             q_levels[k - 1] = qk
             carry = _mul_form(qk, neg_rest, levels.get(k - 1, {}))
         if carry:
@@ -547,24 +567,43 @@ def _linear_terms(coeffs: tuple) -> list:
 
 
 def _mul_form(terms: dict, lin: list, out: dict | None = None) -> dict:
-    """``terms * sum(c * u for u, c in lin)``, added into ``out``.
+    """``terms * sum(c * u for u, c in lin)`` plus ``out``, as a terms dict.
 
     Each term product adds x_i's packed monomial, which bumps the exponent
     and the degree field by one.  The degree is not checked here: callers
-    that raise a degree check it first.  Returns ``out`` (a new dict when
-    not given).
+    that raise a degree check it first.  When ``out`` is None or empty, the
+    first row fills a new dict, one hash per key, since its products are
+    distinct monomials; otherwise the products are added into ``out``.  So
+    the caller uses the return value, and gives up a nonempty ``out``.
     """
-    if out is None:
-        out = {}
+    rows = iter(lin)
+    if not out:
+        first = next(rows, None)
+        if first is None:
+            return {}
+        u, c = first
+        if c == 1:
+            out = {m + u: cf for m, cf in terms.items()}
+        else:
+            out = {m + u: c * cf for m, cf in terms.items()}
     get = out.get
-    for u, c in lin:
-        for m, cf in terms.items():
-            key = m + u
-            s = get(key, 0) + c * cf
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+    for u, c in rows:
+        if c == 1:
+            for m, cf in terms.items():
+                key = m + u
+                s = get(key, 0) + cf
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        else:
+            for m, cf in terms.items():
+                key = m + u
+                s = get(key, 0) + c * cf
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
     return out
 
 
@@ -878,7 +917,7 @@ class RationalFunction:
             if f not in theirs:
                 q, den[f] = _cancel(q, f, m)
         den = {f: m for f, m in den.items() if m}
-        return _build(self.scalar * other.scalar, p * q, den, ())
+        return _assemble(self.scalar * other.scalar, p * q, den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -911,8 +950,8 @@ class RationalFunction:
         if mult:  # f does not divide the numerator, so exactly one f cancels
             if mult > 1:
                 den[f] = mult - 1
-            return _build(self.scalar * k, self.numerator, den, ())
-        return _build(self.scalar * k, self.numerator.mul_linear(f), den, ())
+            return _assemble(self.scalar * k, self.numerator, den)
+        return _assemble(self.scalar * k, self.numerator.mul_linear(f), den)
 
     # -- structural operations -------------------------------------------------
 
@@ -978,8 +1017,15 @@ def _build(
         else:
             del den[f]
     c, prim = numerator.content_sign_primitive()
+    return _assemble(scalar * c, prim, den)
+
+
+def _assemble(scalar: Fraction, numerator: Polynomial, den: dict) -> RationalFunction:
+    """``scalar * numerator / prod(f ** den[f])`` for a canonical numerator:
+    nonzero, with content 1 and a positive leading coefficient, and divisible
+    by no form of ``den``, which is consumed."""
     dens = tuple(sorted(den.items(), key=lambda kv: kv[0].coeffs))
-    return RationalFunction(scalar * c, prim, dens)
+    return RationalFunction(scalar, numerator, dens)
 
 
 def _cancel(p: Polynomial, f: LinearForm, mult: int) -> tuple[Polynomial, int]:
@@ -1026,14 +1072,14 @@ def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
     """Sum many rational functions over one common denominator.
 
     Canonicalizes once, which matters in the factorization sums where
-    dozens of terms share most denominator factors.  Lifting to the common
-    denominator is Horner-split: the denominator is expanded into units
-    ``(form, j)``, one per unit of multiplicity, ordered by how many
-    summands miss them (most first), and
-    ``S(items, k) = u_k * S(items missing u_k, k+1) + S(the rest, k+1)``,
-    so each unit multiplies one partial sum instead of every summand that
-    lacks it.  Only forms that two or more summands hold at the top
-    multiplicity are tried against the sum's numerator.
+    dozens of terms share most denominator factors.  The denominator is
+    expanded into units ``(form, j)``, one per unit of multiplicity, and
+    each summand is lifted by the units it misses.  The lifting shares its
+    products between summands (``_lift_sum``): a unit that every summand of
+    a group misses multiplies the group's sum once, and a group otherwise
+    splits on one unit u as ``u * S(those missing u) + S(the rest)``.  Only
+    forms that two or more summands hold at the top multiplicity are tried
+    against the sum's numerator.
     """
     terms = [r for r in items if r.scalar != 0]
     if not terms:
@@ -1053,6 +1099,7 @@ def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
     for r in terms:
         q = r.scalar.denominator
         lcm = lcm * q // gcd(lcm, q)
+    # most missed first: a tie in _split_unit goes to the lowest bit
     units = sorted(
         (u for u, n in have.items() if n < len(terms)),
         key=lambda u: (have[u], u),
@@ -1070,43 +1117,87 @@ def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
         _check_degree(_degree(r.numerator._terms) + mask.bit_count())
         scale = r.scalar.numerator * (lcm // r.scalar.denominator)
         summands.append((r.numerator._terms, scale, mask))
-    total = _lift_sum(summands, 0, lins)
+    total = _lift_sum(summands, everything, lins)
     shared = [f for f, m in common.items() if have[(f.coeffs, m)] > 1]
     return _build(Fraction(1, lcm), Polynomial(total), common, shared)
 
 
-def _lift_sum(summands: list, k: int, lins: list) -> dict:
-    """``sum(scale * terms * prod(units k.. in mask))`` as a new terms dict.
+def _lift_sum(summands: list, todo: int, lins: list) -> dict:
+    """``sum(scale * terms * prod(unit k for k in mask & todo))`` as a new
+    terms dict.
 
     ``summands`` holds ``(terms, scale, mask)``; bit k of ``mask`` says the
-    summand misses unit k, whose linear terms are ``lins[k]``.
+    summand misses unit k, whose linear terms are ``lins[k]``, and ``todo``
+    holds the units not yet multiplied into this group.  The units that
+    every summand of the group misses multiply the group's sum once, after
+    it is formed.  If some summand still misses a unit, the group splits on
+    the unit ``_split_unit`` picks: the summands that miss it are lifted and
+    summed, and that sum times the unit is added into the rest's lifted sum.
     """
+    shared = todo
     union = 0
     for _, _, mask in summands:
+        shared &= mask
         union |= mask
-    union >>= k
+    todo &= ~shared
+    union &= todo
     if union:
-        k += (union & -union).bit_length() - 1  # next unit someone misses
-        bit = 1 << k
+        bit = union
+        if union & (union - 1):  # more than one unit to choose from
+            bit = _split_unit(summands, todo, union)
         miss = [s for s in summands if s[2] & bit]
         rest = [s for s in summands if not s[2] & bit]
-        out = _lift_sum(rest, k + 1, lins) if rest else {}
-        return _mul_form(_lift_sum(miss, k + 1, lins), lins[k], out)
-    # leaf: nothing left to lift; add into a copy of the largest summand
-    big = max(summands, key=lambda s: len(s[0]))
-    terms, scale, _ = big
-    out = dict(terms) if scale == 1 else {m: c * scale for m, c in terms.items()}
-    for s in summands:
-        if s is big:
-            continue
-        terms, scale, _ = s
-        for m, c in terms.items():
-            v = out.get(m, 0) + c * scale
-            if v:
-                out[m] = v
-            else:
-                del out[m]
+        lin = lins[bit.bit_length() - 1]
+        out = _lift_sum(rest, todo, lins)
+        out = _mul_form(_lift_sum(miss, todo & ~bit, lins), lin, out)
+    else:
+        # nothing left to lift but the shared units; add into a copy of the
+        # largest summand
+        big = max(summands, key=lambda s: len(s[0]))
+        terms, scale, _ = big
+        out = dict(terms) if scale == 1 else {m: c * scale for m, c in terms.items()}
+        for s in summands:
+            if s is big:
+                continue
+            terms, scale, _ = s
+            for m, c in terms.items():
+                v = out.get(m, 0) + c * scale
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+    while shared:
+        low = shared & -shared
+        out = _mul_form(out, lins[low.bit_length() - 1])
+        shared ^= low
     return out
+
+
+def _split_unit(summands: list, todo: int, union: int) -> int:
+    """The bit of the unit a group splits on, among the bits of ``union``.
+
+    Splitting on a unit leaves two halves, each with the units that all of
+    its summands miss (each multiplies that half's sum once).  The unit
+    whose halves leave the most such units, counted once per summand of the
+    half, wins; a tie goes to the lowest bit.
+    """
+    best, best_score = 0, -1
+    while union:
+        bit = union & -union
+        union ^= bit
+        in_miss = in_rest = todo & ~bit
+        n_miss = 0
+        for _, _, mask in summands:
+            if mask & bit:
+                in_miss &= mask
+                n_miss += 1
+            else:
+                in_rest &= mask
+        n_rest = len(summands) - n_miss
+        score = n_miss * in_miss.bit_count() + n_rest * in_rest.bit_count()
+        if score > best_score:
+            best, best_score = bit, score
+    return best
 
 
 def rf_monomial(scalar, *var_exponents: tuple[int, int]) -> RationalFunction:

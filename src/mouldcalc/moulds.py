@@ -17,7 +17,8 @@ rule at the canonical words, so they always return a ``Mould``: ``mu``,
 ``lazy_mu_inverse``, ``lazy_neg`` and ``lazy_leng``, and ``mu_exp`` and
 ``mu_log`` a series of lazy powers, which ``_series`` sums by one
 ``rf_sum`` per word, as for ``expari``.  ``dur_scale``, ``dur_unscale`` and
-``sharp`` read the components of a concrete mould.
+``sharp`` also take any mould: they transform its values at the canonical
+words, which a concrete mould holds as its components.
 """
 
 from __future__ import annotations
@@ -456,27 +457,30 @@ def dur(depth: int) -> Mould:
 
 def dur_scale(M: Mould) -> Mould:
     """Pointwise product with dur: multiply depth m by x_1 + ... + x_m."""
-    comps = [M.components[0]]
+    src = _materialize(M).components
+    comps = [src[0]]
     for m in range(1, M.depth + 1):
-        comps.append(M.components[m].mul_linear(sum_form(m)))
+        comps.append(src[m].mul_linear(sum_form(m)))
     return Mould(comps)
 
 
 def dur_unscale(M: Mould) -> Mould:
     """Divide depth m by x_1 + ... + x_m; requires M^0 = 0."""
     _require_ari(M, "dur-unscale")
-    comps = [M.components[0]]
+    src = _materialize(M).components
+    comps = [src[0]]
     for m in range(1, M.depth + 1):
-        comps.append(M.components[m].div_linear(sum_form(m)))
+        comps.append(src[m].div_linear(sum_form(m)))
     return Mould(comps)
 
 
 def sharp(M: Mould) -> Mould:
     """Change of coordinates f(x_1,..,x_m) -> f(x_1, x_1+x_2, .., x_1+..+x_m)."""
-    comps = [M.components[0]]
+    src = _materialize(M).components
+    comps = [src[0]]
     for m in range(1, M.depth + 1):
         forms = tuple(sum_form(i) for i in range(1, m + 1))
-        comps.append(M.components[m].substitute(forms))
+        comps.append(src[m].substitute(forms))
     return Mould(comps)
 
 

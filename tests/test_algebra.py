@@ -32,7 +32,7 @@ from mouldcalc.algebra import (
     x_var,
 )
 from mouldcalc import algebra
-from mouldcalc.algebra import _MAX_EXP, _independent
+from mouldcalc.algebra import _MAX_EXP, _independent, _unit
 
 from mouldcalc.moulds import sharp, sum_form
 from mouldcalc.solutions import psi_minus1_mould
@@ -55,6 +55,7 @@ from helpers import (
     sorted_terms_via_tuples,
     substitute_via_powers,
     try_div_linear_via_tuples,
+    _mul_form_via_tuples,
 )
 
 x1, x2, x3 = x_var(1), x_var(2), x_var(3)
@@ -684,6 +685,123 @@ def test_packed_rf_sum_matches_tuple_lifting():
             for _ in range(rng.randint(2, 5))
         ]
         assert rf_sum(items) == rf_sum_via_tuples(items)
+
+
+def test_mul_form_matches_tuple_kernel():
+    # out as None, empty and nonempty; a first row and later rows with
+    # coefficient 1, -1 and 3; an empty lin
+    rng = random.Random("mul-form")
+    for first in (1, -1, 3, None):
+        for _ in range(10):
+            p, q = sparse_poly(rng), sparse_poly(rng)
+            lin = []
+            if first is not None:
+                pool = rng.sample(_MIXED, rng.randint(1, 3))
+                lin = [(pool[0], first)] + [(i, rng.choice([1, -1, 3])) for i in pool[1:]]
+            packed = [(_unit(i), c) for i, c in lin]
+            tuples = [(i - 1, c) for i, c in lin]
+            for out, want in ((None, None), ({}, {}), (dict(q._terms), dict(q.terms))):
+                before = dict(p._terms)
+                got = algebra._mul_form(p._terms, packed, out)
+                assert p._terms == before  # only out may change
+                assert dict(Polynomial(got).terms) == _mul_form_via_tuples(p.terms, tuples, want)
+
+
+def even_poly(rng, pool, nterms=5):
+    """A polynomial whose exponents are all even, so the lowest bit of every
+    occupied field is clear."""
+    d = {}
+    for _ in range(nterms):
+        exps: dict = {}
+        for _ in range(rng.randint(0, 3)):
+            i = rng.choice(pool)
+            exps[i] = exps.get(i, 0) + 2 * rng.randint(1, 2)
+        width = max(exps, default=0)
+        d[tuple(exps.get(i, 0) for i in range(1, width + 1))] = rng.choice([-3, -1, 1, 2])
+    return poly(d)
+
+
+def test_division_with_a_term_free_of_the_form_matches_tuple_kernel():
+    # a term free of every variable of the form proves non-divisibility;
+    # a divisible numerator keeps terms whose form variables have only even
+    # exponents, in fields from the table too
+    rng = random.Random("div-free-term")
+    pool = (1, 2, 70, 1000, 1001)
+    free = held = 0
+    for _ in range(60):
+        form = sparse_form(rng, pool=pool)
+        variables = {i for i, c in enumerate(form.coeffs, start=1) if c}
+        p = even_poly(rng, pool)
+        square = p.mul_linear(form).mul_linear(form)
+        for num in (p, p.mul_linear(form), square, square + even_poly(rng, pool, 2)):
+            got, want = num.try_div_linear(form), try_div_linear_via_tuples(num, form)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert dict(got.terms) == want
+                held += 1
+            elif any(
+                not any(e and i in variables for i, e in enumerate(m, start=1))
+                for m in num.terms
+            ):
+                free += 1
+    assert free > 20 and held > 60
+
+
+def test_rf_sum_matches_full_lift_on_every_lifting_branch(monkeypatch):
+    # groups whose summands all miss a unit, units of multiplicity 2,
+    # non-integer scalars and sums that cancel to zero
+    rng = random.Random("rf_sum-branches")
+    forms = [x1, x2, x1 + x2, x1 - x3, x2 + 2 * x3]
+    calls = {"shared": 0, "split": 0}
+    mul_form, split_unit = algebra._mul_form, algebra._split_unit
+
+    def counting_mul_form(terms, lin, out=None):
+        if out is None:  # only the units a whole group misses come without out
+            calls["shared"] += 1
+        return mul_form(terms, lin, out)
+
+    def counting_split_unit(*args):
+        calls["split"] += 1
+        return split_unit(*args)
+
+    monkeypatch.setattr(algebra, "_mul_form", counting_mul_form)
+    monkeypatch.setattr(algebra, "_split_unit", counting_split_unit)
+    for _ in range(60):
+        items = [
+            rf(
+                Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7])),
+                random_poly(rng, 3, nterms=3, maxexp=2),
+                [(f, rng.choice([0, 1, 2])) for f in forms],
+            )
+            for _ in range(rng.randint(2, 7))
+        ]
+        assert rf_sum(items) == rf_sum_via_full_lift(items)
+        both = items + [-r for r in items]
+        rng.shuffle(both)
+        assert rf_sum(both) == RationalFunction.zero()
+    assert calls["shared"] > 50 and calls["split"] > 50
+
+
+def test_rf_sum_multiplies_a_unit_its_whole_group_misses_once(monkeypatch):
+    # The summands miss {x1, x2, x3}, {x1, x2}, {}, {x3} and {x3}.  x3 is
+    # the most missed unit, but the first two summands both miss x1 and x2,
+    # so each of those multiplies their sum once, not each summand.
+    misses = [{x1, x2, x3}, {x1, x2}, set(), {x3}, {x3}]
+    items = [
+        rf(k + 1, poly({(0, 0, 0, k): 1}), [(f, 1) for f in (x1, x2, x3) if f not in miss])
+        for k, miss in enumerate(misses)
+    ]
+    lins = []
+    mul_form = algebra._mul_form
+
+    def counting(terms, lin, out=None):
+        lins.append(lin)
+        return mul_form(terms, lin, out)
+
+    monkeypatch.setattr(algebra, "_mul_form", counting)
+    assert rf_sum(items) == rf_sum_via_full_lift(items)
+    assert lins.count([(_unit(1), 1)]) == 1
+    assert lins.count([(_unit(2), 1)]) == 1
 
 
 def test_packed_round_trips_at_high_indices():

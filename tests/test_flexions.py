@@ -37,11 +37,14 @@ from mouldcalc.moulds import (
     NotDefinedError,
     NotInvertibleError,
     canonical_word,
+    dur_scale,
+    dur_unscale,
     leng,
     mu,
     mu_inverse,
     mu_log,
     neg,
+    sharp,
     word,
 )
 from mouldcalc.special import mupaj, paj, pal, sa, sang
@@ -344,6 +347,9 @@ _EAGER_OPERATORS = [
     ("sang", lambda S, A: sang(A), "A", NotDefinedError),
     ("neg", lambda S, A: neg(A), None, None),
     ("leng", lambda S, A: leng(2, A), None, None),
+    ("sharp", lambda S, A: sharp(A), None, None),
+    ("dur_scale", lambda S, A: dur_scale(A), None, None),
+    ("dur_unscale", lambda S, A: dur_unscale(A), "A", NotDefinedError),
 ]
 
 
@@ -370,6 +376,19 @@ def test_eager_operator_takes_lazy_input(op, checked, error):
     with pytest.raises(error) as lazy_error:
         op(*map(lazy, bad))
     assert str(lazy_error.value) == str(concrete.value)
+
+
+@pytest.mark.parametrize("op", [sharp, dur_scale, dur_unscale])
+def test_coordinate_operator_reads_opaque_input_through_eval_word(op):
+    # an opaque mould's symbols are variables above the slot variables, so
+    # its values at the canonical words make no concrete mould: the operator
+    # refuses them as materializing does, not with an AttributeError
+    A = OpaqueMould(SymbolRegistry(), "A", 3)
+    with pytest.raises(ValueError) as got:
+        op(A)
+    with pytest.raises(ValueError) as want:
+        Mould.from_word_function(3, A.eval_word)
+    assert str(got.value) == str(want.value)
 
 
 @settings(max_examples=6, deadline=None)
