@@ -303,11 +303,10 @@ def verify_psi_odd_theorem(
 ) -> dict:
     """Check sharp(psi_{2n+1})^{(d)} = sang(sa_{2n+1})^{(d)} for d <= dmax.
 
-    ``sang`` takes the four-sum expansion up to
-    ``special.SANG_EXPANSION_DEPTH``, where the tier-1 suite proves it equal
-    to the compositional singulator for every depth-1-supported mould, and
-    the compositional ``lazy_sang`` above it.  ``psi_components`` may be
-    overridden (negative controls inject mutated components here).
+    ``sang`` takes the four-sum expansion, which is proven equal to the
+    compositional singulator for every depth-1-supported mould at every
+    admitted depth.  ``psi_components`` may be overridden (negative
+    controls inject mutated components here).
     """
     target = sang(sa(2 * n + 1, dmax))
     checks = _compare(

@@ -15,15 +15,14 @@ pair both ways: by pal outward, and by the inverse inward, whose own
 inverse is pal, so neither conjugation solves anything more.
 
 ``sang`` and the slicer's inner singulator take the four-sum expansion
-``sang_expanded`` for concrete depth-1-supported input up to
-``SANG_EXPANSION_DEPTH``, the depth at which the opaque-symbol proof of the
-tier-1 suite (``tests/test_identities.py``) shows it equal to ``lazy_sang``
-for every such input; above that depth, and on any other input, they take
-``lazy_sang``, which stays the oracle of the expansion.  So every depth
-above ``SANG_EXPANSION_DEPTH`` reaches ``lazy_sang``, which refuses a depth
-above ``SANG_MAX_DEPTH`` with ValueError before any work: ``sang(sa_3)``
-takes about 166 s and 483 MB at depth 7 and does not finish in 600 s at
-depth 8.
+``sang_expanded``, built one depth at a time as it is read, for concrete
+depth-1-supported input, and ``lazy_sang``, the expansion's oracle, on any
+other input.  On an opaque depth-1-supported mould the two agree at every
+depth up to ``SANG_MAX_DEPTH``, so the expansion holds for every such input
+(``proofs/test_singulator_expansion.py``; tier-1 proves depth 5).  Both
+routes refuse a depth above ``SANG_MAX_DEPTH`` with ValueError before any
+work: ``sang(sa_3)`` takes about 17 s and 95 MB at depth 7, and the
+compositional singulator does not finish in 600 s at depth 8.
 """
 
 from __future__ import annotations
@@ -72,9 +71,6 @@ __all__ = [
 ]
 
 SANG_MAX_DEPTH = 7
-# the depth up to which tests/test_identities.py proves sang_expanded equal
-# to lazy_sang on an opaque depth-1-supported mould; raise it with the proof
-SANG_EXPANSION_DEPTH = 5
 
 
 class UnsupportedInputError(ValueError):
@@ -210,11 +206,15 @@ def s_prime(depth: int = 3) -> Mould:
     return Mould(comps)
 
 
+def _require_singulator_depth(d: int) -> None:
+    if d > SANG_MAX_DEPTH:
+        raise ValueError(f"singulator depth {d} exceeds the maximum {SANG_MAX_DEPTH}")
+
+
 def lazy_sang(M) -> LazyMould:
     """Singulator (1/2)(id + neg . adari(paj)) (mupaj x M x paj), lazily."""
     d = M.depth
-    if d > SANG_MAX_DEPTH:
-        raise ValueError(f"singulator depth {d} exceeds the maximum {SANG_MAX_DEPTH}")
+    _require_singulator_depth(d)
     B = lazy_mu(lazy_mu(mupaj(d), M), paj(d))
     C = lazy_neg(lazy_adari(paj(d))(B))
     half = Fraction(1, 2)
@@ -222,26 +222,20 @@ def lazy_sang(M) -> LazyMould:
 
 
 def _singulator(M):
-    """sang(M) by the proven rule: the four-sum expansion for a concrete
-    depth-1-supported M up to ``SANG_EXPANSION_DEPTH``, and otherwise
-    ``lazy_sang(M)``, which refuses a depth above ``SANG_MAX_DEPTH``.
-
-    An opaque M takes ``lazy_sang``: the expansion's components hold its
-    symbols, which a substituted word cannot reach, so they make no mould.
-    """
-    if (
-        isinstance(M, Mould)
-        and M.depth <= SANG_EXPANSION_DEPTH
-        and _is_depth1_supported(M)
-    ):
-        return sang_expanded(M)
+    """sang(M) by the proven rule, lazily: the four-sum expansion for a
+    concrete depth-1-supported M, and ``lazy_sang(M)`` otherwise.  An opaque
+    M takes ``lazy_sang``: the expansion's components hold its symbols,
+    which a substituted word cannot reach, so they make no mould."""
+    _require_singulator_depth(M.depth)
+    if isinstance(M, Mould) and _is_depth1_supported(M):
+        return _lazy_sang_expanded(M)
     return lazy_sang(M)
 
 
 def _lazy_slicer(A):
     """r -> slang_r(A); the slices share pal's conjugations and the inner
-    mould adari(pal)^{-1} . sang(A), which stays lazy (a slice reads only
-    its own depth of it) even where the singulator is concrete."""
+    mould adari(pal)^{-1} . sang(A), so a slice reads only its own depth
+    of the singulator."""
     singulator = _singulator(A)  # checks the depth before pal is solved
     p = pal(A.depth)
     pinv = lazy_invgari(p)
@@ -271,7 +265,7 @@ def sang_expanded(M: Mould) -> Mould:
     -(x_2+..+x_d).  Agreement with the compositional sang is a test, not an
     assumption.
     """
-    return Mould(_sang_expanded_components(M))
+    return _materialize(_lazy_sang_expanded(M))
 
 
 def _is_depth1_supported(M) -> bool:
@@ -281,53 +275,56 @@ def _is_depth1_supported(M) -> bool:
     )
 
 
-def _sang_expanded_components(M) -> list[RationalFunction]:
-    """The components of ``sang_expanded(M)``, depth 0 to ``M.depth``.
-
-    M is read only through ``eval_word``, so it may be opaque: on an opaque
-    depth-1 mould the result proves the expansion for every such mould.
-    """
+def _lazy_sang_expanded(M) -> LazyMould:
+    """``sang_expanded(M)``, lazily: ``_sang_expanded_component`` builds
+    depth d once, at the canonical word, and other words substitute it.
+    M is read only through ``eval_word``: on an opaque depth-1 mould the
+    canonical values prove the expansion for every such mould."""
     if not _is_depth1_supported(M):
         raise UnsupportedInputError(
             "expanded singulator needs a depth-1-supported mould"
         )
-    d_max = M.depth
-    pj = paj(d_max)
-    mp = mupaj(d_max)
 
-    def f_at(form: LinearForm) -> RationalFunction:
-        return M.eval_word((form,))
+    def fn(w):
+        c = canonical_word(len(w))
+        if w == c:
+            return _sang_expanded_component(M, len(w))
+        return E.eval_word(c).substitute(w)
 
-    comps = [RationalFunction.zero()]
-    for d in range(1, d_max + 1):
-        terms = []
-        whole = sum_form(d)
-        # mupaj(x_1..x_{i-1}) S(x_i) paj(x_{i+1}..x_d)
-        for i in range(1, d + 1):
-            term = mp.components[i - 1] * f_at(LinearForm.variable(i))
-            terms.append(term * pj.components[d - i].shift(i))
-        # paj(x_1..x_{i-1}) S(-(x_1+..+x_d)) mupaj(x_{i+1}..x_d)
-        s_whole = f_at(-whole)
-        for i in range(1, d + 1):
-            term = pj.components[i - 1] * s_whole
-            terms.append(term * mp.components[d - i].shift(i))
+    E = LazyMould(M.depth, fn)
+    return E
+
+
+def _sang_expanded_component(M, d: int) -> RationalFunction:
+    """The depth-d component of ``sang_expanded(M)`` for depth-1-supported M."""
+    if d == 0:
+        return RationalFunction.zero()
+    pj, mp = paj(M.depth), mupaj(M.depth)
+    terms = []
+    whole = sum_form(d)
+    # mupaj(x_1..x_{i-1}) S(x_i) paj(x_{i+1}..x_d)
+    for i in range(1, d + 1):
+        term = mp.components[i - 1] * M.eval_word((LinearForm.variable(i),))
+        terms.append(term * pj.components[d - i].shift(i))
+    # paj(x_1..x_{i-1}) S(-(x_1+..+x_d)) mupaj(x_{i+1}..x_d)
+    s_whole = M.eval_word((-whole,))
+    for i in range(1, d + 1):
+        term = pj.components[i - 1] * s_whole
+        terms.append(term * mp.components[d - i].shift(i))
+    if d >= 2:
         # - paj(x_1..x_{i-1}) S(-(x_1+..+x_{d-1})) mupaj(x_{i+1}..x_{d-1}) / (x_1+..+x_d)
-        if d >= 2:
-            s_head = f_at(-sum_form(d - 1))
-            for i in range(1, d):
-                term = pj.components[i - 1] * s_head
-                term = term * mp.components[d - 1 - i].shift(i)
-                terms.append(-term.div_linear(whole))
+        s_head = M.eval_word((-sum_form(d - 1),))
+        for i in range(1, d):
+            term = pj.components[i - 1] * s_head
+            term = term * mp.components[d - 1 - i].shift(i)
+            terms.append(-term.div_linear(whole))
         # + paj(x_2..x_{i-1}) S(-(x_2+..+x_d)) mupaj(x_{i+1}..x_d) / (x_1+..+x_d)
-        if d >= 2:
-            tail = LinearForm((0,) + (1,) * (d - 1))  # x_2 + ... + x_d
-            s_tail = f_at(-tail)
-            for i in range(2, d + 1):
-                term = pj.components[i - 2].shift(1) * s_tail
-                term = term * mp.components[d - i].shift(i)
-                terms.append(term.div_linear(whole))
-        comps.append(rf_sum(terms) * Fraction(1, 2))
-    return comps
+        s_tail = M.eval_word((-sum_form(d - 1).shift(1),))
+        for i in range(2, d + 1):
+            term = pj.components[i - 2].shift(1) * s_tail
+            term = term * mp.components[d - i].shift(i)
+            terms.append(term.div_linear(whole))
+    return rf_sum(terms) * Fraction(1, 2)
 
 
 def slang(r: int, A: Mould) -> Mould:

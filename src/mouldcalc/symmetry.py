@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .algebra import RationalFunction, rf_sum, rf_to_json
-from .moulds import Mould, canonical_word, shuffle
+from .moulds import Mould, _materialize, canonical_word, shuffle
 
 __all__ = [
     "Dimould",
@@ -224,6 +224,7 @@ def _decide(
     the first cell (p, q) with p <= q whose shuffle sum, minus
     M^p(x_1..x_p) M^q(x_{p+1}..x_{p+q}) when ``factor``, is nonzero."""
     _require_shuffle_sums(what, M.depth)
+    M = _materialize(M)
     residual = M.components[0] - unit
     if not residual.is_zero():
         return SymmetryReport(False, M.depth, 0, 0, residual)
@@ -257,12 +258,14 @@ def is_symmetral(S: Mould) -> SymmetryReport:
 
 def is_alternal_via_sh(M: Mould) -> bool:
     """Dimould characterization: Sh(M) = M (x) 1 + 1 (x) M."""
+    M = _materialize(M)
     unit = Mould.unit(M.depth)
     return sh_map(M) == tensor(M, unit) + tensor(unit, M)
 
 
 def is_symmetral_via_sh(M: Mould) -> bool:
     """Dimould characterization: Sh(M) = M (x) M with M(empty) = 1."""
+    M = _materialize(M)
     c0 = M.components[0]
     if not (c0.is_constant() and c0.constant_value() == 1):
         return False

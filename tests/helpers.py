@@ -16,7 +16,9 @@ sums, on monomials as exponent tuples) that the packed-integer kernel
 replaced, the former rendering of monomials from their full exponent
 tuples, and the former alternality and symmetrality deciders, which
 evaluate every ordered cell (p, q) where the deciders now evaluate only
-p <= q.
+p <= q; and the opaque-symbol proof of the singulator's four-sum
+expansion, shared by the tier-1 suite and the full-depth proof in
+``proofs/``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from mouldcalc.flexions import (
     lazy_logari,
     preari,
 )
+from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.moulds import (
     Mould,
     NotDefinedError,
@@ -54,7 +57,7 @@ from mouldcalc.moulds import (
     mu,
     neg,
 )
-from mouldcalc.special import mupaj, paj, pal
+from mouldcalc.special import _lazy_sang_expanded, lazy_sang, mupaj, paj, pal
 from mouldcalc.symmetry import SymmetryReport, _shuffle_sum
 from mouldcalc.verify import random_ari_mould, random_gari_mould
 
@@ -73,6 +76,8 @@ __all__ = [
     "substitute_via_powers",
     "mul_via_full_make",
     "count_div_attempts",
+    "opaque_sang_expansion",
+    "prove_sang_expansion",
     "mul_via_tuples",
     "mul_linear_via_tuples",
     "try_div_linear_via_tuples",
@@ -291,6 +296,27 @@ def count_div_attempts(monkeypatch) -> list:
 # trimmed; each oracle reads ``Polynomial.terms`` and returns a tuple-keyed
 # dict (None for a failed division)
 # ---------------------------------------------------------------------------
+
+
+def opaque_sang_expansion(top: int) -> tuple[list, list]:
+    """The singulator's four-sum expansion and ``lazy_sang`` at the canonical
+    words of depth 0 to ``top``, on an opaque depth-1-supported mould S.
+
+    Wherever the two agree as canonical forms, the expansion holds for
+    every depth-1-supported mould: each value of S is a free symbol.
+    """
+    S = OpaqueMould(SymbolRegistry(), "S", top, support=(1,))
+    expanded, oracle = _lazy_sang_expanded(S), lazy_sang(S)
+    words = [canonical_word(m) for m in range(top + 1)]
+    return [expanded.eval_word(w) for w in words], [oracle.eval_word(w) for w in words]
+
+
+def prove_sang_expansion(top: int) -> None:
+    """The expansion equals ``lazy_sang`` at every depth up to ``top``, and
+    the proof is not vacuous: no component above depth 0 is zero."""
+    got, want = opaque_sang_expansion(top)
+    assert got == want
+    assert all(not c.is_zero() for c in got[1:])
 
 
 def _trim(seq) -> tuple:

@@ -4,19 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from mouldcalc import verify
+from mouldcalc import special, verify
 from mouldcalc.algebra import RationalFunction, rf_from_json, x_var
 from mouldcalc.flexions import lazy_arit
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.moulds import canonical_word
 from mouldcalc.special import (
-    SANG_EXPANSION_DEPTH,
     UnsupportedInputError,
-    _sang_expanded_components,
+    _lazy_sang_expanded,
     lazy_sang,
     lazy_slang,
 )
 from mouldcalc.verify import generic_expansion_checks, random_expansion_checks
+
+from helpers import opaque_sang_expansion, prove_sang_expansion
 
 
 def _assert_all_pass(checks):
@@ -68,20 +69,29 @@ def test_generic_slices_of_depth1_input_sum_to_singulator():
 def test_sang_expansion_holds_for_every_depth1_mould():
     # on an opaque depth-1-supported S the four-sum form and the
     # compositional singulator agree as canonical forms at each depth up to
-    # SANG_EXPANSION_DEPTH, so the expansion holds for every
-    # depth-1-supported mould there: this is what lets sang take it
-    top = SANG_EXPANSION_DEPTH
-    S = OpaqueMould(SymbolRegistry(), "S", top, support=(1,))
-    L = lazy_sang(S)
-    got = _sang_expanded_components(S)
-    assert got == [L.eval_word(canonical_word(m)) for m in range(top + 1)]
-    assert all(not c.is_zero() for c in got[1:])
+    # 5, so the expansion holds for every depth-1-supported mould there;
+    # proofs/test_singulator_expansion.py runs the same proof up to
+    # SANG_MAX_DEPTH, every depth at which sang takes the expansion
+    prove_sang_expansion(5)
+
+
+def test_a_mutated_sang_expansion_fails_the_proof(monkeypatch):
+    # x_1 + .. + x_m read as x_1 + .. + 2 x_m for m >= 2 changes the forms
+    # the expansion divides by from depth 2 on; lazy_sang does not read them
+    sum_form = special.sum_form
+    monkeypatch.setattr(
+        special,
+        "sum_form",
+        lambda m: sum_form(m) + x_var(m) if m >= 2 else sum_form(m),
+    )
+    got, want = opaque_sang_expansion(5)
+    assert [m for m in range(6) if got[m] != want[m]] == [2, 3, 4, 5]
 
 
 def test_sang_expansion_refuses_opaque_input_beyond_depth_1():
     S = OpaqueMould(SymbolRegistry(), "S", 3, support=(1, 2))
     with pytest.raises(UnsupportedInputError):
-        _sang_expanded_components(S)
+        _lazy_sang_expanded(S)
 
 
 def test_wrong_display_is_caught():

@@ -15,7 +15,8 @@ from mouldcalc.algebra import (
     x_var,
 )
 from mouldcalc.flexions import adari, invgari
-from mouldcalc.moulds import Mould, _materialize, mu, mu_inverse
+from mouldcalc.generic import OpaqueMould, SymbolRegistry
+from mouldcalc.moulds import Mould, _materialize, canonical_word, mu, mu_inverse
 from mouldcalc.special import (
     UnsupportedInputError,
     bernoulli,
@@ -273,9 +274,27 @@ def _count_lazy_sang(monkeypatch, module=special) -> list:
     return calls
 
 
-def test_sang_takes_the_expansion_up_to_the_proven_depth(monkeypatch):
+def _count_expansion_depths(monkeypatch) -> list:
+    """The depths at which the four-sum expansion is built from now on."""
+    built = []
+    build = special._sang_expanded_component
+
+    def counting(M, d):
+        built.append(d)
+        return build(M, d)
+
+    monkeypatch.setattr(special, "_sang_expanded_component", counting)
+    return built
+
+
+def test_sang_takes_the_expansion_at_every_admitted_depth(monkeypatch):
     calls = _count_lazy_sang(monkeypatch)
-    for d in range(1, special.SANG_EXPANSION_DEPTH + 1):
+    built = _count_expansion_depths(monkeypatch)
+    # the expansion is built lazily, so depth 7 costs nothing until read
+    for d in range(1, special.SANG_MAX_DEPTH + 1):
+        special._singulator(sa(3, d))
+    assert built == []
+    for d in range(1, 5):
         assert sang(sa(3, d)) == sang_expanded(sa(3, d))
     for r in (1, 2):
         slang(r, sa(3, 3))
@@ -283,20 +302,23 @@ def test_sang_takes_the_expansion_up_to_the_proven_depth(monkeypatch):
     assert calls == []
 
 
-def test_sang_falls_back_to_lazy_sang_above_the_proven_depth(monkeypatch):
+def test_sang_falls_back_to_lazy_sang_on_opaque_input(monkeypatch):
+    # an opaque mould takes lazy_sang even on depth-1 support: the
+    # expansion's components would hold symbols no substitution reaches
     calls = _count_lazy_sang(monkeypatch)
-    d = special.SANG_EXPANSION_DEPTH + 1
-    # lazy_sang builds no component, so the route costs nothing here
-    special._singulator(sa(3, d))
-    assert calls == [d]
-    # one depth over a lowered limit, both sang and the slices take
-    # lazy_sang and equal the lazy oracles
-    monkeypatch.setattr(special, "SANG_EXPANSION_DEPTH", 3)
-    A = sa(3, 4)
-    assert sang(A) == _materialize(lazy_sang(A))
-    assert calls == [d, 4]
-    assert slang_split(A) == [slang_via_eager_moulds(r, A) for r in range(1, 5)]
-    assert calls == [d, 4, 4]
+    S = OpaqueMould(SymbolRegistry(), "S", special.SANG_MAX_DEPTH, support=(1,))
+    special._singulator(S)
+    assert calls == [special.SANG_MAX_DEPTH]
+    A = OpaqueMould(SymbolRegistry(), "A", 2)
+    w = canonical_word(2)
+    assert special._singulator(A).eval_word(w) == lazy_sang(A).eval_word(w)
+    assert calls == [special.SANG_MAX_DEPTH, 2]
+
+
+def test_a_slice_builds_only_the_expansion_depths_it_reads(monkeypatch):
+    built = _count_expansion_depths(monkeypatch)
+    slang(1, sa(3, 6))
+    assert sorted(built) == [0, 1]
 
 
 def test_sang_expansion_claim_keeps_lazy_sang_as_its_oracle(monkeypatch):

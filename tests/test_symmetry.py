@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mouldcalc.algebra import Polynomial, RationalFunction, x_var
 from mouldcalc.flexions import expari
-from mouldcalc.moulds import Mould, dur, dur_scale, mu, mu_log, word
+from mouldcalc.moulds import LazyMould, Mould, dur, dur_scale, mu, mu_log, word
 from mouldcalc import symmetry
 from mouldcalc.special import dupal, paj, pal
 from mouldcalc.symmetry import (
@@ -242,6 +242,25 @@ def test_characterizations_agree_random():
         assert bool(is_alternal(M)) == is_alternal_via_sh(M)
         S = random_gari_mould(rng, 4)
         assert bool(is_symmetral(S)) == is_symmetral_via_sh(S)
+
+
+@pytest.mark.parametrize(
+    "decide, via_sh, build",
+    [
+        (is_symmetral, is_symmetral_via_sh, lambda: pal(4)),
+        (is_alternal, is_alternal_via_sh, lambda: dupal(4)),
+        (is_alternal, is_alternal_via_sh, middle_cell_mould),
+    ],
+    ids=["pal(4)", "dupal(4)", "middle cell fails"],
+)
+def test_deciders_take_lazy_input(decide, via_sh, build):
+    # a lazy mould is read once at the canonical words: same report, same
+    # witness and the same dimould verdict as the concrete mould
+    M = build()
+    lazy = LazyMould(M.depth, M.eval_word)
+    want, got = decide(M), decide(lazy)
+    assert (got.ok, got.depth, got.witness_json()) == (want.ok, want.depth, want.witness_json())
+    assert via_sh(lazy) == via_sh(M)
 
 
 # ---------------------------------------------------------------------------
