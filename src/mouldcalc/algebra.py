@@ -83,7 +83,12 @@ still worth trying.
   at its top multiplicity keeps a term the form does not divide, while
   every other lifted term is divisible by it.  If exactly one summand holds
   the form at top multiplicity, the form cannot divide the sum, so only
-  forms held at top multiplicity by two or more summands are tried.
+  forms held at top multiplicity by two or more summands are tried.  A
+  summand given as a pair ``(a, b)``, which stands for ``a * b``, is
+  cross-cancelled as ``__mul__`` does (``_cross``), so it is reduced like
+  every other summand and the argument holds for it unchanged; only its
+  numerator product is left to the lifting, which multiplies the two
+  numerators straight into the sum.
 * ``mul_linear`` and ``div_linear``: only the form multiplied or divided
   by can cancel.  Multiplying by a denominator form removes one power of
   it; dividing tries the form only when the denominator lacks it.
@@ -400,23 +405,7 @@ class Polynomial:
         if not a or not b:
             return _POLY_ZERO
         _check_degree(_degree(a) + _degree(b))
-        if len(a) > len(b):
-            a, b = b, a
-        # The first row's products are distinct monomials, so it fills the
-        # dict with one hash per key; hashing an int costs its length.
-        rows = iter(a.items())
-        ma, ca = next(rows)
-        out = {ma + mb: ca * cb for mb, cb in b.items()}
-        get = out.get
-        for ma, ca in rows:
-            for mb, cb in b.items():
-                m = ma + mb
-                s = get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Polynomial(out)
+        return Polynomial(_add_product({}, a, b, 1))
 
     def __rmul__(self, other: int) -> "Polynomial":
         return self.__mul__(other)
@@ -564,6 +553,34 @@ _POLY_ONE = Polynomial({0: 1})
 def _linear_terms(coeffs: tuple) -> list:
     """The nonzero ``(x_i's packed monomial, c)`` of a form's coefficients."""
     return [(_unit(i), c) for i, c in enumerate(coeffs, start=1) if c]
+
+
+def _add_product(out: dict, a: dict, b: dict, scale: int) -> dict:
+    """``out + scale * a * b`` as a terms dict, for nonempty ``a`` and ``b``.
+
+    The degree is not checked here.  When ``out`` is empty, the first row
+    fills it with one hash per key, since its products are distinct
+    monomials (hashing an int costs its length).  The caller uses the
+    return value, and gives up ``out``.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    rows = iter(a.items())
+    if not out:
+        ma, ca = next(rows)
+        c = ca * scale
+        out = {ma + mb: c * cb for mb, cb in b.items()}
+    get = out.get
+    for ma, ca in rows:
+        c = ca * scale
+        for mb, cb in b.items():
+            m = ma + mb
+            s = get(m, 0) + c * cb
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
 
 
 def _mul_form(terms: dict, lin: list, out: dict | None = None) -> dict:
@@ -904,20 +921,8 @@ class RationalFunction:
             )
         if self.scalar == 0 or other.scalar == 0:
             return RF_ZERO
-        p, q = self.numerator, other.numerator
-        mine = dict(self.denominator)
-        theirs = dict(other.denominator)
-        den = dict(mine)
-        for f, m in theirs.items():
-            if f in mine:  # divides neither numerator
-                den[f] += m
-            else:
-                p, den[f] = _cancel(p, f, m)
-        for f, m in mine.items():
-            if f not in theirs:
-                q, den[f] = _cancel(q, f, m)
-        den = {f: m for f, m in den.items() if m}
-        return _assemble(self.scalar * other.scalar, p * q, den)
+        scalar, p, q, den = _cross(self, other)
+        return _assemble(scalar, p * q, den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -1028,6 +1033,31 @@ def _assemble(scalar: Fraction, numerator: Polynomial, den: dict) -> RationalFun
     return RationalFunction(scalar, numerator, dens)
 
 
+def _cross(a: RationalFunction, b: RationalFunction) -> tuple:
+    """The product of two nonzero values, cross-cancelled but not multiplied
+    out: ``(scalar, p, q, den)`` with ``a * b == scalar * p * q / den``.
+
+    A form of one denominator that is not in the other is divided out of
+    the other numerator while exact; a form of both divides neither
+    numerator.  So ``p * q`` is a canonical numerator that no form of
+    ``den`` divides.
+    """
+    p, q = a.numerator, b.numerator
+    mine = dict(a.denominator)
+    theirs = dict(b.denominator)
+    den = dict(mine)
+    for f, m in theirs.items():
+        if f in mine:  # divides neither numerator
+            den[f] += m
+        else:
+            p, den[f] = _cancel(p, f, m)
+    for f, m in mine.items():
+        if f not in theirs:
+            q, den[f] = _cancel(q, f, m)
+    den = {f: m for f, m in den.items() if m}
+    return a.scalar * b.scalar, p, q, den
+
+
 def _cancel(p: Polynomial, f: LinearForm, mult: int) -> tuple[Polynomial, int]:
     """Divide ``f`` out of ``p`` while exact, at most ``mult`` times.
 
@@ -1068,8 +1098,13 @@ def _independent(forms: tuple) -> bool:
     return True
 
 
-def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
+def rf_sum(items: Iterable) -> RationalFunction:
     """Sum many rational functions over one common denominator.
+
+    An item is a ``RationalFunction`` or a pair ``(a, b)`` of them that
+    stands for ``a * b``.  A pair is cross-cancelled as ``__mul__`` does
+    (``_cross``), so every summand is reduced, but its two numerators are
+    multiplied straight into the lifted sum: the product is never built.
 
     Canonicalizes once, which matters in the factorization sums where
     dozens of terms share most denominator factors.  The denominator is
@@ -1081,23 +1116,34 @@ def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
     forms that two or more summands hold at the top multiplicity are tried
     against the sum's numerator.
     """
-    terms = [r for r in items if r.scalar != 0]
+    terms = []  # (scalar, denominator pairs, numerator, cofactor or None)
+    for r in items:
+        if type(r) is tuple:
+            a, b = r
+            if a.scalar != 0 and b.scalar != 0:
+                scalar, p, q, den = _cross(a, b)
+                terms.append((scalar, den.items(), p, q))
+        elif r.scalar != 0:
+            terms.append((r.scalar, r.denominator, r.numerator, None))
     if not terms:
         return RF_ZERO
     if len(terms) == 1:
-        return terms[0]
+        scalar, den, p, q = terms[0]
+        if q is None:
+            return RationalFunction(scalar, p, den)
+        return _assemble(scalar, p * q, dict(den))
     common: dict[LinearForm, int] = {}
     have: dict[tuple, int] = {}  # unit (coeffs, j) -> summands with it
-    for r in terms:
-        for f, m in r.denominator:
+    for _, den, _, _ in terms:
+        for f, m in den:
             if common.get(f, 0) < m:
                 common[f] = m
             for j in range(1, m + 1):
                 u = (f.coeffs, j)
                 have[u] = have.get(u, 0) + 1
     lcm = 1
-    for r in terms:
-        q = r.scalar.denominator
+    for scalar, _, _, _ in terms:
+        q = scalar.denominator
         lcm = lcm * q // gcd(lcm, q)
     # most missed first: a tie in _split_unit goes to the lowest bit
     units = sorted(
@@ -1108,35 +1154,40 @@ def rf_sum(items: Iterable[RationalFunction]) -> RationalFunction:
     lins = [_linear_terms(coeffs) for coeffs, _ in units]
     everything = (1 << len(units)) - 1
     summands = []
-    for r in terms:
+    for scalar, den, p, q in terms:
         mask = everything
-        for f, m in r.denominator:
+        for f, m in den:
             for j in range(1, m + 1):
                 mask &= ~bits.get((f.coeffs, j), 0)
         # lifting multiplies by one linear form per unit the summand misses
-        _check_degree(_degree(r.numerator._terms) + mask.bit_count())
-        scale = r.scalar.numerator * (lcm // r.scalar.denominator)
-        summands.append((r.numerator._terms, scale, mask))
+        degree = _degree(p._terms) + mask.bit_count()
+        if q is not None:
+            q = q._terms
+            degree += _degree(q)
+        _check_degree(degree)
+        scale = scalar.numerator * (lcm // scalar.denominator)
+        summands.append((p._terms, q, scale, mask))
     total = _lift_sum(summands, everything, lins)
     shared = [f for f, m in common.items() if have[(f.coeffs, m)] > 1]
     return _build(Fraction(1, lcm), Polynomial(total), common, shared)
 
 
 def _lift_sum(summands: list, todo: int, lins: list) -> dict:
-    """``sum(scale * terms * prod(unit k for k in mask & todo))`` as a new
-    terms dict.
+    """``sum(scale * terms * cofactor * prod(unit k for k in mask & todo))``
+    as a new terms dict.
 
-    ``summands`` holds ``(terms, scale, mask)``; bit k of ``mask`` says the
-    summand misses unit k, whose linear terms are ``lins[k]``, and ``todo``
-    holds the units not yet multiplied into this group.  The units that
-    every summand of the group misses multiply the group's sum once, after
-    it is formed.  If some summand still misses a unit, the group splits on
-    the unit ``_split_unit`` picks: the summands that miss it are lifted and
-    summed, and that sum times the unit is added into the rest's lifted sum.
+    ``summands`` holds ``(terms, cofactor, scale, mask)``, where a cofactor
+    of None stands for 1; bit k of ``mask`` says the summand misses unit k,
+    whose linear terms are ``lins[k]``, and ``todo`` holds the units not
+    yet multiplied into this group.  The units that every summand of the
+    group misses multiply the group's sum once, after it is formed.  If
+    some summand still misses a unit, the group splits on the unit
+    ``_split_unit`` picks: the summands that miss it are lifted and summed,
+    and that sum times the unit is added into the rest's lifted sum.
     """
     shared = todo
     union = 0
-    for _, _, mask in summands:
+    for _, _, _, mask in summands:
         shared &= mask
         union |= mask
     todo &= ~shared
@@ -1145,21 +1196,30 @@ def _lift_sum(summands: list, todo: int, lins: list) -> dict:
         bit = union
         if union & (union - 1):  # more than one unit to choose from
             bit = _split_unit(summands, todo, union)
-        miss = [s for s in summands if s[2] & bit]
-        rest = [s for s in summands if not s[2] & bit]
+        miss = [s for s in summands if s[3] & bit]
+        rest = [s for s in summands if not s[3] & bit]
         lin = lins[bit.bit_length() - 1]
         out = _lift_sum(rest, todo, lins)
         out = _mul_form(_lift_sum(miss, todo & ~bit, lins), lin, out)
     else:
-        # nothing left to lift but the shared units; add into a copy of the
-        # largest summand
-        big = max(summands, key=lambda s: len(s[0]))
-        terms, scale, _ = big
-        out = dict(terms) if scale == 1 else {m: c * scale for m, c in terms.items()}
+        # nothing left to lift but the shared units: add into a copy of the
+        # largest summand without a cofactor, and multiply each product's
+        # numerators straight into the sum
+        big = max(summands, key=lambda s: len(s[0]) if s[1] is None else -1)
+        terms, cof, scale, _ = big
+        if cof is not None:
+            out = _add_product({}, terms, cof, scale)
+        elif scale == 1:
+            out = dict(terms)
+        else:
+            out = {m: c * scale for m, c in terms.items()}
         for s in summands:
             if s is big:
                 continue
-            terms, scale, _ = s
+            terms, cof, scale, _ = s
+            if cof is not None:
+                out = _add_product(out, terms, cof, scale)
+                continue
             for m, c in terms.items():
                 v = out.get(m, 0) + c * scale
                 if v:
@@ -1187,7 +1247,7 @@ def _split_unit(summands: list, todo: int, union: int) -> int:
         union ^= bit
         in_miss = in_rest = todo & ~bit
         n_miss = 0
-        for _, _, mask in summands:
+        for _, _, _, mask in summands:
             if mask & bit:
                 in_miss &= mask
                 n_miss += 1

@@ -14,7 +14,14 @@ word-level mould product of ``moulds`` (``mu_at``, ``LazyMould``,
 module re-exports:
 
 * the factorization sums (``arit_at``, ``preari_at``, ``garit_at``) are
-  written once, at a single word, as functions of evaluation callables;
+  written once, at a single word, as functions of evaluation callables.
+  Each is one ``rf_sum`` of products per word, every product passed as a
+  pair of values so that none is built on its own.  ``preari`` and ``ari``
+  are one sum each: ``preari_at`` sums the arit and mu parts together, and
+  ``lazy_ari`` both preari part lists, the second with each pair's first
+  factor negated.  ``garit_at`` walks the block factorizations with each
+  block prefix's decorated word and factor, so a prefix's factor is
+  multiplied once, not once per factorization through it;
 * the lazy wrappers (``lazy_*``) run them at arbitrary words and memoize
   the values.  Their inputs only need ``depth`` and ``eval_word``, so
   concrete moulds, opaque symbol moulds and other lazy moulds mix freely.
@@ -56,6 +63,7 @@ from .moulds import (
     Word,
     _inverse_factorials,
     _materialize,
+    _mu_parts,
     _powers,
     _require_ari,
     _require_gari,
@@ -152,23 +160,29 @@ def garit_factorizations(
     """
     n = len(w)
 
-    def rec(start: int, first: bool, prev_c_empty: bool):
-        # choose a = w[start:i], b = w[i:j] (nonempty), c = w[j:k]
-        for i in range(start, n):
-            a = w[start:i]
-            if not first and prev_c_empty and not a:
-                continue
-            for j in range(i + 1, n + 1):
-                b = w[i:j]
-                for k in range(j, n + 1):
-                    c = w[j:k]
-                    if k == n:
-                        yield ((a, b, c),)
-                    else:
-                        for rest in rec(k, False, not c):
-                            yield ((a, b, c),) + rest
+    def rec(start: int, empty_a: bool):
+        for a, rest in _next_blocks(w, start, empty_a):
+            for b, c, k in rest:
+                if k == n:
+                    yield ((a, b, c),)
+                else:
+                    for tail in rec(k, bool(c)):
+                        yield ((a, b, c),) + tail
 
-    yield from rec(0, True, True)
+    yield from rec(0, True)
+
+
+def _next_blocks(w: Word, start: int, empty_a: bool) -> Iterator[tuple[Word, list]]:
+    """The next block a b c of a block factorization of w that has covered
+    w[:start]: each a = w[start:i] with its continuations (b, c, k), where
+    b = w[i:j] is nonempty and c = w[j:k].  ``a`` may be empty only when
+    ``empty_a``: in the first block, or after a nonempty c.  The block ends
+    the factorization when k == len(w)."""
+    n = len(w)
+    for i in range(start if empty_a else start + 1, n):
+        yield w[start:i], [
+            (w[i:j], w[j:k], k) for j in range(i + 1, n + 1) for k in range(j, n + 1)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +193,11 @@ def garit_factorizations(
 def arit_at(w: Word, m_eval: Eval, n_eval: Eval) -> RationalFunction:
     """The derivation sum: M(alpha ur(beta, gamma)) N(beta) terms minus
     M(dl(alpha, beta) gamma) N(beta) terms, over splittings w = alpha beta gamma."""
-    if len(w) < 2:
-        return RationalFunction.zero()
+    return rf_sum(_arit_parts(w, m_eval, n_eval))
+
+
+def _arit_parts(w: Word, m_eval: Eval, n_eval: Eval) -> list:
+    """The products of ``arit_at``, as ``rf_sum`` pairs."""
     parts = []
     for alpha, beta, gamma in tri_factorizations(w):
         if not beta or (not alpha and not gamma):
@@ -189,40 +206,58 @@ def arit_at(w: Word, m_eval: Eval, n_eval: Eval) -> RationalFunction:
         if nb.is_zero():
             continue
         if gamma:
-            parts.append(m_eval(alpha + flexion_up(beta, gamma)) * nb)
+            parts.append((m_eval(alpha + flexion_up(beta, gamma)), nb))
         if alpha:
-            parts.append(-(m_eval(flexion_down(alpha, beta) + gamma) * nb))
-    return rf_sum(parts)
+            parts.append((-m_eval(flexion_down(alpha, beta) + gamma), nb))
+    return parts
+
+
+def _preari_parts(w: Word, m_eval: Eval, n_eval: Eval) -> list:
+    return _arit_parts(w, m_eval, n_eval) + _mu_parts(w, m_eval, n_eval)
 
 
 def preari_at(w: Word, m_eval: Eval, n_eval: Eval) -> RationalFunction:
-    return arit_at(w, m_eval, n_eval) + mu_at(w, m_eval, n_eval)
+    return rf_sum(_preari_parts(w, m_eval, n_eval))
 
 
 def garit_at(w: Word, s_eval: Eval, t_eval: Eval, tinv_eval: Eval) -> RationalFunction:
-    """The twisted action sum over block factorizations of w."""
+    """The twisted action sum over block factorizations of w: S at the
+    decorated word times the T(a_i) and T^-1(c_i) of every block.
+
+    The walk carries each block prefix's decorated word and factor, so a
+    prefix's factor is multiplied once, not once per factorization through
+    it; a zero factor prunes every factorization through the prefix.
+    """
     if not w:
         return s_eval(())
+    n = len(w)
     parts = []
-    for blocks in garit_factorizations(w):
-        decorated: Word = ()
-        factor = RationalFunction.one()
-        for a, b, c in blocks:
-            decorated = decorated + flexion_up(a, flexion_down(b, c))
+
+    def walk(start: int, empty_a: bool, prefix: Word, factor) -> None:
+        # factor None stands for 1, the factor of the empty prefix
+        for a, rest in _next_blocks(w, start, empty_a):
+            with_a = factor
             if a:
-                factor = factor * t_eval(a)
-                if factor.is_zero():
-                    break
-            if c:
-                factor = factor * tinv_eval(c)
-                if factor.is_zero():
-                    break
-        if factor.is_zero():
-            continue
-        sval = s_eval(decorated)
-        if sval.is_zero():
-            continue
-        parts.append(sval * factor)
+                value = t_eval(a)
+                with_a = value if factor is None else factor * value
+                if with_a.is_zero():
+                    continue
+            for b, c, k in rest:
+                with_c = with_a
+                if c:
+                    value = tinv_eval(c)
+                    with_c = value if with_a is None else with_a * value
+                    if with_c.is_zero():
+                        continue
+                decorated = prefix + flexion_up(a, flexion_down(b, c))
+                if k < n:
+                    walk(k, bool(c), decorated, with_c)
+                    continue
+                sval = s_eval(decorated)
+                if not sval.is_zero():
+                    parts.append(sval if with_c is None else (sval, with_c))
+
+    walk(0, True, (), None)
     return rf_sum(parts)
 
 
@@ -330,8 +365,10 @@ def lazy_preari(M, N) -> LazyMould:
 def lazy_ari(M, N) -> LazyMould:
     return LazyMould(
         min(M.depth, N.depth),
-        lambda w: preari_at(w, M.eval_word, N.eval_word)
-        - preari_at(w, N.eval_word, M.eval_word),
+        lambda w: rf_sum(
+            _preari_parts(w, M.eval_word, N.eval_word)
+            + [(-a, b) for a, b in _preari_parts(w, N.eval_word, M.eval_word)]
+        ),
     )
 
 

@@ -10,7 +10,10 @@ the elementary unary operators (neg, dur scaling, sharp, leng).
 The mould product with its inverse, exponential and logarithm, ``neg`` and
 ``leng`` have one evaluation path each, a lazy rule: ``mu_at`` sums over
 the splittings of one word, and ``LazyMould`` memoizes a rule's values at
-any word.  Their eager forms take any mould (concrete, lazy or opaque),
+any word.  ``mu_at`` and ``lazy_mu_inverse`` are one ``rf_sum`` of
+products per word: each product f(a) g(b) goes in as a pair, so it is
+never built on its own (``_mu_parts`` lists them for the flexions).  The
+eager forms of these operators take any mould (concrete, lazy or opaque),
 check its depth-0 value through ``eval_word(())`` and materialize the lazy
 rule at the canonical words, so they always return a ``Mould``: ``mu``,
 ``mu_inverse``, ``neg`` and ``leng`` materialize ``lazy_mu``,
@@ -301,6 +304,11 @@ def lazy_unit(depth: int) -> LazyMould:
 
 def mu_at(w: Word, f: Eval, g: Eval) -> RationalFunction:
     """The mould product at one word: sum over w = ab of f(a) g(b)."""
+    return rf_sum(_mu_parts(w, f, g))
+
+
+def _mu_parts(w: Word, f: Eval, g: Eval) -> list:
+    """The nonzero products of ``mu_at``, as ``rf_sum`` pairs (f(a), g(b))."""
     # The shorter factor is evaluated first: self-referential evaluators
     # (the logari solver) rely on never being probed at the full word when
     # the complementary factor already vanishes on the empty word.
@@ -321,8 +329,8 @@ def mu_at(w: Word, f: Eval, g: Eval) -> RationalFunction:
             a = f(w[:i])
             if a.is_zero():
                 continue
-        parts.append(a * b)
-    return rf_sum(parts)
+        parts.append((a, b))
+    return parts
 
 
 def lazy_mu(M, N) -> LazyMould:
@@ -345,7 +353,7 @@ def lazy_mu_inverse(T) -> LazyMould:
             b = U.eval_word(w[i:])
             if b.is_zero():
                 continue
-            parts.append(a * b)
+            parts.append((a, b))
         return -rf_sum(parts)
 
     U._fn = fn

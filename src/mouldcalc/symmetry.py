@@ -127,7 +127,7 @@ def dimould_mu(A: Dimould, B: Dimould) -> Dimould:
     def comp(r: int, s: int) -> RationalFunction:
         left = canonical_word(r)
         right = canonical_word(s, offset=r)
-        total = RationalFunction.zero()
+        parts = []
         for i in range(r + 1):
             for j in range(s + 1):
                 a = A.components[(i, j)]
@@ -140,8 +140,8 @@ def dimould_mu(A: Dimould, B: Dimould) -> Dimould:
                 b_sub = (
                     b.substitute(left[i:] + right[j:]) if (r - i) + (s - j) else b
                 )
-                total = total + a_sub * b_sub
-        return total
+                parts.append((a_sub, b_sub))
+        return rf_sum(parts)
 
     return Dimould.from_function(d, comp)
 
@@ -196,10 +196,9 @@ class SymmetryReport:
         )
 
 
-def _shuffle_sum(
-    M: Mould, p: int, q: int, *extra: RationalFunction
-) -> RationalFunction:
-    """``M`` summed over the shuffle of blocks p and q, plus ``extra``.
+def _shuffle_sum(M: Mould, p: int, q: int, *extra) -> RationalFunction:
+    """``M`` summed over the shuffle of blocks p and q, plus ``extra``:
+    values or ``rf_sum`` pairs that stand for products.
 
     One ``rf_sum``, so the whole residual is canonicalized once.
     """
@@ -231,7 +230,7 @@ def _decide(
     for total in range(2, M.depth + 1):
         for p in range(1, total // 2 + 1):
             q = total - p
-            extra = (-(M.components[p] * M.components[q].shift(p)),) if factor else ()
+            extra = ((-M.components[p], M.components[q].shift(p)),) if factor else ()
             residual = _shuffle_sum(M, p, q, *extra)
             if not residual.is_zero():
                 return SymmetryReport(False, M.depth, p, q, residual)

@@ -16,9 +16,11 @@ sums, on monomials as exponent tuples) that the packed-integer kernel
 replaced, the former rendering of monomials from their full exponent
 tuples, and the former alternality and symmetrality deciders, which
 evaluate every ordered cell (p, q) where the deciders now evaluate only
-p <= q; and the opaque-symbol proof of the singulator's four-sum
-expansion, shared by the tier-1 suite and the full-depth proof in
-``proofs/``.
+p <= q; the former twisted-action sum, which builds each block
+factorization's factor from scratch where ``garit_at`` now shares it
+between the factorizations through a block prefix; and the opaque-symbol
+proofs of the singulator's four-sum expansion and of the gari inverse,
+shared by the tier-1 suite and the deeper proofs in ``proofs/``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,10 @@ from mouldcalc.algebra import (
 )
 from mouldcalc.flexions import (
     adari,
+    flexion_down,
+    flexion_up,
     garit_at,
+    garit_factorizations,
     invgari,
     lazy_expari,
     lazy_gari,
@@ -76,8 +81,11 @@ __all__ = [
     "substitute_via_powers",
     "mul_via_full_make",
     "count_div_attempts",
+    "count_products",
     "opaque_sang_expansion",
     "prove_sang_expansion",
+    "garit_at_per_factorization",
+    "prove_gari_inverse",
     "mul_via_tuples",
     "mul_linear_via_tuples",
     "try_div_linear_via_tuples",
@@ -291,6 +299,21 @@ def count_div_attempts(monkeypatch) -> list:
     return attempts
 
 
+def count_products(monkeypatch, cls) -> list:
+    """Patch ``cls.__mul__`` to record every product of two ``cls`` values
+    (not those by a scalar); returns the (growing) list of right factors."""
+    calls: list = []
+    original = cls.__mul__
+
+    def counting(self, other):
+        if isinstance(other, cls):
+            calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # the former tuple kernel: a monomial is its exponent tuple, trailing zeros
 # trimmed; each oracle reads ``Polynomial.terms`` and returns a tuple-keyed
@@ -317,6 +340,50 @@ def prove_sang_expansion(top: int) -> None:
     got, want = opaque_sang_expansion(top)
     assert got == want
     assert all(not c.is_zero() for c in got[1:])
+
+
+def garit_at_per_factorization(w, s_eval, t_eval, tinv_eval) -> RationalFunction:
+    """The twisted action sum over block factorizations of w, each
+    factorization's factor T(a_1) T^-1(c_1) ... built from scratch and each
+    product S(decorated) * factor built before one ``rf_sum``."""
+    if not w:
+        return s_eval(())
+    parts = []
+    for blocks in garit_factorizations(w):
+        decorated = ()
+        factor = RationalFunction.one()
+        for a, b, c in blocks:
+            decorated = decorated + flexion_up(a, flexion_down(b, c))
+            if a:
+                factor = factor * t_eval(a)
+                if factor.is_zero():
+                    break
+            if c:
+                factor = factor * tinv_eval(c)
+                if factor.is_zero():
+                    break
+        if factor.is_zero():
+            continue
+        sval = s_eval(decorated)
+        if sval.is_zero():
+            continue
+        parts.append(sval * factor)
+    return rf_sum(parts)
+
+
+def prove_gari_inverse(top: int) -> None:
+    """gari(S, invgari(S)) = 1 at every canonical word of depth 0 to
+    ``top``, on an opaque S with S(empty) = 1: each value of S is a free
+    symbol, so the identity holds for every S of the gari group.  The proof
+    is not vacuous: invgari(S) is nonzero at every depth above 0."""
+    S = OpaqueMould(SymbolRegistry(), "S", top, unit_value=1)
+    G = lazy_invgari(S)
+    product = lazy_gari(S, G)
+    words = [canonical_word(m) for m in range(top + 1)]
+    assert product.eval_word(()) == RationalFunction.one()
+    for w in words[1:]:
+        assert product.eval_word(w).is_zero(), f"depth {len(w)}"
+        assert not G.eval_word(w).is_zero(), f"depth {len(w)}"
 
 
 def _trim(seq) -> tuple:

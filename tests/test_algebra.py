@@ -804,6 +804,118 @@ def test_rf_sum_multiplies_a_unit_its_whole_group_misses_once(monkeypatch):
     assert lins.count([(_unit(2), 1)]) == 1
 
 
+# ---------------------------------------------------------------------------
+# rf_sum over factor pairs: (a, b) stands for a * b
+# ---------------------------------------------------------------------------
+
+
+def _structure(r: RationalFunction) -> tuple:
+    return r.scalar, r.numerator, r.denominator
+
+
+def _assert_sums_like_built_products(items) -> RationalFunction:
+    """rf_sum over items that mix values and pairs equals rf_sum over the
+    same items with each pair's product built, structurally."""
+    built = [r[0] * r[1] if isinstance(r, tuple) else r for r in items]
+    got = rf_sum(items)
+    assert _structure(got) == _structure(rf_sum(built))
+    return got
+
+
+def test_rf_sum_of_pairs_matches_built_products_on_every_lifting_branch(monkeypatch):
+    # pairs mixed with values over forms at multiplicity 0 to 2, fractional
+    # scalars, cancelling and constant factors, and sums that cancel to zero
+    rng = random.Random("rf_sum-pairs")
+    forms = [x1, x2, x1 + x2, x1 - x3, x2 + 2 * x3]
+    calls = {"shared": 0, "split": 0}
+    mul_form, split_unit = algebra._mul_form, algebra._split_unit
+
+    def counting_mul_form(terms, lin, out=None):
+        if out is None:  # only the units a whole group misses come without out
+            calls["shared"] += 1
+        return mul_form(terms, lin, out)
+
+    def counting_split_unit(*args):
+        calls["split"] += 1
+        return split_unit(*args)
+
+    def value():
+        den = [(f, rng.choice([0, 0, 1, 2])) for f in forms]
+        num = random_poly(rng, 3, nterms=3, maxexp=2)
+        if rng.random() < 0.3:  # a numerator the other factor's form divides
+            num = num.mul_linear(rng.choice(forms))
+        if rng.random() < 0.1:
+            num = Polynomial.one()
+        scalar = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
+        return rf(scalar, num, den)
+
+    monkeypatch.setattr(algebra, "_mul_form", counting_mul_form)
+    monkeypatch.setattr(algebra, "_split_unit", counting_split_unit)
+    cancelled = 0
+    for _ in range(80):
+        items = [
+            (value(), value()) if rng.random() < 0.6 else value()
+            for _ in range(rng.randint(1, 7))
+        ]
+        _assert_sums_like_built_products(items)
+        cancelled += any(
+            isinstance(r, tuple)
+            and len((r[0] * r[1]).denominator) < len(set(r[0].denominator) | set(r[1].denominator))
+            for r in items
+        )
+        both = items + [(-r[0], r[1]) if isinstance(r, tuple) else -r for r in items]
+        rng.shuffle(both)
+        assert rf_sum(both) == RationalFunction.zero()
+    assert calls["shared"] > 50 and calls["split"] > 50 and cancelled > 10
+
+
+def test_rf_sum_of_pairs_edge_cases():
+    # cross-cancellation removes a form: (x1 + x2)/x1 * 1/(x1 + x2) = 1/x1
+    a = rf(1, (x1 + x2).as_polynomial(), [(x1, 1)])
+    b = one_over_forms(x1 + x2)
+    assert _structure(rf_sum([(a, b)])) == _structure(a * b) == _structure(one_over_forms(x1))
+    _assert_sums_like_built_products([(a, b), one_over_forms(x2), (b, a)])
+    # forms at multiplicity 2 and fractional scalars
+    c = rf(Fraction(-3, 4), poly({(1, 2): 1, (0, 1): 5}), [(x1, 2), (x2 + x1, 1)])
+    d = rf(Fraction(2, 9), (x1 + x2).as_polynomial(), [(x2, 2), (x1, 1)])
+    _assert_sums_like_built_products([(c, d), (d, c), c, (c, c)])
+    # a zero factor drops the pair; a constant factor scales the other
+    zero, three = RationalFunction.zero(), rf(3, Polynomial.one())
+    assert rf_sum([(zero, c), (d, zero)]) == RationalFunction.zero()
+    assert _structure(rf_sum([(zero, c), d])) == _structure(d)
+    _assert_sums_like_built_products([(three, c), (d, three), (ONE, c)])
+    # a single pair is built as __mul__ builds it
+    for p, q in ((a, b), (c, d), (three, c), (ONE, ONE)):
+        assert _structure(rf_sum([(p, q)])) == _structure(p * q)
+    # opaque fields above x_K, next to slot variables
+    rng = random.Random("rf_sum-pairs-opaque")
+    for _ in range(20):
+        items = [
+            (
+                rf(1, sparse_poly(rng), [(sparse_form(rng), rng.randint(0, 2))]),
+                rf(Fraction(1, 3), sparse_poly(rng), [(sparse_form(rng), 1)]),
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        _assert_sums_like_built_products(items)
+    # a sum that cancels to zero
+    assert rf_sum([(c, d), -(c * d)]) == RationalFunction.zero()
+    assert rf_sum([(c, d), (-c, d)]) == RationalFunction.zero()
+
+
+def test_rf_sum_of_a_pair_raises_exponent_overflow_as_its_product_does():
+    top = _MAX_EXP
+    a = rf(1, poly({(top - 5,): 1}), [(x3, 1)])
+    fits, over = rf(2, poly({(0, 5): 1})), rf(1, poly({(0, 6): 1}))
+    assert _structure(rf_sum([(a, fits)])) == _structure(a * fits)
+    _assert_sums_like_built_products([(a, fits), one_over_forms(x3)])
+    with pytest.raises(ExponentOverflowError):
+        a * over
+    for items in ([(a, over)], [(a, over), one_over_forms(x3)], [(over, a), ONE]):
+        with pytest.raises(ExponentOverflowError):
+            rf_sum(items)
+
+
 def test_packed_round_trips_at_high_indices():
     rng = random.Random("packed-round-trip")
     for _ in range(30):

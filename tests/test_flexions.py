@@ -9,25 +9,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mouldcalc.algebra import RationalFunction, x_var
+from mouldcalc.algebra import Polynomial, RationalFunction, x_var
 from mouldcalc.flexions import (
     LazyMould,
     adari,
     ari,
     arit,
+    arit_at,
     expari,
     flexion_down,
     flexion_up,
     gari,
     garit,
+    garit_at,
     garit_factorizations,
     invgari,
     lazy_adari,
+    lazy_ari,
     lazy_expari,
     lazy_gari,
     lazy_mu_inverse,
     logari,
+    mu_at,
     preari,
+    preari_at,
     preari_n,
     tri_factorizations,
 )
@@ -51,8 +56,10 @@ from mouldcalc.special import mupaj, paj, pal, sa, sang
 
 from helpers import (
     adari_via_logari,
+    count_products,
     expari_via_materialized_chain,
     gari_via_shift_mu,
+    garit_at_per_factorization,
     mu_inverse_via_shift,
     random_ari_mould,
     random_gari_mould,
@@ -103,6 +110,73 @@ def test_garit_factorizations_constraints():
     assert list(garit_factorizations(canonical_word(1))) == [
         ((word(), word(x1), word()),)
     ]
+
+
+def _opaque_group(*names: str, depth: int = 5) -> list:
+    reg = SymbolRegistry()
+    return [OpaqueMould(reg, name, depth, unit_value=1) for name in names]
+
+
+@pytest.mark.parametrize("depth", range(1, 6))
+def test_garit_at_matches_the_per_factorization_sum(depth):
+    S, T, Tinv = _opaque_group("S", "T", "Ti", depth=depth)
+    w = canonical_word(depth)
+    evals = (S.eval_word, T.eval_word, Tinv.eval_word)
+    got = garit_at(w, *evals)
+    assert got == garit_at_per_factorization(w, *evals)
+    assert not got.is_zero()
+
+
+def _block_prefix_products(w) -> int:
+    """The factor products of a garit_at walk whose values never vanish: one
+    per block prefix that extends a factor other than 1 by a nonempty a (the
+    prefix ending in that a) or c (the prefix ending in that block)."""
+    prefixes = set()
+    for blocks in garit_factorizations(w):
+        started = False
+        for k, (a, _, c) in enumerate(blocks):
+            if a:
+                if started:
+                    prefixes.add(("a", blocks[:k], a))
+                started = True
+            if c:
+                if started:
+                    prefixes.add(("c", blocks[: k + 1]))
+                started = True
+    return len(prefixes)
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_garit_at_multiplies_each_block_prefix_factor_once(monkeypatch, depth):
+    S, T, Tinv = _opaque_group("S", "T", "Ti", depth=depth)
+    w = canonical_word(depth)
+    per_factorization = sum(
+        sum(bool(a) + bool(c) for a, _, c in blocks)
+        for blocks in garit_factorizations(w)
+    )
+    calls = count_products(monkeypatch, RationalFunction)
+    garit_at(w, S.eval_word, T.eval_word, Tinv.eval_word)
+    assert len(calls) == _block_prefix_products(w) < per_factorization
+
+
+def test_mould_product_sums_build_no_product(monkeypatch):
+    # every sum here has two or more nonzero products; rf_sum multiplies
+    # their numerators straight into the lifted sum
+    M, N = _opaque_group("M", "N", depth=4)
+    P, Q = pal(4), random_gari_mould(random.Random("no-product"), 4)
+    w = canonical_word(4)
+    for A, B in ((M, N), (P, Q)):
+        inverse = lazy_mu_inverse(A)
+        for i in range(1, len(w)):  # a suffix of length 1 is one product
+            inverse.eval_word(w[i:])
+        calls = count_products(monkeypatch, Polynomial)
+        mu_at(w, A.eval_word, B.eval_word)
+        arit_at(w, A.eval_word, B.eval_word)
+        preari_at(w, A.eval_word, B.eval_word)
+        lazy_ari(A, B).eval_word(w)
+        inverse.eval_word(w)
+        assert calls == []
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from mouldcalc.special import (
 )
 from mouldcalc.verify import generic_expansion_checks, random_expansion_checks
 
-from helpers import opaque_sang_expansion, prove_sang_expansion
+from helpers import opaque_sang_expansion, prove_gari_inverse, prove_sang_expansion
 
 
 def _assert_all_pass(checks):
@@ -73,6 +73,12 @@ def test_sang_expansion_holds_for_every_depth1_mould():
     # proofs/test_singulator_expansion.py runs the same proof up to
     # SANG_MAX_DEPTH, every depth at which sang takes the expansion
     prove_sang_expansion(5)
+
+
+def test_gari_inverse_holds_generically():
+    # gari(S, invgari(S)) = 1 on an opaque S, so for every S of the gari
+    # group, at depth 5; proofs/test_gari_inverse.py runs it at depth 8
+    prove_gari_inverse(5)
 
 
 def test_a_mutated_sang_expansion_fails_the_proof(monkeypatch):

@@ -30,6 +30,7 @@ from mouldcalc.symmetry import (
 
 from helpers import (
     count_div_attempts,
+    count_products,
     first_fails_at_2_3,
     is_alternal_all_pairs,
     is_symmetral_all_pairs,
@@ -123,6 +124,18 @@ def test_sh_is_algebra_morphism(seed):
     assert sh_map(mu(M, N)) == dimould_mu(sh_map(M), sh_map(N))
 
 
+def test_dimould_product_and_symmetrality_build_no_value_product(monkeypatch):
+    # a dimould component is one rf_sum over (a, b) pairs, and a symmetral
+    # residual takes M^p(x_1..x_p) M^q(x_{p+1}..x_{p+q}) as a negated pair:
+    # rf_sum multiplies the numerators into the sum, so no product is built
+    rng = random.Random("dimould-pairs")
+    A, B, S = random_dimould(rng, 3), random_dimould(rng, 3), pal(5)
+    products = count_products(monkeypatch, RationalFunction)
+    assert any(not c.is_zero() for c in dimould_mu(A, B).components.values())
+    assert is_symmetral(S)
+    assert products == []
+
+
 # ---------------------------------------------------------------------------
 # alternality / symmetrality
 # ---------------------------------------------------------------------------
@@ -168,8 +181,10 @@ def test_pal_symmetral_to_depth_5():
 
 
 def test_passing_symmetral_residuals_make_no_division_attempt(monkeypatch):
-    """Each residual is one sum of the shuffle terms and -S^p S^q; in a
-    passing cell its numerator is zero and no form is tried against it."""
+    """Each residual is one sum of the shuffle terms and the pair
+    (-S^p, S^q); in a passing cell its numerator is zero and no form is
+    tried against it.  The only attempts are the pair's cross-cancellation,
+    the ones the product S^p S^q makes on its own."""
     S = pal(5)
     attempts = count_div_attempts(monkeypatch)
     per_residual = []
@@ -177,9 +192,12 @@ def test_passing_symmetral_residuals_make_no_division_attempt(monkeypatch):
 
     def residual_sum(items):
         items = list(items)
+        (a, b), = [item for item in items if isinstance(item, tuple)]
         before = len(attempts)
+        a * b
+        product = len(attempts) - before
         total = original(items)
-        per_residual.append(len(attempts) - before)
+        per_residual.append(len(attempts) - before - 2 * product)
         return total
 
     monkeypatch.setattr(symmetry, "rf_sum", residual_sum)
