@@ -6,6 +6,9 @@ rational functions whose denominators are products of linear forms.  That last
 class is closed under addition, multiplication and substitution of linear
 forms for variables, which is all the mould operations ever need; keeping
 denominators factored sidesteps multivariate gcd computations entirely.
+Every term product runs in one loop, ``_mul_form``: products with a linear
+form, products of polynomials (the smaller factor's terms as its rows), the
+numerator pairs of ``rf_sum``, exact division and Horner substitution.
 
 Canonical forms
 ---------------
@@ -74,6 +77,7 @@ still worth trying.
   one denominator that is not in the other can divide the product only
   through the other numerator, so only that numerator is tried; a form of
   both denominators divides neither numerator, and is not tried.
+  ``mul_linear`` is the product with the form's value.
 * ``try_div_linear`` itself: setting x_i := 0 for every variable of the
   form is a ring map that sends the form to 0, so it sends every multiple
   of the form to 0.  It sends a numerator to the sum of its terms free of
@@ -89,9 +93,8 @@ still worth trying.
   every other summand and the argument holds for it unchanged; only its
   numerator product is left to the lifting, which multiplies the two
   numerators straight into the sum.
-* ``mul_linear`` and ``div_linear``: only the form multiplied or divided
-  by can cancel.  Multiplying by a denominator form removes one power of
-  it; dividing tries the form only when the denominator lacks it.
+* ``div_linear``: only the form divided by can cancel, and it is tried
+  only when the denominator lacks it.
 
 All values are immutable; every operation returns a new value.
 """
@@ -405,7 +408,7 @@ class Polynomial:
         if not a or not b:
             return _POLY_ZERO
         _check_degree(_degree(a) + _degree(b))
-        return Polynomial(_add_product({}, a, b, 1))
+        return Polynomial(_add_product(None, a, b, 1))
 
     def __rmul__(self, other: int) -> "Polynomial":
         return self.__mul__(other)
@@ -555,43 +558,26 @@ def _linear_terms(coeffs: tuple) -> list:
     return [(_unit(i), c) for i, c in enumerate(coeffs, start=1) if c]
 
 
-def _add_product(out: dict, a: dict, b: dict, scale: int) -> dict:
-    """``out + scale * a * b`` as a terms dict, for nonempty ``a`` and ``b``.
-
-    The degree is not checked here.  When ``out`` is empty, the first row
-    fills it with one hash per key, since its products are distinct
-    monomials (hashing an int costs its length).  The caller uses the
-    return value, and gives up ``out``.
-    """
+def _add_product(out: dict | None, a: dict, b: dict, scale: int) -> dict:
+    """``out + scale * a * b`` as a terms dict, for nonempty ``a`` and ``b``:
+    ``_mul_form`` with the smaller factor's scaled terms as rows."""
     if len(a) > len(b):
         a, b = b, a
-    rows = iter(a.items())
-    if not out:
-        ma, ca = next(rows)
-        c = ca * scale
-        out = {ma + mb: c * cb for mb, cb in b.items()}
-    get = out.get
-    for ma, ca in rows:
-        c = ca * scale
-        for mb, cb in b.items():
-            m = ma + mb
-            s = get(m, 0) + c * cb
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
+    return _mul_form(b, [(m, c * scale) for m, c in a.items()], out)
 
 
 def _mul_form(terms: dict, lin: list, out: dict | None = None) -> dict:
     """``terms * sum(c * u for u, c in lin)`` plus ``out``, as a terms dict.
 
-    Each term product adds x_i's packed monomial, which bumps the exponent
-    and the degree field by one.  The degree is not checked here: callers
-    that raise a degree check it first.  When ``out`` is None or empty, the
-    first row fills a new dict, one hash per key, since its products are
-    distinct monomials; otherwise the products are added into ``out``.  So
-    the caller uses the return value, and gives up a nonempty ``out``.
+    The kernel's one loop that multiplies terms.  Each row ``(u, c)`` of
+    ``lin`` is a packed monomial and its coefficient: x_i's monomial for a
+    linear form, any term of the other factor for a product of polynomials
+    (``_add_product``).  A term product adds the two packed monomials.  The
+    degree is not checked here: callers that raise a degree check it first.
+    When ``out`` is None or empty, the first row fills a new dict, one hash
+    per key, since its products are distinct monomials; otherwise the
+    products are added into ``out``.  So the caller uses the return value,
+    and gives up a nonempty ``out``.
     """
     rows = iter(lin)
     if not out:
@@ -945,18 +931,11 @@ class RationalFunction:
         return _build(self.scalar / k, self.numerator, den, trial)
 
     def mul_linear(self, form: LinearForm) -> "RationalFunction":
-        if self.scalar == 0:
-            return self
+        """The product with the form's value, ``k * f`` for f primitive."""
         k, f = form.primitive()
         if k == 0:
             return RF_ZERO
-        den = dict(self.denominator)
-        mult = den.pop(f, 0)
-        if mult:  # f does not divide the numerator, so exactly one f cancels
-            if mult > 1:
-                den[f] = mult - 1
-            return _assemble(self.scalar * k, self.numerator, den)
-        return _assemble(self.scalar * k, self.numerator.mul_linear(f), den)
+        return self * RationalFunction(Fraction(k), f.as_polynomial(), ())
 
     # -- structural operations -------------------------------------------------
 
@@ -1455,10 +1434,19 @@ def _json_int(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _json_rational(value) -> Fraction:
+    """A rational field: a string, as ``rf_to_json`` writes it, or an
+    integer field (``_json_int``).  A float is never read as the binary
+    fraction it stores."""
+    if type(value) is str:
+        return Fraction(value)
+    return Fraction(_json_int(value))
+
+
 def rf_from_json(obj: Mapping) -> RationalFunction:
-    scalar = Fraction(obj["scalar"])
+    scalar = _json_rational(obj["scalar"])
     raw = [
-        (tuple(_json_int(e) for e in mono), Fraction(coeff))
+        (tuple(_json_int(e) for e in mono), _json_rational(coeff))
         for mono, coeff in obj["numerator"]
     ]
     lcm = 1

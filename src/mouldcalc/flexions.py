@@ -385,6 +385,13 @@ def lazy_garit(T) -> Callable:
 
 
 def lazy_gari(S, T) -> LazyMould:
+    """gari(S, T) = garit(T)(S) x T, with a twisted action of its own.
+
+    It does not reuse the twisted action that ``lazy_invgari(S)`` solved
+    G with: for T = G that action's value is X = garit(G)(S) and G is
+    mu_inverse(X), so the check ``gari(S, invgari(S)) = 1`` would become
+    mu(X, mu_inverse(X)) = 1, which holds whatever ``garit_at`` computes.
+    """
     return lazy_mu(lazy_garit(T)(S), T)
 
 

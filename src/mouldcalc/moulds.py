@@ -10,9 +10,11 @@ the elementary unary operators (neg, dur scaling, sharp, leng).
 The mould product with its inverse, exponential and logarithm, ``neg`` and
 ``leng`` have one evaluation path each, a lazy rule: ``mu_at`` sums over
 the splittings of one word, and ``LazyMould`` memoizes a rule's values at
-any word.  ``mu_at`` and ``lazy_mu_inverse`` are one ``rf_sum`` of
-products per word: each product f(a) g(b) goes in as a pair, so it is
-never built on its own (``_mu_parts`` lists them for the flexions).  The
+any word.  ``mu_at`` is one ``rf_sum`` of products per word: each
+product f(a) g(b) goes in as a pair, so it is never built on its own
+(``_mu_parts`` lists them for the flexions).  ``lazy_mu_inverse`` solves
+T x U = 1 through it, as U(w) = -mu_at(w, T - 1, U), and ``mu_log`` sums
+the powers of the same T - 1 (``_less_unit``).  The
 eager forms of these operators take any mould (concrete, lazy or opaque),
 check its depth-0 value through ``eval_word(())`` and materialize the lazy
 rule at the canonical words, so they always return a ``Mould``: ``mu``,
@@ -310,8 +312,10 @@ def mu_at(w: Word, f: Eval, g: Eval) -> RationalFunction:
 def _mu_parts(w: Word, f: Eval, g: Eval) -> list:
     """The nonzero products of ``mu_at``, as ``rf_sum`` pairs (f(a), g(b))."""
     # The shorter factor is evaluated first: self-referential evaluators
-    # (the logari solver) rely on never being probed at the full word when
-    # the complementary factor already vanishes on the empty word.
+    # rely on never being probed at the full word when the complementary
+    # factor already vanishes on the empty word.  The logari solver,
+    # lazy_mu_inverse (U against T - 1) and special.pal (pal against
+    # dupal, whose depth-0 value is 0) all rest on this.
     parts = []
     n = len(w)
     for i in range(n + 1):
@@ -339,24 +343,20 @@ def lazy_mu(M, N) -> LazyMould:
     )
 
 
+def _less_unit(S) -> LazyMould:
+    """S - 1 for S with S(empty) = 1: S off the empty word, 0 on it."""
+    zero = RationalFunction.zero()
+    return LazyMould(S.depth, lambda w: S.eval_word(w) if w else zero)
+
+
 def lazy_mu_inverse(T) -> LazyMould:
+    """U = T^-1 from T x U = 1: U(w) = -mu_at(w, T - 1, U) off the empty
+    word.  T - 1 vanishes on the empty word, so U is read only at proper
+    suffixes of w."""
+    D = _less_unit(T)
     U = LazyMould(T.depth, None)
-
-    def fn(w: Word) -> RationalFunction:
-        if not w:
-            return RationalFunction.one()
-        parts = []
-        for i in range(1, len(w) + 1):
-            a = T.eval_word(w[:i])
-            if a.is_zero():
-                continue
-            b = U.eval_word(w[i:])
-            if b.is_zero():
-                continue
-            parts.append((a, b))
-        return -rf_sum(parts)
-
-    U._fn = fn
+    one = RationalFunction.one()
+    U._fn = lambda w: -mu_at(w, D.eval_word, U.eval_word) if w else one
     return U
 
 
@@ -425,10 +425,10 @@ def mu_log(S: Mould) -> Mould:
     c = S.eval_word(())
     if not (c.is_constant() and c.constant_value() == 1):
         raise NotDefinedError("mu-logarithm needs depth-0 component 1")
-    zero = RationalFunction.zero()
-    D = LazyMould(S.depth, lambda w: S.eval_word(w) if w else zero)
     coeffs = [Fraction((-1) ** (h + 1), h) for h in range(1, S.depth + 1)]
-    series = _series(zero, [None] + coeffs, _powers(D, lazy_mu))
+    series = _series(
+        RationalFunction.zero(), [None] + coeffs, _powers(_less_unit(S), lazy_mu)
+    )
     return _materialize(LazyMould(S.depth, series))
 
 

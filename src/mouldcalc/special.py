@@ -50,6 +50,7 @@ from .moulds import (
     lazy_leng,
     lazy_mu,
     lazy_neg,
+    mu_at,
     sum_form,
 )
 
@@ -174,18 +175,15 @@ def dupal(depth: int) -> Mould:
 def pal(depth: int) -> Mould:
     """The symmetral mould solving dur . pal = pal x dupal with pal^0 = 1.
 
-    The relation is triangular: the depth-m right side uses only lower pal
-    components because dupal^0 = 0, so pal is solved depth by depth and the
-    division by x_1 + ... + x_m stays exact in the polar ring.
+    The relation is triangular: the depth-m right side, one ``mu_at`` at
+    the canonical word, reads only lower pal components because
+    dupal^0 = 0, so pal is solved depth by depth and the division by
+    x_1 + ... + x_m stays exact in the polar ring.
     """
     dup = dupal(depth)
     comps = [RationalFunction.one()]
     for m in range(1, depth + 1):
-        rhs = rf_sum(
-            comps[k] * dup.components[m - k].shift(k)
-            for k in range(m)
-            if not comps[k].is_zero() and not dup.components[m - k].is_zero()
-        )
+        rhs = mu_at(canonical_word(m), lambda a: comps[len(a)], dup.eval_word)
         comps.append(rhs.div_linear(sum_form(m)))
     return Mould(comps)
 

@@ -81,6 +81,8 @@ __all__ = [
 _X1, _X2, _X3 = x_var(1), x_var(2), x_var(3)
 _HALF = Fraction(1, 2)
 
+RANDOM_MAX_DEGREE = 3  # the largest total degree of a random mould's monomial
+
 
 def _rf(form: LinearForm) -> RationalFunction:
     return RationalFunction.make(1, form.as_polynomial())
@@ -90,14 +92,14 @@ def _frac(num_form: LinearForm, *den_forms: LinearForm) -> RationalFunction:
     return _rf(num_form) * one_over_forms(*den_forms)
 
 
-def random_ari_mould(rng: random.Random, depth: int, max_deg: int = 3) -> Mould:
+def random_ari_mould(rng: random.Random, depth: int) -> Mould:
     """Random mould with small polynomial components and zero constant term."""
     comps = [RationalFunction.zero()]
     for m in range(1, depth + 1):
         terms: dict = {}
         for _ in range(rng.randint(1, 3)):
             mono = [0] * m
-            for _ in range(rng.randint(0, max_deg)):
+            for _ in range(rng.randint(0, RANDOM_MAX_DEGREE)):
                 mono[rng.randrange(m)] += 1
             while mono and mono[-1] == 0:
                 mono.pop()
@@ -109,8 +111,8 @@ def random_ari_mould(rng: random.Random, depth: int, max_deg: int = 3) -> Mould:
     return Mould(comps)
 
 
-def random_gari_mould(rng: random.Random, depth: int, max_deg: int = 3) -> Mould:
-    M = random_ari_mould(rng, depth, max_deg)
+def random_gari_mould(rng: random.Random, depth: int) -> Mould:
+    M = random_ari_mould(rng, depth)
     return Mould([RationalFunction.one()] + list(M.components[1:]))
 
 

@@ -305,6 +305,9 @@ def _with_component(**fields):
         {**_PAL1, "depth": 1.5},
         {**_PAL1, "depth": True},
         _with_component(numerator=[[["1"], "1"]]),
+        _with_component(scalar=0.1),
+        _with_component(scalar=True),
+        _with_component(numerator=[[[], 0.1]]),
         b"\xff\xfe{}",
         b"[" * 200_000,
     ],
@@ -318,6 +321,9 @@ def _with_component(**fields):
         "fractional-depth",
         "bool-depth",
         "string-exponent",
+        "float-scalar",
+        "bool-scalar",
+        "float-coefficient",
         "not-utf8",
         "nested-too-deeply",
     ],

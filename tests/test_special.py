@@ -35,7 +35,12 @@ from mouldcalc.special import (
 )
 from mouldcalc.symmetry import inductive_alternality_oracle, is_alternal, is_symmetral
 
-from helpers import random_ari_mould, sang_via_eager_moulds, slang_via_eager_moulds
+from helpers import (
+    count_products,
+    random_ari_mould,
+    sang_via_eager_moulds,
+    slang_via_eager_moulds,
+)
 
 x1, x2, x3, x4 = (x_var(i) for i in range(1, 5))
 
@@ -179,6 +184,18 @@ def test_pal_defining_relation():
     scaled = dur_scale(P)
     for m in range(1, 6):
         assert scaled.component(m) == product.component(m)
+
+
+def test_pal_builds_no_product(monkeypatch):
+    # each depth is one mu_at at the canonical word: rf_sum multiplies the
+    # pairs (pal, dupal) straight into its lifted sum
+    pal.cache_clear()
+    dupal.cache_clear()
+    calls = count_products(monkeypatch, RationalFunction)
+    P = pal(6)
+    monkeypatch.undo()
+    assert calls == []
+    assert not P.component(6).is_zero()
 
 
 # ---------------------------------------------------------------------------
