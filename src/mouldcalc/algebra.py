@@ -9,6 +9,10 @@ denominators factored sidesteps multivariate gcd computations entirely.
 Every term product runs in one loop, ``_mul_form``: products with a linear
 form, products of polynomials (the smaller factor's terms as its rows), the
 numerator pairs of ``rf_sum``, exact division and Horner substitution.
+A substitution composes each denominator form in one pass, adding each
+letter's coefficients into one list, and a form's packed linear terms
+(``_linear_terms``) are built once per distinct form, in a bounded cache of
+immutable tuples, however many words it is a letter of.
 
 Canonical forms
 ---------------
@@ -68,7 +72,9 @@ form; the operations below build through ``_build``, which takes the forms
 still worth trying.
 
 * ``substitute``: when the forms put in for x_1..x_n are linearly
-  independent (checked by fraction-free elimination, cached per word), the
+  independent (at once when their last variables differ, as in shuffle
+  words and the word of ``sharp``; otherwise by fraction-free elimination,
+  cached per word), the
   substitution extends to a ring automorphism, which maps a numerator
   coprime to every denominator form to one coprime to every image form.
   No form is tried.  Renamings, shuffle permutations, ``neg`` and
@@ -553,9 +559,11 @@ _POLY_ONE = Polynomial({0: 1})
 # ---------------------------------------------------------------------------
 
 
-def _linear_terms(coeffs: tuple) -> list:
-    """The nonzero ``(x_i's packed monomial, c)`` of a form's coefficients."""
-    return [(_unit(i), c) for i, c in enumerate(coeffs, start=1) if c]
+@lru_cache(maxsize=1 << 12)
+def _linear_terms(coeffs: tuple) -> tuple:
+    """The nonzero ``(x_i's packed monomial, c)`` of a form's coefficients,
+    built once per distinct form: word letters and denominator forms recur."""
+    return tuple((_unit(i), c) for i, c in enumerate(coeffs, start=1) if c)
 
 
 def _add_product(out: dict | None, a: dict, b: dict, scale: int) -> dict:
@@ -566,7 +574,7 @@ def _add_product(out: dict | None, a: dict, b: dict, scale: int) -> dict:
     return _mul_form(b, [(m, c * scale) for m, c in a.items()], out)
 
 
-def _mul_form(terms: dict, lin: list, out: dict | None = None) -> dict:
+def _mul_form(terms: dict, lin: Iterable, out: dict | None = None) -> dict:
     """``terms * sum(c * u for u, c in lin)`` plus ``out``, as a terms dict.
 
     The kernel's one loop that multiplies terms.  Each row ``(u, c)`` of
@@ -733,9 +741,7 @@ class LinearForm:
         """
         if not self.coeffs:
             return 0, _FORM_ZERO
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
+        g = gcd(*self.coeffs)
         if self.coeffs[self.leading_var() - 1] < 0:
             g = -g
         if g == 1:
@@ -746,16 +752,22 @@ class LinearForm:
         return Polynomial(dict(_linear_terms(self.coeffs)))
 
     def compose(self, forms: Sequence["LinearForm"]) -> "LinearForm":
-        """Substitute ``forms[i-1]`` for x_i; linear in, linear out."""
+        """Substitute ``forms[i-1]`` for x_i; linear in, linear out.  One
+        pass adds each letter's scaled coefficients into one list."""
         if len(self.coeffs) > len(forms):
             raise ValueError(
                 f"form uses x_{len(self.coeffs)} but only {len(forms)} forms given"
             )
-        out = _FORM_ZERO
+        out: list = []
         for c, f in zip(self.coeffs, forms):
             if c:
-                out = out + c * f
-        return out
+                row = f.coeffs
+                if len(row) > len(out):
+                    out.extend([0] * (len(row) - len(out)))
+                for j, a in enumerate(row):
+                    if a:
+                        out[j] += c * a
+        return LinearForm(out)
 
     def shift(self, k: int) -> "LinearForm":
         if k == 0 or not self.coeffs:
@@ -947,9 +959,10 @@ class RationalFunction:
         """
         if self.scalar == 0:
             return self
-        if self.max_var() > len(forms):
+        width = self.max_var()
+        if width > len(forms):
             raise ValueError(
-                f"value uses x_{self.max_var()} but only {len(forms)} forms given"
+                f"value uses x_{width} but only {len(forms)} forms given"
             )
         scalar = self.scalar
         den: dict[LinearForm, int] = {}
@@ -963,7 +976,7 @@ class RationalFunction:
                 scalar /= k**m
             den[g] = den.get(g, 0) + m
         num = self.numerator.compose(forms)
-        if den and not _independent(tuple(forms[: self.max_var()])):
+        if den and not _independent(tuple(forms[:width])):
             return _build(scalar, num, den, list(den))
         return _build(scalar, num, den, ())
 
@@ -1055,11 +1068,18 @@ def _cancel(p: Polynomial, f: LinearForm, mult: int) -> tuple[Polynomial, int]:
 def _independent(forms: tuple) -> bool:
     """Whether the linear forms are linearly independent over Q.
 
-    Fraction-free elimination: each row is reduced against the earlier
-    pivot rows by cross-multiplication, so every entry stays an integer, and
-    a row that reduces to zero is a combination of the rows before it.
+    Nonzero forms whose last variables differ are independent: ordered by
+    that variable they are in echelon form.  A shuffle word (x_i in some
+    order) and the word of ``sharp`` (x_1, x_1 + x_2, ...) are such words.
+    Otherwise, fraction-free elimination: each row is reduced against the
+    earlier pivot rows by cross-multiplication, so every entry stays an
+    integer, and a row that reduces to zero is a combination of the rows
+    before it.
     """
-    width = max((len(f.coeffs) for f in forms), default=0)
+    lasts = {len(f.coeffs) for f in forms}  # coefficients are trimmed
+    if len(lasts) == len(forms) and 0 not in lasts:
+        return True
+    width = max(lasts, default=0)
     if len(forms) > width:
         return False
     pivots: list[tuple[int, list]] = []

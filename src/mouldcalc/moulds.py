@@ -201,9 +201,13 @@ class Mould:
         return got
 
     def eval_combination(self, comb: Mapping[Word, object]) -> RationalFunction:
-        """Evaluate linearly on a formal combination of words."""
+        """Evaluate linearly on a formal combination of words.
+
+        A word of coefficient 1, such as every interleaving in a shuffle of
+        two blocks of distinct letters, enters the sum unscaled."""
         return rf_sum(
-            self.eval_word(w) * Fraction(coeff) for w, coeff in comb.items()
+            self.eval_word(w) if coeff == 1 else self.eval_word(w) * Fraction(coeff)
+            for w, coeff in comb.items()
         )
 
     def truncate(self, depth: int) -> "Mould":

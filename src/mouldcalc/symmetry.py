@@ -36,11 +36,14 @@ total is closed under p <-> q, so the first failing cell of the full order
 one the full loop gives.  The dimould cross-checks (``sh_map`` and the
 ``*_via_sh`` deciders) still evaluate every component (r, s); they are the
 independent oracle of this shortcut.
+
+Each shuffle sum is one ``rf_sum``.  The blocks A and B have distinct
+letters, so every interleaving occurs once (multiplicity 1), and its value
+enters the sum as it is, with no scaled copy.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Mapping
 
 from .algebra import RationalFunction, rf_sum, rf_to_json
@@ -200,11 +203,12 @@ def _shuffle_sum(M: Mould, p: int, q: int, *extra) -> RationalFunction:
     """``M`` summed over the shuffle of blocks p and q, plus ``extra``:
     values or ``rf_sum`` pairs that stand for products.
 
-    One ``rf_sum``, so the whole residual is canonicalized once.
+    One ``rf_sum``, so the whole residual is canonicalized once.  The two
+    blocks have distinct letters, so every interleaving has multiplicity 1
+    and its value enters the sum unscaled.
     """
     comb = shuffle(canonical_word(p), canonical_word(q, offset=p))
-    terms = [M.eval_word(w) * Fraction(coeff) for w, coeff in comb.items()]
-    return rf_sum(terms + list(extra))
+    return rf_sum([*map(M.eval_word, comb), *extra])
 
 
 def _require_shuffle_sums(what: str, depth: int) -> None:

@@ -4,7 +4,8 @@ The oracles here are deliberately independent of the canonical-form
 machinery they check: equality via dense cross-multiplication,
 divisibility certificates via evaluation at points on a form's zero set,
 the solver-chain definition of adari that the closed form replaced, the
-kernel's former substitution (powers of whole forms) and summation
+kernel's former substitution (powers of whole forms, for the numerator
+and for each denominator form) and summation
 (every summand lifted to the full common denominator by full products),
 the product canonicalized by ``make`` trying every denominator form, the
 former shift-based mould product with its inverse, exponential and
@@ -246,11 +247,23 @@ def compose_via_powers(p: Polynomial, forms) -> Polynomial:
     return total
 
 
+def compose_form_via_powers(f: LinearForm, forms) -> LinearForm:
+    """``f.compose(forms)`` through compose_via_powers of f's polynomial,
+    read back from the degree-1 coefficients."""
+    image = compose_via_powers(f.as_polynomial(), forms).terms
+    coeffs = [0] * max(map(len, image), default=0)
+    for m, c in image.items():
+        assert sum(m) == 1 and m[-1] == 1, m
+        coeffs[len(m) - 1] = c
+    return LinearForm(coeffs)
+
+
 def substitute_via_powers(r: RationalFunction, forms) -> RationalFunction:
-    """``r.substitute(forms)`` with the numerator through compose_via_powers."""
+    """``r.substitute(forms)`` with the numerator and every denominator form
+    through compose_via_powers."""
     if r.is_zero():
         return r
-    den = [(f.compose(forms), m) for f, m in r.denominator]
+    den = [(compose_form_via_powers(f, forms), m) for f, m in r.denominator]
     return RationalFunction.make(r.scalar, compose_via_powers(r.numerator, forms), den)
 
 

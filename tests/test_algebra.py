@@ -149,6 +149,37 @@ def test_linear_form_compose_is_linear():
     f = 2 * x1 - x2
     g = f.compose((x2 + x3, x3))
     assert g == 2 * x2 + x3
+    # letters that cancel: the image is zero, with every trailing zero trimmed
+    assert (x1 + x2).compose((x3 - x_var(4), x_var(4) - x3)) == LinearForm.zero()
+    assert (x1 + x2).compose((x1 + x3, x2 - x3)).coeffs == (1, 1)
+    # seeded random cases against the image computed coefficient by coefficient
+    rng = random.Random("compose")
+    for _ in range(300):
+        nvars = rng.randint(0, 4)
+        coeffs = [rng.choice([-3, -1, 0, 0, 1, 2]) for _ in range(nvars)]
+        f = LinearForm(coeffs)
+        letters = [
+            LinearForm([rng.choice([-2, -1, 0, 0, 0, 1, 3]) for _ in range(rng.randint(0, 5))])
+            for _ in range(nvars + rng.randint(0, 2))  # zero letters and spare ones
+        ]
+        if nvars >= 2 and rng.random() < 0.5:
+            i, j = rng.sample(range(nvars), 2)
+            if coeffs[j] and coeffs[i] % coeffs[j] == 0:
+                # c_i L_i + c_j L_j cancels: L_j = -(c_i / c_j) L_i
+                letters[j] = -(coeffs[i] // coeffs[j]) * letters[i]
+        width = max((len(L.coeffs) for L in letters), default=0)
+        want = [0] * width
+        for c, L in zip(f.coeffs, letters):
+            for k, a in enumerate(L.coeffs):
+                want[k] += c * a
+        while want and want[-1] == 0:
+            want.pop()
+        got = f.compose(letters)
+        assert got.coeffs == tuple(want)
+        assert got == LinearForm(want)
+        if f.coeffs:
+            with pytest.raises(ValueError):
+                f.compose(letters[: len(f.coeffs) - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +826,7 @@ def test_rf_sum_multiplies_a_unit_its_whole_group_misses_once(monkeypatch):
     mul_form = algebra._mul_form
 
     def counting(terms, lin, out=None):
-        lins.append(lin)
+        lins.append(list(lin))  # a form's cached rows are a tuple
         return mul_form(terms, lin, out)
 
     monkeypatch.setattr(algebra, "_mul_form", counting)

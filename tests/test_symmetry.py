@@ -13,7 +13,17 @@ from hypothesis import strategies as st
 
 from mouldcalc.algebra import Polynomial, RationalFunction, x_var
 from mouldcalc.flexions import expari
-from mouldcalc.moulds import LazyMould, Mould, dur, dur_scale, mu, mu_log, word
+from mouldcalc.moulds import (
+    LazyMould,
+    Mould,
+    canonical_word,
+    dur,
+    dur_scale,
+    mu,
+    mu_log,
+    shuffle,
+    word,
+)
 from mouldcalc import symmetry
 from mouldcalc.special import dupal, paj, pal
 from mouldcalc.symmetry import (
@@ -37,6 +47,7 @@ from helpers import (
     middle_cell_mould,
     random_ari_mould,
     random_gari_mould,
+    substitute_via_powers,
     with_component,
 )
 
@@ -203,6 +214,31 @@ def test_passing_symmetral_residuals_make_no_division_attempt(monkeypatch):
     monkeypatch.setattr(symmetry, "rf_sum", residual_sum)
     assert is_symmetral(S)
     assert per_residual == [0] * 6  # cells 1 <= p <= q with p + q <= 5
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: pal(6), lambda: dupal(7), lambda: mu_log(paj(4))],
+    ids=["pal(6)", "dupal(7)", "mu_log(paj(4))"],
+)
+def test_shuffle_words_evaluate_as_powers_without_division(build, monkeypatch):
+    """At every word of every cell (p, q) with p <= q, the value is the
+    substitution through powers of whole forms, and no form is tried: a
+    shuffle word renames the variables, so no form can cancel."""
+    M = build()
+    M = Mould(list(M.components))  # an empty word cache
+    words = [
+        w
+        for total in range(2, M.depth + 1)
+        for p in range(1, total // 2 + 1)
+        for w in shuffle(canonical_word(p), canonical_word(total - p, offset=p))
+    ]
+    attempts = count_div_attempts(monkeypatch)
+    values = [M.eval_word(w) for w in words]
+    assert attempts == []
+    monkeypatch.undo()
+    assert any(v.denominator for v in values)
+    for w, v in zip(words, values):
+        assert v == substitute_via_powers(M.components[len(w)], w)
 
 
 def test_unit_is_symmetral():
