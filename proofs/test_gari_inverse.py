@@ -3,11 +3,12 @@
 Each value of S is a free symbol, so the identity holds for every S of the
 gari group; the tier-1 suite runs the same proof at depth 5.  At depth 8
 it goes through every flexion sum the solver and the group law use
-(``garit_at``, ``mu_at`` and the mu-inverse).  It takes about 7 s and
-790 MB (peak RSS) on a 2-vCPU x86-64 host with Python 3.11.7, so it sits
-outside the tier-1 ``testpaths``:
+(``garit_at``, ``mu_at`` and the mu-inverse).  It takes about 4 s and
+415 MB (peak RSS) on a 2-vCPU x86-64 host with Python 3.11.7.  It sits
+outside the tier-1 ``testpaths``, and CI runs it on every Python version
+of the tier-1 matrix as a step of its own:
 
-    python -m pytest proofs -q
+    python -m pytest proofs/test_gari_inverse.py -q
 """
 
 from helpers import prove_gari_inverse

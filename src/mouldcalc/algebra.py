@@ -16,27 +16,35 @@ immutable tuples, however many words it is a letter of.
 
 Canonical forms
 ---------------
-* ``Monomial``: inside the kernel, one ``int`` with a fixed field of
-  ``_BITS`` bits per exponent: the total degree in field 0 (the lowest bits)
-  and one field per variable.  A term product is then one integer
-  addition, and the constant monomial is 0.  x_1..x_K keep field i, where
-  ``_K`` = 64 is a fixed constant that covers every slot variable.  A
-  variable above x_K, such as an opaque symbol x_1001, gets the next free
-  field the first time it is packed, from one append-only table that grows
-  under a lock; so a monomial costs one field per variable that has been
-  used, not one per index.  Every conversion between an index and a field
-  goes through ``_field`` and ``_index``; the term-product kernels need
-  none.  A packed value means something only under its own process's
+* ``Monomial``: inside the kernel, one ``int`` of bit fields: the total
+  degree in field 0 (the lowest bits) and one field per variable.  A term
+  product is then one integer addition, and the constant monomial is 0.
+  x_1..x_K keep field i, ``_BITS`` = 16 bits wide, where ``_K`` = 16 is a
+  fixed constant that covers every slot variable (``cli.MAX_DEPTH`` is 8,
+  and ``dupal(12)`` uses x_12).  A variable above x_K, such as an opaque
+  symbol x_1001, gets the next free field the first time it is packed,
+  from one append-only table that grows under a lock; a table field is
+  ``_TABLE_BITS`` = 8 bits wide and the first starts at bit 16 * 17.  So a
+  monomial costs one byte per table variable that has been used, not a
+  field per index.  Every conversion between an index and a field goes
+  through ``_field`` and ``_index``, and every field's position and width
+  through ``_span`` and its inverse ``_field_at``; the term-product kernels
+  need none.  A packed value means something only under its own process's
   table, so a ``Polynomial`` refuses to be pickled: values cross processes
   as JSON.  At the public boundary
   (``Polynomial.from_dict``, ``Polynomial.terms``, ``rf_monomial`` and
   JSON) a monomial is the tuple of exponents of x_1..x_k with trailing
   zeros trimmed; plain and LaTeX text read only the fields of the variables
-  that occur in the polynomial.  A field never wraps: every exponent is at most
-  the total degree, so it is enough to check the degree field where a
+  that occur in the polynomial.  A field never wraps: every exponent is at
+  most the total degree, so it is enough to check the degree where a
   degree grows (a product, a product with a linear form, the lifting of a
-  sum) and where a tuple is packed.  A degree above ``_MAX_EXP`` raises
-  ``ExponentOverflowError``.
+  sum, and a substitution or shift into x_{K+1} and above) and each
+  exponent where a tuple is packed.  A degree above ``_MAX_EXP`` = 65535
+  raises ``ExponentOverflowError``, and so does a degree above
+  ``_MAX_TABLE_EXP`` = 255 when a table variable is present, or a table
+  exponent above 255 in a packed tuple.  The terms are scanned for a table
+  variable only for a degree above 255, so slot-only products pay nothing
+  for the test.
 * ``Polynomial``: integer coefficients only; rational content lives in the
   enclosing ``RationalFunction`` scalar.
 * ``LinearForm``: arbitrary integer coefficient vector; denominators store
@@ -107,7 +115,7 @@ All values are immutable; every operation returns a new value.
 
 from __future__ import annotations
 
-import sys
+import struct
 import threading
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -154,10 +162,16 @@ class ExponentOverflowError(ArithmeticError):
 
 Monomial = tuple  # the public form: exponents of x_1..x_k, trailing zeros trimmed
 
-_BITS = 16  # width of one exponent field
-_MAX_EXP = (1 << _BITS) - 1  # the largest exponent, and the degree field's mask
-_FIELD_TYPE = "H"  # memoryview format of one unsigned _BITS-bit field
-_K = 64  # x_1.._K keep field i; this covers every slot variable
+_BITS = 16  # width of the degree field and of each slot field
+_MAX_EXP = (1 << _BITS) - 1  # the largest degree and slot exponent, and their mask
+_K = 16  # x_1.._K keep field i; this covers every slot variable
+_TABLE_BITS = 8  # width of a table field, one per variable above x_K
+_MAX_TABLE_EXP = (1 << _TABLE_BITS) - 1  # the largest table exponent, and its mask
+_TABLE_POS = _BITS * (_K + 1)  # the lowest bit of the first table field
+_TABLE_UNIT = 1 << _TABLE_POS  # a packed monomial at least this holds a table variable
+_SLOTS = (1 << _BITS * _K) - 1  # the slot fields, shifted down by one field
+# little-endian readers of the lowest n fields, n up to _K + 1
+_LOW_FIELDS = tuple(struct.Struct(f"<{n}H") for n in range(_K + 2))
 
 # The field of each variable above x_K, given the first time it is packed
 # and never changed, so a packed value stays valid for the life of the
@@ -167,7 +181,6 @@ _FIELD_OF: dict[int, int] = {}  # index above _K -> its field
 _INDEX_OF: list[int] = []  # the index of field _K + 1 + n, at position n
 _FIELD_LOCK = threading.Lock()
 _in_index_order = True  # whether field order above _K is still index order
-_LOW_SIZE = (_K + 1) * (_BITS // 8)  # bytes of the degree field and x_1..x_K
 
 
 def _trim(seq: Sequence[int]) -> tuple:
@@ -177,11 +190,22 @@ def _trim(seq: Sequence[int]) -> tuple:
     return tuple(seq[:n])
 
 
-def _check_degree(degree: int) -> None:
-    if degree > _MAX_EXP:
+def _check_degree(degree: int, table: bool = False) -> None:
+    """Raise ExponentOverflowError for a total degree that a field may not
+    hold: every exponent is at most the degree, so a degree up to _MAX_EXP
+    fits the degree and slot fields, and up to _MAX_TABLE_EXP a table field
+    too.  ``table`` says whether the monomials may hold a table variable."""
+    limit = _MAX_TABLE_EXP if table else _MAX_EXP
+    if degree > limit:
+        where = f" with a variable above x_{_K}" if table else ""
         raise ExponentOverflowError(
-            f"total degree {degree} exceeds the largest supported exponent {_MAX_EXP}"
+            f"total degree {degree}{where} exceeds the largest supported exponent {limit}"
         )
+
+
+def _holds_table(monomials: Iterable[int]) -> bool:
+    """Whether a packed monomial among these holds a table variable."""
+    return max(monomials, default=0) >= _TABLE_UNIT
 
 
 def _field(i: int) -> int:
@@ -206,9 +230,24 @@ def _index(f: int) -> int:
     return f if f <= _K else _INDEX_OF[f - _K - 1]
 
 
+def _span(f: int) -> tuple[int, int]:
+    """The lowest bit of field f and its mask: _BITS wide up to x_K (and
+    for the degree, field 0), _TABLE_BITS wide above."""
+    if f <= _K:
+        return _BITS * f, _MAX_EXP
+    return _TABLE_POS + _TABLE_BITS * (f - _K - 1), _MAX_TABLE_EXP
+
+
+def _field_at(bit: int) -> int:
+    """The field that holds the given bit: the inverse of ``_span``."""
+    if bit < _TABLE_POS:
+        return bit // _BITS
+    return _K + 1 + (bit - _TABLE_POS) // _TABLE_BITS
+
+
 def _unit(i: int) -> int:
     """The packed monomial x_i: a one in x_i's field and in the degree field."""
-    return (1 << _BITS * (i if i <= _K else _field(i))) | 1
+    return 1 << _span(_field(i))[0] | 1
 
 
 def _pack(exps: Sequence[int]) -> int:
@@ -222,22 +261,27 @@ def _pack(exps: Sequence[int]) -> int:
         m = m << _BITS | e
     m = m << _BITS | degree
     for i in range(_K, len(exps)):
-        if exps[i]:
-            m |= exps[i] << _BITS * _field(i + 1)
+        e = exps[i]
+        if e:
+            if e > _MAX_TABLE_EXP:
+                raise ExponentOverflowError(
+                    f"exponent {e} of x_{i + 1} exceeds the largest supported "
+                    f"exponent {_MAX_TABLE_EXP} of a variable above x_{_K}"
+                )
+            m |= e << _span(_field(i + 1))[0]
     return m
 
 
 def _unpack(m: int) -> Monomial:
     """The trimmed exponent tuple of a packed monomial."""
     size = -(-m.bit_length() // _BITS) * (_BITS // 8)
-    # native byte order, so that each field reads as one native integer
-    fields = tuple(memoryview(m.to_bytes(size, sys.byteorder)).cast(_FIELD_TYPE))
-    if sys.byteorder != "little":
-        fields = fields[::-1]  # fields[f] is field f
-    if size <= _LOW_SIZE:
+    data = m.to_bytes(size, "little")
+    low = _TABLE_POS // 8  # bytes of the degree field and the slot fields
+    fields = _LOW_FIELDS[min(size, low) // 2].unpack_from(data)
+    if size <= low:
         return fields[1:]
-    exps = list(fields[1 : _K + 1])
-    for n, e in enumerate(fields[_K + 1 :]):
+    exps = list(fields[1:])
+    for n, e in enumerate(data[low:]):  # one byte per table field
         if e:
             i = _INDEX_OF[n]
             if i > len(exps):
@@ -259,9 +303,8 @@ def _leading(terms) -> int:
     Up to x_K and while the table is in index order, the lowest field that
     differs is that variable; otherwise the differing fields are looked up.
     """
-    # the monomials exist, so their fields were given before this read;
-    # a lowest differing field above this shift is looked up
-    mixed = sys.maxsize if _in_index_order else _K * _BITS
+    # the monomials exist, so their fields were given before this read
+    mixed = not _in_index_order
     it = iter(terms)
     best = next(it)
     top = best & _MAX_EXP
@@ -272,12 +315,29 @@ def _leading(terms) -> int:
                 best, top = m, degree
             continue
         diff = m ^ best  # its lowest set bit lies in the lowest field that differs
-        shift = ((diff & -diff).bit_length() - 1) // _BITS * _BITS
-        if shift > mixed:
-            shift = min(_occupied(diff), key=_index) * _BITS
-        if m >> shift & _MAX_EXP > best >> shift & _MAX_EXP:
+        low = (diff & -diff).bit_length() - 1
+        if low < _TABLE_POS:
+            shift = low // _BITS * _BITS
+            mask = _MAX_EXP
+        elif mixed:
+            shift, mask = _span(min(_occupied(diff), key=_index))
+        else:
+            shift, mask = _span(_field_at(low))
+        if m >> shift & mask > best >> shift & mask:
             best = m
     return best
+
+
+def _variables(terms) -> tuple[int, Sequence[int]]:
+    """The largest variable index of a packed term dict (0 for none), and
+    the fields to read: those of x_1..x_n when no table field occurs, n
+    that index, else the occupied ones."""
+    top = max(terms, default=0)
+    if top < _TABLE_UNIT:  # the largest int holds the highest field
+        n = max(0, (top.bit_length() - 1) // _BITS)
+        return n, range(1, n + 1)
+    fields = _occupied(reduce(or_, terms))
+    return max(map(_index, fields)), fields
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +416,7 @@ class Polynomial:
         return _degree(self._terms)
 
     def max_var(self) -> int:
-        # The largest int holds the highest field; up to x_K that is the index.
-        top = (max(self._terms, default=0).bit_length() - 1) // _BITS
-        if top <= _K:
-            return max(0, top)
-        return max(map(_index, _occupied(reduce(or_, self._terms))))
+        return _variables(self._terms)[0]
 
     def leading_monomial(self) -> Monomial:
         if not self._terms:
@@ -413,7 +469,10 @@ class Polynomial:
         a, b = self._terms, other._terms
         if not a or not b:
             return _POLY_ZERO
-        _check_degree(_degree(a) + _degree(b))
+        degree = _degree(a) + _degree(b)
+        _check_degree(
+            degree, degree > _MAX_TABLE_EXP and (_holds_table(a) or _holds_table(b))
+        )
         return Polynomial(_add_product(None, a, b, 1))
 
     def __rmul__(self, other: int) -> "Polynomial":
@@ -447,6 +506,7 @@ class Polynomial:
         if k == 0 or not self._terms:
             return self
         if self.max_var() + k > _K:  # some x_{i+k} has a field from the table
+            _check_degree(_degree(self._terms), True)
             fields = _occupied(reduce(or_, self._terms))
             lins = {f: [(_unit(_index(f) + k), 1)] for f in fields}
             return Polynomial(_rename(self._terms, lins))
@@ -465,24 +525,23 @@ class Polynomial:
         evaluation in the last variable, recursively (``_horner``).  Linear
         forms are homogeneous, so no degree grows.
         """
-        width = self.max_var()
+        width, fields = _variables(self._terms)
         if width > len(forms):
             raise ValueError(
                 f"polynomial uses x_{width} but only {len(forms)} forms given"
             )
-        if width <= _K:
-            fields = range(1, width + 1)
-        else:
-            fields = _occupied(reduce(or_, self._terms))
-        lins = {f: _linear_terms(forms[_index(f) - 1].coeffs) for f in fields}
-        if all(len(lin) <= 1 for lin in lins.values()):
-            return Polynomial(_rename(self._terms, lins))
-        return Polynomial(_horner(self._terms, lins))
+        return _compose(self._terms, forms, fields)
 
     def mul_linear(self, form: "LinearForm") -> "Polynomial":
-        if self._terms:
-            _check_degree(_degree(self._terms) + 1)
-        return Polynomial(_mul_form(self._terms, _linear_terms(form.coeffs)))
+        terms = self._terms
+        if terms:
+            degree = _degree(terms) + 1
+            _check_degree(
+                degree,
+                degree > _MAX_TABLE_EXP
+                and (len(form.coeffs) > _K or _holds_table(terms)),
+            )
+        return Polynomial(_mul_form(terms, _linear_terms(form.coeffs)))
 
     def try_div_linear(self, form: "LinearForm") -> "Polynomial | None":
         """Exact quotient ``self / form`` or None.
@@ -502,12 +561,12 @@ class Polynomial:
             return _POLY_ZERO
         j = form.leading_var()
         c = form.coeffs[j - 1]
-        bits = _BITS * _field(j)
-        unit = _unit(j)
+        bits, mask = _span(_field(j))
+        unit = (1 << bits) | 1
         lin = _linear_terms(form.coeffs)
         fields = 0  # every bit of the fields of the form's variables
-        for u, _ in lin:
-            fields |= (u - 1) * _MAX_EXP
+        for u, _ in lin:  # u - 1 is the lowest bit of the variable's field
+            fields |= (u - 1) * (_MAX_EXP if u < _TABLE_UNIT else _MAX_TABLE_EXP)
         for m in self._terms:
             if not m & fields:
                 return None
@@ -516,7 +575,7 @@ class Polynomial:
         levels: dict[int, dict] = {}
         deg = 0
         for m, coeff in self._terms.items():
-            e = m >> bits & _MAX_EXP
+            e = m >> bits & mask
             if e > deg:
                 deg = e
             levels.setdefault(e, {})[m - e * unit] = coeff
@@ -618,15 +677,33 @@ def _mul_form(terms: dict, lin: Iterable, out: dict | None = None) -> dict:
     return out
 
 
+def _compose(terms: dict, forms: Sequence["LinearForm"], fields) -> Polynomial:
+    """``Polynomial.compose`` on a terms dict whose variables' fields are
+    ``fields`` (``_variables``), once the forms are known to cover them."""
+    lins = {f: _linear_terms(forms[_index(f) - 1].coeffs) for f in fields}
+    # a substitution keeps the degree, which a table field must hold
+    if _holds_table(lin[-1][0] for lin in lins.values() if lin):
+        _check_degree(_degree(terms), True)
+    if all(len(lin) <= 1 for lin in lins.values()):
+        return Polynomial(_rename(terms, lins))
+    return Polynomial(_horner(terms, lins))
+
+
 def _rename(terms: dict, lins: dict) -> dict:
     """Substitute ``c*x_j`` or 0 for each variable: one monomial per term.
 
     ``lins[f]`` is the linear terms put in for the variable of field f.
+    The slot fields and the table fields are read in loops of their own,
+    the second only for a monomial that holds a table variable.
     """
     out: dict = {}
     for m, c in terms.items():
         key = m & _MAX_EXP  # a renaming keeps the degree
         rest = m >> _BITS  # fields 1, 2, ... in its low bits
+        high = 0
+        if m >= _TABLE_UNIT:
+            high = m >> _TABLE_POS  # the table fields, _K + 1 on
+            rest &= _SLOTS
         i = 1
         while rest:
             e = rest & _MAX_EXP
@@ -641,11 +718,25 @@ def _rename(terms: dict, lins: dict) -> dict:
             rest >>= _BITS
             i += 1
         else:
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
+            i = _K + 1
+            while high:
+                e = high & _MAX_TABLE_EXP
+                if e:
+                    lin = lins[i]
+                    if not lin:
+                        break
+                    u, a = lin[0]
+                    key += e * (u - 1)
+                    if a != 1:
+                        c *= a**e
+                high >>= _TABLE_BITS
+                i += 1
             else:
-                del out[key]
+                s = out.get(key, 0) + c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
     return out
 
 
@@ -657,10 +748,11 @@ def _horner(terms: dict, lins: dict) -> dict:
     ``P(lins) = (..(P_d(lins) L + P_{d-1}(lins)) L + ..) L + P_0(lins)``;
     each ``P_k`` is substituted the same way in one variable fewer.
     """
-    n = (max(terms, default=0).bit_length() - 1) // _BITS  # the top field
-    if n <= 0:
+    top = max(terms, default=0).bit_length() - 1
+    if top < _BITS:  # constant
         return dict(terms)
-    bits = _BITS * n
+    n = _field_at(top)
+    bits = _span(n)[0]
     unit = (1 << bits) | 1
     levels: dict[int, dict] = {}
     for m, c in terms.items():
@@ -959,7 +1051,9 @@ class RationalFunction:
         """
         if self.scalar == 0:
             return self
-        width = self.max_var()
+        width, fields = _variables(self.numerator._terms)
+        for f, _ in self.denominator:
+            width = max(width, f.max_var())
         if width > len(forms):
             raise ValueError(
                 f"value uses x_{width} but only {len(forms)} forms given"
@@ -975,7 +1069,7 @@ class RationalFunction:
             if k != 1:
                 scalar /= k**m
             den[g] = den.get(g, 0) + m
-        num = self.numerator.compose(forms)
+        num = _compose(self.numerator._terms, forms, fields)
         if den and not _independent(tuple(forms[:width])):
             return _build(scalar, num, den, list(den))
         return _build(scalar, num, den, ())
@@ -1163,7 +1257,15 @@ def rf_sum(items: Iterable) -> RationalFunction:
         if q is not None:
             q = q._terms
             degree += _degree(q)
-        _check_degree(degree)
+        _check_degree(
+            degree,
+            degree > _MAX_TABLE_EXP
+            and (
+                any(len(coeffs) > _K for coeffs, _ in units)
+                or _holds_table(p._terms)
+                or q is not None and _holds_table(q)
+            ),
+        )
         scale = scalar.numerator * (lcm // scalar.denominator)
         summands.append((p._terms, q, scale, mask))
     total = _lift_sum(summands, everything, lins)
@@ -1285,12 +1387,14 @@ def _occupied(m: int) -> list:
     visited, however many lie between them."""
     out = []
     m >>= _BITS
-    i = 0
+    pos = _BITS  # the bit that the lowest bit of m stands for
     while m:
-        skip = ((m & -m).bit_length() - 1) // _BITS
-        m >>= _BITS * (skip + 1)
-        i += skip + 1
-        out.append(i)
+        f = _field_at(pos + (m & -m).bit_length() - 1)
+        out.append(f)
+        start, mask = _span(f)
+        end = start + mask.bit_length()
+        m >>= end - pos
+        pos = end
     return out
 
 
@@ -1306,9 +1410,9 @@ def _sorted_terms(p: Polynomial) -> tuple[list, list]:
     """
     fields = sorted(_occupied(reduce(or_, p._terms, 0)), key=_index)
     indices = [_index(f) for f in fields]
-    shifts = [_BITS * f for f in fields]
+    spans = [_span(f) for f in fields]
     terms = [
-        (m & _MAX_EXP, tuple([m >> s & _MAX_EXP for s in shifts]), c)
+        (m & _MAX_EXP, tuple([m >> s & k for s, k in spans]), c)
         for m, c in p._terms.items()
     ]
     terms.sort(reverse=True)

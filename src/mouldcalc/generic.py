@@ -8,8 +8,11 @@ equality of the canonical forms proves the identity generically.
 
 Symbols are allocated from a registry; indices start high enough that they
 never collide with slot variables.  The base costs nothing: an index above
-the kernel's slot range takes the next free exponent field of the packed
-monomials (see ``algebra``), so x_1001 is one field, not a thousand.
+the kernel's slot range takes the next free one-byte exponent field of the
+packed monomials (see ``algebra``), so x_1001 costs one byte, not a
+thousand fields.  A degree that grows past 255 with a symbol present
+raises ``ExponentOverflowError``; the identities checked here stay below
+it.
 Values built from opaque moulds are
 only ever combined by ring operations, never substituted into, so the
 symbols behave exactly like constants.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import pickle
 import random
@@ -32,7 +33,7 @@ from mouldcalc.algebra import (
     x_var,
 )
 from mouldcalc import algebra
-from mouldcalc.algebra import _MAX_EXP, _independent, _unit
+from mouldcalc.algebra import _MAX_EXP, _MAX_TABLE_EXP, _independent, _unit
 
 from mouldcalc.moulds import sharp, sum_form
 from mouldcalc.solutions import psi_minus1_mould
@@ -1080,17 +1081,19 @@ def test_output_does_not_depend_on_the_order_fields_were_given():
 
 
 def test_high_index_monomial_packs_into_a_few_fields():
+    # the degree field, sixteen slot fields and one byte per table variable
     script = (
-        "from mouldcalc.algebra import Polynomial, _BITS, _K, poly_latex, poly_str\n"
+        "from mouldcalc.algebra import Polynomial, poly_latex, poly_str\n"
         "p = Polynomial.variable(10**6) * Polynomial.variable(10**6 + 1)\n"
         "(m,) = p._terms\n"
-        "print(m.bit_length() <= (_K + 3) * _BITS, poly_str(p), poly_latex(p))\n"
+        "print(m.bit_length() <= 16 * 17 + 16, poly_str(p), poly_latex(p))\n"
     )
     assert run_fresh(script) == "True x1000000*x1000001 x_{1000000} x_{1000001}\n"
 
 
 def test_exponent_field_boundary_raises_for_high_fields_too():
-    top = _MAX_EXP
+    top = _MAX_TABLE_EXP
+    assert top == 255
     a, b = fresh_indices(2)
     high = poly({(0,) * (a - 1) + (top - 5,): 1})
     assert (high * poly({(0,) * (b - 1) + (5,): 2})).terms == {
@@ -1104,6 +1107,133 @@ def test_exponent_field_boundary_raises_for_high_fields_too():
     assert near.mul_linear(LinearForm.variable(b)).degree() == top
     with pytest.raises(ExponentOverflowError):
         near.mul_linear(LinearForm.variable(b)).mul_linear(LinearForm.variable(a))
+
+
+def test_table_fields_hold_255_and_refuse_256():
+    """A table field is one byte: an exponent of 255 fits and 256 raises
+    wherever a monomial is packed or a degree grows into the table, while a
+    slot field still takes _MAX_EXP."""
+    top = _MAX_TABLE_EXP
+    (a,) = fresh_indices(1)
+    xa = LinearForm.variable(a)
+
+    def mono(*pairs):
+        exps = [0] * max(i for i, _ in pairs)
+        for i, e in pairs:
+            exps[i - 1] = e
+        return poly({tuple(exps): 1})
+
+    # packing: from_dict and JSON
+    assert mono((a, top)).terms == {(0,) * (a - 1) + (top,): 1}
+    for r in (rf(1, mono((a, top))), rf(1, mono((1, 300), (a, top)))):
+        assert rf_from_json(rf_to_json(r)) == r
+    over = {"scalar": "1", "numerator": [[[0] * (a - 1) + [top + 1], "1"]], "denominator": []}
+    for make in (lambda: poly({(0,) * (a - 1) + (top + 1,): 1}), lambda: rf_from_json(over)):
+        with pytest.raises(ExponentOverflowError):
+            make()
+    # a product: the total degree bounds every exponent
+    assert dict((mono((a, 200)) * mono((1, top - 200))).terms) == mul_via_tuples(
+        mono((a, 200)), mono((1, top - 200))
+    )
+    with pytest.raises(ExponentOverflowError):
+        mono((a, 200)) * mono((1, top - 199))
+    assert (mono((1, 300)) * mono((2, 300))).terms == {(300, 300): 1}
+    # a product with a linear form: a table variable in the form or in the terms
+    assert mono((1, top - 1)).mul_linear(xa).terms == mono((1, top - 1), (a, 1)).terms
+    for p, form in ((mono((1, top)), xa), (mono((a, top)), x1)):
+        with pytest.raises(ExponentOverflowError):
+            p.mul_linear(form)
+    assert mono((1, 300)).mul_linear(x2).terms == {(300, 1): 1}
+    # the lifting of a sum multiplies by the forms a summand misses
+    for num, form in ((mono((a, top - 1)), x3), (mono((1, top - 1)), xa)):
+        items = [rf(1, num, [(x2, 1)]), one_over_forms(form)]
+        assert rf_sum(items) == rf_sum_via_tuples(items)
+    for num, form in ((mono((a, top)), x3), (mono((1, top)), xa)):
+        with pytest.raises(ExponentOverflowError):
+            rf_sum([rf(1, num, [(x2, 1)]), one_over_forms(form)])
+    items = [rf(1, mono((1, 300)), [(x2, 1)]), one_over_forms(x3)]
+    assert rf_sum(items) == rf_sum_via_tuples(items)
+    # a substitution onto x_17 and above, by renaming and by Horner
+    for forms in ([xa], [x2 + xa]):
+        p = mono((1, top))
+        assert dict(p.compose(forms).terms) == compose_via_tuples(p, forms)
+        with pytest.raises(ExponentOverflowError):
+            mono((1, top + 1)).compose(forms)
+    assert mono((1, 300)).compose([x2 + x3]).degree() == 300
+    # a shift across x_16
+    assert mono((16, top)).shift(1).terms == mono((17, top)).terms
+    with pytest.raises(ExponentOverflowError):
+        mono((16, top + 1)).shift(1)
+    assert mono((1, _MAX_EXP)).shift(15).terms == mono((16, _MAX_EXP)).terms
+
+
+_ROUND_TRIP = """
+import json, random, sys
+sys.path.insert(0, sys.argv[1])
+from helpers import mul_via_tuples, monomial_latex_via_tuple, monomial_str_via_tuple
+from mouldcalc import algebra
+from mouldcalc.algebra import Polynomial, RationalFunction, poly_latex, poly_str
+from mouldcalc.algebra import rf_from_json, rf_to_json
+
+order = json.loads(sys.argv[2])
+for i in order:
+    Polynomial.variable(i)
+assert algebra._in_index_order == (order == sorted(order))
+assert len(algebra._INDEX_OF) == len(order) > 256
+
+
+def text(d, mono, times):
+    out = []
+    for m, c in sorted(d.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        t = mono(m)
+        piece = str(abs(c)) if not m else t if abs(c) == 1 else f"{abs(c)}{times}{t}"
+        out.append((("" if c > 0 else "-") if not out else ("+ " if c > 0 else "- ")) + piece)
+    return " ".join(out) or "0"
+
+
+rng = random.Random("table-round-trip")
+pool = list(range(1, 17)) + order[:3] + order[-40:]
+width = max(pool)
+for k in range(60):
+    d = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = [0] * width
+        if k % 2:  # degree 255 in two table variables: terms differ in table fields
+            i, j = rng.sample(pool[16:], 2)
+            exps[i - 1] = rng.choice([1, 127, 128, 254])
+            exps[j - 1] = 255 - exps[i - 1]
+        else:
+            for i in rng.sample(pool, rng.randint(0, 4)):
+                exps[i - 1] = rng.choice([1, 2, 127, 128, 255]) if i > 16 else rng.randint(1, 300)
+        n = len(exps)
+        while n and not exps[n - 1]:
+            n -= 1
+        d[tuple(exps[:n])] = rng.choice([-7, -1, 1, 2, 5])
+    p = Polynomial.from_dict(d)
+    assert dict(p.terms) == d
+    assert p.leading_monomial() == max(d, key=lambda m: (sum(m), m))
+    assert poly_str(p) == text(d, monomial_str_via_tuple, "*")
+    assert poly_latex(p) == text(d, monomial_latex_via_tuple, " ")
+    r = RationalFunction.make(1, p)
+    rows = rf_to_json(r)["numerator"]
+    want = sorted(d.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    assert [(tuple(m), int(c) * r.scalar) for m, c in rows] == want
+    assert rf_from_json(rf_to_json(r)) == r
+    # a product whose degree a table field holds
+    q = Polynomial.from_dict({m: c for m, c in d.items() if sum(m) < 255})
+    s = Polynomial.from_dict({(0,) * (order[-1] - 1) + (1,): 1, (1,): 1})
+    assert dict((q * s).terms) == mul_via_tuples(q, s)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["index-order", "shuffled"])
+def test_table_fields_past_256_round_trip_against_tuples(shuffled):
+    # more than 256 table fields, so field numbers and byte offsets pass a byte
+    order = list(range(3001, 3301))
+    if shuffled:
+        random.Random("table-order").shuffle(order)
+    assert run_fresh(_ROUND_TRIP, str(_ROOT / "tests"), json.dumps(order)) == "ok\n"
 
 
 def test_field_table_grows_consistently_under_threads():
@@ -1177,7 +1307,9 @@ def test_rendering_from_occupied_fields_matches_full_exponent_tuples():
     # on slot variables mixed with opaque-symbol indices and on the first
     # few variables alone
     rng = random.Random("render")
-    polys = [sparse_poly(rng, nterms=8, maxexp=300) for _ in range(60)]
+    # slot exponents past one byte; a table field holds at most 255 (3 * 85)
+    polys = [sparse_poly(rng, nterms=8, maxexp=300, pool=(1, 2, 3, 7, 16)) for _ in range(30)]
+    polys += [sparse_poly(rng, nterms=8, maxexp=85) for _ in range(30)]
     polys += [random_rf(rng, nvars=4).numerator for _ in range(60)]  # few variables
     for p in polys:
         assert_renders_like_tuples(p)
