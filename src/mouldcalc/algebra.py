@@ -38,13 +38,12 @@ Canonical forms
   that occur in the polynomial.  A field never wraps: every exponent is at
   most the total degree, so it is enough to check the degree where a
   degree grows (a product, a product with a linear form, the lifting of a
-  sum, and a substitution or shift into x_{K+1} and above) and each
-  exponent where a tuple is packed.  A degree above ``_MAX_EXP`` = 65535
-  raises ``ExponentOverflowError``, and so does a degree above
-  ``_MAX_TABLE_EXP`` = 255 when a table variable is present, or a table
-  exponent above 255 in a packed tuple.  The terms are scanned for a table
-  variable only for a degree above 255, so slot-only products pay nothing
-  for the test.
+  sum, and a substitution into x_{K+1} and above) and where a tuple is
+  packed.  A degree above ``_MAX_EXP`` = 65535 raises
+  ``ExponentOverflowError``, and so does a degree above ``_MAX_TABLE_EXP``
+  = 255 when a table variable is present: one rule for a packed tuple and
+  for a product.  The terms are scanned for a table variable only for a
+  degree above 255, so slot-only products pay nothing for the test.
 * ``Polynomial``: integer coefficients only; rational content lives in the
   enclosing ``RationalFunction`` scalar.
 * ``LinearForm``: arbitrary integer coefficient vector; denominators store
@@ -79,14 +78,15 @@ denominator forms.  ``RationalFunction.make`` called directly tries every
 form; the operations below build through ``_build``, which takes the forms
 still worth trying.
 
-* ``substitute``: when the forms put in for x_1..x_n are linearly
-  independent (at once when their last variables differ, as in shuffle
-  words and the word of ``sharp``; otherwise by fraction-free elimination,
-  cached per word), the
-  substitution extends to a ring automorphism, which maps a numerator
+* ``substitute``: when the forms put in for x_1..x_n, n the largest index
+  the value uses, are nonzero and end in distinct variables, they are in
+  echelon form (ordered by last variable), hence linearly independent, and
+  the substitution extends to a ring automorphism, which maps a numerator
   coprime to every denominator form to one coprime to every image form.
-  No form is tried.  Renamings, shuffle permutations, ``neg`` and
-  ``sharp`` are such maps; a dependent word tries every form.
+  No form is tried.  Renamings, shuffle permutations, ``shift``, ``neg``
+  and the word of ``sharp`` are such words.  Every other word tries every
+  form, as ``make`` does: the test reads the letters' lengths, with no
+  elimination and no cache.
 * ``__mul__``: cross-cancellation, as in ``fractions.Fraction``.  A form of
   one denominator that is not in the other can divide the product only
   through the other numerator, so only that numerator is tried; a form of
@@ -169,7 +169,6 @@ _TABLE_BITS = 8  # width of a table field, one per variable above x_K
 _MAX_TABLE_EXP = (1 << _TABLE_BITS) - 1  # the largest table exponent, and its mask
 _TABLE_POS = _BITS * (_K + 1)  # the lowest bit of the first table field
 _TABLE_UNIT = 1 << _TABLE_POS  # a packed monomial at least this holds a table variable
-_SLOTS = (1 << _BITS * _K) - 1  # the slot fields, shifted down by one field
 # little-endian readers of the lowest n fields, n up to _K + 1
 _LOW_FIELDS = tuple(struct.Struct(f"<{n}H") for n in range(_K + 2))
 
@@ -255,20 +254,14 @@ def _pack(exps: Sequence[int]) -> int:
     if any(e < 0 for e in exps):
         raise ValueError(f"negative exponent in monomial {tuple(exps)}")
     degree = sum(exps)
-    _check_degree(degree)
+    _check_degree(degree, any(exps[_K:]))
     m = 0
     for e in reversed(exps[:_K]):
         m = m << _BITS | e
     m = m << _BITS | degree
     for i in range(_K, len(exps)):
-        e = exps[i]
-        if e:
-            if e > _MAX_TABLE_EXP:
-                raise ExponentOverflowError(
-                    f"exponent {e} of x_{i + 1} exceeds the largest supported "
-                    f"exponent {_MAX_TABLE_EXP} of a variable above x_{_K}"
-                )
-            m |= e << _span(_field(i + 1))[0]
+        if exps[i]:
+            m |= exps[i] << _span(_field(i + 1))[0]
     return m
 
 
@@ -502,20 +495,11 @@ class Polynomial:
     # -- structural operations ---------------------------------------------
 
     def shift(self, k: int) -> "Polynomial":
-        """Rename every variable x_i to x_{i+k}."""
+        """Rename every variable x_i to x_{i+k}: ``compose`` at the word
+        (x_{1+k}, ..., x_{n+k}), n the largest index used."""
         if k == 0 or not self._terms:
             return self
-        if self.max_var() + k > _K:  # some x_{i+k} has a field from the table
-            _check_degree(_degree(self._terms), True)
-            fields = _occupied(reduce(or_, self._terms))
-            lins = {f: [(_unit(_index(f) + k), 1)] for f in fields}
-            return Polynomial(_rename(self._terms, lins))
-        bits = _BITS * k
-        out: dict = {}
-        for m, c in self._terms.items():
-            degree = m & _MAX_EXP
-            out[(m - degree << bits) + degree] = c
-        return Polynomial(out)
+        return self.compose(_shift_word(self.max_var(), k))
 
     def compose(self, forms: Sequence["LinearForm"]) -> "Polynomial":
         """Substitute ``forms[i-1]`` for x_i.  Result is exact.
@@ -684,26 +668,23 @@ def _compose(terms: dict, forms: Sequence["LinearForm"], fields) -> Polynomial:
     # a substitution keeps the degree, which a table field must hold
     if _holds_table(lin[-1][0] for lin in lins.values() if lin):
         _check_degree(_degree(terms), True)
-    if all(len(lin) <= 1 for lin in lins.values()):
-        return Polynomial(_rename(terms, lins))
-    return Polynomial(_horner(terms, lins))
+    # the renaming loop reads slot fields only; Horner reads any field
+    if max(fields, default=0) > _K or any(len(lin) > 1 for lin in lins.values()):
+        return Polynomial(_horner(terms, lins))
+    return Polynomial(_rename(terms, lins))
 
 
 def _rename(terms: dict, lins: dict) -> dict:
     """Substitute ``c*x_j`` or 0 for each variable: one monomial per term.
 
-    ``lins[f]`` is the linear terms put in for the variable of field f.
-    The slot fields and the table fields are read in loops of their own,
-    the second only for a monomial that holds a table variable.
+    ``lins[i]`` is the linear terms put in for x_i.  The terms hold slot
+    variables only, so one loop reads their fields; an image x_j may still
+    lie in the table, under ``_compose``'s degree check.
     """
     out: dict = {}
     for m, c in terms.items():
         key = m & _MAX_EXP  # a renaming keeps the degree
         rest = m >> _BITS  # fields 1, 2, ... in its low bits
-        high = 0
-        if m >= _TABLE_UNIT:
-            high = m >> _TABLE_POS  # the table fields, _K + 1 on
-            rest &= _SLOTS
         i = 1
         while rest:
             e = rest & _MAX_EXP
@@ -718,25 +699,11 @@ def _rename(terms: dict, lins: dict) -> dict:
             rest >>= _BITS
             i += 1
         else:
-            i = _K + 1
-            while high:
-                e = high & _MAX_TABLE_EXP
-                if e:
-                    lin = lins[i]
-                    if not lin:
-                        break
-                    u, a = lin[0]
-                    key += e * (u - 1)
-                    if a != 1:
-                        c *= a**e
-                high >>= _TABLE_BITS
-                i += 1
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
             else:
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                del out[key]
     return out
 
 
@@ -887,6 +854,11 @@ _FORM_ZERO = LinearForm(())
 def x_var(i: int) -> LinearForm:
     """Shorthand for the linear form x_i."""
     return LinearForm.variable(i)
+
+
+def _shift_word(n: int, k: int) -> list:
+    """The word (x_{1+k}, ..., x_{n+k}) at which a shift by k substitutes."""
+    return [LinearForm.variable(i + k) for i in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -1070,19 +1042,19 @@ class RationalFunction:
                 scalar /= k**m
             den[g] = den.get(g, 0) + m
         num = _compose(self.numerator._terms, forms, fields)
-        if den and not _independent(tuple(forms[:width])):
-            return _build(scalar, num, den, list(den))
-        return _build(scalar, num, den, ())
+        # letters that end in distinct variables are in echelon form, so
+        # independent: no form can cancel (coefficients are trimmed)
+        lasts = {len(f.coeffs) for f in forms[:width]}
+        if len(lasts) == width and 0 not in lasts:
+            return _build(scalar, num, den, ())
+        return _build(scalar, num, den, list(den))
 
     def shift(self, k: int) -> "RationalFunction":
-        """Rename every variable x_i to x_{i+k}."""
+        """Rename every variable x_i to x_{i+k}: ``substitute`` at the word
+        (x_{1+k}, ..., x_{n+k}), n the largest index used."""
         if k == 0 or self.scalar == 0:
             return self
-        return RationalFunction(
-            self.scalar,
-            self.numerator.shift(k),
-            tuple((f.shift(k), m) for f, m in self.denominator),
-        )
+        return self.substitute(_shift_word(self.max_var(), k))
 
 
 RF_ZERO = RationalFunction(Fraction(0), _POLY_ONE, ())
@@ -1156,39 +1128,6 @@ def _cancel(p: Polynomial, f: LinearForm, mult: int) -> tuple[Polynomial, int]:
         p = q
         mult -= 1
     return p, mult
-
-
-@lru_cache(maxsize=1 << 14)
-def _independent(forms: tuple) -> bool:
-    """Whether the linear forms are linearly independent over Q.
-
-    Nonzero forms whose last variables differ are independent: ordered by
-    that variable they are in echelon form.  A shuffle word (x_i in some
-    order) and the word of ``sharp`` (x_1, x_1 + x_2, ...) are such words.
-    Otherwise, fraction-free elimination: each row is reduced against the
-    earlier pivot rows by cross-multiplication, so every entry stays an
-    integer, and a row that reduces to zero is a combination of the rows
-    before it.
-    """
-    lasts = {len(f.coeffs) for f in forms}  # coefficients are trimmed
-    if len(lasts) == len(forms) and 0 not in lasts:
-        return True
-    width = max(lasts, default=0)
-    if len(forms) > width:
-        return False
-    pivots: list[tuple[int, list]] = []
-    for f in forms:
-        row = list(f.coeffs) + [0] * (width - len(f.coeffs))
-        for j, prow in pivots:
-            c = row[j]
-            if c:
-                p = prow[j]
-                row = [p * a - c * b for a, b in zip(row, prow)]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is None:
-            return False
-        pivots.append((lead, row))
-    return True
 
 
 def rf_sum(items: Iterable) -> RationalFunction:

@@ -33,7 +33,7 @@ from mouldcalc.algebra import (
     x_var,
 )
 from mouldcalc import algebra
-from mouldcalc.algebra import _MAX_EXP, _MAX_TABLE_EXP, _independent, _unit
+from mouldcalc.algebra import _MAX_EXP, _MAX_TABLE_EXP, _unit
 
 from mouldcalc.moulds import sharp, sum_form
 from mouldcalc.solutions import psi_minus1_mould
@@ -578,29 +578,15 @@ def test_rf_sum_cancels_a_form_two_summands_share():
         assert all(form != f.primitive()[1] or m < 2 for form, m in got.denominator)
 
 
-def test_independence_check_matches_rank():
-    def rank(forms):
-        rows = [[Fraction(c) for c in f.coeffs] for f in forms]
-        width = max((len(r) for r in rows), default=0)
-        rows = [r + [Fraction(0)] * (width - len(r)) for r in rows]
-        rk = 0
-        for col in range(width):
-            pivot = next((r for r in rows[rk:] if r[col]), None)
-            if pivot is None:
-                continue
-            rows.remove(pivot)
-            rows.insert(rk, pivot)
-            for r in rows[rk + 1:]:
-                t = r[col] / pivot[col]
-                r[:] = [a - t * b for a, b in zip(r, pivot)]
-            rk += 1
-        return rk
-
-    rng = random.Random("independent")
-    for _ in range(300):
-        n, width = rng.randint(1, 4), rng.randint(1, 5)
-        forms = tuple(LinearForm([rng.randint(-2, 2) for _ in range(width)]) for _ in range(n))
-        assert _independent(forms) == (rank(forms) == n)
+def test_word_not_in_echelon_form_tries_every_form(monkeypatch):
+    # (x2, x1 + x2) is independent, but both letters end in x2: only a word
+    # whose letters end in distinct variables skips the trial divisions
+    value = rf(3, poly({(2,): 1, (0, 1): -1}), [(x1, 1), (x1 - 2 * x2, 2)])
+    word = (x2, x1 + x2)
+    attempts = count_div_attempts(monkeypatch)
+    got = value.substitute(word)
+    assert attempts
+    assert got == substitute_via_powers(value, word)
 
 
 def test_make_tries_every_form(monkeypatch):
@@ -622,6 +608,48 @@ def test_renaming_and_sharp_make_no_division_attempt(monkeypatch):
     # a dependent word still tries its forms
     rf(1, (x1 + x3).as_polynomial(), [(x1 + x2, 1)]).substitute((x1, x2, x2))
     assert attempts
+
+
+_TRAFFIC = """
+from mouldcalc.algebra import Polynomial, RationalFunction
+from mouldcalc.special import sa, slang
+from mouldcalc.verify import CLAIMS, run_claim
+
+substitute, try_div = RationalFunction.substitute, Polynomial.try_div_linear
+open_calls = inside = with_denominator = 0
+
+
+def wrapped_substitute(self, forms):
+    global open_calls, with_denominator
+    with_denominator += bool(self.denominator)
+    open_calls += 1
+    try:
+        return substitute(self, forms)
+    finally:
+        open_calls -= 1
+
+
+def counted_div(self, form):
+    global inside
+    inside += open_calls > 0
+    return try_div(self, form)
+
+
+RationalFunction.substitute = wrapped_substitute
+Polynomial.try_div_linear = counted_div
+for name in CLAIMS:
+    run_claim(name)
+slang(1, sa(3, 4))
+print(inside, with_denominator > 100)
+"""
+
+
+def test_claims_substitute_only_at_echelon_words():
+    # every claim at its defaults and slang_1(sa_3), in a fresh interpreter
+    # so no memo is warm: no substitution tries a form, so every word was in
+    # echelon form; an operator that builds other words fails here instead
+    # of slowing down unseen
+    assert run_fresh(_TRAFFIC) == "0 True\n"
 
 
 def test_products_and_sums_skip_forms_that_cannot_cancel(monkeypatch):
@@ -1123,14 +1151,19 @@ def test_table_fields_hold_255_and_refuse_256():
             exps[i - 1] = e
         return poly({tuple(exps): 1})
 
-    # packing: from_dict and JSON
+    # packing: from_dict and JSON, under the degree rule of a product
     assert mono((a, top)).terms == {(0,) * (a - 1) + (top,): 1}
-    for r in (rf(1, mono((a, top))), rf(1, mono((1, 300), (a, top)))):
+    for p in (mono((a, top)), mono((1, top - 1), (a, 1)), mono((1, 300))):
+        r = rf(1, p)
         assert rf_from_json(rf_to_json(r)) == r
-    over = {"scalar": "1", "numerator": [[[0] * (a - 1) + [top + 1], "1"]], "denominator": []}
-    for make in (lambda: poly({(0,) * (a - 1) + (top + 1,): 1}), lambda: rf_from_json(over)):
-        with pytest.raises(ExponentOverflowError):
-            make()
+    # x_a^256, and x_1^300 x_a: with a table variable the degree is at most
+    # 255 where a tuple is packed, as in a product, so whatever packs
+    # can be multiplied
+    for exps in ((0,) * (a - 1) + (top + 1,), (300,) + (0,) * (a - 2) + (1,)):
+        over = {"scalar": "1", "numerator": [[list(exps), "1"]], "denominator": []}
+        for make in (lambda: poly({exps: 1}), lambda: rf_from_json(over)):
+            with pytest.raises(ExponentOverflowError):
+                make()
     # a product: the total degree bounds every exponent
     assert dict((mono((a, 200)) * mono((1, top - 200))).terms) == mul_via_tuples(
         mono((a, 200)), mono((1, top - 200))
@@ -1172,8 +1205,8 @@ import json, random, sys
 sys.path.insert(0, sys.argv[1])
 from helpers import mul_via_tuples, monomial_latex_via_tuple, monomial_str_via_tuple
 from mouldcalc import algebra
-from mouldcalc.algebra import Polynomial, RationalFunction, poly_latex, poly_str
-from mouldcalc.algebra import rf_from_json, rf_to_json
+from mouldcalc.algebra import ExponentOverflowError, Polynomial, RationalFunction
+from mouldcalc.algebra import poly_latex, poly_str, rf_from_json, rf_to_json
 
 order = json.loads(sys.argv[2])
 for i in order:
@@ -1208,7 +1241,15 @@ for k in range(60):
         n = len(exps)
         while n and not exps[n - 1]:
             n -= 1
+        if n > 16 and sum(exps) > 255:  # a table variable: degree 255 at most
+            try:
+                Polynomial.from_dict({tuple(exps[:n]): 1})
+            except ExponentOverflowError:
+                continue
+            raise AssertionError(f"degree {sum(exps)} with a table variable packed")
         d[tuple(exps[:n])] = rng.choice([-7, -1, 1, 2, 5])
+    if not d:
+        continue
     p = Polynomial.from_dict(d)
     assert dict(p.terms) == d
     assert p.leading_monomial() == max(d, key=lambda m: (sum(m), m))
