@@ -57,7 +57,13 @@ Canonical forms
   differs: the lowest field that differs, unless that field lies above x_K
   and the table has given fields out of index order (``_leading``).  So
   canonical forms, signs and every rendering do not depend on the order in
-  which variables were first used.  Zero
+  which variables were first used.  The scalar is an ``int`` when it is
+  integral and a ``Fraction`` with denominator above 1 otherwise: every
+  scalar that is built passes through ``_scalar`` or ``_quotient``, so most
+  scalar products multiply ints, and an int scalar is never divided with
+  ``/``.  ``Fraction(3) == 3`` and the two hash alike, so equality, hashing
+  and every rendering read the same as with Fraction scalars, and
+  ``constant_value`` still returns a ``Fraction``.  Zero
   is uniquely ``(0, 1, ())``.  Structural equality is therefore semantic
   equality.  A product of canonical numerators, or the quotient of one by
   a primitive form, needs no content step (``_assemble``): its content is
@@ -895,7 +901,8 @@ class RationalFunction:
 
         Tries every denominator form against the numerator.
         """
-        scalar = Fraction(scalar)
+        if type(scalar) not in (int, Fraction):
+            scalar = Fraction(scalar)
         if scalar == 0 or numerator.is_zero():
             return RF_ZERO
         den: dict[LinearForm, int] = {}
@@ -908,7 +915,7 @@ class RationalFunction:
             if k == 0:
                 raise ZeroDenominatorError("zero linear form in denominator")
             if k != 1:
-                scalar /= k**mult
+                scalar = _quotient(scalar, k**mult)
             den[f] = den.get(f, 0) + mult
         return _build(scalar, numerator, den, list(den))
 
@@ -934,7 +941,7 @@ class RationalFunction:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.scalar * self.numerator.constant_value()
+        return Fraction(self.scalar * self.numerator.constant_value())
 
     def max_var(self) -> int:
         n = self.numerator.max_var()
@@ -979,7 +986,7 @@ class RationalFunction:
             if other == 0 or self.scalar == 0:
                 return RF_ZERO
             return RationalFunction(
-                self.scalar * other, self.numerator, self.denominator
+                _scalar(self.scalar * other), self.numerator, self.denominator
             )
         if self.scalar == 0 or other.scalar == 0:
             return RF_ZERO
@@ -991,7 +998,7 @@ class RationalFunction:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            return self * Fraction(1, other)
         raise TypeError("only scalar division is supported; use div_linear")
 
     def div_linear(self, form: LinearForm) -> "RationalFunction":
@@ -1004,14 +1011,14 @@ class RationalFunction:
         den = dict(self.denominator)
         trial = () if f in den else (f,)
         den[f] = den.get(f, 0) + 1
-        return _build(self.scalar / k, self.numerator, den, trial)
+        return _build(_quotient(self.scalar, k), self.numerator, den, trial)
 
     def mul_linear(self, form: LinearForm) -> "RationalFunction":
         """The product with the form's value, ``k * f`` for f primitive."""
         k, f = form.primitive()
         if k == 0:
             return RF_ZERO
-        return self * RationalFunction(Fraction(k), f.as_polynomial(), ())
+        return self * RationalFunction(k, f.as_polynomial(), ())
 
     # -- structural operations -------------------------------------------------
 
@@ -1039,7 +1046,7 @@ class RationalFunction:
                     f"denominator factor {f} vanishes under substitution"
                 )
             if k != 1:
-                scalar /= k**m
+                scalar = _quotient(scalar, k**m)
             den[g] = den.get(g, 0) + m
         num = _compose(self.numerator._terms, forms, fields)
         # letters that end in distinct variables are in echelon form, so
@@ -1057,12 +1064,32 @@ class RationalFunction:
         return self.substitute(_shift_word(self.max_var(), k))
 
 
-RF_ZERO = RationalFunction(Fraction(0), _POLY_ONE, ())
-RF_ONE = RationalFunction(Fraction(1), _POLY_ONE, ())
+RF_ZERO = RationalFunction(0, _POLY_ONE, ())
+RF_ONE = RationalFunction(1, _POLY_ONE, ())
+
+
+def _scalar(q: int | Fraction) -> int | Fraction:
+    """The canonical scalar equal to q: an int when q is integral, else the
+    Fraction, whose denominator is then above 1.  A float has no
+    denominator, so one that leaks in raises here."""
+    if type(q) is int:
+        return q
+    return q.numerator if q.denominator == 1 else q
+
+
+def _quotient(scalar: int | Fraction, k: int) -> int | Fraction:
+    """The canonical scalar ``scalar / k`` for a nonzero int k; an int
+    scalar is never divided with ``/``, which would give a float."""
+    if type(scalar) is int and scalar % k == 0:
+        return scalar // k
+    return _scalar(Fraction(scalar, k))
 
 
 def _build(
-    scalar: Fraction, numerator: Polynomial, den: dict, trial: Iterable[LinearForm]
+    scalar: int | Fraction,
+    numerator: Polynomial,
+    den: dict,
+    trial: Iterable[LinearForm],
 ) -> RationalFunction:
     """Canonical ``scalar * numerator / prod(f ** den[f])``.
 
@@ -1080,10 +1107,12 @@ def _build(
         else:
             del den[f]
     c, prim = numerator.content_sign_primitive()
-    return _assemble(scalar * c, prim, den)
+    return _assemble(_scalar(scalar * c), prim, den)
 
 
-def _assemble(scalar: Fraction, numerator: Polynomial, den: dict) -> RationalFunction:
+def _assemble(
+    scalar: int | Fraction, numerator: Polynomial, den: dict
+) -> RationalFunction:
     """``scalar * numerator / prod(f ** den[f])`` for a canonical numerator:
     nonzero, with content 1 and a positive leading coefficient, and divisible
     by no form of ``den``, which is consumed."""
@@ -1113,7 +1142,7 @@ def _cross(a: RationalFunction, b: RationalFunction) -> tuple:
         if f not in theirs:
             q, den[f] = _cancel(q, f, m)
     den = {f: m for f, m in den.items() if m}
-    return a.scalar * b.scalar, p, q, den
+    return _scalar(a.scalar * b.scalar), p, q, den
 
 
 def _cancel(p: Polynomial, f: LinearForm, mult: int) -> tuple[Polynomial, int]:
@@ -1209,7 +1238,7 @@ def rf_sum(items: Iterable) -> RationalFunction:
         summands.append((p._terms, q, scale, mask))
     total = _lift_sum(summands, everything, lins)
     shared = [f for f, m in common.items() if have[(f.coeffs, m)] > 1]
-    return _build(Fraction(1, lcm), Polynomial(total), common, shared)
+    return _build(_quotient(1, lcm), Polynomial(total), common, shared)
 
 
 def _lift_sum(summands: list, todo: int, lins: list) -> dict:
@@ -1307,7 +1336,7 @@ def rf_monomial(scalar, *var_exponents: tuple[int, int]) -> RationalFunction:
         mono[i] = mono.get(i, 0) + e
     width = max(mono, default=0)
     m = tuple(mono.get(i, 0) for i in range(1, width + 1))
-    return RationalFunction.make(Fraction(scalar), Polynomial({_pack(m): 1}))
+    return RationalFunction.make(scalar, Polynomial({_pack(m): 1}))
 
 
 def one_over_forms(*forms: LinearForm) -> RationalFunction:

@@ -53,6 +53,7 @@ checked against the solver-chain definition in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Iterator
 
 from .algebra import LinearForm, RationalFunction, rf_sum
@@ -110,10 +111,11 @@ __all__ = [
 
 
 def _letter_sum(w: Word) -> LinearForm:
-    total = LinearForm.zero()
-    for letter in w:
-        total = total + letter
-    return total
+    """The sum of a word's letters, added coefficient by coefficient in one
+    pass; a one-letter word is its letter."""
+    if len(w) == 1:
+        return w[0]
+    return LinearForm(map(sum, zip_longest(*(f.coeffs for f in w), fillvalue=0)))
 
 
 def flexion_up(beta: Word, alpha: Word) -> Word:
@@ -387,10 +389,12 @@ def lazy_garit(T) -> Callable:
 def lazy_gari(S, T) -> LazyMould:
     """gari(S, T) = garit(T)(S) x T, with a twisted action of its own.
 
-    It does not reuse the twisted action that ``lazy_invgari(S)`` solved
-    G with: for T = G that action's value is X = garit(G)(S) and G is
-    mu_inverse(X), so the check ``gari(S, invgari(S)) = 1`` would become
-    mu(X, mu_inverse(X)) = 1, which holds whatever ``garit_at`` computes.
+    For T = G = ``lazy_invgari(S)`` this action recomputes the X =
+    garit(G)(S) that the solver defined G by, G = mu_inverse(X), so
+    ``gari(S, invgari(S)) = 1`` is mu(X, mu_inverse(X)) = 1 and holds
+    whatever ``garit_at`` computes, shared action or not.  The left
+    inverse ``gari(invgari(S), S) = 1`` reads garit(S)(G), which the
+    solver never computes: that side is the one that checks ``garit_at``.
     """
     return lazy_mu(lazy_garit(T)(S), T)
 

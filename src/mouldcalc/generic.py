@@ -12,7 +12,8 @@ the kernel's slot range takes the next free one-byte exponent field of the
 packed monomials (see ``algebra``), so x_1001 costs one byte, not a
 thousand fields.  A degree that grows past 255 with a symbol present
 raises ``ExponentOverflowError``; the identities checked here stay below
-it.
+it.  Each symbol's value is built once, the first time its (name, word)
+is met, and every later call returns that same immutable value.
 Values built from opaque moulds are
 only ever combined by ring operations, never substituted into, so the
 symbols behave exactly like constants.
@@ -29,19 +30,25 @@ __all__ = ["SymbolRegistry", "OpaqueMould", "SYMBOL_BASE"]
 
 
 class SymbolRegistry:
-    """Allocates one polynomial variable per (name, word) evaluation."""
+    """Allocates one polynomial variable per (name, word) evaluation.
+
+    ``_vars`` maps each (name, word) met so far to its symbol's value, the
+    variable x_i with i = base + count + 1 in order of first use.
+    """
 
     def __init__(self, base: int = SYMBOL_BASE):
         self._base = base
-        self._vars: dict[tuple, int] = {}
+        self._vars: dict[tuple, RationalFunction] = {}
 
     def symbol(self, name: str, word: Word) -> RationalFunction:
         key = (name, word)
-        idx = self._vars.get(key)
-        if idx is None:
+        value = self._vars.get(key)
+        if value is None:
             idx = self._base + len(self._vars) + 1
-            self._vars[key] = idx
-        return RationalFunction.make(1, Polynomial.variable(idx))
+            value = self._vars[key] = RationalFunction.make(
+                1, Polynomial.variable(idx)
+            )
+        return value
 
 
 class OpaqueMould:

@@ -7,12 +7,13 @@ and the depth-3 discrepancy moulds D_{a,b}.  Verifier routines check, as
 exact symbolic identities:
 
 * sharp(psi_{2n+1}) equals the singulator value sang(sa_{2n+1}), up to
-  the singulator's depth limit ``special.SANG_MAX_DEPTH``;
+  the singulator's depth limit ``special.SANG_MAX_DEPTH`` and for n up to
+  ``PSI_ODD_MAX_N[dmax]``;
 * sharp(psi_{-1}) equals mu-log(paj) divided by x_1 + ... + x_d, up to
   ``PSI_MINUS1_MAX_DMAX``: mu_log(paj) does not finish depth 8 in 600 s;
 * xi_{2n+1} agrees with slang_1(sa_{2n+1}) below depth 4, sigma^c - luma
   is the Bernoulli-weighted sum of the D_{a,b}, and each D_{a,b}^(3) is a
-  polynomial.
+  polynomial, for n up to ``COMPARISON_MAX_N``.
 
 The families are concrete moulds, built by the eager operators, which take
 any mould and return a concrete one.  The slices slang_r(sa_s) that they
@@ -24,8 +25,11 @@ surface with their residuals.  Every check goes through ``_check``: it
 passes when its residual is zero, and a failing check carries the residual
 as text and as JSON.  ``_compare`` makes one check per depth from two
 moulds; "D_{a,b}^(3) is a polynomial" has residual 0 when it is one and
-D_{a,b}^(3) when it is not.  A depth beyond a limit is refused with
-ValueError before any work.
+D_{a,b}^(3) when it is not.  A depth or an n beyond a limit is refused
+with ValueError before any work.  Each n limit admits the largest n
+measured to verify within 60 s, a tenth of the 600 s in which the depths
+that the depth limits refuse did not finish (the CLI on a 2-vCPU x86-64
+host with Python 3.11.7, single runs, about +-15 %).
 """
 
 from __future__ import annotations
@@ -66,6 +70,21 @@ __all__ = [
 ]
 
 PSI_MINUS1_MAX_DMAX = 7
+
+# The largest n that verify psi-odd admits at each dmax.  Measured:
+#   dmax 7: n = 3 took 53 s, n = 4 76 s
+#   dmax 6: n = 10 took 54 s, n = 12 did not finish in 90 s
+#   dmax 5: n = 20 took 29 s, n = 24 62 s
+#   dmax 4: n = 56 took 48 s, n = 64 78 s
+#   dmax 3: n = 192 took 35 s, n = 224 63 s
+#   dmax 2: n = 2048 took 42 s, n = 2560 84 s
+#   dmax 1: n = 32767 took 0.8 s; above it sa_{2n+1}'s degree 2n outgrows
+#   the kernel's exponent field
+PSI_ODD_MAX_N = {1: 32767, 2: 2048, 3: 192, 4: 56, 5: 20, 6: 10, 7: 3}
+
+# The largest n that verify comparison admits.  Measured: n = 32 took 10 s,
+# n = 48 38 s, n = 56 68 s.
+COMPARISON_MAX_N = 48
 
 
 def _x(i: int) -> LinearForm:
@@ -308,6 +327,9 @@ def verify_psi_odd_theorem(
     admitted depth.  ``psi_components`` may be overridden (negative
     controls inject mutated components here).
     """
+    limit = PSI_ODD_MAX_N.get(dmax)
+    if limit is not None and n > limit:
+        raise ValueError(f"psi-odd n {n} exceeds the maximum {limit} at dmax {dmax}")
     target = sang(sa(2 * n + 1, dmax))
     checks = _compare(
         lambda d: f"sharp(psi_{2*n+1})^({d}) == sang(sa_{2*n+1})^({d})",
@@ -346,6 +368,8 @@ def verify_comparison_theorem(n: int, sigma: Mould | None = None) -> dict:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > COMPARISON_MAX_N:
+        raise ValueError(f"comparison n {n} exceeds the maximum {COMPARISON_MAX_N}")
     checks = _compare(
         lambda m: f"xi_{2*n+1}^({m}) == slang_1(sa_{2*n+1})^({m})",
         xi(n),

@@ -385,18 +385,30 @@ def garit_at_per_factorization(w, s_eval, t_eval, tinv_eval) -> RationalFunction
 
 
 def prove_gari_inverse(top: int) -> None:
-    """gari(S, invgari(S)) = 1 at every canonical word of depth 0 to
-    ``top``, on an opaque S with S(empty) = 1: each value of S is a free
-    symbol, so the identity holds for every S of the gari group.  The proof
-    is not vacuous: invgari(S) is nonzero at every depth above 0."""
+    """gari(S, invgari(S)) = 1 and gari(invgari(S), S) = 1 at every
+    canonical word of depth 0 to ``top``, on an opaque S with S(empty) = 1:
+    each value of S is a free symbol, so invgari(S) is a two-sided inverse
+    of every S of the gari group.  The proof is not vacuous: invgari(S) is
+    nonzero at every depth above 0.
+
+    The right inverse alone would not check ``garit_at``: invgari solves
+    G = mu_inverse(garit(G)(S)), and gari(S, G) recomputes that same
+    garit(G)(S), so it is mu(X, mu_inverse(X)) = 1 whatever ``garit_at``
+    computes.  The left inverse reads garit(S)(G), which the solver never
+    computes."""
     S = OpaqueMould(SymbolRegistry(), "S", top, unit_value=1)
     G = lazy_invgari(S)
-    product = lazy_gari(S, G)
+    sides = {
+        "gari(S, invgari(S))": lazy_gari(S, G),
+        "gari(invgari(S), S)": lazy_gari(G, S),
+    }
     words = [canonical_word(m) for m in range(top + 1)]
-    assert product.eval_word(()) == RationalFunction.one()
+    for name, product in sides.items():
+        assert product.eval_word(()) == RationalFunction.one(), name
     for w in words[1:]:
-        assert product.eval_word(w).is_zero(), f"depth {len(w)}"
-        assert not G.eval_word(w).is_zero(), f"depth {len(w)}"
+        assert not G.eval_word(w).is_zero(), f"invgari(S) at depth {len(w)}"
+        for name, product in sides.items():
+            assert product.eval_word(w).is_zero(), f"{name} at depth {len(w)}"
 
 
 def _trim(seq) -> tuple:

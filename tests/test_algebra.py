@@ -1306,6 +1306,109 @@ def test_packed_polynomials_are_not_pickled():
 
 
 # ---------------------------------------------------------------------------
+# scalars: an int exactly when integral, never a float
+# ---------------------------------------------------------------------------
+
+
+def assert_canonical_scalar(r: RationalFunction) -> None:
+    """The scalar is an int when integral and a Fraction with denominator
+    above 1 otherwise; every coefficient is an int; a constant value reads
+    as a Fraction."""
+    s = r.scalar
+    assert type(s) in (int, Fraction), type(s)
+    assert (type(s) is int) == (Fraction(s).denominator == 1), repr(s)
+    assert all(type(c) is int for c in r.numerator._terms.values())
+    assert all(type(c) is int for f, _ in r.denominator for c in f.coeffs)
+    if r.is_constant():
+        assert type(r.constant_value()) is Fraction
+
+
+def _random_letter(rng: random.Random, nvars: int = 3) -> LinearForm:
+    while True:
+        coeffs = [rng.randint(-3, 3) for _ in range(nvars)]
+        if any(coeffs):
+            return LinearForm(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_scalars_are_ints_exactly_when_integral(seed):
+    rng = random.Random(seed)
+    f, g = random_rf(rng), random_rf(rng)
+    k = rng.choice([2, -3, 4, 6])
+    q = Fraction(rng.choice([-4, -2, 1, 3, 6]), rng.randint(1, 6))
+    form = _random_letter(rng)
+    values = [
+        f, g, f + g, f - g, -f, f * g, f * k, k * f, f * q, f / k, f / q,
+        f.mul_linear(form),
+        f.div_linear(form),
+        f.shift(2),
+        rf_sum([(f, g), g, (g * q, f)]),
+        rf_from_json(rf_to_json(f * q)),
+        rf(q, f.numerator, [(form, 2)]),
+        rf(k, f.numerator, [(form * k, 1)]),
+        rf(Fraction(k * 3, 3), f.numerator),
+    ]
+    # letters with content other than 1: an echelon word, which tries no
+    # form, and a random one, which tries every form
+    scaled = [x1 * k, x2 * -2, x3 * 3]
+    for word in (scaled, [_random_letter(rng) for _ in range(3)]):
+        try:
+            values.append(f.substitute(word))
+        except ZeroDenominatorError:
+            pass
+    for r in values:
+        assert_canonical_scalar(r)
+
+
+_X1 = {(1,): 1}
+_HALF_X1 = (Fraction(1, 2), poly(_X1))
+_INTEGRAL_BUILDS = {
+    "make": lambda: rf(Fraction(6, 3), poly(_X1)),
+    "make-content": lambda: rf(Fraction(1, 3), poly({(): 3})),
+    "product": lambda: rf(*_HALF_X1) * rf(2, poly({(0, 1): 1})),
+    "int-times": lambda: rf(*_HALF_X1) * 2,
+    "fraction-times": lambda: rf(*_HALF_X1) * Fraction(4, 3) * 3,
+    "int-divide": lambda: rf(3, poly(_X1)) / 3,
+    "fraction-divide": lambda: rf(Fraction(3, 2), poly(_X1)) / Fraction(3, 2),
+    "div_linear": lambda: rf(4, poly(_X1)).div_linear(x2 * 2),
+    "mul_linear": lambda: rf(*_HALF_X1, [(x2, 1)]).mul_linear(x3 * 2),
+    "substitute-echelon": lambda: rf(4, poly(_X1), [(x2, 1)]).substitute([x1, x2 * 2]),
+    "substitute-numerator": lambda: rf(Fraction(1, 2), poly({(2,): 1})).substitute([x1 * 2]),
+    "substitute-dependent": lambda: rf(3, poly({(1, 1): 1}), [(x1 + x2, 1)]).substitute(
+        [x1 * 2 + x2 * 2, x1 + x2]
+    ),
+    "shift": lambda: rf(4, poly(_X1), [(x1 * 2, 1)]).shift(1),
+    "rf_sum": lambda: rf_sum([rf(*_HALF_X1), rf(*_HALF_X1)]),
+    "rf_sum-pair": lambda: rf_sum([(rf(*_HALF_X1), rf(2, poly({(0, 1): 1}))), ONE]),
+    "rf_sum-one-pair": lambda: rf_sum([(rf(*_HALF_X1), rf(2, poly({(0, 1): 1})))]),
+    "json": lambda: rf_from_json(
+        {"scalar": "4/2", "numerator": [[[1], "1"]], "denominator": []}
+    ),
+}
+
+
+@pytest.mark.parametrize("build", _INTEGRAL_BUILDS.values(), ids=_INTEGRAL_BUILDS.keys())
+def test_integral_scalars_are_ints_at_every_builder(build):
+    # each value has an integral scalar, reached through one builder
+    r = build()
+    assert type(r.scalar) is int
+    assert_canonical_scalar(r)
+
+
+def test_an_int_scalar_reads_as_the_integral_fraction_did():
+    # the same value with its scalar held as Fraction(-2), as before ints
+    a = rf(-2, poly({(1,): 1, (0, 1): 1}), [(x1 + x3, 2)])
+    b = RationalFunction(Fraction(-2), a.numerator, a.denominator)
+    assert type(a.scalar) is int
+    assert a == b and hash(a) == hash(b)
+    assert rf_str(a) == rf_str(b) and rf_latex(a) == rf_latex(b)
+    assert rf_to_json(a) == rf_to_json(b)
+    assert type(ONE.constant_value()) is Fraction and ONE.constant_value() == 1
+    assert type(RationalFunction.zero().scalar) is int
+
+
+# ---------------------------------------------------------------------------
 # rendering and JSON
 # ---------------------------------------------------------------------------
 

@@ -14,6 +14,7 @@ import pytest
 from mouldcalc.cli import MAX_DEPTH, TARGETS, build_target, main, render_mould
 from mouldcalc.flexions import adari, invgari, lazy_adari, lazy_leng
 from mouldcalc.moulds import _materialize, mould_from_json, mould_to_json
+from mouldcalc.solutions import COMPARISON_MAX_N, PSI_ODD_MAX_N
 from mouldcalc.special import lazy_sang, pal, sa
 from mouldcalc.verify import run_claim
 
@@ -177,10 +178,13 @@ def test_verify_pass_exit_zero(capsys):
         ("compute", "slang:0:sa:3"),
         ("verify", "comparison", "--n", "0"),
         ("compute", "sa:70000"),  # degree 69999 outgrows the exponent field
-        ("verify", "psi-odd", "--n", "40000", "--dmax", "1"),  # degree 80000
+        ("verify", "psi-odd", "--n", "40000", "--dmax", "1"),  # above the n limit
         ("verify", "comparison", "--n", "40000"),
         ("verify", "pal-symmetral", "--depth", "1"),  # no shuffle sum below depth 2
         ("verify", "dupal-alternal", "--depth", "1"),
+        ("verify", "psi-odd", "--n", str(PSI_ODD_MAX_N[3] + 1)),  # default dmax 3
+        ("verify", "psi-odd", "--n", str(PSI_ODD_MAX_N[7] + 1), "--dmax", "7"),
+        ("verify", "comparison", "--n", str(COMPARISON_MAX_N + 1)),
     ],
 )
 def test_invalid_parameter_exits_2_with_one_line(capsys, argv):

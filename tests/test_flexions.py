@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mouldcalc.algebra import Polynomial, RationalFunction, x_var
+from mouldcalc.algebra import LinearForm, Polynomial, RationalFunction, x_var
 from mouldcalc.flexions import (
     LazyMould,
+    _letter_sum,
     adari,
     ari,
     arit,
@@ -83,6 +84,28 @@ def test_flexion_down():
     assert flexion_down(word(x1, x2), word(x3)) == word(x1, x2 + x3)
     assert flexion_down(word(x1, x2), word()) == word(x1, x2)
     assert flexion_down(word(), word(x3)) == word()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_letter_sum_is_the_left_fold(seed):
+    rng = random.Random(seed)
+    w = tuple(
+        LinearForm([rng.randint(-2, 2) for _ in range(rng.randint(0, 4))])
+        for _ in range(rng.randint(0, 5))
+    )
+    want = LinearForm.zero()
+    for letter in w:
+        want = want + letter
+    assert _letter_sum(w) == want
+
+
+def test_letter_sum_of_cancelling_letters_and_of_one_letter():
+    assert _letter_sum(word(x1 - x2 + x3, x2 - x3, -x1)) == LinearForm.zero()
+    assert _letter_sum(word(x1 + x3, -x3)).coeffs == (1,)
+    assert _letter_sum(word()) == LinearForm.zero()
+    letter = x2 - x3
+    assert _letter_sum(word(letter)) is letter
 
 
 def test_tri_factorizations_count():

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from mouldcalc import special, verify
-from mouldcalc.algebra import RationalFunction, rf_from_json, x_var
+from mouldcalc import flexions, special, verify
+from mouldcalc.algebra import Polynomial, RationalFunction, rf_from_json, x_var
 from mouldcalc.flexions import lazy_arit
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.moulds import canonical_word
@@ -48,6 +48,20 @@ def test_opaque_symbols_are_per_word():
     assert S.eval_word(()) == RationalFunction.one()
 
 
+def test_registry_builds_each_symbol_once():
+    # a repeated (name, word) returns the very same value; each new pair
+    # takes the next index, base + count + 1
+    reg = SymbolRegistry(base=50)
+    w1, w2 = canonical_word(1), canonical_word(2)
+    a = reg.symbol("S", w1)
+    assert reg.symbol("S", w1) is a
+    b, c = reg.symbol("S", w2), reg.symbol("T", w1)
+    assert reg.symbol("S", w2) is b and reg.symbol("T", w1) is c
+    for value, idx in ((a, 51), (b, 52), (c, 53)):
+        assert value == RationalFunction.make(1, Polynomial.variable(idx))
+    assert list(reg._vars) == [("S", w1), ("S", w2), ("T", w1)]
+
+
 def test_generic_slices_sum_to_singulator():
     # depth-2 identity slang_1 + slang_2 = sang for a fully generic input
     reg = SymbolRegistry()
@@ -76,9 +90,25 @@ def test_sang_expansion_holds_for_every_depth1_mould():
 
 
 def test_gari_inverse_holds_generically():
-    # gari(S, invgari(S)) = 1 on an opaque S, so for every S of the gari
-    # group, at depth 5; proofs/test_gari_inverse.py runs it at depth 8
+    # gari(S, invgari(S)) = gari(invgari(S), S) = 1 on an opaque S, so for
+    # every S of the gari group, at depth 5; proofs/test_gari_inverse.py
+    # runs it at depth 8
     prove_gari_inverse(5)
+
+
+def test_a_mutated_garit_at_fails_the_gari_inverse_proof(monkeypatch):
+    # a twisted action doubled on every word of length >= 2 still gives
+    # gari(S, invgari(S)) = 1, since the solver and gari(S, G) compute the
+    # same garit(G)(S); the left inverse gari(invgari(S), S) catches it
+    garit_at = flexions.garit_at
+
+    def doubled(w, *evals):
+        value = garit_at(w, *evals)
+        return value * 2 if len(w) >= 2 else value
+
+    monkeypatch.setattr(flexions, "garit_at", doubled)
+    with pytest.raises(AssertionError, match=r"gari\(invgari\(S\), S\) at depth"):
+        prove_gari_inverse(4)
 
 
 def test_a_mutated_sang_expansion_fails_the_proof(monkeypatch):

@@ -17,6 +17,8 @@ from mouldcalc.flexions import ari
 from mouldcalc.moulds import Mould, equal_mod_depth, sharp
 from mouldcalc.special import bernoulli, sa, slang
 from mouldcalc.solutions import (
+    COMPARISON_MAX_N,
+    PSI_ODD_MAX_N,
     D_ab,
     luma,
     psi_minus1,
@@ -316,3 +318,26 @@ def test_comparison_nonvacuous_at_n5():
     assert diff.component(3).is_polynomial()
     report = verify_comparison_theorem(5)
     assert report["status"] == "pass"
+
+
+def _no_mould(*args, **kwargs):
+    raise AssertionError("a mould was built")
+
+
+@pytest.mark.parametrize("dmax", sorted(PSI_ODD_MAX_N))
+def test_psi_odd_refuses_n_above_its_limit_before_any_work(monkeypatch, dmax):
+    # the limit itself gets as far as building a mould; one more does not
+    limit = PSI_ODD_MAX_N[dmax]
+    monkeypatch.setattr(Mould, "__init__", _no_mould)
+    with pytest.raises(ValueError, match=f"maximum {limit} at dmax {dmax}$"):
+        verify_psi_odd_theorem(limit + 1, dmax)
+    with pytest.raises(AssertionError, match="a mould was built"):
+        verify_psi_odd_theorem(limit, dmax)
+
+
+def test_comparison_refuses_n_above_its_limit_before_any_work(monkeypatch):
+    monkeypatch.setattr(Mould, "__init__", _no_mould)
+    with pytest.raises(ValueError, match=f"maximum {COMPARISON_MAX_N}$"):
+        verify_comparison_theorem(COMPARISON_MAX_N + 1)
+    with pytest.raises(AssertionError, match="a mould was built"):
+        verify_comparison_theorem(COMPARISON_MAX_N)
