@@ -126,7 +126,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -353,11 +353,10 @@ class Polynomial:
     tuples with ``from_dict``.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict):
         self._terms = terms
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -426,9 +425,7 @@ class Polynomial:
         return isinstance(other, Polynomial) and self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         return f"Polynomial({dict(self.terms)!r})"
@@ -794,6 +791,8 @@ class LinearForm:
         return LinearForm(tuple(-c for c in self.coeffs))
 
     def __mul__(self, k: int) -> "LinearForm":
+        if not isinstance(k, int):
+            return NotImplemented  # integer multipliers only
         return LinearForm(tuple(c * k for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -880,14 +879,13 @@ class RationalFunction:
     semantic equality.
     """
 
-    __slots__ = ("scalar", "numerator", "denominator", "_hash")
+    __slots__ = ("scalar", "numerator", "denominator")
 
     def __init__(self, scalar, numerator, denominator):
         # Internal: arguments must already be canonical.  Use make().
         self.scalar = scalar
         self.numerator = numerator
         self.denominator = denominator
-        self._hash = None
 
     # -- construction --------------------------------------------------------
 
@@ -899,10 +897,11 @@ class RationalFunction:
     ) -> "RationalFunction":
         """Canonicalize and build.  The only sanctioned constructor.
 
-        Tries every denominator form against the numerator.
+        Tries every denominator form against the numerator.  A scalar that
+        is not an int or a Fraction, such as a float, raises TypeError.
         """
-        if type(scalar) not in (int, Fraction):
-            scalar = Fraction(scalar)
+        if not isinstance(scalar, (int, Fraction)):
+            raise TypeError(f"a scalar must be an int or a Fraction, got {scalar!r}")
         if scalar == 0 or numerator.is_zero():
             return RF_ZERO
         den: dict[LinearForm, int] = {}
@@ -958,9 +957,7 @@ class RationalFunction:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.scalar, self.numerator, self.denominator))
-        return self._hash
+        return hash((self.scalar, self.numerator, self.denominator))
 
     def __repr__(self):
         return f"RationalFunction({self})"
@@ -988,6 +985,8 @@ class RationalFunction:
             return RationalFunction(
                 _scalar(self.scalar * other), self.numerator, self.denominator
             )
+        if not isinstance(other, RationalFunction):
+            return NotImplemented  # exact scalars only: a float is refused
         if self.scalar == 0 or other.scalar == 0:
             return RF_ZERO
         scalar, p, q, den = _cross(self, other)
@@ -1202,10 +1201,7 @@ def rf_sum(items: Iterable) -> RationalFunction:
             for j in range(1, m + 1):
                 u = (f.coeffs, j)
                 have[u] = have.get(u, 0) + 1
-    lcm = 1
-    for scalar, _, _, _ in terms:
-        q = scalar.denominator
-        lcm = lcm * q // gcd(lcm, q)
+    lcd = lcm(*(scalar.denominator for scalar, _, _, _ in terms))
     # most missed first: a tie in _split_unit goes to the lowest bit
     units = sorted(
         (u for u, n in have.items() if n < len(terms)),
@@ -1234,11 +1230,11 @@ def rf_sum(items: Iterable) -> RationalFunction:
                 or q is not None and _holds_table(q)
             ),
         )
-        scale = scalar.numerator * (lcm // scalar.denominator)
+        scale = scalar.numerator * (lcd // scalar.denominator)
         summands.append((p._terms, q, scale, mask))
     total = _lift_sum(summands, everything, lins)
     shared = [f for f, m in common.items() if have[(f.coeffs, m)] > 1]
-    return _build(_quotient(1, lcm), Polynomial(total), common, shared)
+    return _build(_quotient(1, lcd), Polynomial(total), common, shared)
 
 
 def _lift_sum(summands: list, todo: int, lins: list) -> dict:
@@ -1387,15 +1383,28 @@ def _sorted_terms(p: Polynomial) -> tuple[list, list]:
     return indices, terms
 
 
+# A text style: the format of x_i's name from i, of name^e from the name and
+# e, the product sign, and the text of monomial 1.
+_PLAIN = ("x{}", "{}^{}", "*", "1")
+_LATEX = ("x_{{{}}}", "{}^{{{}}}", " ", "")
+
+
+def _monomial_text(names: Sequence[str], exps: Sequence[int], style: tuple) -> str:
+    """The product of ``names[k]`` to the power ``exps[k]``, or the style's
+    monomial 1 when every exponent is 0."""
+    _, power, times, one = style
+    parts = [n if e == 1 else power.format(n, e) for n, e in zip(names, exps) if e]
+    return times.join(parts) or one
+
+
 def monomial_str(names: Sequence[str], exps: Sequence[int]) -> str:
     """The product of ``names[k]^exps[k]``; "1" when every exponent is 0."""
-    parts = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            parts.append(name)
-        elif e:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) or "1"
+    return _monomial_text(names, exps, _PLAIN)
+
+
+def monomial_latex(names: Sequence[str], exps: Sequence[int]) -> str:
+    """The product of ``names[k]^{exps[k]}``; empty when every exponent is 0."""
+    return _monomial_text(names, exps, _LATEX)
 
 
 def _signed_sum(pieces: Iterable[tuple[str, int]]) -> str:
@@ -1410,29 +1419,47 @@ def _signed_sum(pieces: Iterable[tuple[str, int]]) -> str:
     return " ".join(out) or "0"
 
 
-def _term_str(c: int, mono: str, times: str, one: str) -> str:
-    """A term's text without its sign; ``one`` is the text of monomial 1."""
+def _term_text(c: int, mono: str, style: tuple) -> str:
+    """A term's text without its sign."""
+    _, _, times, one = style
     if mono == one:
         return str(abs(c))
     return mono if abs(c) == 1 else f"{abs(c)}{times}{mono}"
 
 
-def poly_str(p: Polynomial) -> str:
+def _poly_text(p: Polynomial, style: tuple) -> str:
     indices, terms = _sorted_terms(p)
-    names = [f"x{i}" for i in indices]
+    names = [style[0].format(i) for i in indices]
     return _signed_sum(
-        (_term_str(c, monomial_str(names, exps), "*", "1"), c) for _, exps, c in terms
+        (_term_text(c, _monomial_text(names, exps, style), style), c)
+        for _, exps, c in terms
     )
 
 
-def form_str(f: LinearForm) -> str:
+def _form_text(f: LinearForm, style: tuple) -> str:
     """A linear form's text, read from its coefficients: its terms are in
     increasing index order, which is grlex order."""
     return _signed_sum(
-        (_term_str(c, f"x{i}", "*", "1"), c)
+        (_term_text(c, style[0].format(i), style), c)
         for i, c in enumerate(f.coeffs, start=1)
         if c
     )
+
+
+def poly_str(p: Polynomial) -> str:
+    return _poly_text(p, _PLAIN)
+
+
+def poly_latex(p: Polynomial) -> str:
+    return _poly_text(p, _LATEX)
+
+
+def form_str(f: LinearForm) -> str:
+    return _form_text(f, _PLAIN)
+
+
+def form_latex(f: LinearForm) -> str:
+    return _form_text(f, _LATEX)
 
 
 def rf_str(r: RationalFunction) -> str:
@@ -1452,34 +1479,6 @@ def rf_str(r: RationalFunction) -> str:
         for f, m in r.denominator
     )
     return f"{head}/[{den}]"
-
-
-def monomial_latex(names: Sequence[str], exps: Sequence[int]) -> str:
-    """The product of ``names[k]^{exps[k]}``; empty when every exponent is 0."""
-    parts = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            parts.append(name)
-        elif e:
-            parts.append(f"{name}^{{{e}}}")
-    return " ".join(parts)
-
-
-def poly_latex(p: Polynomial) -> str:
-    indices, terms = _sorted_terms(p)
-    names = [f"x_{{{i}}}" for i in indices]
-    return _signed_sum(
-        (_term_str(c, monomial_latex(names, exps), " ", ""), c) for _, exps, c in terms
-    )
-
-
-def form_latex(f: LinearForm) -> str:
-    """A linear form's LaTeX, read from its coefficients as in ``form_str``."""
-    return _signed_sum(
-        (_term_str(c, f"x_{{{i}}}", " ", ""), c)
-        for i, c in enumerate(f.coeffs, start=1)
-        if c
-    )
 
 
 def rf_latex(r: RationalFunction) -> str:
@@ -1541,14 +1540,12 @@ def rf_from_json(obj: Mapping) -> RationalFunction:
         (tuple(_json_int(e) for e in mono), _json_rational(coeff))
         for mono, coeff in obj["numerator"]
     ]
-    lcm = 1
-    for _, c in raw:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    lcd = lcm(*(c.denominator for _, c in raw))
     num_terms: dict = {}
     for m, c in raw:
-        num_terms[m] = num_terms.get(m, 0) + int(c * lcm)
+        num_terms[m] = num_terms.get(m, 0) + int(c * lcd)
     den = [
         (LinearForm(_json_int(c) for c in coeffs), _json_int(m))
         for coeffs, m in obj["denominator"]
     ]
-    return RationalFunction.make(scalar / lcm, Polynomial.from_dict(num_terms), den)
+    return RationalFunction.make(scalar / lcd, Polynomial.from_dict(num_terms), den)

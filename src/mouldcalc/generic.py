@@ -21,7 +21,7 @@ symbols behave exactly like constants.
 
 from __future__ import annotations
 
-from .algebra import Polynomial, RationalFunction
+from .algebra import _K, Polynomial, RationalFunction
 from .moulds import Word
 
 SYMBOL_BASE = 1000
@@ -33,10 +33,13 @@ class SymbolRegistry:
     """Allocates one polynomial variable per (name, word) evaluation.
 
     ``_vars`` maps each (name, word) met so far to its symbol's value, the
-    variable x_i with i = base + count + 1 in order of first use.
+    variable x_i with i = base + count + 1 in order of first use.  The base
+    is at least 16, the top of the slot range, or a symbol could be x_1.
     """
 
     def __init__(self, base: int = SYMBOL_BASE):
+        if base < _K:
+            raise ValueError(f"symbol base {base} is below the slot range's top {_K}")
         self._base = base
         self._vars: dict[tuple, RationalFunction] = {}
 
@@ -55,9 +58,9 @@ class OpaqueMould:
     """A mould whose nonempty-word values are fresh symbols.
 
     ``unit_value`` is the (constant) value on the empty word: 0 for
-    Lie-algebra-side moulds, 1 for group-side ones.  ``support`` optionally
-    restricts the nonzero depths, so depth-1-supported inputs can be
-    modelled faithfully.
+    Lie-algebra-side moulds, 1 for group-side ones; any other value raises
+    ValueError.  ``support`` optionally restricts the nonzero depths, so
+    depth-1-supported inputs can be modelled faithfully.
     """
 
     __slots__ = ("registry", "name", "depth", "_empty", "_support")
@@ -70,6 +73,8 @@ class OpaqueMould:
         unit_value: int = 0,
         support: tuple[int, ...] | None = None,
     ):
+        if unit_value not in (0, 1):
+            raise ValueError(f"unit_value must be 0 or 1, got {unit_value!r}")
         self.registry = registry
         self.name = name
         self.depth = depth

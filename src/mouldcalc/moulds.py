@@ -22,8 +22,9 @@ rule at the canonical words, so they always return a ``Mould``: ``mu``,
 ``lazy_mu_inverse``, ``lazy_neg`` and ``lazy_leng``, and ``mu_exp`` and
 ``mu_log`` a series of lazy powers, which ``_series`` sums by one
 ``rf_sum`` per word, as for ``expari``.  ``dur_scale``, ``dur_unscale`` and
-``sharp`` also take any mould: they transform its values at the canonical
-words, which a concrete mould holds as its components.
+``sharp`` also take any mould: they map each depth's value at the canonical
+word, which a concrete mould holds as its component, through one per-depth
+map, ``_per_depth``.
 """
 
 from __future__ import annotations
@@ -224,17 +225,16 @@ class Mould:
         )
 
     def __sub__(self, other: "Mould") -> "Mould":
-        d = min(self.depth, other.depth)
-        return Mould(
-            [self.components[m] - other.components[m] for m in range(d + 1)]
-        )
+        return self + (-other)
 
     def __neg__(self) -> "Mould":
         # Additive inverse; for sign-flip of the arguments see neg().
         return Mould([-c for c in self.components])
 
     def __mul__(self, scalar) -> "Mould":
-        return Mould([c * Fraction(scalar) for c in self.components])
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented  # exact scalars only: a float is refused
+        return Mould([c * scalar for c in self.components])
 
     __rmul__ = __mul__
 
@@ -467,33 +467,29 @@ def dur(depth: int) -> Mould:
     return Mould(comps)
 
 
+def _per_depth(M, fn: Callable[[RationalFunction, int], RationalFunction]) -> Mould:
+    """The mould with M^0 at depth 0 and ``fn(M^m, m)`` at each depth m >= 1;
+    M may be any mould, read at the canonical words."""
+    src = _materialize(M).components
+    return Mould([src[0], *(fn(src[m], m) for m in range(1, len(src)))])
+
+
 def dur_scale(M: Mould) -> Mould:
     """Pointwise product with dur: multiply depth m by x_1 + ... + x_m."""
-    src = _materialize(M).components
-    comps = [src[0]]
-    for m in range(1, M.depth + 1):
-        comps.append(src[m].mul_linear(sum_form(m)))
-    return Mould(comps)
+    return _per_depth(M, lambda c, m: c.mul_linear(sum_form(m)))
 
 
 def dur_unscale(M: Mould) -> Mould:
     """Divide depth m by x_1 + ... + x_m; requires M^0 = 0."""
     _require_ari(M, "dur-unscale")
-    src = _materialize(M).components
-    comps = [src[0]]
-    for m in range(1, M.depth + 1):
-        comps.append(src[m].div_linear(sum_form(m)))
-    return Mould(comps)
+    return _per_depth(M, lambda c, m: c.div_linear(sum_form(m)))
 
 
 def sharp(M: Mould) -> Mould:
     """Change of coordinates f(x_1,..,x_m) -> f(x_1, x_1+x_2, .., x_1+..+x_m)."""
-    src = _materialize(M).components
-    comps = [src[0]]
-    for m in range(1, M.depth + 1):
-        forms = tuple(sum_form(i) for i in range(1, m + 1))
-        comps.append(src[m].substitute(forms))
-    return Mould(comps)
+    return _per_depth(
+        M, lambda c, m: c.substitute(tuple(sum_form(i) for i in range(1, m + 1)))
+    )
 
 
 def leng(r: int, M: Mould) -> Mould:

@@ -3,8 +3,12 @@
 Builds the polar solutions psi_{2n+1} and psi_{-1} (rational functions of
 x_1..x_d with x_0 = 0), the polynomial families xi', xi_{2n+1}, the
 canonically normalized sigma^c_{2n+1}, luma_{2n+1} (all modulo depth >= 4),
-and the depth-3 discrepancy moulds D_{a,b}.  Verifier routines check, as
-exact symbolic identities:
+and the depth-3 discrepancy moulds D_{a,b}.  The polar solutions are
+written in the paper's notation: every term is a scalar times a product of
+numerator forms over a product of blocks x_{A,B} = prod_{a in A, b in B}
+(x_a - x_b), built by one term builder, ``_term``, in a single ``make``;
+``x_AB`` is its one-block case.  Verifier routines check, as exact symbolic
+identities:
 
 * sharp(psi_{2n+1}) equals the singulator value sang(sa_{2n+1}), up to
   the singulator's depth limit ``special.SANG_MAX_DEPTH`` and for n up to
@@ -92,62 +96,59 @@ def _x(i: int) -> LinearForm:
     return LinearForm.zero() if i == 0 else LinearForm.variable(i)
 
 
+def _differences(A: Iterable[int], B: Iterable[int]) -> list[LinearForm]:
+    """The forms x_a - x_b for a in A and b in B, with x_0 = 0."""
+    return [_x(a) - _x(b) for a in A for b in B]
+
+
+def _term(
+    scalar: Fraction | int, numerator: Iterable[LinearForm], *blocks
+) -> RationalFunction:
+    """``scalar * prod(numerator) / prod(x_AB(A, B) for A, B in blocks)``,
+    built by one ``make``."""
+    poly = Polynomial.one()
+    for form in numerator:
+        poly = poly.mul_linear(form)
+    den = [(f, 1) for A, B in blocks for f in _differences(A, B)]
+    return RationalFunction.make(scalar, poly, den)
+
+
 def x_AB(A: Iterable[int], B: Iterable[int]) -> RationalFunction:
     """Product of differences prod_{a in A, b in B} (x_a - x_b), x_0 = 0.
 
     An empty A or B gives 1.
     """
-    poly = Polynomial.one()
-    for a in A:
-        for b in B:
-            poly = poly.mul_linear(_x(a) - _x(b))
-    return RationalFunction.make(1, poly)
-
-
-def _one_over_differences(A: Iterable[int], B: Iterable[int]) -> RationalFunction:
-    den = [(_x(a) - _x(b), 1) for a in A for b in B]
-    return RationalFunction.make(1, Polynomial.one(), den)
-
-
-def _power_rf(form: LinearForm, e: int) -> RationalFunction:
-    poly = Polynomial.one()
-    for _ in range(e):
-        poly = poly.mul_linear(form)
-    return RationalFunction.make(1, poly)
+    return _term(1, _differences(A, B))
 
 
 def psi_odd(n: int, d: int) -> RationalFunction:
     """The degree-2n polar solution component in d variables.
 
-    Average of insertion terms (x_i - x_{i-1})^{2n} and x_d^{2n} over
-    difference-product denominators, minus the boundary family built from
-    (x_1 - x_d)^{2n} and x_{d-1}^{2n}; all with x_0 = 0.
+    Every term is a power over two blocks x_{A,B} (``_term``), with x_0 = 0
+    and [a, b] = {a, ..., b}.  Half the sum over 1 <= i <= d of the
+    insertion terms (x_i - x_{i-1})^{2n} / x_{[0,i-2],{i-1}} x_{[i+1,d],{i}}
+    and x_d^{2n} / x_{[1,i-1],{0}} x_{[i,d-1],{d}}, minus half the sum over
+    1 <= i < d of the boundary terms
+    (x_1 - x_d)^{2n} / x_{[2,i],{1}} x_{[i+1,d-1] u {0},{d}} and
+    x_{d-1}^{2n} / x_{{d} u [1,i-1],{0}} x_{[i,d-2],{d-1}}.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
+
+    def term(sign, form, *blocks):
+        return _term(sign, [form] * (2 * n), *blocks)
+
     parts = []
     for i in range(1, d + 1):
-        num = _power_rf(_x(i) - _x(i - 1), 2 * n)
-        den = _one_over_differences(range(0, i - 1), [i - 1]) * _one_over_differences(
-            range(i + 1, d + 1), [i]
-        )
-        parts.append(num * den)
-        num = _power_rf(_x(d), 2 * n)
-        den = _one_over_differences(range(1, i), [0]) * _one_over_differences(
-            range(i, d), [d]
-        )
-        parts.append(num * den)
+        parts += [
+            term(1, _x(i) - _x(i - 1), (range(i - 1), [i - 1]), (range(i + 1, d + 1), [i])),
+            term(1, _x(d), (range(1, i), [0]), (range(i, d), [d])),
+        ]
     for i in range(1, d):
-        num = _power_rf(_x(1) - _x(d), 2 * n)
-        den = _one_over_differences(range(2, i + 1), [1]) * _one_over_differences(
-            [*range(i + 1, d), 0], [d]
-        )
-        parts.append(-(num * den))
-        num = _power_rf(_x(d - 1), 2 * n)
-        den = _one_over_differences([d, *range(1, i)], [0]) * _one_over_differences(
-            range(i, d - 1), [d - 1]
-        )
-        parts.append(-(num * den))
+        parts += [
+            term(-1, _x(1) - _x(d), (range(2, i + 1), [1]), ([*range(i + 1, d), 0], [d])),
+            term(-1, _x(d - 1), ([d, *range(1, i)], [0]), (range(i, d - 1), [d - 1])),
+        ]
     return rf_sum(parts) * Fraction(1, 2)
 
 
@@ -161,23 +162,19 @@ def vine_partitions(d: int) -> Iterator[tuple[int, ...]]:
 def psi_minus1(d: int) -> RationalFunction:
     """The weight -1 polar solution component in d variables.
 
-    Sum over vines, written through their cut points: each block
-    contributes 1 / prod_j (x_j - x_{i_s}) and the whole carries 1/x_d
-    and the alternating 1/h weights.
+    Sum over vines, written through their cut points 0 = i_0 < ... < i_h
+    = d: a vine contributes (-1)^(h+1)/h over the block x_{{d},{0}} = x_d
+    followed by one block x_{A,{i_s}} per cut, A = {i_s + 1, ..., i_{s+1}}.
     """
     if d < 1:
         raise ValueError("need d >= 1")
     parts = []
     for cuts in vine_partitions(d):
         h = len(cuts) - 1
-        den = [(_x(d), 1)]
-        for s in range(h):
-            base = cuts[s]
-            for j in range(cuts[s] + 1, cuts[s + 1] + 1):
-                den.append((_x(j) - _x(base), 1))
-        parts.append(
-            RationalFunction.make(Fraction((-1) ** (h + 1), h), Polynomial.one(), den)
-        )
+        blocks = [
+            (range(cuts[s] + 1, cuts[s + 1] + 1), [cuts[s]]) for s in range(h)
+        ]
+        parts.append(_term(Fraction((-1) ** (h + 1), h), (), ([d], [0]), *blocks))
     return rf_sum(parts)
 
 
@@ -205,11 +202,10 @@ def psi_minus1_mould(depth: int) -> Mould:
 def xi_prime(S: Mould) -> Mould:
     """First-order correction xi'(S) = S + ari(S, s') + ari(ari(S, s'), s')/2,
     meaningful below depth 4."""
-    d = min(S.depth, 3)
-    S3 = S.truncate(3) if S.depth >= 3 else S
+    S3 = S.truncate(3)
     sp = s_prime(S3.depth)
     first = ari(S3, sp)
-    return (S3 + first + ari(first, sp) * Fraction(1, 2)).truncate(d)
+    return S3 + first + ari(first, sp) * Fraction(1, 2)
 
 
 def xi(n: int) -> Mould:

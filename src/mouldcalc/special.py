@@ -19,10 +19,11 @@ inverse is pal, so neither conjugation solves anything more.
 depth-1-supported input, and ``lazy_sang``, the expansion's oracle, on any
 other input.  On an opaque depth-1-supported mould the two agree at every
 depth up to ``SANG_MAX_DEPTH``, so the expansion holds for every such input
-(``proofs/test_singulator_expansion.py``; tier-1 proves depth 5).  Both
-routes refuse a depth above ``SANG_MAX_DEPTH`` with ValueError before any
-work: ``sang(sa_3)`` takes about 17 s and 95 MB at depth 7, and the
-compositional singulator does not finish in 600 s at depth 8.
+(``proofs/test_singulator_expansion.py``; tier-1 proves depth 5).  Every
+route refuses a depth above ``SANG_MAX_DEPTH`` with ValueError before any
+work, in the two builders all routes go through, ``lazy_sang`` and
+``_lazy_sang_expanded``: ``sang(sa_3)`` takes about 17 s and 95 MB at depth
+7, and the compositional singulator does not finish in 600 s at depth 8.
 """
 
 from __future__ import annotations
@@ -224,7 +225,6 @@ def _singulator(M):
     concrete depth-1-supported M, and ``lazy_sang(M)`` otherwise.  An opaque
     M takes ``lazy_sang``: the expansion's components hold its symbols,
     which a substituted word cannot reach, so they make no mould."""
-    _require_singulator_depth(M.depth)
     if isinstance(M, Mould) and _is_depth1_supported(M):
         return _lazy_sang_expanded(M)
     return lazy_sang(M)
@@ -278,6 +278,7 @@ def _lazy_sang_expanded(M) -> LazyMould:
     depth d once, at the canonical word, and other words substitute it.
     M is read only through ``eval_word``: on an opaque depth-1 mould the
     canonical values prove the expansion for every such mould."""
+    _require_singulator_depth(M.depth)
     if not _is_depth1_supported(M):
         raise UnsupportedInputError(
             "expanded singulator needs a depth-1-supported mould"

@@ -220,12 +220,10 @@ def _require_shuffle_sums(what: str, depth: int) -> None:
         )
 
 
-def _decide(
-    M: Mould, what: str, unit: RationalFunction, factor: bool
-) -> SymmetryReport:
+def _decide(M: Mould, what: str, unit: RationalFunction) -> SymmetryReport:
     """The first failing cell of ``M``: depth 0 unless M^0 = ``unit``, else
     the first cell (p, q) with p <= q whose shuffle sum, minus
-    M^p(x_1..x_p) M^q(x_{p+1}..x_{p+q}) when ``factor``, is nonzero."""
+    M^p(x_1..x_p) M^q(x_{p+1}..x_{p+q}) when ``unit`` is 1, is nonzero."""
     _require_shuffle_sums(what, M.depth)
     M = _materialize(M)
     residual = M.components[0] - unit
@@ -234,7 +232,7 @@ def _decide(
     for total in range(2, M.depth + 1):
         for p in range(1, total // 2 + 1):
             q = total - p
-            extra = ((-M.components[p], M.components[q].shift(p)),) if factor else ()
+            extra = () if unit.is_zero() else ((-M.components[p], M.components[q].shift(p)),)
             residual = _shuffle_sum(M, p, q, *extra)
             if not residual.is_zero():
                 return SymmetryReport(False, M.depth, p, q, residual)
@@ -247,7 +245,7 @@ def is_alternal(M: Mould) -> SymmetryReport:
 
     Only the cells with p <= q are evaluated (see the module docstring).
     """
-    return _decide(M, "is_alternal", RationalFunction.zero(), factor=False)
+    return _decide(M, "is_alternal", RationalFunction.zero())
 
 
 def is_symmetral(S: Mould) -> SymmetryReport:
@@ -256,7 +254,7 @@ def is_symmetral(S: Mould) -> SymmetryReport:
 
     Only the cells with p <= q are evaluated (see the module docstring).
     """
-    return _decide(S, "is_symmetral", RationalFunction.one(), factor=True)
+    return _decide(S, "is_symmetral", RationalFunction.one())
 
 
 def is_alternal_via_sh(M: Mould) -> bool:

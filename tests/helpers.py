@@ -19,7 +19,10 @@ tuples, and the former alternality and symmetrality deciders, which
 evaluate every ordered cell (p, q) where the deciders now evaluate only
 p <= q; the former twisted-action sum, which builds each block
 factorization's factor from scratch where ``garit_at`` now shares it
-between the factorizations through a block prefix; and the opaque-symbol
+between the factorizations through a block prefix; the former polar
+solutions psi_{2n+1} and psi_{-1} and ``x_AB``, each term a product of
+separately canonicalized powers and reciprocal difference products where
+``solutions._term`` now builds it by one ``make``; and the opaque-symbol
 proofs of the singulator's four-sum expansion and of the gari inverse,
 shared by the tier-1 suite and the deeper proofs in ``proofs/``.
 """
@@ -63,6 +66,7 @@ from mouldcalc.moulds import (
     mu,
     neg,
 )
+from mouldcalc.solutions import vine_partitions
 from mouldcalc.special import _lazy_sang_expanded, lazy_sang, mupaj, paj, pal
 from mouldcalc.symmetry import SymmetryReport, _shuffle_sum
 from mouldcalc.verify import random_ari_mould, random_gari_mould
@@ -86,6 +90,9 @@ __all__ = [
     "opaque_sang_expansion",
     "prove_sang_expansion",
     "garit_at_per_factorization",
+    "x_AB_via_products",
+    "psi_odd_via_products",
+    "psi_minus1_via_products",
     "prove_gari_inverse",
     "mul_via_tuples",
     "mul_linear_via_tuples",
@@ -409,6 +416,76 @@ def prove_gari_inverse(top: int) -> None:
         assert not G.eval_word(w).is_zero(), f"invgari(S) at depth {len(w)}"
         for name, product in sides.items():
             assert product.eval_word(w).is_zero(), f"{name} at depth {len(w)}"
+
+
+def _x(i: int) -> LinearForm:
+    return LinearForm.zero() if i == 0 else LinearForm.variable(i)
+
+
+def x_AB_via_products(A, B) -> RationalFunction:
+    """prod_{a in A, b in B} (x_a - x_b), x_0 = 0, one linear factor at a time."""
+    poly = Polynomial.one()
+    for a in A:
+        for b in B:
+            poly = poly.mul_linear(_x(a) - _x(b))
+    return RationalFunction.make(1, poly)
+
+
+def _one_over_differences(A, B) -> RationalFunction:
+    den = [(_x(a) - _x(b), 1) for a in A for b in B]
+    return RationalFunction.make(1, Polynomial.one(), den)
+
+
+def _power_rf(form: LinearForm, e: int) -> RationalFunction:
+    poly = Polynomial.one()
+    for _ in range(e):
+        poly = poly.mul_linear(form)
+    return RationalFunction.make(1, poly)
+
+
+def psi_odd_via_products(n: int, d: int) -> RationalFunction:
+    """psi_{2n+1} at depth d, each term the product of a power and two
+    reciprocal difference products, each canonicalized on its own."""
+    parts = []
+    for i in range(1, d + 1):
+        num = _power_rf(_x(i) - _x(i - 1), 2 * n)
+        den = _one_over_differences(range(0, i - 1), [i - 1]) * _one_over_differences(
+            range(i + 1, d + 1), [i]
+        )
+        parts.append(num * den)
+        num = _power_rf(_x(d), 2 * n)
+        den = _one_over_differences(range(1, i), [0]) * _one_over_differences(
+            range(i, d), [d]
+        )
+        parts.append(num * den)
+    for i in range(1, d):
+        num = _power_rf(_x(1) - _x(d), 2 * n)
+        den = _one_over_differences(range(2, i + 1), [1]) * _one_over_differences(
+            [*range(i + 1, d), 0], [d]
+        )
+        parts.append(-(num * den))
+        num = _power_rf(_x(d - 1), 2 * n)
+        den = _one_over_differences([d, *range(1, i)], [0]) * _one_over_differences(
+            range(i, d - 1), [d - 1]
+        )
+        parts.append(-(num * den))
+    return rf_sum(parts) * Fraction(1, 2)
+
+
+def psi_minus1_via_products(d: int) -> RationalFunction:
+    """psi_{-1} at depth d, each vine's denominator listed form by form."""
+    parts = []
+    for cuts in vine_partitions(d):
+        h = len(cuts) - 1
+        den = [(_x(d), 1)]
+        for s in range(h):
+            base = cuts[s]
+            for j in range(cuts[s] + 1, cuts[s + 1] + 1):
+                den.append((_x(j) - _x(base), 1))
+        parts.append(
+            RationalFunction.make(Fraction((-1) ** (h + 1), h), Polynomial.one(), den)
+        )
+    return rf_sum(parts)
 
 
 def _trim(seq) -> tuple:

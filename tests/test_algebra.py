@@ -27,6 +27,7 @@ from mouldcalc.algebra import (
     one_over_forms,
     rf_from_json,
     rf_latex,
+    rf_monomial,
     rf_str,
     rf_sum,
     rf_to_json,
@@ -37,6 +38,7 @@ from mouldcalc.algebra import _MAX_EXP, _MAX_TABLE_EXP, _unit
 
 from mouldcalc.moulds import sharp, sum_form
 from mouldcalc.solutions import psi_minus1_mould
+from mouldcalc.special import sa
 
 from helpers import (
     compose_via_powers,
@@ -244,6 +246,26 @@ def test_equality_permuted_denominator():
     a = rf(Fraction(1, 12), poly({(1,): 1, (0, 1): 2}), [(x1, 1), (x2, 1), (x1 + x2, 1)])
     b = rf(Fraction(1, 12), poly({(1,): 1, (0, 1): 2}), [(x1 + x2, 1), (x2, 1), (x1, 1)])
     assert a == b
+
+
+def test_float_scalars_are_refused():
+    # a float's binary fraction must never become an exact value
+    entries = [
+        lambda: RationalFunction.make(0.1, Polynomial.one()),
+        lambda: rf_monomial(0.1, (1, 1)),
+        lambda: ONE * 0.1,
+        lambda: 0.1 * ONE,
+        lambda: sa(3, 2) * 0.1,
+        lambda: 0.1 * sa(3, 2),
+        lambda: LinearForm((1, 2)) * 0.1,
+        lambda: 0.1 * LinearForm((1, 2)),
+    ]
+    for entry in entries:
+        with pytest.raises(TypeError):
+            entry()
+    tenth = Fraction(1, 10)
+    assert ONE * tenth == RationalFunction.make(tenth, Polynomial.one())
+    assert (sa(3, 2) * 2).components[1] == sa(3, 2).components[1] * Fraction(2)
 
 
 def test_inequality():

@@ -62,6 +62,19 @@ def test_registry_builds_each_symbol_once():
     assert list(reg._vars) == [("S", w1), ("S", w2), ("T", w1)]
 
 
+def test_opaque_inputs_are_validated():
+    # a unit value other than 0 or 1 would be read as 0 without a word;
+    # a base below the slot range's top would make a symbol a slot variable
+    with pytest.raises(ValueError, match="unit_value must be 0 or 1"):
+        OpaqueMould(SymbolRegistry(), "S", 2, unit_value=2)
+    for base in (0, 15):
+        with pytest.raises(ValueError, match="symbol base"):
+            SymbolRegistry(base=base)
+    assert SymbolRegistry(base=16).symbol("S", canonical_word(1)) == (
+        RationalFunction.make(1, Polynomial.variable(17))
+    )
+
+
 def test_generic_slices_sum_to_singulator():
     # depth-2 identity slang_1 + slang_2 = sang for a fully generic input
     reg = SymbolRegistry()

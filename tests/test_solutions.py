@@ -35,6 +35,8 @@ from mouldcalc.solutions import (
 )
 from mouldcalc.verify import run_claim
 
+from helpers import psi_minus1_via_products, psi_odd_via_products, x_AB_via_products
+
 x1, x2, x3 = x_var(1), x_var(2), x_var(3)
 
 
@@ -45,6 +47,27 @@ def rf_poly(d):
 # ---------------------------------------------------------------------------
 # building blocks
 # ---------------------------------------------------------------------------
+
+
+X_AB_CASES = [([], [1, 2]), ([1], []), ([1], [0]), ([2, 3], [1]), ([2, 3], [1, 0])]
+
+
+def test_x_AB_matches_the_product_oracle():
+    for A, B in X_AB_CASES:
+        assert x_AB(A, B) == x_AB_via_products(A, B)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_psi_odd_matches_the_product_oracle(n):
+    # each term built by one make equals the product of separately built
+    # powers and reciprocal difference products, canonical form for form
+    for d in range(1, 7):
+        assert psi_odd(n, d) == psi_odd_via_products(n, d)
+
+
+def test_psi_minus1_matches_the_product_oracle():
+    for d in range(1, 8):
+        assert psi_minus1(d) == psi_minus1_via_products(d)
 
 
 def test_x_AB_empty_sets():

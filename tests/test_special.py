@@ -242,11 +242,17 @@ def test_sang_requires_zero_constant():
         sang(Mould.unit(2))
 
 
-def test_singulator_admits_depth_7_and_refuses_depth_8():
+def test_singulator_admits_depth_7_and_refuses_depth_8(monkeypatch):
     # neither builder evaluates anything before a value is read
     lazy_sang(sa(3, 7))
     lazy_slang(1, sa(3, 7))
-    for build in (lazy_sang, sang, lambda A: slang(1, A), slang_split):
+
+    def no_work(M, d):
+        raise AssertionError("built a component before the depth gate")
+
+    monkeypatch.setattr(special, "_sang_expanded_component", no_work)
+    builds = (lazy_sang, sang, sang_expanded, lambda A: slang(1, A), slang_split)
+    for build in builds:
         with pytest.raises(ValueError, match="singulator depth 8 exceeds the maximum 7"):
             build(sa(3, 8))
 
