@@ -363,9 +363,12 @@ class Polynomial:
     @staticmethod
     def from_dict(d: Mapping[Monomial, int]) -> "Polynomial":
         """Build from exponent tuples; raises ExponentOverflowError for a
-        monomial whose total degree exceeds the exponent field."""
+        monomial whose total degree exceeds the exponent field, and
+        TypeError for a coefficient that is not an int."""
         out: dict = {}
         for m, c in d.items():
+            if not isinstance(c, int):
+                raise TypeError(f"a coefficient must be an int, got {c!r}")
             if not c:
                 continue
             key = _pack(m)
@@ -386,6 +389,8 @@ class Polynomial:
 
     @staticmethod
     def constant(c: int) -> "Polynomial":
+        if not isinstance(c, int):
+            raise TypeError(f"a coefficient must be an int, got {c!r}")
         return Polynomial({0: c}) if c else _POLY_ZERO
 
     @staticmethod
@@ -462,6 +467,8 @@ class Polynomial:
             if other == 1:
                 return self
             return Polynomial({m: c * other for m, c in self._terms.items()})
+        if not isinstance(other, Polynomial):
+            return NotImplemented  # integer scalars only: a float is refused
         a, b = self._terms, other._terms
         if not a or not b:
             return _POLY_ZERO
@@ -753,7 +760,10 @@ class LinearForm:
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable[int]):
-        self.coeffs = _trim(tuple(coeffs))
+        coeffs = tuple(coeffs)
+        if not all(isinstance(c, int) for c in coeffs):
+            raise TypeError(f"form coefficients must be ints, got {coeffs!r}")
+        self.coeffs = _trim(coeffs)
         self._hash = None
 
     @staticmethod

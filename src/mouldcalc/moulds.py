@@ -13,18 +13,21 @@ the splittings of one word, and ``LazyMould`` memoizes a rule's values at
 any word.  ``mu_at`` is one ``rf_sum`` of products per word: each
 product f(a) g(b) goes in as a pair, so it is never built on its own
 (``_mu_parts`` lists them for the flexions).  ``lazy_mu_inverse`` solves
-T x U = 1 through it, as U(w) = -mu_at(w, T - 1, U), and ``mu_log`` sums
-the powers of the same T - 1 (``_less_unit``).  The
-eager forms of these operators take any mould (concrete, lazy or opaque),
-check its depth-0 value through ``eval_word(())`` and materialize the lazy
-rule at the canonical words, so they always return a ``Mould``: ``mu``,
-``mu_inverse``, ``neg`` and ``leng`` materialize ``lazy_mu``,
-``lazy_mu_inverse``, ``lazy_neg`` and ``lazy_leng``, and ``mu_exp`` and
-``mu_log`` a series of lazy powers, which ``_series`` sums by one
-``rf_sum`` per word, as for ``expari``.  ``dur_scale``, ``dur_unscale`` and
+T x U = 1 through it, as U(w) = -mu_at(w, T - 1, U), and ``lazy_mu_log``
+sums the powers of the same T - 1 (``_less_unit``) by one ``rf_sum`` per
+word (``_series``, as for ``mu_exp`` and ``expari``).  The eager forms of
+these operators take any mould (concrete, lazy or opaque), check its
+depth-0 value through ``eval_word(())`` and materialize the lazy rule at
+the canonical words, so they always return a ``Mould``: ``mu``,
+``mu_inverse``, ``mu_log``, ``neg`` and ``leng`` materialize ``lazy_mu``,
+``lazy_mu_inverse``, ``lazy_mu_log``, ``lazy_neg`` and ``lazy_leng``, and
+``mu_exp`` a series of lazy powers.  ``dur_scale``, ``dur_unscale`` and
 ``sharp`` also take any mould: they map each depth's value at the canonical
 word, which a concrete mould holds as its component, through one per-depth
-map, ``_per_depth``.
+map, ``_per_depth``.  ``sharp`` reads depth m at ``_sharp_word(m)``, and
+``unsharp_word(m)`` inverts that substitution: ``sharp(M)^(m) == T``
+can be checked as M^(m) == T at ``unsharp_word(m)``, without
+substituting M.
 """
 
 from __future__ import annotations
@@ -61,11 +64,13 @@ __all__ = [
     "mu_inverse",
     "mu_exp",
     "mu_log",
+    "lazy_mu_log",
     "neg",
     "dur",
     "dur_scale",
     "dur_unscale",
     "sharp",
+    "unsharp_word",
     "leng",
     "equal_mod_depth",
     "mould_to_json",
@@ -106,6 +111,11 @@ def canonical_word(m: int, offset: int = 0) -> Word:
 def sum_form(m: int) -> LinearForm:
     """The linear form x_1 + ... + x_m."""
     return LinearForm((1,) * m)
+
+
+def _letter_sum(w: Word) -> LinearForm:
+    """The sum of a word's letters: ``sum_form(m)`` at the canonical word."""
+    return sum(w, LinearForm.zero())
 
 
 def shuffle(w1: Word, w2: Word) -> dict[Word, int]:
@@ -420,20 +430,22 @@ def mu_exp(A: Mould) -> Mould:
     return _materialize(LazyMould(A.depth, series))
 
 
-def mu_log(S: Mould) -> Mould:
-    """Logarithm for the mould product; requires S^0 = 1.
-
-    Computed as sum_h ((-1)^{h+1}/h) (S - 1)^{x h}; the series is finite at
-    each truncation depth.
-    """
-    c = S.eval_word(())
-    if not (c.is_constant() and c.constant_value() == 1):
-        raise NotDefinedError("mu-logarithm needs depth-0 component 1")
+def lazy_mu_log(S) -> LazyMould:
+    """Logarithm for the mould product, lazily, for S with S^0 = 1:
+    sum_h ((-1)^{h+1}/h) (S - 1)^{x h}, finite at each word."""
     coeffs = [Fraction((-1) ** (h + 1), h) for h in range(1, S.depth + 1)]
     series = _series(
         RationalFunction.zero(), [None] + coeffs, _powers(_less_unit(S), lazy_mu)
     )
-    return _materialize(LazyMould(S.depth, series))
+    return LazyMould(S.depth, series)
+
+
+def mu_log(S: Mould) -> Mould:
+    """Logarithm for the mould product; requires S^0 = 1."""
+    c = S.eval_word(())
+    if not (c.is_constant() and c.constant_value() == 1):
+        raise NotDefinedError("mu-logarithm needs depth-0 component 1")
+    return _materialize(lazy_mu_log(S))
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +497,27 @@ def dur_unscale(M: Mould) -> Mould:
     return _per_depth(M, lambda c, m: c.div_linear(sum_form(m)))
 
 
+@lru_cache(maxsize=None)
+def _sharp_word(m: int) -> Word:
+    """The word (x_1, x_1+x_2, .., x_1+..+x_m) at which ``sharp`` reads depth m."""
+    return tuple(sum_form(i) for i in range(1, m + 1))
+
+
+@lru_cache(maxsize=None)
+def unsharp_word(m: int) -> Word:
+    """The word (x_1, x_2-x_1, .., x_m-x_{m-1}), whose prefix sums are x_1..x_m.
+
+    Each form of ``_sharp_word(m)`` composed with it is x_i, so
+    ``sharp(M)^(m) == T`` holds exactly when M^(m) equals T substituted at
+    this word.
+    """
+    w = canonical_word(m)
+    return w[:1] + tuple(b - a for a, b in zip(w, w[1:]))
+
+
 def sharp(M: Mould) -> Mould:
     """Change of coordinates f(x_1,..,x_m) -> f(x_1, x_1+x_2, .., x_1+..+x_m)."""
-    return _per_depth(
-        M, lambda c, m: c.substitute(tuple(sum_form(i) for i in range(1, m + 1)))
-    )
+    return _per_depth(M, lambda c, m: c.substitute(_sharp_word(m)))
 
 
 def leng(r: int, M: Mould) -> Mould:

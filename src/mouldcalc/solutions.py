@@ -14,7 +14,8 @@ identities:
   the singulator's depth limit ``special.SANG_MAX_DEPTH`` and for n up to
   ``PSI_ODD_MAX_N[dmax]``;
 * sharp(psi_{-1}) equals mu-log(paj) divided by x_1 + ... + x_d, up to
-  ``PSI_MINUS1_MAX_DMAX``: mu_log(paj) does not finish depth 8 in 600 s;
+  ``PSI_MINUS1_MAX_DMAX``, set when mu_log(paj) did not finish depth 8 in
+  600 s;
 * xi_{2n+1} agrees with slang_1(sa_{2n+1}) below depth 4, sigma^c - luma
   is the Bernoulli-weighted sum of the D_{a,b}, and each D_{a,b}^(3) is a
   polynomial, for n up to ``COMPARISON_MAX_N``.
@@ -23,6 +24,18 @@ The families are concrete moulds, built by the eager operators, which take
 any mould and return a concrete one.  The slices slang_r(sa_s) that they
 read come from ``_slang_sa``, cached for the life of the process, so check
 (i), ``luma`` and ``D_ab`` build each distinct slice once.
+
+The two sharp claims never substitute psi.  ``sharp`` is an invertible
+substitution, so sharp(psi)^(d) == T^(d) holds exactly when psi^(d) equals
+T read at ``unsharp_word(d)`` = (x_1, x_2 - x_1, ..., x_d - x_{d-1}), whose
+prefix sums are x_1..x_d.  ``_sharp_checks`` makes that comparison, with T
+built at the word: the four-sum expansion of sang(sa_{2n+1}), and
+``lazy_mu_log(paj)`` divided by the sum of the word's letters, x_d.  There
+every paj, mupaj and sa factor is read at differences x_j - x_i, as psi's
+own denominators are, so each sum lifts by forms of two terms.  A nonzero
+residual is read back at sharp's word (x_1, x_1 + x_2, ...), which is in
+echelon form, so the report carries the canonical sharp(psi)^(d) - T^(d),
+as a check through ``sharp`` would.
 
 Verifiers return report dictionaries rather than raising, so failures
 surface with their residuals.  Every check goes through ``_check``: it
@@ -33,7 +46,8 @@ D_{a,b}^(3) when it is not.  A depth or an n beyond a limit is refused
 with ValueError before any work.  Each n limit admits the largest n
 measured to verify within 60 s, a tenth of the 600 s in which the depths
 that the depth limits refuse did not finish (the CLI on a 2-vCPU x86-64
-host with Python 3.11.7, single runs, about +-15 %).
+host with Python 3.11.7, single runs, about +-15 %).  The limits were
+measured when the sharp claims still substituted psi through ``sharp``.
 """
 
 from __future__ import annotations
@@ -53,8 +67,8 @@ from .algebra import (
     rf_to_json,
 )
 from .flexions import ari
-from .moulds import Mould, dur_unscale, mu_log, sharp
-from .special import bernoulli, paj, sa, sang, slang, s_prime
+from .moulds import Mould, _letter_sum, _sharp_word, lazy_mu_log, unsharp_word
+from .special import _sang_expansion, bernoulli, paj, sa, slang, s_prime
 
 __all__ = [
     "x_AB",
@@ -311,6 +325,25 @@ def _wrap(claim: str, checks: list[dict]) -> dict:
     }
 
 
+def _sharp_checks(
+    label: Callable[[int], str],
+    psi: Callable[[int], RationalFunction],
+    target: Callable[[tuple], RationalFunction],
+    dmax: int,
+) -> list[dict]:
+    """One check per depth d <= dmax, named ``label(d)``: sharp(psi)^(d) ==
+    T^(d), made as ``psi(d) == target(unsharp_word(d))``, T read at that
+    word.  A nonzero residual is read back at sharp's word, which is in
+    echelon form, so it is the canonical sharp(psi)^(d) - T^(d)."""
+    checks = []
+    for d in range(1, dmax + 1):
+        residual = psi(d) - target(unsharp_word(d))
+        if not residual.is_zero():
+            residual = residual.substitute(_sharp_word(d))
+        checks.append(_check(label(d), d, residual))
+    return checks
+
+
 def verify_psi_odd_theorem(
     n: int,
     dmax: int,
@@ -320,18 +353,18 @@ def verify_psi_odd_theorem(
 
     ``sang`` takes the four-sum expansion, which is proven equal to the
     compositional singulator for every depth-1-supported mould at every
-    admitted depth.  ``psi_components`` may be overridden (negative
-    controls inject mutated components here).
+    admitted depth; it is built at ``unsharp_word(d)`` (``_sharp_checks``).
+    ``psi_components`` may be overridden (negative controls inject mutated
+    components here).
     """
     limit = PSI_ODD_MAX_N.get(dmax)
     if limit is not None and n > limit:
         raise ValueError(f"psi-odd n {n} exceeds the maximum {limit} at dmax {dmax}")
-    target = sang(sa(2 * n + 1, dmax))
-    checks = _compare(
+    checks = _sharp_checks(
         lambda d: f"sharp(psi_{2*n+1})^({d}) == sang(sa_{2*n+1})^({d})",
-        sharp(_mould_of(lambda d: psi_components(n, d), dmax)),
-        target,
-        range(1, dmax + 1),
+        lambda d: psi_components(n, d),
+        _sang_expansion(sa(2 * n + 1, dmax)),
+        dmax,
     )
     return _wrap(f"psi-odd n={n}", checks)
 
@@ -340,15 +373,17 @@ def verify_psi_minus1_theorem(
     dmax: int,
     psi_components: Callable[[int], RationalFunction] = psi_minus1,
 ) -> dict:
-    """Check sharp(psi_{-1})^{(d)} = mu_log(paj)^{(d)} / (x_1+...+x_d)."""
+    """Check sharp(psi_{-1})^{(d)} = mu_log(paj)^{(d)} / (x_1+...+x_d),
+    with mu_log(paj) read at ``unsharp_word(d)`` and divided by the sum of
+    its letters, x_d (``_sharp_checks``)."""
     if dmax > PSI_MINUS1_MAX_DMAX:
         raise ValueError(f"psi-minus1 dmax {dmax} exceeds the maximum {PSI_MINUS1_MAX_DMAX}")
-    target = dur_unscale(mu_log(paj(dmax)))
-    checks = _compare(
+    log = lazy_mu_log(paj(dmax))
+    checks = _sharp_checks(
         lambda d: f"sharp(psi_-1)^({d}) == mu_log(paj)^({d})/(x_1+..+x_{d})",
-        sharp(_mould_of(psi_components, dmax)),
-        target,
-        range(1, dmax + 1),
+        psi_components,
+        lambda w: log.eval_word(w).div_linear(_letter_sum(w)),
+        dmax,
     )
     return _wrap("psi-minus1", checks)
 

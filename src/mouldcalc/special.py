@@ -19,11 +19,14 @@ inverse is pal, so neither conjugation solves anything more.
 depth-1-supported input, and ``lazy_sang``, the expansion's oracle, on any
 other input.  On an opaque depth-1-supported mould the two agree at every
 depth up to ``SANG_MAX_DEPTH``, so the expansion holds for every such input
-(``proofs/test_singulator_expansion.py``; tier-1 proves depth 5).  Every
-route refuses a depth above ``SANG_MAX_DEPTH`` with ValueError before any
-work, in the two builders all routes go through, ``lazy_sang`` and
-``_lazy_sang_expanded``: ``sang(sa_3)`` takes about 17 s and 95 MB at depth
-7, and the compositional singulator does not finish in 600 s at depth 8.
+(``proofs/test_singulator_expansion.py``; tier-1 proves depth 5).  The
+expansion's builder, ``_sang_expanded_at``, takes a word: the lazy mould
+builds each depth at the canonical word and substitutes it for other
+words, and the psi-odd verifier builds it at its own word.  Every route
+refuses a depth above ``SANG_MAX_DEPTH`` with ValueError before any work,
+in the two builders all routes go through, ``lazy_sang`` and
+``_sang_expansion``: ``sang(sa_3)`` takes about 17 s and 95 MB at depth 7,
+and the compositional singulator does not finish in 600 s at depth 8.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .moulds import (
     LazyMould,
     Mould,
     _materialize,
+    _letter_sum,
     _require_ari,
     canonical_word,
     lazy_leng,
@@ -273,55 +277,61 @@ def _is_depth1_supported(M) -> bool:
     )
 
 
-def _lazy_sang_expanded(M) -> LazyMould:
-    """``sang_expanded(M)``, lazily: ``_sang_expanded_component`` builds
-    depth d once, at the canonical word, and other words substitute it.
-    M is read only through ``eval_word``: on an opaque depth-1 mould the
-    canonical values prove the expansion for every such mould."""
+def _sang_expansion(M):
+    """w -> the four-sum expansion of sang(M) built at the word w, for a
+    depth-1-supported M; refuses a depth above ``SANG_MAX_DEPTH`` or other
+    input before any work."""
     _require_singulator_depth(M.depth)
     if not _is_depth1_supported(M):
         raise UnsupportedInputError(
             "expanded singulator needs a depth-1-supported mould"
         )
+    return lambda w: _sang_expanded_at(M, w)
+
+
+def _lazy_sang_expanded(M) -> LazyMould:
+    """``sang_expanded(M)``, lazily: ``_sang_expanded_at`` builds depth d
+    once, at the canonical word, and other words substitute it.  M is read
+    only through ``eval_word``: on an opaque depth-1 mould the canonical
+    values prove the expansion for every such mould."""
+    build = _sang_expansion(M)
 
     def fn(w):
         c = canonical_word(len(w))
         if w == c:
-            return _sang_expanded_component(M, len(w))
+            return build(w)
         return E.eval_word(c).substitute(w)
 
     E = LazyMould(M.depth, fn)
     return E
 
 
-def _sang_expanded_component(M, d: int) -> RationalFunction:
-    """The depth-d component of ``sang_expanded(M)`` for depth-1-supported M."""
+def _sang_expanded_at(M, w) -> RationalFunction:
+    """The four-sum expansion of sang(M) at the word w, for depth-1-supported
+    M: paj, mupaj and M are read at w's subwords and letter sums."""
+    d = len(w)
     if d == 0:
         return RationalFunction.zero()
-    pj, mp = paj(M.depth), mupaj(M.depth)
+    pj, mp = paj(M.depth).eval_word, mupaj(M.depth).eval_word
     terms = []
-    whole = sum_form(d)
-    # mupaj(x_1..x_{i-1}) S(x_i) paj(x_{i+1}..x_d)
+    whole = _letter_sum(w)
+    # mupaj(w_1..w_{i-1}) S(w_i) paj(w_{i+1}..w_d)
     for i in range(1, d + 1):
-        term = mp.components[i - 1] * M.eval_word((LinearForm.variable(i),))
-        terms.append(term * pj.components[d - i].shift(i))
-    # paj(x_1..x_{i-1}) S(-(x_1+..+x_d)) mupaj(x_{i+1}..x_d)
+        terms.append(mp(w[: i - 1]) * M.eval_word(w[i - 1 : i]) * pj(w[i:]))
+    # paj(w_1..w_{i-1}) S(-(w_1+..+w_d)) mupaj(w_{i+1}..w_d)
     s_whole = M.eval_word((-whole,))
     for i in range(1, d + 1):
-        term = pj.components[i - 1] * s_whole
-        terms.append(term * mp.components[d - i].shift(i))
+        terms.append(pj(w[: i - 1]) * s_whole * mp(w[i:]))
     if d >= 2:
-        # - paj(x_1..x_{i-1}) S(-(x_1+..+x_{d-1})) mupaj(x_{i+1}..x_{d-1}) / (x_1+..+x_d)
-        s_head = M.eval_word((-sum_form(d - 1),))
+        # - paj(w_1..w_{i-1}) S(-(w_1+..+w_{d-1})) mupaj(w_{i+1}..w_{d-1}) / (w_1+..+w_d)
+        s_head = M.eval_word((-_letter_sum(w[:-1]),))
         for i in range(1, d):
-            term = pj.components[i - 1] * s_head
-            term = term * mp.components[d - 1 - i].shift(i)
+            term = pj(w[: i - 1]) * s_head * mp(w[i:-1])
             terms.append(-term.div_linear(whole))
-        # + paj(x_2..x_{i-1}) S(-(x_2+..+x_d)) mupaj(x_{i+1}..x_d) / (x_1+..+x_d)
-        s_tail = M.eval_word((-sum_form(d - 1).shift(1),))
+        # + paj(w_2..w_{i-1}) S(-(w_2+..+w_d)) mupaj(w_{i+1}..w_d) / (w_1+..+w_d)
+        s_tail = M.eval_word((-_letter_sum(w[1:]),))
         for i in range(2, d + 1):
-            term = pj.components[i - 2].shift(1) * s_tail
-            term = term * mp.components[d - i].shift(i)
+            term = pj(w[1 : i - 1]) * s_tail * mp(w[i:])
             terms.append(term.div_linear(whole))
     return rf_sum(terms) * Fraction(1, 2)
 

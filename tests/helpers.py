@@ -22,7 +22,9 @@ factorization's factor from scratch where ``garit_at`` now shares it
 between the factorizations through a block prefix; the former polar
 solutions psi_{2n+1} and psi_{-1} and ``x_AB``, each term a product of
 separately canonicalized powers and reciprocal difference products where
-``solutions._term`` now builds it by one ``make``; and the opaque-symbol
+``solutions._term`` now builds it by one ``make``; the former checks of
+the two sharp claims, which pushed psi through ``sharp`` and compared it
+with the u-side at the canonical words; and the opaque-symbol
 proofs of the singulator's four-sum expansion and of the gari inverse,
 shared by the tier-1 suite and the deeper proofs in ``proofs/``.
 """
@@ -62,12 +64,16 @@ from mouldcalc.moulds import (
     NotDefinedError,
     NotInvertibleError,
     canonical_word,
+    dur_unscale,
     leng,
     mu,
+    mu_log,
     neg,
+    sharp,
 )
-from mouldcalc.solutions import vine_partitions
-from mouldcalc.special import _lazy_sang_expanded, lazy_sang, mupaj, paj, pal
+from mouldcalc import solutions
+from mouldcalc.solutions import psi_minus1, psi_odd, vine_partitions
+from mouldcalc.special import _lazy_sang_expanded, lazy_sang, mupaj, paj, pal, sa, sang
 from mouldcalc.symmetry import SymmetryReport, _shuffle_sum
 from mouldcalc.verify import random_ari_mould, random_gari_mould
 
@@ -93,6 +99,8 @@ __all__ = [
     "x_AB_via_products",
     "psi_odd_via_products",
     "psi_minus1_via_products",
+    "psi_odd_report_via_sharp",
+    "psi_minus1_report_via_sharp",
     "prove_gari_inverse",
     "mul_via_tuples",
     "mul_linear_via_tuples",
@@ -486,6 +494,32 @@ def psi_minus1_via_products(d: int) -> RationalFunction:
             RationalFunction.make(Fraction((-1) ** (h + 1), h), Polynomial.one(), den)
         )
     return rf_sum(parts)
+
+
+def psi_odd_report_via_sharp(n: int, dmax: int, psi_components=psi_odd) -> dict:
+    """The psi-odd report as the verifier made it before it read the u-side
+    at ``unsharp_word(d)``: sharp(psi)^(d) - sang(sa_{2n+1})^(d) at the
+    canonical words."""
+    checks = solutions._compare(
+        lambda d: f"sharp(psi_{2*n+1})^({d}) == sang(sa_{2*n+1})^({d})",
+        sharp(solutions._mould_of(lambda d: psi_components(n, d), dmax)),
+        sang(sa(2 * n + 1, dmax)),
+        range(1, dmax + 1),
+    )
+    return solutions._wrap(f"psi-odd n={n}", checks)
+
+
+def psi_minus1_report_via_sharp(dmax: int, psi_components=psi_minus1) -> dict:
+    """The psi-minus1 report as the verifier made it before it read the
+    u-side at ``unsharp_word(d)``: sharp(psi)^(d) - mu_log(paj)^(d) /
+    (x_1+..+x_d) at the canonical words."""
+    checks = solutions._compare(
+        lambda d: f"sharp(psi_-1)^({d}) == mu_log(paj)^({d})/(x_1+..+x_{d})",
+        sharp(solutions._mould_of(psi_components, dmax)),
+        dur_unscale(mu_log(paj(dmax))),
+        range(1, dmax + 1),
+    )
+    return solutions._wrap("psi-minus1", checks)
 
 
 def _trim(seq) -> tuple:

@@ -268,6 +268,26 @@ def test_float_scalars_are_refused():
     assert (sa(3, 2) * 2).components[1] == sa(3, 2).components[1] * Fraction(2)
 
 
+def test_floats_are_refused_below_the_scalar_layer():
+    # coefficients of polynomials and forms are ints: a float never enters
+    # a numerator or a letter, and a polynomial takes no non-int scalar
+    entries = [
+        lambda: Polynomial.from_dict({(1,): 0.5}),
+        lambda: Polynomial.constant(0.5),
+        lambda: LinearForm((0.5, 1)),
+        lambda: Polynomial.one() * 0.5,
+        lambda: 0.5 * Polynomial.one(),
+        lambda: Polynomial.one() * Fraction(1, 2),
+    ]
+    for entry in entries:
+        with pytest.raises(TypeError):
+            entry()
+    assert Polynomial.one().__mul__(0.5) is NotImplemented
+    assert Polynomial.one().__mul__(Fraction(1, 2)) is NotImplemented
+    assert Polynomial.constant(3) * 2 == Polynomial.constant(6)
+    assert Polynomial.from_dict({(1,): 2}) == Polynomial.variable(1) * 2
+
+
 def test_inequality():
     assert one_over_forms(x1) != one_over_forms(x2)
 

@@ -125,13 +125,14 @@ def test_a_mutated_garit_at_fails_the_gari_inverse_proof(monkeypatch):
 
 
 def test_a_mutated_sang_expansion_fails_the_proof(monkeypatch):
-    # x_1 + .. + x_m read as x_1 + .. + 2 x_m for m >= 2 changes the forms
-    # the expansion divides by from depth 2 on; lazy_sang does not read them
-    sum_form = special.sum_form
+    # the sum of a word's letters read with its last letter doubled, for
+    # words of two or more letters, changes the forms the expansion divides
+    # by from depth 2 on; lazy_sang does not read them
+    letter_sum = special._letter_sum
     monkeypatch.setattr(
         special,
-        "sum_form",
-        lambda m: sum_form(m) + x_var(m) if m >= 2 else sum_form(m),
+        "_letter_sum",
+        lambda w: letter_sum(w) + w[-1] if len(w) >= 2 else letter_sum(w),
     )
     got, want = opaque_sang_expansion(5)
     assert [m for m in range(6) if got[m] != want[m]] == [2, 3, 4, 5]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from mouldcalc import moulds, solutions, special
 from mouldcalc.algebra import (
     Polynomial,
     RationalFunction,
@@ -14,8 +17,16 @@ from mouldcalc.algebra import (
     x_var,
 )
 from mouldcalc.flexions import ari
-from mouldcalc.moulds import Mould, equal_mod_depth, sharp
-from mouldcalc.special import bernoulli, sa, slang
+from mouldcalc.cli import main
+from mouldcalc.moulds import (
+    Mould,
+    equal_mod_depth,
+    lazy_mu_log,
+    mu_log,
+    sharp,
+    unsharp_word,
+)
+from mouldcalc.special import bernoulli, paj, sa, sang_expanded, slang
 from mouldcalc.solutions import (
     COMPARISON_MAX_N,
     PSI_ODD_MAX_N,
@@ -33,9 +44,15 @@ from mouldcalc.solutions import (
     xi,
     xi_prime,
 )
-from mouldcalc.verify import run_claim
+from mouldcalc.verify import random_gari_mould, run_claim
 
-from helpers import psi_minus1_via_products, psi_odd_via_products, x_AB_via_products
+from helpers import (
+    psi_minus1_report_via_sharp,
+    psi_minus1_via_products,
+    psi_odd_report_via_sharp,
+    psi_odd_via_products,
+    x_AB_via_products,
+)
 
 x1, x2, x3 = x_var(1), x_var(2), x_var(3)
 
@@ -364,3 +381,112 @@ def test_comparison_refuses_n_above_its_limit_before_any_work(monkeypatch):
         verify_comparison_theorem(COMPARISON_MAX_N + 1)
     with pytest.raises(AssertionError, match="a mould was built"):
         verify_comparison_theorem(COMPARISON_MAX_N)
+
+
+# ---------------------------------------------------------------------------
+# the sharp claims, checked at unsharp_word(d) without substituting psi
+# ---------------------------------------------------------------------------
+
+
+def _mutated(components, dmax: int):
+    """``components`` with every depth's value changed: depth k scaled by
+    k + 1 for odd k, and a pole 3/x_k^2 added for even k.  Each check of a
+    report reads one depth, so every failing check is that of a mutation
+    of its component alone."""
+
+    def fn(*args):
+        value, k = components(*args), args[-1]
+        if k % 2:
+            return value * (k + 1)
+        return value + one_over_forms(x_var(k), x_var(k)) * 3
+
+    return fn
+
+
+def _one_mutated(components, k: int):
+    """``components`` with the depth-k value scaled by -1/2."""
+
+    def fn(*args):
+        value = components(*args)
+        return value * Fraction(-1, 2) if args[-1] == k else value
+
+    return fn
+
+
+def _json(report: dict) -> str:
+    return json.dumps(report, sort_keys=True)
+
+
+@pytest.mark.parametrize("dmax", range(1, 7))
+def test_psi_minus1_reports_match_the_sharp_oracle(dmax):
+    cases = [psi_minus1, _mutated(psi_minus1, dmax), _one_mutated(psi_minus1, dmax)]
+    for fn in cases:
+        got = verify_psi_minus1_theorem(dmax, psi_components=fn)
+        assert _json(got) == _json(psi_minus1_report_via_sharp(dmax, fn))
+    assert got["status"] == "fail"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("dmax", range(1, 6))
+def test_psi_odd_reports_match_the_sharp_oracle(n, dmax):
+    cases = [psi_odd, _mutated(psi_odd, dmax), _one_mutated(psi_odd, dmax)]
+    for fn in cases:
+        got = verify_psi_odd_theorem(n, dmax, psi_components=fn)
+        assert _json(got) == _json(psi_odd_report_via_sharp(n, dmax, fn))
+    assert got["status"] == "fail"
+
+
+def _words(d: int) -> list:
+    """``unsharp_word(d)`` and, for d >= 2, a word whose letters end in
+    x_2, x_2, x_3, x_3, x_4, so not in echelon form: substitution tries
+    every form."""
+    letters = [x1 + x2, x2 - x1 * 2, x1 * 3 + x3, x3 - x2 * 2, x_var(4) + x1]
+    return [unsharp_word(d), tuple(letters[:d])]
+
+
+def test_lazy_mu_log_matches_mu_log_at_any_word():
+    S = random_gari_mould(random.Random(7), 4)
+    for M in (paj(5), S):
+        log, want = lazy_mu_log(M), mu_log(M)
+        for d in range(1, M.depth + 1):
+            for w in _words(d):
+                assert log.eval_word(w) == want.components[d].substitute(w)
+
+
+def test_the_expansion_at_a_word_matches_its_substituted_component():
+    for s in (3, 5, -1):
+        S = sa(s, 5)
+        want = sang_expanded(S)
+        build = special._sang_expansion(S)
+        for d in range(1, 6):
+            for w in _words(d):
+                assert build(w) == want.components[d].substitute(w)
+
+
+def test_the_sharp_claims_never_call_sharp(monkeypatch):
+    # psi is compared in its own coordinates, against the u-side read at
+    # unsharp_word(d); neither claim pushes a mould through sharp, nor
+    # builds mu_log(paj) at the canonical words and unscales it
+    def refused(*args, **kwargs):
+        raise AssertionError("the old path was taken")
+
+    for name in ("sharp", "mu_log", "dur_unscale"):
+        for module in (moulds, solutions):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    assert main(["verify", "psi-odd", "--n", "1", "--dmax", "5"]) == 0
+    assert main(["verify", "psi-minus1", "--dmax", "6"]) == 0
+
+
+def test_the_sharp_claims_gate_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work before the gate")
+
+    monkeypatch.setattr(special, "_sang_expanded_at", no_work)
+    with pytest.raises(ValueError, match="singulator depth 8 exceeds the maximum 7"):
+        verify_psi_odd_theorem(1, 8, psi_components=no_work)
+    with pytest.raises(ValueError, match="psi-minus1 dmax 8 exceeds the maximum 7"):
+        verify_psi_minus1_theorem(8, psi_components=no_work)
+    M = Mould.zero(2)
+    M = Mould([M.components[0], M.components[1], one_over_forms(x1, x2)])
+    with pytest.raises(special.UnsupportedInputError):
+        special._sang_expansion(M)

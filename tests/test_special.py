@@ -247,10 +247,10 @@ def test_singulator_admits_depth_7_and_refuses_depth_8(monkeypatch):
     lazy_sang(sa(3, 7))
     lazy_slang(1, sa(3, 7))
 
-    def no_work(M, d):
+    def no_work(M, w):
         raise AssertionError("built a component before the depth gate")
 
-    monkeypatch.setattr(special, "_sang_expanded_component", no_work)
+    monkeypatch.setattr(special, "_sang_expanded_at", no_work)
     builds = (lazy_sang, sang, sang_expanded, lambda A: slang(1, A), slang_split)
     for build in builds:
         with pytest.raises(ValueError, match="singulator depth 8 exceeds the maximum 7"):
@@ -300,13 +300,13 @@ def _count_lazy_sang(monkeypatch, module=special) -> list:
 def _count_expansion_depths(monkeypatch) -> list:
     """The depths at which the four-sum expansion is built from now on."""
     built = []
-    build = special._sang_expanded_component
+    build = special._sang_expanded_at
 
-    def counting(M, d):
-        built.append(d)
-        return build(M, d)
+    def counting(M, w):
+        built.append(len(w))
+        return build(M, w)
 
-    monkeypatch.setattr(special, "_sang_expanded_component", counting)
+    monkeypatch.setattr(special, "_sang_expanded_at", counting)
     return built
 
 
