@@ -51,7 +51,6 @@ from .flexions import (
 from .symmetry import (
     Dimould,
     dimould_mu,
-    inductive_alternality_oracle,
     is_alternal,
     is_symmetral,
     sh_map,

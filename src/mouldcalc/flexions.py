@@ -53,16 +53,16 @@ checked against the solver-chain definition in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Callable, Iterator
 
-from .algebra import LinearForm, RationalFunction, rf_sum
+from .algebra import RationalFunction, rf_sum
 from .moulds import (
     Eval,
     LazyMould,
     Mould,
     Word,
     _inverse_factorials,
+    _letter_sum,
     _materialize,
     _mu_parts,
     _powers,
@@ -108,14 +108,6 @@ __all__ = [
     "lazy_leng",
     "lazy_unit",
 ]
-
-
-def _letter_sum(w: Word) -> LinearForm:
-    """The sum of a word's letters, added coefficient by coefficient in one
-    pass; a one-letter word is its letter."""
-    if len(w) == 1:
-        return w[0]
-    return LinearForm(map(sum, zip_longest(*(f.coeffs for f in w), fillvalue=0)))
 
 
 def flexion_up(beta: Word, alpha: Word) -> Word:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
 from .algebra import (
@@ -114,8 +115,12 @@ def sum_form(m: int) -> LinearForm:
 
 
 def _letter_sum(w: Word) -> LinearForm:
-    """The sum of a word's letters: ``sum_form(m)`` at the canonical word."""
-    return sum(w, LinearForm.zero())
+    """The sum of a word's letters (``sum_form(m)`` at the canonical word),
+    added coefficient by coefficient in one pass; a one-letter word is its
+    letter."""
+    if len(w) == 1:
+        return w[0]
+    return LinearForm(map(sum, zip_longest(*(f.coeffs for f in w), fillvalue=0)))
 
 
 def shuffle(w1: Word, w2: Word) -> dict[Word, int]:

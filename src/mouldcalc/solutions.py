@@ -14,8 +14,7 @@ identities:
   the singulator's depth limit ``special.SANG_MAX_DEPTH`` and for n up to
   ``PSI_ODD_MAX_N[dmax]``;
 * sharp(psi_{-1}) equals mu-log(paj) divided by x_1 + ... + x_d, up to
-  ``PSI_MINUS1_MAX_DMAX``, set when mu_log(paj) did not finish depth 8 in
-  600 s;
+  ``PSI_MINUS1_MAX_DMAX`` = 8, the CLI's largest depth;
 * xi_{2n+1} agrees with slang_1(sa_{2n+1}) below depth 4, sigma^c - luma
   is the Bernoulli-weighted sum of the D_{a,b}, and each D_{a,b}^(3) is a
   polynomial, for n up to ``COMPARISON_MAX_N``.
@@ -46,8 +45,7 @@ D_{a,b}^(3) when it is not.  A depth or an n beyond a limit is refused
 with ValueError before any work.  Each n limit admits the largest n
 measured to verify within 60 s, a tenth of the 600 s in which the depths
 that the depth limits refuse did not finish (the CLI on a 2-vCPU x86-64
-host with Python 3.11.7, single runs, about +-15 %).  The limits were
-measured when the sharp claims still substituted psi through ``sharp``.
+host with Python 3.11.7, single runs, about +-15 %).
 """
 
 from __future__ import annotations
@@ -87,18 +85,19 @@ __all__ = [
     "verify_comparison_theorem",
 ]
 
-PSI_MINUS1_MAX_DMAX = 7
+# verify psi-minus1 --dmax 8 took 58 s with 240 MB; cli.MAX_DEPTH refuses 9
+PSI_MINUS1_MAX_DMAX = 8
 
-# The largest n that verify psi-odd admits at each dmax.  Measured:
-#   dmax 7: n = 3 took 53 s, n = 4 76 s
-#   dmax 6: n = 10 took 54 s, n = 12 did not finish in 90 s
-#   dmax 5: n = 20 took 29 s, n = 24 62 s
-#   dmax 4: n = 56 took 48 s, n = 64 78 s
-#   dmax 3: n = 192 took 35 s, n = 224 63 s
-#   dmax 2: n = 2048 took 42 s, n = 2560 84 s
-#   dmax 1: n = 32767 took 0.8 s; above it sa_{2n+1}'s degree 2n outgrows
-#   the kernel's exponent field
-PSI_ODD_MAX_N = {1: 32767, 2: 2048, 3: 192, 4: 56, 5: 20, 6: 10, 7: 3}
+# The largest n that verify psi-odd admits at each dmax.  Measured (peak RSS):
+#   dmax 7: n = 23 took 58 s (310 MB), n = 24 did not finish in 60 s
+#   dmax 6: n = 155 took 55 s (0.8 GB), n = 163 did not finish in 60 s
+#   dmax 5: n = 500 took 46 s (1.6 GB), n = 531 did not finish in 60 s
+#   dmax 4: n = 1170 took 52 s (2.8 GB), n = 1228 did not finish in 60 s
+#   dmax 3: n = 1900 took 52 s (3.5 GB), n = 1960 60.2 s
+#   dmax 2: n = 3225 took 59 s (46 MB), n = 3337 did not finish in 60 s
+#   dmax 1: n = 32767 took under 1 s; above it sa_{2n+1}'s degree 2n
+#   outgrows the kernel's exponent field
+PSI_ODD_MAX_N = {1: 32767, 2: 3225, 3: 1900, 4: 1170, 5: 500, 6: 155, 7: 23}
 
 # The largest n that verify comparison admits.  Measured: n = 32 took 10 s,
 # n = 48 38 s, n = 56 68 s.

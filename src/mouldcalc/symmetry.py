@@ -59,7 +59,6 @@ __all__ = [
     "is_symmetral",
     "is_alternal_via_sh",
     "is_symmetral_via_sh",
-    "inductive_alternality_oracle",
 ]
 
 
@@ -271,16 +270,3 @@ def is_symmetral_via_sh(M: Mould) -> bool:
     if not (c0.is_constant() and c0.constant_value() == 1):
         return False
     return sh_map(M) == tensor(M, M)
-
-
-def inductive_alternality_oracle(A: Mould) -> bool:
-    """Check A^m(x_1..x_m) = A^{m-1}(x_1..x_{m-1}) - A^{m-1}(x_2..x_m).
-
-    Moulds satisfying this recursion are alternal, so a True here must be
-    matched by is_alternal; the pair is used as a consistency test.
-    """
-    for m in range(2, A.depth + 1):
-        prev = A.components[m - 1]
-        if A.components[m] != prev - prev.shift(1):
-            return False
-    return True

@@ -17,9 +17,11 @@ sums, on monomials as exponent tuples) that the packed-integer kernel
 replaced, the former rendering of monomials from their full exponent
 tuples, and the former alternality and symmetrality deciders, which
 evaluate every ordered cell (p, q) where the deciders now evaluate only
-p <= q; the former twisted-action sum, which builds each block
-factorization's factor from scratch where ``garit_at`` now shares it
-between the factorizations through a block prefix; the former polar
+p <= q; an inductive alternality recursion whose solutions are
+alternal, a consistency check on ``is_alternal``; the former
+twisted-action sum, which builds each block factorization's factor from
+scratch where ``garit_at`` now shares it between the factorizations
+through a block prefix; the former polar
 solutions psi_{2n+1} and psi_{-1} and ``x_AB``, each term a product of
 separately canonicalized powers and reciprocal difference products where
 ``solutions._term`` now builds it by one ``make``; the former checks of
@@ -112,6 +114,7 @@ __all__ = [
     "monomial_latex_via_tuple",
     "is_alternal_all_pairs",
     "is_symmetral_all_pairs",
+    "inductive_alternality_oracle",
     "with_component",
     "depth_supported",
     "middle_cell_mould",
@@ -763,6 +766,19 @@ def is_symmetral_all_pairs(S: Mould) -> SymmetryReport:
             if not residual.is_zero():
                 return SymmetryReport(False, S.depth, p, q, residual)
     return SymmetryReport(True, S.depth)
+
+
+def inductive_alternality_oracle(A: Mould) -> bool:
+    """Check A^m(x_1..x_m) = A^{m-1}(x_1..x_{m-1}) - A^{m-1}(x_2..x_m).
+
+    Moulds satisfying this recursion are alternal, so a True here must be
+    matched by is_alternal; the pair is used as a consistency test.
+    """
+    for m in range(2, A.depth + 1):
+        prev = A.components[m - 1]
+        if A.components[m] != prev - prev.shift(1):
+            return False
+    return True
 
 
 def with_component(M: Mould, k: int, fn) -> Mould:

@@ -103,7 +103,7 @@ def test_depth_cap(capsys):
     [
         ("verify", "psi-odd", "--n", "1", "--dmax", "8"),
         ("verify", "sang-expansion", "--depth", "8"),
-        ("verify", "psi-minus1", "--dmax", "8"),
+        ("verify", "psi-minus1", "--dmax", "9"),  # admits 8; MAX_DEPTH refuses 9
         ("compute", "sang:sa:3", "--depth", "8"),
         ("compute", "slang:1:sa:3", "--depth", "8"),
     ],

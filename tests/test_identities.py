@@ -35,6 +35,34 @@ def test_random_instance_expansions_all_pass():
     _assert_all_pass(random_expansion_checks(seed=99, rounds=2))
 
 
+_LIE_SIDE = {"preari_2", "preari_3", "ari", "expari", "adari", "sang", "slang_1", "slang_2"}
+
+
+@pytest.mark.parametrize(
+    "name, from_length, families",
+    [
+        ("_arit_parts", 0, _LIE_SIDE | {"arit"}),
+        ("_mu_parts", 0, _LIE_SIDE),
+        ("garit_at", 2, {"garit", "gari", "adari", "sang", "slang_1", "slang_2"}),
+    ],
+)
+def test_a_doubled_factorization_sum_fails_exactly_its_rows(
+    monkeypatch, name, from_length, families
+):
+    # every operator family that reads the doubled sum fails, and no other;
+    # an expansion that read the operator it checks would see the doubled
+    # sum on both sides and drop its family out of the failing set
+    original = getattr(flexions, name)
+
+    def doubled(w, *evals):
+        value = original(w, *evals)
+        return value * 2 if len(w) >= from_length else value
+
+    monkeypatch.setattr(flexions, name, doubled)
+    checks = generic_expansion_checks()
+    assert {c["claim"].split()[0] for c in checks if c["status"] != "pass"} == families
+
+
 def test_opaque_symbols_are_per_word():
     reg = SymbolRegistry()
     A = OpaqueMould(reg, "A", 2)

@@ -484,8 +484,8 @@ def test_the_sharp_claims_gate_before_any_work(monkeypatch):
     monkeypatch.setattr(special, "_sang_expanded_at", no_work)
     with pytest.raises(ValueError, match="singulator depth 8 exceeds the maximum 7"):
         verify_psi_odd_theorem(1, 8, psi_components=no_work)
-    with pytest.raises(ValueError, match="psi-minus1 dmax 8 exceeds the maximum 7"):
-        verify_psi_minus1_theorem(8, psi_components=no_work)
+    with pytest.raises(ValueError, match="psi-minus1 dmax 9 exceeds the maximum 8"):
+        verify_psi_minus1_theorem(9, psi_components=no_work)
     M = Mould.zero(2)
     M = Mould([M.components[0], M.components[1], one_over_forms(x1, x2)])
     with pytest.raises(special.UnsupportedInputError):

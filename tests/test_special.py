@@ -33,10 +33,11 @@ from mouldcalc.special import (
     slang,
     slang_split,
 )
-from mouldcalc.symmetry import inductive_alternality_oracle, is_alternal, is_symmetral
+from mouldcalc.symmetry import is_alternal, is_symmetral
 
 from helpers import (
     count_products,
+    inductive_alternality_oracle,
     random_ari_mould,
     sang_via_eager_moulds,
     slang_via_eager_moulds,

@@ -29,7 +29,6 @@ from mouldcalc.special import dupal, paj, pal
 from mouldcalc.symmetry import (
     Dimould,
     dimould_mu,
-    inductive_alternality_oracle,
     is_alternal,
     is_alternal_via_sh,
     is_symmetral,
@@ -42,6 +41,7 @@ from helpers import (
     count_div_attempts,
     count_products,
     first_fails_at_2_3,
+    inductive_alternality_oracle,
     is_alternal_all_pairs,
     is_symmetral_all_pairs,
     middle_cell_mould,
