@@ -8,11 +8,17 @@ forms for variables, which is all the mould operations ever need; keeping
 denominators factored sidesteps multivariate gcd computations entirely.
 Every term product runs in one loop, ``_mul_form``: products with a linear
 form, products of polynomials (the smaller factor's terms as its rows), the
-numerator pairs of ``rf_sum``, exact division and Horner substitution.
-A substitution composes each denominator form in one pass, adding each
-letter's coefficients into one list, and a form's packed linear terms
-(``_linear_terms``) are built once per distinct form, in a bounded cache of
-immutable tuples, however many words it is a letter of.
+numerator pairs of ``rf_sum``, exact division, Horner substitution and the
+sum of two polynomials (a product with the monomial 1).  Exact division and
+Horner substitution group the terms by the exponent of one variable through
+one helper, ``_levels``.  A denominator is normalized in one place,
+``_normalize``, for ``make`` and for ``substitute``: each form is split into
+its content and its primitive form, the content goes into the scalar, and
+equal forms are merged.  A substitution composes each denominator form in
+one pass, adding each letter's coefficients into one list, and a form's
+packed linear terms (``_linear_terms``) are built once per distinct form,
+in a bounded cache of immutable tuples, however many words it is a letter
+of.
 
 Canonical forms
 ---------------
@@ -41,9 +47,11 @@ Canonical forms
   sum, and a substitution into x_{K+1} and above) and where a tuple is
   packed.  A degree above ``_MAX_EXP`` = 65535 raises
   ``ExponentOverflowError``, and so does a degree above ``_MAX_TABLE_EXP``
-  = 255 when a table variable is present: one rule for a packed tuple and
-  for a product.  The terms are scanned for a table variable only for a
-  degree above 255, so slot-only products pay nothing for the test.
+  = 255 when a table variable is present.  One guard, ``_check_degree``,
+  states that rule for a packed tuple, a product, a product with a linear
+  form, a substitution and the lifting of a sum.  It tests the degree
+  first and scans the factors for a table variable only above 255, so a
+  low degree pays one comparison for the test.
 * ``Polynomial``: integer coefficients only; rational content lives in the
   enclosing ``RationalFunction`` scalar.
 * ``LinearForm``: arbitrary integer coefficient vector; denominators store
@@ -195,22 +203,22 @@ def _trim(seq: Sequence[int]) -> tuple:
     return tuple(seq[:n])
 
 
-def _check_degree(degree: int, table: bool = False) -> None:
-    """Raise ExponentOverflowError for a total degree that a field may not
-    hold: every exponent is at most the degree, so a degree up to _MAX_EXP
-    fits the degree and slot fields, and up to _MAX_TABLE_EXP a table field
-    too.  ``table`` says whether the monomials may hold a table variable."""
-    limit = _MAX_TABLE_EXP if table else _MAX_EXP
-    if degree > limit:
-        where = f" with a variable above x_{_K}" if table else ""
-        raise ExponentOverflowError(
-            f"total degree {degree}{where} exceeds the largest supported exponent {limit}"
-        )
-
-
-def _holds_table(monomials: Iterable[int]) -> bool:
-    """Whether a packed monomial among these holds a table variable."""
-    return max(monomials, default=0) >= _TABLE_UNIT
+def _check_degree(degree: int, *factors) -> None:
+    """The one degree guard: raise ExponentOverflowError for a total degree
+    that a field may not hold, in monomials built from those of ``factors``,
+    each an iterable of packed monomials (a term dict is one).  Every
+    exponent is at most the degree, so a degree up to _MAX_EXP fits the
+    degree and slot fields, and up to _MAX_TABLE_EXP a table field too.
+    The degree is tested first: only above _MAX_TABLE_EXP are the factors
+    scanned for a table variable."""
+    if degree > _MAX_TABLE_EXP:
+        table = any(max(f, default=0) >= _TABLE_UNIT for f in factors)
+        if table or degree > _MAX_EXP:
+            where = f" with a variable above x_{_K}" if table else ""
+            limit = _MAX_TABLE_EXP if table else _MAX_EXP
+            raise ExponentOverflowError(
+                f"total degree {degree}{where} exceeds the largest supported exponent {limit}"
+            )
 
 
 def _field(i: int) -> int:
@@ -260,7 +268,9 @@ def _pack(exps: Sequence[int]) -> int:
     if any(e < 0 for e in exps):
         raise ValueError(f"negative exponent in monomial {tuple(exps)}")
     degree = sum(exps)
-    _check_degree(degree, any(exps[_K:]))
+    # an exponent past x_K is a table variable's: the lowest table monomial
+    # stands in for it, so no field is given before the check
+    _check_degree(degree, (_TABLE_UNIT,) if any(exps[_K:]) else ())
     m = 0
     for e in reversed(exps[:_K]):
         m = m << _BITS | e
@@ -442,17 +452,11 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        big, small = (self._terms, other._terms)
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for m, c in small.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(out)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        small, big = sorted((self._terms, other._terms), key=len)
+        # the smaller times the monomial 1, added into a copy of the larger
+        return Polynomial(_mul_form(small, ((0, 1),), dict(big)))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial({m: -c for m, c in self._terms.items()})
@@ -472,10 +476,7 @@ class Polynomial:
         a, b = self._terms, other._terms
         if not a or not b:
             return _POLY_ZERO
-        degree = _degree(a) + _degree(b)
-        _check_degree(
-            degree, degree > _MAX_TABLE_EXP and (_holds_table(a) or _holds_table(b))
-        )
+        _check_degree(_degree(a) + _degree(b), a, b)
         return Polynomial(_add_product(None, a, b, 1))
 
     def __rmul__(self, other: int) -> "Polynomial":
@@ -528,14 +529,10 @@ class Polynomial:
 
     def mul_linear(self, form: "LinearForm") -> "Polynomial":
         terms = self._terms
+        lin = _linear_terms(form.coeffs)
         if terms:
-            degree = _degree(terms) + 1
-            _check_degree(
-                degree,
-                degree > _MAX_TABLE_EXP
-                and (len(form.coeffs) > _K or _holds_table(terms)),
-            )
-        return Polynomial(_mul_form(terms, _linear_terms(form.coeffs)))
+            _check_degree(_degree(terms) + 1, terms, dict(lin))
+        return Polynomial(_mul_form(terms, lin))
 
     def try_div_linear(self, form: "LinearForm") -> "Polynomial | None":
         """Exact quotient ``self / form`` or None.
@@ -565,17 +562,10 @@ class Polynomial:
             if not m & fields:
                 return None
         neg_rest = [(u, -fc) for u, fc in lin if u != unit]
-        # bucket by x_j exponent, storing monomials with x_j removed
-        levels: dict[int, dict] = {}
-        deg = 0
-        for m, coeff in self._terms.items():
-            e = m >> bits & mask
-            if e > deg:
-                deg = e
-            levels.setdefault(e, {})[m - e * unit] = coeff
-
+        levels = _levels(self._terms, bits, mask)
+        deg = max(levels)
         q_levels: dict[int, dict] = {}
-        carry = levels.get(deg, {})
+        carry = levels[deg]
         for k in range(deg, 0, -1):
             if c == 1:  # a primitive form's leading coefficient is often 1
                 qk = carry
@@ -675,13 +665,25 @@ def _compose(terms: dict, forms: Sequence["LinearForm"], fields) -> Polynomial:
     """``Polynomial.compose`` on a terms dict whose variables' fields are
     ``fields`` (``_variables``), once the forms are known to cover them."""
     lins = {f: _linear_terms(forms[_index(f) - 1].coeffs) for f in fields}
-    # a substitution keeps the degree, which a table field must hold
-    if _holds_table(lin[-1][0] for lin in lins.values() if lin):
-        _check_degree(_degree(terms), True)
+    # a substitution keeps the degree, which an image's table field must
+    # hold; a form holds a table variable exactly when its last one is
+    _check_degree(_degree(terms), (lin[-1][0] for lin in lins.values() if lin))
     # the renaming loop reads slot fields only; Horner reads any field
     if max(fields, default=0) > _K or any(len(lin) > 1 for lin in lins.values()):
         return Polynomial(_horner(terms, lins))
     return Polynomial(_rename(terms, lins))
+
+
+def _levels(terms: dict, bits: int, mask: int) -> dict:
+    """The terms grouped by the exponent e of the variable whose field starts
+    at ``bits`` and has the width of ``mask``: e -> those terms with that
+    variable removed, x^e divided out of each monomial."""
+    unit = 1 << bits | 1  # the variable's monomial
+    levels: dict[int, dict] = {}
+    for m, c in terms.items():
+        e = m >> bits & mask
+        levels.setdefault(e, {})[m - e * unit] = c
+    return levels
 
 
 def _rename(terms: dict, lins: dict) -> dict:
@@ -729,12 +731,7 @@ def _horner(terms: dict, lins: dict) -> dict:
     if top < _BITS:  # constant
         return dict(terms)
     n = _field_at(top)
-    bits = _span(n)[0]
-    unit = (1 << bits) | 1
-    levels: dict[int, dict] = {}
-    for m, c in terms.items():
-        e = m >> bits
-        levels.setdefault(e, {})[m - e * unit] = c
+    levels = _levels(terms, *_span(n))
     lin = lins[n]
     if not lin:  # x_n -> 0 keeps only P_0
         return _horner(levels.get(0, {}), lins)
@@ -789,6 +786,8 @@ class LinearForm:
         raise ValueError("zero form has no leading variable")
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
+        if not isinstance(other, LinearForm):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -842,11 +841,6 @@ class LinearForm:
                     if a:
                         out[j] += c * a
         return LinearForm(out)
-
-    def shift(self, k: int) -> "LinearForm":
-        if k == 0 or not self.coeffs:
-            return self
-        return LinearForm((0,) * k + self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
@@ -908,24 +902,16 @@ class RationalFunction:
         """Canonicalize and build.  The only sanctioned constructor.
 
         Tries every denominator form against the numerator.  A scalar that
-        is not an int or a Fraction, such as a float, raises TypeError.
+        is not an int or a Fraction, such as a float, raises TypeError.  The
+        denominator goes through ``_normalize``: a zero multiplicity is
+        skipped, a negative one raises ValueError, and a zero form raises
+        ZeroDenominatorError.
         """
         if not isinstance(scalar, (int, Fraction)):
             raise TypeError(f"a scalar must be an int or a Fraction, got {scalar!r}")
         if scalar == 0 or numerator.is_zero():
             return RF_ZERO
-        den: dict[LinearForm, int] = {}
-        for form, mult in denominator:
-            if mult < 0:
-                raise ValueError("negative multiplicity")
-            if mult == 0:
-                continue
-            k, f = form.primitive()
-            if k == 0:
-                raise ZeroDenominatorError("zero linear form in denominator")
-            if k != 1:
-                scalar = _quotient(scalar, k**mult)
-            den[f] = den.get(f, 0) + mult
+        scalar, den = _normalize(scalar, denominator)
         return _build(scalar, numerator, den, list(den))
 
     @staticmethod
@@ -978,6 +964,8 @@ class RationalFunction:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         return rf_sum((self, other))
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
@@ -1046,17 +1034,7 @@ class RationalFunction:
             raise ValueError(
                 f"value uses x_{width} but only {len(forms)} forms given"
             )
-        scalar = self.scalar
-        den: dict[LinearForm, int] = {}
-        for f, m in self.denominator:
-            k, g = f.compose(forms).primitive()
-            if k == 0:
-                raise ZeroDenominatorError(
-                    f"denominator factor {f} vanishes under substitution"
-                )
-            if k != 1:
-                scalar = _quotient(scalar, k**m)
-            den[g] = den.get(g, 0) + m
+        scalar, den = _normalize(self.scalar, self.denominator, forms)
         num = _compose(self.numerator._terms, forms, fields)
         # letters that end in distinct variables are in echelon form, so
         # independent: no form can cancel (coefficients are trimmed)
@@ -1092,6 +1070,39 @@ def _quotient(scalar: int | Fraction, k: int) -> int | Fraction:
     if type(scalar) is int and scalar % k == 0:
         return scalar // k
     return _scalar(Fraction(scalar, k))
+
+
+def _normalize(
+    scalar: int | Fraction,
+    denominator: Iterable[tuple[LinearForm, int]],
+    word: Sequence[LinearForm] | None = None,
+) -> tuple[int | Fraction, dict]:
+    """The one denominator normalizer: ``scalar / prod(form ** mult)`` over
+    ``denominator``, each form composed with ``word`` when one is given, as
+    the new scalar and a dict of primitive forms to multiplicities.
+
+    Each form is split as ``k * f`` (``LinearForm.primitive``), the scalar
+    is divided by ``k ** mult`` and equal forms are merged.  A zero
+    multiplicity is skipped, and a negative one raises ValueError; a form
+    that is or becomes zero raises ZeroDenominatorError.
+    """
+    den: dict[LinearForm, int] = {}
+    for form, mult in denominator:
+        if mult < 0:
+            raise ValueError("negative multiplicity")
+        if not mult:
+            continue
+        k, f = (form if word is None else form.compose(word)).primitive()
+        if k == 0:
+            raise ZeroDenominatorError(
+                "zero linear form in denominator"
+                if word is None
+                else f"denominator factor {form} vanishes under substitution"
+            )
+        if k != 1:
+            scalar = _quotient(scalar, k**mult)
+        den[f] = den.get(f, 0) + mult
+    return scalar, den
 
 
 def _build(
@@ -1219,6 +1230,8 @@ def rf_sum(items: Iterable) -> RationalFunction:
     )
     bits = {u: 1 << k for k, u in enumerate(units)}
     lins = [_linear_terms(coeffs) for coeffs, _ in units]
+    # a form holds a table variable exactly when its last variable is one
+    tops = [lin[-1][0] for lin in lins]
     everything = (1 << len(units)) - 1
     summands = []
     for scalar, den, p, q in terms:
@@ -1231,15 +1244,7 @@ def rf_sum(items: Iterable) -> RationalFunction:
         if q is not None:
             q = q._terms
             degree += _degree(q)
-        _check_degree(
-            degree,
-            degree > _MAX_TABLE_EXP
-            and (
-                any(len(coeffs) > _K for coeffs, _ in units)
-                or _holds_table(p._terms)
-                or q is not None and _holds_table(q)
-            ),
-        )
+        _check_degree(degree, tops, p._terms, q or ())
         scale = scalar.numerator * (lcd // scalar.denominator)
         summands.append((p._terms, q, scale, mask))
     total = _lift_sum(summands, everything, lins)
@@ -1405,16 +1410,6 @@ def _monomial_text(names: Sequence[str], exps: Sequence[int], style: tuple) -> s
     _, power, times, one = style
     parts = [n if e == 1 else power.format(n, e) for n, e in zip(names, exps) if e]
     return times.join(parts) or one
-
-
-def monomial_str(names: Sequence[str], exps: Sequence[int]) -> str:
-    """The product of ``names[k]^exps[k]``; "1" when every exponent is 0."""
-    return _monomial_text(names, exps, _PLAIN)
-
-
-def monomial_latex(names: Sequence[str], exps: Sequence[int]) -> str:
-    """The product of ``names[k]^{exps[k]}``; empty when every exponent is 0."""
-    return _monomial_text(names, exps, _LATEX)
 
 
 def _signed_sum(pieces: Iterable[tuple[str, int]]) -> str:

@@ -15,8 +15,9 @@ xi, sigma_c, luma and D are defined below depth 4, so they stop at depth 3.
 ``verify`` uses each claim's own defaults.  Depths and ``verify --dmax``
 below 1 or above MAX_DEPTH are refused, as are parameters a target or claim
 rejects (a ValueError from the library: among them the singulator above
-depth 7, psi-minus1 above dmax 7 and an n above the psi-odd and comparison
-limits, whose cost the library bounds),
+depth 7 and an n above the psi-odd and comparison limits, whose cost the
+library bounds; psi-minus1's limit, dmax 8, is MAX_DEPTH, which refuses
+dmax 9 first),
 targets and claims whose total degree outgrows the kernel's exponent field,
 ``--out`` paths that cannot be written, and claims that would run no check
 or would pass vacuously (``pal-symmetral`` and ``dupal-alternal`` at depth

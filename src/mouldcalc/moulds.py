@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from typing import Callable, Mapping, Sequence
 
 from .algebra import (
@@ -126,29 +126,19 @@ def _letter_sum(w: Word) -> LinearForm:
 def shuffle(w1: Word, w2: Word) -> dict[Word, int]:
     """Shuffle product of two words as a multiset of interleavings.
 
-    Follows the recursion  a w1 sh b w2 = a (w1 sh b w2) + b (a w1 sh w2),
-    with the empty word as unit.  The multiplicities sum to
-    binomial(len(w1) + len(w2), len(w1)).
+    One interleaving per set of positions for the letters of w1, in order,
+    with the letters of w2 at the other positions, in order; so the
+    multiplicities sum to binomial(len(w1) + len(w2), len(w1)).  The sets
+    come in lexicographic order, which lists the interleavings as the
+    recursion  a w1 sh b w2 = a (w1 sh b w2) + b (a w1 sh w2)  does.
     """
     out: dict[Word, int] = {}
-
-    def rec(a: Word, b: Word, prefix: list):
-        if not a:
-            key = tuple(prefix) + b
-            out[key] = out.get(key, 0) + 1
-            return
-        if not b:
-            key = tuple(prefix) + a
-            out[key] = out.get(key, 0) + 1
-            return
-        prefix.append(a[0])
-        rec(a[1:], b, prefix)
-        prefix.pop()
-        prefix.append(b[0])
-        rec(a, b[1:], prefix)
-        prefix.pop()
-
-    rec(tuple(w1), tuple(w2), [])
+    for chosen in combinations(range(len(w1) + len(w2)), len(w1)):
+        key = list(w2)
+        for k, a in zip(chosen, w1):  # increasing positions: each lands at k
+            key.insert(k, a)
+        key = tuple(key)
+        out[key] = out.get(key, 0) + 1
     return out
 
 
@@ -234,6 +224,8 @@ class Mould:
     # -- linear structure --------------------------------------------------------
 
     def __add__(self, other: "Mould") -> "Mould":
+        if not isinstance(other, Mould):
+            return NotImplemented
         d = min(self.depth, other.depth)
         return Mould(
             [self.components[m] + other.components[m] for m in range(d + 1)]
@@ -312,8 +304,7 @@ def _require_ari(M, what: str) -> None:
 
 
 def _require_gari(S, what: str) -> None:
-    c = S.eval_word(())
-    if not (c.is_constant() and c.constant_value() == 1):
+    if S.eval_word(()) != RationalFunction.one():
         raise NotInvertibleError(f"{what} needs depth-0 component 1")
 
 
@@ -447,8 +438,7 @@ def lazy_mu_log(S) -> LazyMould:
 
 def mu_log(S: Mould) -> Mould:
     """Logarithm for the mould product; requires S^0 = 1."""
-    c = S.eval_word(())
-    if not (c.is_constant() and c.constant_value() == 1):
+    if S.eval_word(()) != RationalFunction.one():
         raise NotDefinedError("mu-logarithm needs depth-0 component 1")
     return _materialize(lazy_mu_log(S))
 

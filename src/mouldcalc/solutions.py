@@ -37,15 +37,18 @@ echelon form, so the report carries the canonical sharp(psi)^(d) - T^(d),
 as a check through ``sharp`` would.
 
 Verifiers return report dictionaries rather than raising, so failures
-surface with their residuals.  Every check goes through ``_check``: it
-passes when its residual is zero, and a failing check carries the residual
-as text and as JSON.  ``_compare`` makes one check per depth from two
-moulds; "D_{a,b}^(3) is a polynomial" has residual 0 when it is one and
-D_{a,b}^(3) when it is not.  A depth or an n beyond a limit is refused
-with ValueError before any work.  Each n limit admits the largest n
+surface with their residuals.  Every check of these verifiers goes through
+``_check``: it passes when its residual is zero, and a failing check
+carries the residual as text and as JSON.  ``_compare`` makes one check per
+depth from two moulds; "D_{a,b}^(3) is a polynomial" has residual 0 when it
+is one and D_{a,b}^(3) when it is not.  A depth or an n beyond a limit is
+refused with ValueError before any work.  Each n limit admits the largest n
 measured to verify within 60 s, a tenth of the 600 s in which the depths
 that the depth limits refuse did not finish (the CLI on a 2-vCPU x86-64
-host with Python 3.11.7, single runs, about +-15 %).
+host with Python 3.11.7, single runs, about +-15 %).  The psi-odd limits
+also bound memory: each admitted n verifies within 1 GB of peak RSS, the
+memory the CI proofs job budgets, which binds at dmax 3 to 5 (peak RSS read
+with ``resource.getrusage(RUSAGE_CHILDREN)`` around one CLI run).
 """
 
 from __future__ import annotations
@@ -85,19 +88,21 @@ __all__ = [
     "verify_comparison_theorem",
 ]
 
-# verify psi-minus1 --dmax 8 took 58 s with 240 MB; cli.MAX_DEPTH refuses 9
+# verify psi-minus1 --dmax 8 took 37 s with 239 MB; cli.MAX_DEPTH refuses 9
 PSI_MINUS1_MAX_DMAX = 8
 
-# The largest n that verify psi-odd admits at each dmax.  Measured (peak RSS):
+# The largest n that verify psi-odd admits at each dmax: the largest that
+# verified within 60 s and within 1 GB (1024 MB) of peak RSS.  Measured
+# (peak RSS, MB = 2**20 bytes):
 #   dmax 7: n = 23 took 58 s (310 MB), n = 24 did not finish in 60 s
-#   dmax 6: n = 155 took 55 s (0.8 GB), n = 163 did not finish in 60 s
-#   dmax 5: n = 500 took 46 s (1.6 GB), n = 531 did not finish in 60 s
-#   dmax 4: n = 1170 took 52 s (2.8 GB), n = 1228 did not finish in 60 s
-#   dmax 3: n = 1900 took 52 s (3.5 GB), n = 1960 60.2 s
+#   dmax 6: n = 155 took 51 to 55 s (822 MB), n = 163 did not finish in 60 s
+#   dmax 5: n = 416 took 41 s (1019 MB), n = 417 peaked at 1024.4 MB
+#   dmax 4: n = 785 took 27 s (1010 MB), n = 791 peaked at 1028 MB
+#   dmax 3: n = 1209 took 20 to 27 s (1021 MB), n = 1219 peaked at 1043 MB
 #   dmax 2: n = 3225 took 59 s (46 MB), n = 3337 did not finish in 60 s
 #   dmax 1: n = 32767 took under 1 s; above it sa_{2n+1}'s degree 2n
 #   outgrows the kernel's exponent field
-PSI_ODD_MAX_N = {1: 32767, 2: 3225, 3: 1900, 4: 1170, 5: 500, 6: 155, 7: 23}
+PSI_ODD_MAX_N = {1: 32767, 2: 3225, 3: 1209, 4: 785, 5: 416, 6: 155, 7: 23}
 
 # The largest n that verify comparison admits.  Measured: n = 32 took 10 s,
 # n = 48 38 s, n = 56 68 s.

@@ -25,8 +25,9 @@ builds each depth at the canonical word and substitutes it for other
 words, and the psi-odd verifier builds it at its own word.  Every route
 refuses a depth above ``SANG_MAX_DEPTH`` with ValueError before any work,
 in the two builders all routes go through, ``lazy_sang`` and
-``_sang_expansion``: ``sang(sa_3)`` takes about 17 s and 95 MB at depth 7,
-and the compositional singulator does not finish in 600 s at depth 8.
+``_sang_expansion``: ``compute sang:sa:3 --depth 7`` takes about 8 s and
+94 MB, and the compositional singulator does not finish in 600 s at depth
+8.
 """
 
 from __future__ import annotations

@@ -110,6 +110,8 @@ class Dimould:
         )
 
     def __add__(self, other: "Dimould") -> "Dimould":
+        if not isinstance(other, Dimould):
+            return NotImplemented
         d = min(self.depth, other.depth)
         return Dimould.from_function(
             d, lambda r, s: self.components[(r, s)] + other.components[(r, s)]
@@ -266,7 +268,6 @@ def is_alternal_via_sh(M: Mould) -> bool:
 def is_symmetral_via_sh(M: Mould) -> bool:
     """Dimould characterization: Sh(M) = M (x) M with M(empty) = 1."""
     M = _materialize(M)
-    c0 = M.components[0]
-    if not (c0.is_constant() and c0.constant_value() == 1):
+    if M.components[0] != RationalFunction.one():
         return False
     return sh_map(M) == tensor(M, M)

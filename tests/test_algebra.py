@@ -36,7 +36,8 @@ from mouldcalc.algebra import (
 from mouldcalc import algebra
 from mouldcalc.algebra import _MAX_EXP, _MAX_TABLE_EXP, _unit
 
-from mouldcalc.moulds import sharp, sum_form
+from mouldcalc.moulds import Mould, sharp, sum_form
+from mouldcalc.symmetry import Dimould
 from mouldcalc.solutions import psi_minus1_mould
 from mouldcalc.special import sa
 
@@ -286,6 +287,28 @@ def test_floats_are_refused_below_the_scalar_layer():
     assert Polynomial.one().__mul__(Fraction(1, 2)) is NotImplemented
     assert Polynomial.constant(3) * 2 == Polynomial.constant(6)
     assert Polynomial.from_dict({(1,): 2}) == Polynomial.variable(1) * 2
+
+
+def test_sums_with_a_foreign_operand_raise_type_error():
+    # + and - refuse a number as * refuses a float: Python raises TypeError
+    values = [
+        Polynomial.one(),
+        x1,
+        ONE,
+        Mould.unit(2),
+        Dimould.unit(2),
+    ]
+    for value in values:
+        for other in (1, 0.5, Fraction(1, 2)):
+            assert value.__add__(other) is NotImplemented
+            with pytest.raises(TypeError):
+                value + other
+            with pytest.raises(TypeError):
+                value - other
+            with pytest.raises(TypeError):
+                other + value
+    assert Polynomial.one() + Polynomial.one() == Polynomial.constant(2)
+    assert ONE - ONE == RationalFunction.zero()
 
 
 def test_inequality():
@@ -1480,11 +1503,11 @@ def assert_renders_like_tuples(p):
     assert [row[0] for row in json_rows] == [list(m) for m, _ in want]
     for var in ("x", "y"):
         names = [f"{var}{i}" for i in indices]
-        assert [algebra.monomial_str(names, e) for _, e, _ in got] == [
+        assert [algebra._monomial_text(names, e, algebra._PLAIN) for _, e, _ in got] == [
             monomial_str_via_tuple(m, var) for m, _ in want
         ]
         names = [f"{var}_{{{i}}}" for i in indices]
-        assert [algebra.monomial_latex(names, e) for _, e, _ in got] == [
+        assert [algebra._monomial_text(names, e, algebra._LATEX) for _, e, _ in got] == [
             monomial_latex_via_tuple(m, var) for m, _ in want
         ]
 

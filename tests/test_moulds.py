@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -34,7 +35,9 @@ from mouldcalc.moulds import (
     shuffle,
     word,
 )
+from mouldcalc.flexions import invgari
 from mouldcalc.special import paj, pal, sa
+from mouldcalc.symmetry import is_symmetral_via_sh
 
 from helpers import (
     mu_exp_via_shift,
@@ -76,6 +79,35 @@ def test_shuffle_one_with_two():
 def test_shuffle_repeated_letters_multiplicity():
     got = shuffle(word(x1), word(x1))
     assert got == {word(x1, x1): 2}
+
+
+def _shuffle_oracle(w1, w2):
+    """Every ordering of w1 + w2, by brute force, counted once per way of
+    reading it as w1 and w2 each kept in order."""
+    n = len(w1) + len(w2)
+    out = {}
+    for order in itertools.permutations(range(n)):
+        firsts = [k for k in order if k < len(w1)]
+        seconds = [k for k in order if k >= len(w1)]
+        if firsts == sorted(firsts) and seconds == sorted(seconds):
+            key = tuple((w1 + w2)[k] for k in order)
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("p", range(5))
+@pytest.mark.parametrize("q", range(5))
+def test_shuffle_matches_brute_force(p, q):
+    # distinct letters, a repeated block and letters shared by both words
+    words = [
+        (canonical_word(p), canonical_word(q, offset=p)),
+        (word(*[x1] * p), word(*[x1] * q)),
+        (word(*[x1, x2] * 2)[:p], word(*[x2, x1, x1, x3])[:q]),
+    ]
+    for w1, w2 in words:
+        got = shuffle(w1, w2)
+        assert got == _shuffle_oracle(w1, w2)
+        assert sum(got.values()) == comb(p + q, p)
 
 
 @settings(max_examples=30, deadline=None)
@@ -217,6 +249,26 @@ def test_mu_exp_log_roundtrip():
 def test_mu_log_requires_group_element():
     with pytest.raises(NotDefinedError):
         mu_log(Mould.zero(2))
+
+
+def test_depth_0_value_one_after_cancelling_is_the_unit():
+    # x_1 / x_1 is 1 once cancelled: each depth-0 test compares canonical
+    # values, so it accepts this 1 and refuses 2
+    one = one_over_forms(x1).mul_linear(x1)
+    assert one == RationalFunction.one()
+    S = Mould([one, *paj(3).components[1:]])
+    assert mu_inverse(S) == mu_inverse(paj(3))
+    assert mu_log(S) == mu_log(paj(3))
+    assert invgari(S) == invgari(paj(3))
+    assert is_symmetral_via_sh(S)
+    T = Mould([one * 2, *S.components[1:]])
+    with pytest.raises(NotInvertibleError, match="mu-inverse needs depth-0 component 1"):
+        mu_inverse(T)
+    with pytest.raises(NotDefinedError, match="mu-logarithm needs depth-0 component 1"):
+        mu_log(T)
+    with pytest.raises(NotInvertibleError, match="invgari needs depth-0 component 1"):
+        invgari(T)
+    assert not is_symmetral_via_sh(T)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
