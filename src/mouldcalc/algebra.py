@@ -26,8 +26,8 @@ Canonical forms
   degree in field 0 (the lowest bits) and one field per variable.  A term
   product is then one integer addition, and the constant monomial is 0.
   x_1..x_K keep field i, ``_BITS`` = 16 bits wide, where ``_K`` = 16 is a
-  fixed constant that covers every slot variable (``cli.MAX_DEPTH`` is 8,
-  and ``dupal(12)`` uses x_12).  A variable above x_K, such as an opaque
+  fixed constant that covers every slot variable (the deepest word the
+  CLI admits is dupal-alternal's, depth 16, which uses x_16).  A variable above x_K, such as an opaque
   symbol x_1001, gets the next free field the first time it is packed,
   from one append-only table that grows under a lock; a table field is
   ``_TABLE_BITS`` = 8 bits wide and the first starts at bit 16 * 17.  So a
@@ -462,6 +462,8 @@ class Polynomial:
         return Polynomial({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -794,6 +796,8 @@ class LinearForm:
         return LinearForm(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
+        if not isinstance(other, LinearForm):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "LinearForm":
@@ -969,6 +973,8 @@ class RationalFunction:
         return rf_sum((self, other))
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "RationalFunction":

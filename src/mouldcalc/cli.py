@@ -10,14 +10,25 @@ Subcommands:
 * ``render FILE``     - re-render a mould JSON file deterministically.
 * ``examples``        - shorthand for ``verify examples-section1``.
 
+The command line is one table, ``_COMMANDS``: each command's positional
+argument, its flags with their converter or choices and default, its
+handler and its help line.  One parse loop, ``_parse``, and one help
+writer, ``_help``, read it, so a command costs no ``argparse``, ``gettext``
+or ``locale`` import.  A flag is spelled ``--flag value`` or
+``--flag=value``; a repeated flag takes its last value; a value may start
+with ``-``; an abbreviated flag is an unrecognized argument.  Malformed
+command lines are refused in argparse's words.  ``verify --help`` lists
+every claim with the flags it takes.
+
 The default ``compute`` depth is 4, overridable with --depth; the families
 xi, sigma_c, luma and D are defined below depth 4, so they stop at depth 3.
 ``verify`` uses each claim's own defaults.  Depths and ``verify --dmax``
-below 1 or above MAX_DEPTH are refused, as are parameters a target or claim
-rejects (a ValueError from the library: among them the singulator above
-depth 7 and an n above the psi-odd and comparison limits, whose cost the
-library bounds; psi-minus1's limit, dmax 8, is MAX_DEPTH, which refuses
-dmax 9 first),
+below 1 are refused, and so are those above the claim's own limit in
+``verify.CLAIM_MAX_DEPTH`` (psi-minus1 dmax 8, pal-symmetral depth 9,
+dupal-alternal depth 16) or, for compute targets and the other claims,
+above MAX_DEPTH.  So are parameters a target or claim rejects (a ValueError
+from the library: among them the singulator above depth 7 and an n above
+the psi-odd and comparison limits, whose cost the library bounds),
 targets and claims whose total degree outgrows the kernel's exponent field,
 ``--out`` paths that cannot be written, and claims that would run no check
 or would pass vacuously (``pal-symmetral`` and ``dupal-alternal`` at depth
@@ -28,7 +39,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -38,7 +48,7 @@ from .algebra import ExponentOverflowError, rf_latex, rf_str
 from .moulds import Mould, dur, mould_from_json, mould_to_json
 from .solutions import D_ab, luma, psi_minus1_mould, psi_odd_mould, sigma_c, xi
 from .special import dupal, mupaj, paj, pal, sa, sang, slang
-from .verify import CLAIMS, run_claim
+from .verify import CLAIM_MAX_DEPTH, CLAIMS, run_claim
 
 MAX_DEPTH = 8
 
@@ -56,11 +66,11 @@ def _parse_int(token: str, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {token!r}")
 
 
-def _check_depth(depth: int, what: str) -> None:
+def _check_depth(depth: int, what: str, limit: int = MAX_DEPTH) -> None:
     if depth < 1:
         raise UsageError(f"{what} must be at least 1")
-    if depth > MAX_DEPTH:
-        raise UsageError(f"{what} {depth} exceeds the configured maximum {MAX_DEPTH}")
+    if depth > limit:
+        raise UsageError(f"{what} {depth} exceeds the configured maximum {limit}")
 
 
 def _psi_target(depth: int, k: int) -> Mould:
@@ -146,13 +156,13 @@ def _emit(text: str, out: str | None) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _cmd_compute(args) -> int:
-    _check_depth(args.depth, "depth")
+def _cmd_compute(target: str, depth: int, format: str, out: str | None) -> int:
+    _check_depth(depth, "depth")
     try:
-        M = build_target(args.target, args.depth)
+        M = build_target(target, depth)
     except (ValueError, ExponentOverflowError) as exc:
         raise UsageError(str(exc))
-    _emit(render_mould(M, args.format), args.out)
+    _emit(render_mould(M, format), out)
     return 0
 
 
@@ -165,109 +175,148 @@ def _parameters(fn) -> tuple[str, ...]:
     return code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
 
 
-def _cmd_verify(args) -> int:
-    if args.claim not in CLAIMS:
-        raise UsageError(
-            f"unknown claim {args.claim!r}; choose from {', '.join(sorted(CLAIMS))}"
-        )
-    params = {
-        key: getattr(args, key)
-        for key in ("n", "dmax", "depth")
-        if getattr(args, key) is not None
-    }
-    takes = _parameters(CLAIMS[args.claim])
+def _cmd_verify(claim: str, out: str | None, **given: int | None) -> int:
+    if claim not in CLAIMS:
+        raise UsageError(f"unknown claim {claim!r}; choose from {', '.join(sorted(CLAIMS))}")
+    params = {key: value for key, value in given.items() if value is not None}
+    takes = _parameters(CLAIMS[claim])
     for key in params:
         if key not in takes:
             flags = ", ".join(f"--{name}" for name in takes) or "no flags"
-            raise UsageError(f"claim {args.claim!r} takes no --{key} (it takes {flags})")
+            raise UsageError(f"claim {claim!r} takes no --{key} (it takes {flags})")
     for key in ("dmax", "depth"):
         if key in params:
-            _check_depth(params[key], f"--{key}")
+            _check_depth(params[key], f"--{key}", CLAIM_MAX_DEPTH.get(claim, MAX_DEPTH))
     try:
-        report = run_claim(args.claim, **params)
+        report = run_claim(claim, **params)
     except (ValueError, ExponentOverflowError) as exc:
         raise UsageError(str(exc))
-    _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
+    _emit(json.dumps(report, sort_keys=True, indent=2), out)
     return 0 if report["status"] == "pass" else 1
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(file: str, format: str, out: str | None) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(file, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read {args.file!r}: {exc}")
+        raise UsageError(f"cannot read {file!r}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(
-            f"parse error in {args.file!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"parse error in {file!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
     except (UnicodeDecodeError, RecursionError) as exc:
         # text that is not UTF-8, or JSON nested beyond the parser's depth
-        raise UsageError(f"invalid mould file {args.file!r}: {exc}")
+        raise UsageError(f"invalid mould file {file!r}: {exc}")
     try:
         M = mould_from_json(obj)
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-        raise UsageError(f"invalid mould file {args.file!r}: {exc}")
-    _emit(render_mould(M, args.format), args.out)
+        raise UsageError(f"invalid mould file {file!r}: {exc}")
+    _emit(render_mould(M, format), out)
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line as one ``error:`` line, like every
-    other usage error, instead of argparse's usage block."""
+_FORMATS = ("plain", "latex", "json")
 
-    def error(self, message):
-        raise UsageError(f"{message} (see {self.prog} --help)")
+# The command line, one row per command: its positional argument as (name,
+# help) or None, its flags as {name: (converter or tuple of choices,
+# default)}, its handler, which takes the positional and every flag as
+# keyword arguments, and its help line.  ``_parse`` and ``_help`` read it.
+_COMMANDS: dict[str, tuple] = {
+    "compute": (
+        ("target", f"one of\n  {', '.join(TARGETS)}\nUpper-case letters after the name "
+         "stand for integers.\nxi, sigma_c, luma and D are defined below depth 4, "
+         "so they stop at depth 3."),
+        {"depth": (int, 4), "format": (_FORMATS, "plain"), "out": (str, None)},
+        _cmd_compute, "compute and render a named mould",
+    ),
+    "verify": (
+        ("claim", "one of these, each with the flags it takes:\n" + "\n".join(
+            f"  {name:<19}{' '.join(f'--{p}' for p in _parameters(fn)) or '(no flags)'}"
+            for name, fn in CLAIMS.items())),
+        {"n": (int, None), "dmax": (int, None), "depth": (int, None), "out": (str, None)},
+        _cmd_verify, "run a verification claim",
+    ),
+    "render": (
+        ("file", "a mould JSON file, as compute --format json writes it"),
+        {"format": (_FORMATS, "plain"), "out": (str, None)},
+        _cmd_render, "render a mould JSON file",
+    ),
+    "examples": (None, {"out": (str, None)}, lambda out: _cmd_verify("examples-section1", out),
+                 "run the operator expansion identity suite"),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="mouldcalc",
-        description="Exact mould calculus: compute named moulds and verify identities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help(command: str | None) -> int:
+    """Print the help of one command, or of the program when it is None."""
+    if command is None:
+        lines = ["usage: mouldcalc {%s} ..." % ",".join(_COMMANDS), "",
+                 "Exact mould calculus: compute named moulds and verify identities.", "",
+                 "commands (mouldcalc COMMAND --help for each):"]
+        lines += [f"  {name:<10}{row[3]}" for name, row in _COMMANDS.items()]
+    else:
+        positional, flags, _, line = _COMMANDS[command]
+        usage = f"usage: mouldcalc {command}" + (f" {positional[0].upper()}" if positional else "")
+        for name, (kind, _) in flags.items():
+            usage += f" [--{name} {'{%s}' % ','.join(kind) if isinstance(kind, tuple) else name.upper()}]"
+        lines = [usage, "", line] + (["", f"{positional[0].upper()} is {positional[1]}"] if positional else [])
+    _emit("\n".join(lines), None)
+    return 0
 
-    c = sub.add_parser("compute", help="compute and render a named mould")
-    c.add_argument(
-        "target",
-        help=f"one of {', '.join(TARGETS)}; upper-case letters after the name "
-        "stand for integers; xi, sigma_c, luma and D are defined below depth 4, "
-        "so they stop at depth 3",
-    )
-    c.add_argument("--depth", type=int, default=4)
-    c.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
-    c.add_argument("--out", default=None)
-    c.set_defaults(fn=_cmd_compute)
 
-    v = sub.add_parser("verify", help="run a verification claim")
-    v.add_argument("claim")
-    v.add_argument("--n", type=int, default=None)
-    v.add_argument("--dmax", type=int, default=None)
-    v.add_argument("--depth", type=int, default=None)
-    v.add_argument("--out", default=None)
-    v.set_defaults(fn=_cmd_verify)
+def _convert(what: str, kind, value: str, see: str):
+    """``value`` as argument ``what`` takes it: one of the choices ``kind``,
+    or ``kind(value)``; refused in argparse's words."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        choices = ", ".join(map(repr, kind))
+        raise UsageError(f"argument {what}: invalid choice: {value!r} (choose from {choices}) {see}")
+    try:
+        return kind(value)
+    except ValueError:
+        raise UsageError(f"argument {what}: invalid {kind.__name__} value: {value!r} {see}")
 
-    r = sub.add_parser("render", help="render a mould JSON file")
-    r.add_argument("file")
-    r.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
-    r.add_argument("--out", default=None)
-    r.set_defaults(fn=_cmd_render)
 
-    e = sub.add_parser("examples", help="run the operator expansion identity suite")
-    e.add_argument("--out", default=None)
-    e.set_defaults(fn=lambda args: _cmd_verify(
-        argparse.Namespace(claim="examples-section1", n=None, dmax=None, depth=None,
-                           out=args.out)
-    ))
-    return parser
+def _parse(argv: list[str]) -> tuple[Callable[..., int], dict]:
+    """The handler of a command line and its keyword arguments.  A flag is
+    spelled ``--flag value`` or ``--flag=value``, the last one counts, and
+    its value may start with ``-``; ``-h``/``--help`` anywhere asks for
+    help.  A flag is never abbreviated.  Errors keep argparse's wording."""
+    if argv and argv[0] in ("-h", "--help"):
+        return _help, {"command": None}
+    if not argv or argv[0].startswith("-"):
+        raise UsageError("the following arguments are required: command (see mouldcalc --help)")
+    command = _convert("command", tuple(_COMMANDS), argv[0], "(see mouldcalc --help)")
+    if "-h" in argv or "--help" in argv:
+        return _help, {"command": command}
+    positional, flags, handler, _ = _COMMANDS[command]
+    see = f"(see mouldcalc {command} --help)"
+    args = {name: default for name, (_, default) in flags.items()}
+    extras, tokens = [], iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token[2:].partition("=")
+        if token.startswith("--") and name in flags:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise UsageError(f"argument --{name}: expected one argument {see}")
+            args[name] = _convert(f"--{name}", flags[name][0], value, see)
+        elif positional and positional[0] not in args and not token.startswith("-"):
+            args[positional[0]] = token
+        else:
+            extras.append(token)
+    if positional and positional[0] not in args:
+        raise UsageError(f"the following arguments are required: {positional[0]} {see}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)} (see mouldcalc --help)")
+    return handler, args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return args.fn(args)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+        handler, args = _parse(list(sys.argv[1:] if argv is None else argv))
+        return handler(**args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -232,6 +232,8 @@ class Mould:
         )
 
     def __sub__(self, other: "Mould") -> "Mould":
+        if not isinstance(other, Mould):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "Mould":

@@ -14,7 +14,7 @@ identities:
   the singulator's depth limit ``special.SANG_MAX_DEPTH`` and for n up to
   ``PSI_ODD_MAX_N[dmax]``;
 * sharp(psi_{-1}) equals mu-log(paj) divided by x_1 + ... + x_d, up to
-  ``PSI_MINUS1_MAX_DMAX`` = 8, the CLI's largest depth;
+  ``PSI_MINUS1_MAX_DMAX`` = 8;
 * xi_{2n+1} agrees with slang_1(sa_{2n+1}) below depth 4, sigma^c - luma
   is the Bernoulli-weighted sum of the D_{a,b}, and each D_{a,b}^(3) is a
   polynomial, for n up to ``COMPARISON_MAX_N``.
@@ -88,7 +88,7 @@ __all__ = [
     "verify_comparison_theorem",
 ]
 
-# verify psi-minus1 --dmax 8 took 37 s with 239 MB; cli.MAX_DEPTH refuses 9
+# verify psi-minus1 --dmax 8 took 37 s with 239 MB
 PSI_MINUS1_MAX_DMAX = 8
 
 # The largest n that verify psi-odd admits at each dmax: the largest that

@@ -64,6 +64,7 @@ from .flexions import (
 from .generic import OpaqueMould, SymbolRegistry
 from .moulds import Mould, _materialize, canonical_word
 from .solutions import (
+    PSI_MINUS1_MAX_DMAX,
     _check,
     _compare,
     _wrap,
@@ -83,6 +84,7 @@ from .symmetry import (
 __all__ = [
     "run_claim",
     "CLAIMS",
+    "CLAIM_MAX_DEPTH",
     "expansion_checks",
     "generic_expansion_checks",
     "random_expansion_checks",
@@ -380,11 +382,29 @@ def random_expansion_checks(seed: int = 2024, rounds: int = 2) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+# The largest depth or dmax of each claim that has a limit of its own: the
+# largest that verified through the CLI within 60 s and 1 GB (1024 MB) of
+# peak RSS.  Measured (single runs, peak RSS in MB = 2**20 bytes):
+#   pal-symmetral: depth 9 took 2.5 to 3.8 s (60 MB), depth 10 74 and 78 s
+#   (523 MB)
+#   dupal-alternal: depth 14 took 3.1 to 4.6 s (88 MB), depth 16 19 to 20 s
+#   (351 MB); 16 is also algebra._K, the last slot variable below the table
+#   psi-minus1: solutions.PSI_MINUS1_MAX_DMAX
+CLAIM_MAX_DEPTH = {
+    "psi-minus1": PSI_MINUS1_MAX_DMAX,
+    "pal-symmetral": 9,
+    "dupal-alternal": 16,
+}
+
+
 def _symmetry_claim(name: str, build, decide, cross_check, depth: int) -> dict:
     """Claim ``name`` on ``build(depth)``: the shuffle-sum decision
     ``decide``, whose failing check carries the residual and the witness,
-    and the dimould characterization ``cross_check`` up to depth 4."""
+    and the dimould characterization ``cross_check`` up to depth 4.  A depth
+    above the claim's ``CLAIM_MAX_DEPTH`` is refused before any work."""
     _require_shuffle_sums(f"claim {name!r}", depth)
+    if depth > CLAIM_MAX_DEPTH[name]:
+        raise ValueError(f"claim {name!r} depth {depth} exceeds the maximum {CLAIM_MAX_DEPTH[name]}")
     M = build(depth)
     claim = f"{name.replace('-', ' ')} to depth {depth}"
     report = decide(M)

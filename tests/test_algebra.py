@@ -311,6 +311,15 @@ def test_sums_with_a_foreign_operand_raise_type_error():
     assert ONE - ONE == RationalFunction.zero()
 
 
+def test_a_difference_with_a_foreign_operand_names_minus():
+    # the refusal comes from - itself, before the operand is negated
+    for value in (Polynomial.one(), x1, ONE, Mould.unit(2)):
+        for other in (1, "a", Fraction(1, 2)):
+            assert value.__sub__(other) is NotImplemented
+            with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -:"):
+                value - other
+
+
 def test_inequality():
     assert one_over_forms(x1) != one_over_forms(x2)
 

@@ -16,7 +16,7 @@ from mouldcalc.flexions import adari, invgari, lazy_adari, lazy_leng
 from mouldcalc.moulds import _materialize, mould_from_json, mould_to_json
 from mouldcalc.solutions import COMPARISON_MAX_N, PSI_ODD_MAX_N
 from mouldcalc.special import lazy_sang, pal, sa
-from mouldcalc.verify import run_claim
+from mouldcalc.verify import CLAIM_MAX_DEPTH, run_claim
 
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -118,6 +118,19 @@ def test_depth_8_is_refused_before_any_work(argv):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("claim", ["pal-symmetral", "dupal-alternal"])
+def test_the_first_depth_above_a_claims_own_limit_is_refused_before_any_work(claim):
+    # pal-symmetral at depth 10 took over 60 s, and dupal-alternal at depth
+    # 17 would need a slot variable beyond the kernel's table
+    limit = CLAIM_MAX_DEPTH[claim]
+    done = run_process("verify", claim, "--depth", str(limit + 1), capture_output=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: --depth {limit + 1} exceeds the configured maximum {limit}\n"
+    with pytest.raises(ValueError, match=f"depth {limit + 1} exceeds the maximum {limit}"):
+        run_claim(claim, depth=limit + 1)
+
+
 @pytest.mark.parametrize(
     "argv", [("verify", "psi-odd", "--dmax", "2"), ("compute", "pal", "--depth", "2")]
 )
@@ -200,7 +213,7 @@ def test_invalid_parameter_exits_2_with_one_line(capsys, argv):
         (("verify", "psi-odd", "--dmax", "0"), "at least 1"),
         (("verify", "pal-symmetral", "--depth", "0"), "at least 1"),
         (("verify", "psi-minus1", "--dmax", str(MAX_DEPTH + 1)), "exceeds"),
-        (("verify", "pal-symmetral", "--depth", str(MAX_DEPTH + 1)), "exceeds"),
+        (("verify", "pal-symmetral", "--depth", str(CLAIM_MAX_DEPTH["pal-symmetral"] + 1)), "exceeds"),
     ],
 )
 def test_verify_depth_bounds_exit_2(capsys, argv, message):
@@ -366,6 +379,80 @@ def test_verify_flag_the_claim_does_not_take_exits_2(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+_SEE = "(see mouldcalc --help)"
+_PAL_2 = "m=0: 1\nm=1: (-1/2)/[(x1)]\nm=2: (1/12)*(x1 + 2*x2)/[(x2)*(x1)*(x1 + x2)]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, first_line",
+    [
+        ((), 2, f"error: the following arguments are required: command {_SEE}"),
+        (("render",), 2,
+         "error: the following arguments are required: file (see mouldcalc render --help)"),
+        (("check", "pal"), 2, "error: argument command: invalid choice: 'check' "
+         f"(choose from 'compute', 'verify', 'render', 'examples') {_SEE}"),
+        (("verify", "comparison", "--m", "1"), 2, f"error: unrecognized arguments: --m 1 {_SEE}"),
+        (("compute", "pal", "--dep", "2"), 2, f"error: unrecognized arguments: --dep 2 {_SEE}"),
+        (("verify", "psi-odd", "--n", "one"), 2,
+         "error: argument --n: invalid int value: 'one' (see mouldcalc verify --help)"),
+        (("compute", "pal", "--format", "tex"), 2, "error: argument --format: invalid choice: "
+         "'tex' (choose from 'plain', 'latex', 'json') (see mouldcalc compute --help)"),
+        (("compute", "pal", "sa:3", "x"), 2, f"error: unrecognized arguments: sa:3 x {_SEE}"),
+        (("examples", "--out"), 2,
+         "error: argument --out: expected one argument (see mouldcalc examples --help)"),
+        (("compute", "pal", "--depth", "-3"), 2, "error: depth must be at least 1"),
+        (("compute", "pal", "--depth=2"), 0, _PAL_2),
+        (("compute", "--depth", "5", "pal", "--depth", "2"), 0, _PAL_2),
+        (("--help",), 0, "usage: mouldcalc {compute,verify,render,examples} ...\n"),
+        (("-h", "compute"), 0, "usage: mouldcalc {compute,verify,render,examples} ...\n"),
+        (("render", "missing.json", "-h"), 0,
+         "usage: mouldcalc render FILE [--format {plain,latex,json}] [--out OUT]\n"),
+    ],
+    ids=[
+        "no-command", "no-file", "unknown-command", "unknown-flag", "abbreviated-flag",
+        "non-int", "bad-choice", "extra-positionals", "flag-without-value", "negative-value",
+        "flag=value", "repeated-flag", "help", "help-before-command", "help-after-command",
+    ],
+)
+def test_command_line_table(capsys, argv, code, first_line):
+    # the first line of stderr, or on success the start of stdout
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == "" and err == first_line + "\n"
+    else:
+        assert err == "" and out.startswith(first_line)
+
+
+def test_verify_help_lists_every_claim_with_its_flags(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line[:2] == "  "}
+    assert rows == {
+        "psi-odd": ["--n", "--dmax"],
+        "psi-minus1": ["--dmax"],
+        "comparison": ["--n"],
+        "pal-symmetral": ["--depth"],
+        "dupal-alternal": ["--depth"],
+        "sang-expansion": ["--depth"],
+        "examples-section1": ["(no", "flags)"],
+    }
+
+
+def test_a_command_imports_no_argparse_gettext_or_locale(monkeypatch):
+    # each run is a fresh interpreter whose every import is logged to stderr
+    monkeypatch.setenv("PYTHONPROFILEIMPORTTIME", "1")
+    for argv in (("verify", "psi-odd", "--dmax", "2"), ("compute", "--help"), ("compute", "pal", "--dep", "2")):
+        done = run_process(*argv, capture_output=True)
+        imported = {
+            line.rpartition("|")[2].strip()
+            for line in done.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "mouldcalc.cli" in imported and "json" in imported
+        assert not imported & {"argparse", "gettext", "locale"}
 
 
 # a value for each integer placeholder that every pattern using it accepts
