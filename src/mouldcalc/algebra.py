@@ -6,19 +6,24 @@ rational functions whose denominators are products of linear forms.  That last
 class is closed under addition, multiplication and substitution of linear
 forms for variables, which is all the mould operations ever need; keeping
 denominators factored sidesteps multivariate gcd computations entirely.
-Every term product runs in one loop, ``_mul_form``: products with a linear
-form, products of polynomials (the smaller factor's terms as its rows), the
-numerator pairs of ``rf_sum``, exact division, Horner substitution and the
-sum of two polynomials (a product with the monomial 1).  Exact division and
-Horner substitution group the terms by the exponent of one variable through
-one helper, ``_levels``.  A denominator is normalized in one place,
-``_normalize``, for ``make`` and for ``substitute``: each form is split into
-its content and its primitive form, the content goes into the scalar, and
-equal forms are merged.  A substitution composes each denominator form in
-one pass, adding each letter's coefficients into one list, and a form's
-packed linear terms (``_linear_terms``) are built once per distinct form,
-in a bounded cache of immutable tuples, however many words it is a letter
-of.
+Every term product outside a large ``rf_sum`` runs in one loop,
+``_mul_form``: products with a linear form, products of polynomials (the
+smaller factor's terms as its rows), the numerator pairs of ``rf_sum``,
+exact division, Horner substitution and the sum of two polynomials (a
+product with the monomial 1).  A large ``rf_sum`` runs the same loop on
+rows, whose integer products make many term products each (see "Lifting
+in rows" below).  Exact division and Horner substitution group the terms
+by the exponent of one variable through one helper, ``_levels``.  A
+denominator is normalized in one place, ``_normalize``, for ``make`` and
+for ``substitute``: each form is split into its content and its primitive
+form, the content goes into the scalar, and equal forms are merged.  A
+substitution composes each denominator form in one pass, adding each
+letter's coefficients into one list; a letter that is one variable moves
+the coefficient to it without a scan, and only the letters of the
+variables the value uses are read, so a shift builds only those letters.
+A form's packed linear terms (``_linear_terms``) are built once per
+distinct form, in a bounded cache of immutable tuples, however many words
+it is a letter of.
 
 Canonical forms
 ---------------
@@ -124,6 +129,75 @@ still worth trying.
 * ``div_linear``: only the form divided by can cancel, and it is tried
   only when the denominator lacks it.
 
+Lifting in rows
+---------------
+A large ``rf_sum`` lifts its summands in rows, a Kronecker substitution in
+one variable (``_lift_rows``; D. Harvey, *Faster polynomial multiplication
+via multipoint Kronecker substitution*, J. Symbolic Comput. 44, 2009).  It
+picks two variables x_a and x_b, those that the most units hold.  A term
+``c * m``, where m holds x_a^e, goes into the row keyed by m with x_a's
+field emptied and e added to x_b's field, as the digit ``c * 2**(w*e)`` of
+that row's integer, w = 64.  So a row is R(2**w) for a polynomial
+R(t) = sum_e c_e t**e, and digit e of the row keyed k is the term of the
+monomial k with e moved from x_b's field to x_a's.  Keys are packed
+monomials, and key arithmetic is monomial arithmetic:
+
+* multiplying by x_j, j neither a nor b, adds x_j's monomial to the key;
+* multiplying by x_b adds x_b's monomial to the key;
+* multiplying by x_a adds x_b's monomial to the key and shifts the row one
+  digit up, ``row << w``.
+
+A unit's linear form is then a row form too, with its x_a and x_b terms in
+one row ``c_a * 2**w + c_b`` at x_b's key, and the product of two row forms
+is ``_mul_form`` on them: the keys add and the integers multiply, which
+convolves the digit sequences.  So ``_lift_sum`` lifts rows unchanged, its
+sharing tree and ``_split_unit`` included, and a pair ``(p, q)`` is the
+product of its two row forms, as on packed terms: no value product is
+built and no division is tried.  On cell (2, 3) of
+``is_alternal(mu_log(paj(5)))`` the tree makes 57,227 entry products in
+rows against 359,397 on packed terms, and the digit products run in C.
+
+*Exactness.*  Every step of the lift is a ring operation in Z[t] on the
+rows, and t -> 2**w is a ring map from Z[t] to Z; so each stored integer
+is R(2**w) for the true row R of the lifted sum, and an entry whose
+integer sums to zero may be dropped.  Let bound (``_bound``) be the sum
+over the summands of ``|scale| * ||p||_1 * ||q||_1`` times ``||L||_1`` for
+the form L of each unit the summand misses.  Since
+``||f g||_1 <= ||f||_1 ||g||_1``, every coefficient of the lifted sum, and
+so every digit c_e of every row, has |c_e| <= bound.  Rows are used only
+when bound < 2**(w-2).  A polynomial whose coefficients all lie below
+2**(w-1) in absolute value is fixed by its value v at 2**w: c_0 is v
+modulo 2**w taken between -2**(w-1) and 2**(w-1), and the others are those
+of (v - c_0) / 2**w.  So a row's integer is 0 exactly when its row is, and
+``_from_rows`` reads the digits back in balanced base 2**w.  A zero sum,
+every passing shuffle cell, decodes to no term and ``_build`` returns zero
+at once; a nonzero sum decodes to its packed terms and is built as on the
+packed path, so canonical forms and every output are the same.  This is a
+proof, not a filter: nothing is sampled and no floating point is used.
+
+*Which sums lift in rows.*  ``rf_sum`` measures a lift by the sum over its
+summands of ``terms * (2**k - 1)``, where terms is the summand's numerator
+terms (times its cofactor's) and k the units it misses: the terms its
+lifting adds if each form had two terms and no two products met.  A lift
+of ``_ROWS_FROM`` = 2**13 or more whose bound is below 2**62 runs in rows.
+A row lift pays for picking x_a and x_b, the bound, turning the numerators
+and forms into rows and decoding, and a smaller lift does not earn that
+back; with no unit to lift by, only the pairs' products are left, and
+packed terms are faster there.  Coefficients past the digit would need
+wider digits, whose products with ``c_a * 2**w + c_b`` are no longer
+small-by-large, and whose zero digits fill sparse high-degree rows: the
+psi sums of ``psi-odd --n 80 --dmax 3`` took 1.4 to 2.3 times as long in
+rows of 168-bit digits.  Measured per sum on a 2-vCPU host (Python
+3.11.7), rows against packed terms: the shuffle cells of
+``is_alternal(mu_log(paj(5)))``, ``is_symmetral(paj(7))`` and
+``verify pal-symmetral --depth 7`` that take rows took 0.24 to 0.85 times
+as long (cell (2, 3) of the first: 83 against 20 ms), and the sums of
+``sang-expansion --depth 5`` 0.64 to 1.06; the psi sums that take rows
+(``psi-odd --n 5`` to ``--n 20`` at ``--dmax 4``, nonzero, so decoded)
+1.05 to 1.17.  Below the size, the psi sums of ``psi-odd --dmax 4`` (size
+3,302 and 4,826) and of ``psi-minus1 --dmax 5`` (4,585) took 1.03 to 1.13
+times as long in rows, and sums under a size of 2,000 1.1 to 1.4 times.
+
 All values are immutable; every operation returns a new value.
 """
 
@@ -133,6 +207,7 @@ import struct
 import threading
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress, count
 from operator import or_
 from math import gcd, lcm
 from types import MappingProxyType
@@ -512,7 +587,7 @@ class Polynomial:
         (x_{1+k}, ..., x_{n+k}), n the largest index used."""
         if k == 0 or not self._terms:
             return self
-        return self.compose(_shift_word(self.max_var(), k))
+        return self.compose(_ShiftWord(self.max_var(), k))
 
     def compose(self, forms: Sequence["LinearForm"]) -> "Polynomial":
         """Substitute ``forms[i-1]`` for x_i.  Result is exact.
@@ -770,7 +845,9 @@ class LinearForm:
         return _FORM_ZERO
 
     @staticmethod
+    @lru_cache(maxsize=1 << 10)
     def variable(i: int) -> "LinearForm":
+        """The form x_i, built once per index: letters recur in every word."""
         if i < 1:
             raise ValueError("variable indices start at 1")
         return LinearForm((0,) * (i - 1) + (1,))
@@ -793,7 +870,7 @@ class LinearForm:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return LinearForm(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        return _form(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
         if not isinstance(other, LinearForm):
@@ -801,12 +878,12 @@ class LinearForm:
         return self + (-other)
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm(tuple(-c for c in self.coeffs))
+        return _form(tuple(-c for c in self.coeffs))
 
     def __mul__(self, k: int) -> "LinearForm":
         if not isinstance(k, int):
             return NotImplemented  # integer multipliers only
-        return LinearForm(tuple(c * k for c in self.coeffs))
+        return _form(tuple(c * k for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -823,28 +900,34 @@ class LinearForm:
             g = -g
         if g == 1:
             return 1, self
-        return g, LinearForm(tuple(c // g for c in self.coeffs))
+        return g, _form(tuple(c // g for c in self.coeffs))
 
     def as_polynomial(self) -> Polynomial:
         return Polynomial(dict(_linear_terms(self.coeffs)))
 
     def compose(self, forms: Sequence["LinearForm"]) -> "LinearForm":
         """Substitute ``forms[i-1]`` for x_i; linear in, linear out.  One
-        pass adds each letter's scaled coefficients into one list."""
+        pass adds each letter's scaled coefficients into one list; only the
+        letters of the form's own variables are read, and a letter that is
+        one variable moves its coefficient without a scan."""
         if len(self.coeffs) > len(forms):
             raise ValueError(
                 f"form uses x_{len(self.coeffs)} but only {len(forms)} forms given"
             )
         out: list = []
-        for c, f in zip(self.coeffs, forms):
-            if c:
-                row = f.coeffs
-                if len(row) > len(out):
-                    out.extend([0] * (len(row) - len(out)))
-                for j, a in enumerate(row):
-                    if a:
-                        out[j] += c * a
-        return LinearForm(out)
+        for i in compress(count(), self.coeffs):
+            c = self.coeffs[i]
+            row = forms[i].coeffs
+            n = len(row)
+            if n > len(out):
+                out.extend([0] * (n - len(out)))
+            if row.count(0) == n - 1:  # one variable, the last
+                out[n - 1] += c * row[-1]
+                continue
+            for j, a in enumerate(row):
+                if a:
+                    out[j] += c * a
+        return _form(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
@@ -861,6 +944,15 @@ class LinearForm:
         return form_str(self)
 
 
+def _form(coeffs: Sequence[int]) -> LinearForm:
+    """The form of integer coefficients that the kernel computed from a
+    form's own: ``LinearForm`` without the type check."""
+    f = object.__new__(LinearForm)
+    f.coeffs = _trim(coeffs)
+    f._hash = None
+    return f
+
+
 _FORM_ZERO = LinearForm(())
 
 
@@ -869,9 +961,26 @@ def x_var(i: int) -> LinearForm:
     return LinearForm.variable(i)
 
 
-def _shift_word(n: int, k: int) -> list:
-    """The word (x_{1+k}, ..., x_{n+k}) at which a shift by k substitutes."""
-    return [LinearForm.variable(i + k) for i in range(1, n + 1)]
+class _ShiftWord:
+    """The word (x_{1+k}, ..., x_{n+k}) at which a shift by k substitutes.
+
+    A letter is built when it is read, and a substitution reads only the
+    letters of the variables its value uses: a value in x_5000 reads one
+    letter, not five thousand forms of up to 5,000 coefficients.
+    """
+
+    __slots__ = ("n", "k")
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> LinearForm:
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        return LinearForm.variable(i + 1 + self.k)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,9 +1142,11 @@ class RationalFunction:
         """
         if self.scalar == 0:
             return self
-        width, fields = _variables(self.numerator._terms)
+        _, fields = _variables(self.numerator._terms)
+        used = set(map(_index, fields))
         for f, _ in self.denominator:
-            width = max(width, f.max_var())
+            used.update(compress(count(1), f.coeffs))
+        width = max(used, default=0)
         if width > len(forms):
             raise ValueError(
                 f"value uses x_{width} but only {len(forms)} forms given"
@@ -1044,8 +1155,8 @@ class RationalFunction:
         num = _compose(self.numerator._terms, forms, fields)
         # letters that end in distinct variables are in echelon form, so
         # independent: no form can cancel (coefficients are trimmed)
-        lasts = {len(f.coeffs) for f in forms[:width]}
-        if len(lasts) == width and 0 not in lasts:
+        lasts = {len(forms[i - 1].coeffs) for i in used}
+        if len(lasts) == len(used) and 0 not in lasts:
             return _build(scalar, num, den, ())
         return _build(scalar, num, den, list(den))
 
@@ -1054,7 +1165,7 @@ class RationalFunction:
         (x_{1+k}, ..., x_{n+k}), n the largest index used."""
         if k == 0 or self.scalar == 0:
             return self
-        return self.substitute(_shift_word(self.max_var(), k))
+        return self.substitute(_ShiftWord(self.max_var(), k))
 
 
 RF_ZERO = RationalFunction(0, _POLY_ONE, ())
@@ -1199,9 +1310,13 @@ def rf_sum(items: Iterable) -> RationalFunction:
     each summand is lifted by the units it misses.  The lifting shares its
     products between summands (``_lift_sum``): a unit that every summand of
     a group misses multiplies the group's sum once, and a group otherwise
-    splits on one unit u as ``u * S(those missing u) + S(the rest)``.  Only
-    forms that two or more summands hold at the top multiplicity are tried
-    against the sum's numerator.
+    splits on one unit u as ``u * S(those missing u) + S(the rest)``.  A
+    lift of size ``_ROWS_FROM`` or more runs the same tree on rows
+    (``_lift_rows``), which keep each term's exponent of one variable in the
+    digits of an integer; a zero sum then returns zero without decoding (see
+    "Lifting in rows" in the module docstring).  Only forms that two or more
+    summands hold at the top multiplicity are tried against the sum's
+    numerator.
     """
     terms = []  # (scalar, denominator pairs, numerator, cofactor or None)
     for r in items:
@@ -1240,27 +1355,35 @@ def rf_sum(items: Iterable) -> RationalFunction:
     tops = [lin[-1][0] for lin in lins]
     everything = (1 << len(units)) - 1
     summands = []
+    lift = 0  # the size of the lift, which picks the kernel
     for scalar, den, p, q in terms:
         mask = everything
         for f, m in den:
             for j in range(1, m + 1):
                 mask &= ~bits.get((f.coeffs, j), 0)
         # lifting multiplies by one linear form per unit the summand misses
-        degree = _degree(p._terms) + mask.bit_count()
+        missed = mask.bit_count()
+        degree = _degree(p._terms) + missed
+        count = len(p._terms)
         if q is not None:
             q = q._terms
             degree += _degree(q)
+            count *= len(q)
         _check_degree(degree, tops, p._terms, q or ())
+        lift += count * ((1 << missed) - 1)
         scale = scalar.numerator * (lcd // scalar.denominator)
         summands.append((p._terms, q, scale, mask))
-    total = _lift_sum(summands, everything, lins)
+    if lift >= _ROWS_FROM and _bound(summands, lins) < _DIGIT_BOUND:
+        total = _lift_rows(summands, everything, lins)
+    else:
+        total = _lift_sum(summands, everything, lins)
     shared = [f for f, m in common.items() if have[(f.coeffs, m)] > 1]
     return _build(_quotient(1, lcd), Polynomial(total), common, shared)
 
 
 def _lift_sum(summands: list, todo: int, lins: list) -> dict:
     """``sum(scale * terms * cofactor * prod(unit k for k in mask & todo))``
-    as a new terms dict.
+    as a new terms dict: on packed terms, or on rows for ``_lift_rows``.
 
     ``summands`` holds ``(terms, cofactor, scale, mask)``, where a cofactor
     of None stands for 1; bit k of ``mask`` says the summand misses unit k,
@@ -1344,6 +1467,108 @@ def _split_unit(summands: list, todo: int, union: int) -> int:
         if score > best_score:
             best, best_score = bit, score
     return best
+
+
+# Lifting in rows (see the module docstring): the lift size from which
+# rf_sum lifts in rows, the width of a digit (one unsigned 64-bit word when
+# decoded), the bound that every coefficient must stay below, and the zero
+# digit of a decoded row
+_ROWS_FROM = 1 << 13
+_W = 64
+_DIGIT_BOUND = 1 << (_W - 2)
+_HALF_DIGIT = 1 << (_W - 1)
+_HALF_DIGIT_BYTES = _HALF_DIGIT.to_bytes(_W // 8, "little")
+
+
+def _bound(summands: list, lins: list) -> int:
+    """A bound on every coefficient of the lifted sum: the sum over the
+    summands of ``|scale| * ||terms||_1 * ||cofactor||_1`` times
+    ``||L||_1`` for the form L of each unit the summand misses."""
+    norms = [sum(abs(c) for _, c in lin) for lin in lins]
+    bound = 0
+    for terms, cof, scale, mask in summands:
+        b = abs(scale) * sum(map(abs, terms.values()))
+        if cof is not None:
+            b *= sum(map(abs, cof.values()))
+        while mask:
+            low = mask & -mask
+            b *= norms[low.bit_length() - 1]
+            mask ^= low
+        bound += b
+    return bound
+
+
+def _lift_rows(summands: list, todo: int, lins: list) -> dict:
+    """``_lift_sum``'s sum, lifted in rows and decoded to a packed terms dict.
+
+    x_a and x_b are the two variables that the most units hold (x_1 and x_2
+    make up the pair when the units hold fewer).  Each numerator is turned
+    into rows, each unit's linear terms into a row form, and ``_lift_sum``
+    lifts the rows through its own sharing tree and ``_mul_form``: the
+    integer products and sums there are the row arithmetic.  A zero sum
+    decodes to the empty dict.  See "Lifting in rows" in the module
+    docstring for the rules, and for the proof that a digit holds every
+    coefficient when ``_bound`` is below ``_DIGIT_BOUND``.
+    """
+    held: dict[int, int] = {}  # x_i's packed monomial -> the units that hold x_i
+    for lin in lins:
+        for u, _ in lin:
+            held[u] = held.get(u, 0) + 1
+    pick = sorted(held, key=held.__getitem__, reverse=True)[:2]
+    for u in (_unit(1), _unit(2)):
+        if len(pick) < 2 and u not in pick:
+            pick.append(u)
+    (sa, ma), (sb, _) = (_span(_field_at(u.bit_length() - 1)) for u in pick)
+    ua, ub = 1 << sa, 1 << sb  # x_a's and x_b's fields, without the degree
+    step = ub - ua  # moves one exponent from x_a's field to x_b's
+
+    def rows(terms: dict) -> dict:
+        out: dict = {}
+        get = out.get
+        for m, c in terms.items():
+            e = m >> sa & ma
+            key = m + e * step
+            out[key] = get(key, 0) + (c << _W * e)
+        return out
+
+    row_lins = []
+    for lin in lins:
+        row: dict = {}
+        for u, c in lin:
+            if u - 1 == ua:  # x_a: x_b's key, shifted one digit
+                u, c = ub + 1, c << _W
+            row[u] = row.get(u, 0) + c
+        row_lins.append(tuple(row.items()))
+    total = _lift_sum(
+        [
+            (rows(terms), None if cof is None else rows(cof), scale, mask)
+            for terms, cof, scale, mask in summands
+        ],
+        todo,
+        row_lins,
+    )
+    return _from_rows(total, -step)
+
+
+def _from_rows(rows: dict, step: int) -> dict:
+    """The packed terms dict of ``rows``, each ``sum(c_e * 2**(_W*e))`` with
+    every ``|c_e| < 2**(_W-1)``: digit e of the row keyed k is the term of
+    ``k + e * step``, step being x_a's field unit minus x_b's.
+
+    Adding 2**(_W-1) to every digit makes each one nonnegative, so the
+    digits are the row's bytes read as unsigned words, with 2**(_W-1) the
+    zero digit: one C-level conversion per row, however sparse it is.
+    """
+    out: dict = {}
+    for key, row in rows.items():
+        n = row.bit_length() // _W + 1  # enough digits: |c_e| < 2**(_W-1)
+        shifted = row + int.from_bytes(_HALF_DIGIT_BYTES * n, "little")
+        data = shifted.to_bytes(n * _W // 8, "little")
+        for d in struct.unpack(f"<{n}Q", data):
+            if d != _HALF_DIGIT:
+                out[key] = d - _HALF_DIGIT
+            key += step
+    return out
 
 
 def rf_monomial(scalar, *var_exponents: tuple[int, int]) -> RationalFunction:

@@ -24,7 +24,7 @@ The default ``compute`` depth is 4, overridable with --depth; the families
 xi, sigma_c, luma and D are defined below depth 4, so they stop at depth 3.
 ``verify`` uses each claim's own defaults.  Depths and ``verify --dmax``
 below 1 are refused, and so are those above the claim's own limit in
-``verify.CLAIM_MAX_DEPTH`` (psi-minus1 dmax 8, pal-symmetral depth 9,
+``verify.CLAIM_MAX_DEPTH`` (psi-minus1 dmax 8, pal-symmetral depth 10,
 dupal-alternal depth 16) or, for compute targets and the other claims,
 above MAX_DEPTH.  So are parameters a target or claim rejects (a ValueError
 from the library: among them the singulator above depth 7 and an n above

@@ -88,7 +88,8 @@ __all__ = [
     "verify_comparison_theorem",
 ]
 
-# verify psi-minus1 --dmax 8 took 37 s with 239 MB
+# verify psi-minus1 --dmax 8 took 37 to 53 s with 204 to 239 MB; --dmax 9 did
+# not finish in 75 s
 PSI_MINUS1_MAX_DMAX = 8
 
 # The largest n that verify psi-odd admits at each dmax: the largest that

@@ -385,14 +385,14 @@ def random_expansion_checks(seed: int = 2024, rounds: int = 2) -> list[dict]:
 # The largest depth or dmax of each claim that has a limit of its own: the
 # largest that verified through the CLI within 60 s and 1 GB (1024 MB) of
 # peak RSS.  Measured (single runs, peak RSS in MB = 2**20 bytes):
-#   pal-symmetral: depth 9 took 2.5 to 3.8 s (60 MB), depth 10 74 and 78 s
-#   (523 MB)
+#   pal-symmetral: depth 10 took 13 s (240 MB), depth 11 did not
+#   finish in 75 s (888 MB)
 #   dupal-alternal: depth 14 took 3.1 to 4.6 s (88 MB), depth 16 19 to 20 s
 #   (351 MB); 16 is also algebra._K, the last slot variable below the table
 #   psi-minus1: solutions.PSI_MINUS1_MAX_DMAX
 CLAIM_MAX_DEPTH = {
     "psi-minus1": PSI_MINUS1_MAX_DMAX,
-    "pal-symmetral": 9,
+    "pal-symmetral": 10,
     "dupal-alternal": 16,
 }
 

@@ -881,61 +881,184 @@ def test_division_with_a_term_free_of_the_form_matches_tuple_kernel():
     assert free > 20 and held > 60
 
 
+# The lift sizes from which rf_sum lifts in rows that send every sum to one
+# kernel: on packed terms (``_lift_sum`` itself) or in rows (``_lift_rows``)
+KERNELS = {"dict": float("inf"), "rows": 0}
+
+
 def test_rf_sum_matches_full_lift_on_every_lifting_branch(monkeypatch):
     # groups whose summands all miss a unit, units of multiplicity 2,
     # non-integer scalars and sums that cancel to zero
-    rng = random.Random("rf_sum-branches")
-    forms = [x1, x2, x1 + x2, x1 - x3, x2 + 2 * x3]
-    calls = {"shared": 0, "split": 0}
-    mul_form, split_unit = algebra._mul_form, algebra._split_unit
+    for bound in KERNELS.values():
+        with monkeypatch.context() as mp:
+            mp.setattr(algebra, "_ROWS_FROM", bound)
+            rng = random.Random("rf_sum-branches")
+            forms = [x1, x2, x1 + x2, x1 - x3, x2 + 2 * x3]
+            calls = {"shared": 0, "split": 0}
+            mul_form, split_unit = algebra._mul_form, algebra._split_unit
 
-    def counting_mul_form(terms, lin, out=None):
-        if out is None:  # only the units a whole group misses come without out
-            calls["shared"] += 1
-        return mul_form(terms, lin, out)
+            def counting_mul_form(terms, lin, out=None):
+                if out is None:  # only the units a whole group misses come without out
+                    calls["shared"] += 1
+                return mul_form(terms, lin, out)
 
-    def counting_split_unit(*args):
-        calls["split"] += 1
-        return split_unit(*args)
+            def counting_split_unit(*args):
+                calls["split"] += 1
+                return split_unit(*args)
 
-    monkeypatch.setattr(algebra, "_mul_form", counting_mul_form)
-    monkeypatch.setattr(algebra, "_split_unit", counting_split_unit)
-    for _ in range(60):
-        items = [
-            rf(
-                Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7])),
-                random_poly(rng, 3, nterms=3, maxexp=2),
-                [(f, rng.choice([0, 1, 2])) for f in forms],
-            )
-            for _ in range(rng.randint(2, 7))
-        ]
-        assert rf_sum(items) == rf_sum_via_full_lift(items)
-        both = items + [-r for r in items]
-        rng.shuffle(both)
-        assert rf_sum(both) == RationalFunction.zero()
-    assert calls["shared"] > 50 and calls["split"] > 50
+            mp.setattr(algebra, "_mul_form", counting_mul_form)
+            mp.setattr(algebra, "_split_unit", counting_split_unit)
+            for _ in range(60):
+                items = [
+                    rf(
+                        Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7])),
+                        random_poly(rng, 3, nterms=3, maxexp=2),
+                        [(f, rng.choice([0, 1, 2])) for f in forms],
+                    )
+                    for _ in range(rng.randint(2, 7))
+                ]
+                assert rf_sum(items) == rf_sum_via_full_lift(items)
+                both = items + [-r for r in items]
+                rng.shuffle(both)
+                assert rf_sum(both) == RationalFunction.zero()
+            assert calls["shared"] > 50 and calls["split"] > 50
 
 
 def test_rf_sum_multiplies_a_unit_its_whole_group_misses_once(monkeypatch):
     # The summands miss {x1, x2, x3}, {x1, x2}, {}, {x3} and {x3}.  x3 is
     # the most missed unit, but the first two summands both miss x1 and x2,
     # so each of those multiplies their sum once, not each summand.
-    misses = [{x1, x2, x3}, {x1, x2}, set(), {x3}, {x3}]
-    items = [
-        rf(k + 1, poly({(0, 0, 0, k): 1}), [(f, 1) for f in (x1, x2, x3) if f not in miss])
-        for k, miss in enumerate(misses)
-    ]
-    lins = []
-    mul_form = algebra._mul_form
+    for kernel, bound in KERNELS.items():
+        with monkeypatch.context() as mp:
+            mp.setattr(algebra, "_ROWS_FROM", bound)
+            misses = [{x1, x2, x3}, {x1, x2}, set(), {x3}, {x3}]
+            items = [
+                rf(k + 1, poly({(0, 0, 0, k): 1}), [(f, 1) for f in (x1, x2, x3) if f not in miss])
+                for k, miss in enumerate(misses)
+            ]
+            lins = []
+            seen = {}  # the units' linear terms, and the rows the lifting tree uses
+            mul_form, lift_sum, lift_rows = algebra._mul_form, algebra._lift_sum, algebra._lift_rows
 
-    def counting(terms, lin, out=None):
-        lins.append(list(lin))  # a form's cached rows are a tuple
-        return mul_form(terms, lin, out)
+            def counting(terms, lin, out=None):
+                lins.append(lin)
+                return mul_form(terms, lin, out)
 
-    monkeypatch.setattr(algebra, "_mul_form", counting)
-    assert rf_sum(items) == rf_sum_via_full_lift(items)
-    assert lins.count([(_unit(1), 1)]) == 1
-    assert lins.count([(_unit(2), 1)]) == 1
+            def rows(summands, todo, units):
+                seen["units"] = units
+                return lift_rows(summands, todo, units)
+
+            def tree(summands, todo, units):
+                seen.setdefault("units", units)
+                seen.setdefault("tree", units)  # the first call is the top of the tree
+                return lift_sum(summands, todo, units)
+
+            mp.setattr(algebra, "_mul_form", counting)
+            mp.setattr(algebra, "_lift_rows", rows)
+            mp.setattr(algebra, "_lift_sum", tree)
+            assert rf_sum(items) == rf_sum_via_full_lift(items)
+            assert (seen["units"] is seen["tree"]) == (kernel == "dict")
+            for form in (x1, x2):
+                k = seen["units"].index(((_unit(form.max_var()), 1),))
+                assert sum(lin is seen["tree"][k] for lin in lins) == 1
+
+
+# ---------------------------------------------------------------------------
+# lifting in rows: x_a's exponent as the digit of an integer
+# ---------------------------------------------------------------------------
+
+
+def spy_row_lifts(monkeypatch) -> list:
+    """Patch ``_from_rows`` to record the rows of every row lift; returns
+    the (growing) list of them."""
+    lifts: list = []
+    from_rows = algebra._from_rows
+
+    def recording(rows, step):
+        lifts.append(rows)
+        return from_rows(rows, step)
+
+    monkeypatch.setattr(algebra, "_from_rows", recording)
+    return lifts
+
+
+def test_row_lift_matches_full_lift(monkeypatch):
+    # zero and nonzero sums, fractional scalars, pairs, units of
+    # multiplicity 2, and opaque symbols in the numerators and forms
+    monkeypatch.setattr(algebra, "_ROWS_FROM", 0)
+    lifts = spy_row_lifts(monkeypatch)
+    rng = random.Random("rows")
+    forms = [x1, x2, x1 + x2, x1 - x3, x2 + 2 * x3]
+    zeros = nonzero = 0
+
+    def value(pool):
+        den = [(rng.choice(forms), rng.choice([0, 1, 2])) for _ in range(3)]
+        if rng.random() < 0.3:
+            den.append((sparse_form(rng, nterms=2, pool=pool), 1))
+        scalar = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
+        return rf(scalar, sparse_poly(rng, nterms=4, maxexp=2, pool=pool), den)
+
+    for pool in ((1, 2, 3), _MIXED):
+        for _ in range(40):
+            items = [value(pool) for _ in range(rng.randint(2, 6))]
+            got = rf_sum(items)
+            assert _structure(got) == _structure(rf_sum_via_full_lift(items))
+            nonzero += not got.is_zero()
+            pairs = [(value(pool), value(pool)) for _ in range(rng.randint(1, 3))]
+            _assert_sums_like_built_products(items + pairs)
+            both = items + pairs + [-r for r in items] + [(-a, b) for a, b in pairs]
+            rng.shuffle(both)
+            assert rf_sum(both) == RationalFunction.zero()
+            zeros += 1
+    assert len(lifts) > 300 and nonzero > 60 and zeros == 80
+
+
+def test_row_lift_holds_coefficients_up_to_the_digit_bound(monkeypatch):
+    # Powers of (x1 - x2) lifted by n more: the coefficients are signed
+    # binomials up to C(2n, n), within a small factor of the bound.  A sum
+    # whose bound reaches 2**62 lifts on packed terms.
+    monkeypatch.setattr(algebra, "_ROWS_FROM", 0)
+    lifts = spy_row_lifts(monkeypatch)
+    d = x1 - x2
+    for n in (1, 5, 12, 20, 30):
+        num = Polynomial.one()
+        for _ in range(n):
+            num = num.mul_linear(d)
+        items = [
+            rf(1, num, [(x1 + x2, 2)]),
+            rf(-3, num, [(x1 + x3, 1), (x2, 1)]),
+            rf(Fraction(5, 2), x3.as_polynomial(), [(d, n)]),
+        ]
+        before = len(lifts)
+        assert _structure(rf_sum(items)) == _structure(rf_sum_via_full_lift(items))
+        peak = max(map(abs, rf_sum_via_full_lift(items).numerator.terms.values()))
+        assert (len(lifts) > before) == (n <= 20)
+        assert peak.bit_length() > 30 or n < 20
+    # digits at the decoder's own limit 2**63 - 1, of either sign
+    step = _unit(1) - _unit(2)
+    top = (1 << 63) - 1
+    for digits in ([top, -top, 1], [-top, 0, top], [1, -1, -top, top], [0, 0, 0, -1]):
+        row = sum(c << (64 * e) for e, c in enumerate(digits))
+        key = (len(digits) - 1) * _unit(2)  # digit e is x1^e x2^(len - 1 - e)
+        want = {key + e * step: c for e, c in enumerate(digits) if c}
+        assert algebra._from_rows({key: row}, step) == want
+
+
+def test_small_sums_lift_on_packed_terms_and_shuffle_cells_in_rows(monkeypatch):
+    from mouldcalc.moulds import mu_log
+    from mouldcalc.special import paj
+    from mouldcalc.symmetry import _shuffle_sum
+
+    lifts = spy_row_lifts(monkeypatch)
+    rng = random.Random("row-rule")
+    for _ in range(20):
+        items = [random_rf(rng, 3) for _ in range(4)]
+        assert rf_sum(items) == rf_sum_via_full_lift(items)
+    assert lifts == []
+    # cell (2, 3) of the alternality of mu_log(paj(5)): ten words lifted by
+    # 21 units to a sum of about 10,000 terms, which vanishes
+    assert _shuffle_sum(mu_log(paj(5)), 2, 3).is_zero()
+    assert len(lifts) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -959,48 +1082,51 @@ def _assert_sums_like_built_products(items) -> RationalFunction:
 def test_rf_sum_of_pairs_matches_built_products_on_every_lifting_branch(monkeypatch):
     # pairs mixed with values over forms at multiplicity 0 to 2, fractional
     # scalars, cancelling and constant factors, and sums that cancel to zero
-    rng = random.Random("rf_sum-pairs")
-    forms = [x1, x2, x1 + x2, x1 - x3, x2 + 2 * x3]
-    calls = {"shared": 0, "split": 0}
-    mul_form, split_unit = algebra._mul_form, algebra._split_unit
+    for bound in KERNELS.values():
+        with monkeypatch.context() as mp:
+            mp.setattr(algebra, "_ROWS_FROM", bound)
+            rng = random.Random("rf_sum-pairs")
+            forms = [x1, x2, x1 + x2, x1 - x3, x2 + 2 * x3]
+            calls = {"shared": 0, "split": 0}
+            mul_form, split_unit = algebra._mul_form, algebra._split_unit
 
-    def counting_mul_form(terms, lin, out=None):
-        if out is None:  # only the units a whole group misses come without out
-            calls["shared"] += 1
-        return mul_form(terms, lin, out)
+            def counting_mul_form(terms, lin, out=None):
+                if out is None:  # only the units a whole group misses come without out
+                    calls["shared"] += 1
+                return mul_form(terms, lin, out)
 
-    def counting_split_unit(*args):
-        calls["split"] += 1
-        return split_unit(*args)
+            def counting_split_unit(*args):
+                calls["split"] += 1
+                return split_unit(*args)
 
-    def value():
-        den = [(f, rng.choice([0, 0, 1, 2])) for f in forms]
-        num = random_poly(rng, 3, nterms=3, maxexp=2)
-        if rng.random() < 0.3:  # a numerator the other factor's form divides
-            num = num.mul_linear(rng.choice(forms))
-        if rng.random() < 0.1:
-            num = Polynomial.one()
-        scalar = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
-        return rf(scalar, num, den)
+            def value():
+                den = [(f, rng.choice([0, 0, 1, 2])) for f in forms]
+                num = random_poly(rng, 3, nterms=3, maxexp=2)
+                if rng.random() < 0.3:  # a numerator the other factor's form divides
+                    num = num.mul_linear(rng.choice(forms))
+                if rng.random() < 0.1:
+                    num = Polynomial.one()
+                scalar = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
+                return rf(scalar, num, den)
 
-    monkeypatch.setattr(algebra, "_mul_form", counting_mul_form)
-    monkeypatch.setattr(algebra, "_split_unit", counting_split_unit)
-    cancelled = 0
-    for _ in range(80):
-        items = [
-            (value(), value()) if rng.random() < 0.6 else value()
-            for _ in range(rng.randint(1, 7))
-        ]
-        _assert_sums_like_built_products(items)
-        cancelled += any(
-            isinstance(r, tuple)
-            and len((r[0] * r[1]).denominator) < len(set(r[0].denominator) | set(r[1].denominator))
-            for r in items
-        )
-        both = items + [(-r[0], r[1]) if isinstance(r, tuple) else -r for r in items]
-        rng.shuffle(both)
-        assert rf_sum(both) == RationalFunction.zero()
-    assert calls["shared"] > 50 and calls["split"] > 50 and cancelled > 10
+            mp.setattr(algebra, "_mul_form", counting_mul_form)
+            mp.setattr(algebra, "_split_unit", counting_split_unit)
+            cancelled = 0
+            for _ in range(80):
+                items = [
+                    (value(), value()) if rng.random() < 0.6 else value()
+                    for _ in range(rng.randint(1, 7))
+                ]
+                _assert_sums_like_built_products(items)
+                cancelled += any(
+                    isinstance(r, tuple)
+                    and len((r[0] * r[1]).denominator) < len(set(r[0].denominator) | set(r[1].denominator))
+                    for r in items
+                )
+                both = items + [(-r[0], r[1]) if isinstance(r, tuple) else -r for r in items]
+                rng.shuffle(both)
+                assert rf_sum(both) == RationalFunction.zero()
+            assert calls["shared"] > 50 and calls["split"] > 50 and cancelled > 10
 
 
 def test_rf_sum_of_pairs_edge_cases():
@@ -1272,6 +1398,36 @@ def test_table_fields_hold_255_and_refuse_256():
     with pytest.raises(ExponentOverflowError):
         mono((16, top + 1)).shift(1)
     assert mono((1, _MAX_EXP)).shift(15).terms == mono((16, _MAX_EXP)).terms
+
+
+def test_a_shift_reads_only_the_letters_of_the_variables_it_uses(monkeypatch):
+    # x2 x_5000 / (x1 (x1 + x3)) uses x1, x2, x3 and x_5000: its shift by 2
+    # reads those four letters, not a dense word of 5,000 forms
+    big = 5000
+    value = rf(1, Polynomial.variable(2) * Polynomial.variable(big), [(x1, 1), (x1 + x3, 1)])
+    read = []
+    variable = LinearForm.variable
+
+    def reading(i):
+        read.append(i)
+        return variable(i)
+
+    monkeypatch.setattr(LinearForm, "variable", staticmethod(reading))
+    got = value.shift(2)
+    want = rf(
+        1,
+        Polynomial.variable(4) * Polynomial.variable(big + 2),
+        [(variable(3), 1), (variable(3) + variable(5), 1)],
+    )
+    assert _structure(got) == _structure(want)
+    assert set(read) == {3, 4, 5, big + 2}
+    read.clear()
+    assert value.numerator.shift(2) == want.numerator
+    assert set(read) == {4, big + 2}
+    # a letter that is one variable moves the form's coefficient to it
+    assert (3 * x1 - 2 * x3).compose([variable(4), x2, variable(big)]) == 3 * variable(
+        4
+    ) - 2 * variable(big)
 
 
 _ROUND_TRIP = """

@@ -120,8 +120,8 @@ def test_depth_8_is_refused_before_any_work(argv):
 
 @pytest.mark.parametrize("claim", ["pal-symmetral", "dupal-alternal"])
 def test_the_first_depth_above_a_claims_own_limit_is_refused_before_any_work(claim):
-    # pal-symmetral at depth 10 took over 60 s, and dupal-alternal at depth
-    # 17 would need a slot variable beyond the kernel's table
+    # pal-symmetral at depth 11 did not finish in 75 s, and dupal-alternal
+    # at depth 17 would need a slot variable beyond the kernel's table
     limit = CLAIM_MAX_DEPTH[claim]
     done = run_process("verify", claim, "--depth", str(limit + 1), capture_output=True)
     assert done.returncode == 2
