@@ -9,8 +9,9 @@ denominators factored sidesteps multivariate gcd computations entirely.
 Every term product outside a large ``rf_sum`` runs in one loop,
 ``_mul_form``: products with a linear form, products of polynomials (the
 smaller factor's terms as its rows), the numerator pairs of ``rf_sum``,
-exact division, Horner substitution and the sum of two polynomials (a
-product with the monomial 1).  A large ``rf_sum`` runs the same loop on
+exact division, Horner substitution, and the sum of two polynomials and
+the summands added at the leaves of ``rf_sum``'s lifting (products with
+the monomial 1).  A large ``rf_sum`` runs the same loop on
 rows, whose integer products make many term products each (see "Lifting
 in rows" below).  Exact division and Horner substitution group the terms
 by the exponent of one variable through one helper, ``_levels``.  A
@@ -700,8 +701,10 @@ def _mul_form(terms: dict, lin: Iterable, out: dict | None = None) -> dict:
     The kernel's one loop that multiplies terms.  Each row ``(u, c)`` of
     ``lin`` is a packed monomial and its coefficient: x_i's monomial for a
     linear form, any term of the other factor for a product of polynomials
-    (``_add_product``).  A term product adds the two packed monomials.  The
-    degree is not checked here: callers that raise a degree check it first.
+    (``_add_product``), and the constant monomial with a scale for a sum
+    (``Polynomial.__add__`` and the leaves of ``_lift_sum``).  A term
+    product adds the two packed monomials.  The degree is not checked
+    here: callers that raise a degree check it first.
     When ``out`` is None or empty, the first row fills a new dict, one hash
     per key, since its products are distinct monomials; otherwise the
     products are added into ``out``.  So the caller uses the return value,
@@ -1411,30 +1414,17 @@ def _lift_sum(summands: list, todo: int, lins: list) -> dict:
         out = _lift_sum(rest, todo, lins)
         out = _mul_form(_lift_sum(miss, todo & ~bit, lins), lin, out)
     else:
-        # nothing left to lift but the shared units: add into a copy of the
-        # largest summand without a cofactor, and multiply each product's
-        # numerators straight into the sum
+        # nothing left to lift but the shared units: the largest summand
+        # without a cofactor, if any, goes first, so the first product
+        # copies it, and each pair's numerators are multiplied straight
+        # into the sum
         big = max(summands, key=lambda s: len(s[0]) if s[1] is None else -1)
-        terms, cof, scale, _ = big
-        if cof is not None:
-            out = _add_product({}, terms, cof, scale)
-        elif scale == 1:
-            out = dict(terms)
-        else:
-            out = {m: c * scale for m, c in terms.items()}
-        for s in summands:
-            if s is big:
-                continue
-            terms, cof, scale, _ = s
-            if cof is not None:
+        out = {}
+        for terms, cof, scale, _ in (big, *(s for s in summands if s is not big)):
+            if cof is None:
+                out = _mul_form(terms, ((0, scale),), out)
+            else:
                 out = _add_product(out, terms, cof, scale)
-                continue
-            for m, c in terms.items():
-                v = out.get(m, 0) + c * scale
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
     while shared:
         low = shared & -shared
         out = _mul_form(out, lins[low.bit_length() - 1])

@@ -24,11 +24,12 @@ The default ``compute`` depth is 4, overridable with --depth; the families
 xi, sigma_c, luma and D are defined below depth 4, so they stop at depth 3.
 ``verify`` uses each claim's own defaults.  Depths and ``verify --dmax``
 below 1 are refused, and so are those above the claim's own limit in
-``verify.CLAIM_MAX_DEPTH`` (psi-minus1 dmax 8, pal-symmetral depth 10,
-dupal-alternal depth 16) or, for compute targets and the other claims,
-above MAX_DEPTH.  So are parameters a target or claim rejects (a ValueError
-from the library: among them the singulator above depth 7 and an n above
-the psi-odd and comparison limits, whose cost the library bounds),
+``verify.CLAIM_MAX_DEPTH`` (psi-odd dmax 7, psi-minus1 dmax 8,
+pal-symmetral depth 10, dupal-alternal depth 16, sang-expansion depth 7)
+or, for compute targets and the other claims, above MAX_DEPTH.  So are
+parameters a target or claim rejects (a ValueError from the library: among
+them the singulator targets above depth 7 and an n above the psi-odd and
+comparison limits, whose cost the library bounds),
 targets and claims whose total degree outgrows the kernel's exponent field,
 ``--out`` paths that cannot be written, and claims that would run no check
 or would pass vacuously (``pal-symmetral`` and ``dupal-alternal`` at depth

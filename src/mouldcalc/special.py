@@ -15,14 +15,15 @@ pair both ways: by pal outward, and by the inverse inward, whose own
 inverse is pal, so neither conjugation solves anything more.
 
 ``sang`` and the slicer's inner singulator take the four-sum expansion
-``sang_expanded``, built one depth at a time as it is read, for concrete
+``sang_expanded``, built one word at a time as it is read, for concrete
 depth-1-supported input, and ``lazy_sang``, the expansion's oracle, on any
 other input.  On an opaque depth-1-supported mould the two agree at every
 depth up to ``SANG_MAX_DEPTH``, so the expansion holds for every such input
 (``proofs/test_singulator_expansion.py``; tier-1 proves depth 5).  The
-expansion's builder, ``_sang_expanded_at``, takes a word: the lazy mould
-builds each depth at the canonical word and substitutes it for other
-words, and the psi-odd verifier builds it at its own word.  Every route
+expansion's builder, ``_sang_expanded_at``, takes a word, and every route
+builds it at the word it reads: the lazy mould memoizes each word's value,
+and the psi-odd verifier builds its own words unmemoized, which keeps its
+peak memory at large n within the limits it is measured by.  Every route
 refuses a depth above ``SANG_MAX_DEPTH`` with ValueError before any work,
 in the two builders all routes go through, ``lazy_sang`` and
 ``_sang_expansion``: ``compute sang:sa:3 --depth 7`` takes about 8 s and
@@ -228,8 +229,9 @@ def lazy_sang(M) -> LazyMould:
 def _singulator(M):
     """sang(M) by the proven rule, lazily: the four-sum expansion for a
     concrete depth-1-supported M, and ``lazy_sang(M)`` otherwise.  An opaque
-    M takes ``lazy_sang``: the expansion's components hold its symbols,
-    which a substituted word cannot reach, so they make no mould."""
+    M takes ``lazy_sang`` without a support probe: its symbols are numbered
+    in the order they are first read, and the probe would read M at every
+    canonical word first, renumbering every symbol read after it."""
     if isinstance(M, Mould) and _is_depth1_supported(M):
         return _lazy_sang_expanded(M)
     return lazy_sang(M)
@@ -291,20 +293,11 @@ def _sang_expansion(M):
 
 
 def _lazy_sang_expanded(M) -> LazyMould:
-    """``sang_expanded(M)``, lazily: ``_sang_expanded_at`` builds depth d
-    once, at the canonical word, and other words substitute it.  M is read
-    only through ``eval_word``: on an opaque depth-1 mould the canonical
-    values prove the expansion for every such mould."""
-    build = _sang_expansion(M)
-
-    def fn(w):
-        c = canonical_word(len(w))
-        if w == c:
-            return build(w)
-        return E.eval_word(c).substitute(w)
-
-    E = LazyMould(M.depth, fn)
-    return E
+    """``sang_expanded(M)``, lazily: ``_sang_expanded_at`` builds each word
+    once, at that word.  M is read only through ``eval_word``: on an opaque
+    depth-1 mould the canonical values prove the expansion for every such
+    mould."""
+    return LazyMould(M.depth, _sang_expansion(M))
 
 
 def _sang_expanded_at(M, w) -> RationalFunction:

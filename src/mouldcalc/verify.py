@@ -72,7 +72,7 @@ from .solutions import (
     verify_psi_minus1_theorem,
     verify_psi_odd_theorem,
 )
-from .special import dupal, lazy_sang, lazy_slang, pal, sa, sang_expanded
+from .special import SANG_MAX_DEPTH, dupal, lazy_sang, lazy_slang, pal, sa, sang_expanded
 from .symmetry import (
     _require_shuffle_sums,
     is_alternal,
@@ -390,10 +390,14 @@ def random_expansion_checks(seed: int = 2024, rounds: int = 2) -> list[dict]:
 #   dupal-alternal: depth 14 took 3.1 to 4.6 s (88 MB), depth 16 19 to 20 s
 #   (351 MB); 16 is also algebra._K, the last slot variable below the table
 #   psi-minus1: solutions.PSI_MINUS1_MAX_DMAX
+#   psi-odd and sang-expansion: special.SANG_MAX_DEPTH, which the
+#   singulator enforces on every route
 CLAIM_MAX_DEPTH = {
+    "psi-odd": SANG_MAX_DEPTH,
     "psi-minus1": PSI_MINUS1_MAX_DMAX,
     "pal-symmetral": 10,
     "dupal-alternal": 16,
+    "sang-expansion": SANG_MAX_DEPTH,
 }
 
 

@@ -922,6 +922,20 @@ def test_rf_sum_matches_full_lift_on_every_lifting_branch(monkeypatch):
                 rng.shuffle(both)
                 assert rf_sum(both) == RationalFunction.zero()
             assert calls["shared"] > 50 and calls["split"] > 50
+            # the leaf sum, with no unit to lift: every summand's denominator
+            # is (x1 + x2)(x1 - x3).  Plain summands only (generic's shape),
+            # pairs only, and a mix in which the next summand cancels the
+            # first, the scaled copy of the largest plain summand, to zero.
+            den = [(x1 + x2, 1), (x1 - x3, 1)]
+            big = rf(Fraction(3, 2), poly({(0, 2): 1, (0, 0, 1): -4, (0,): 7}), den)
+            plain = [big, rf(-2, poly({(0, 1): 1}), den), rf(Fraction(5, 7), poly({(0, 2): 3, (0,): 1}), den)]
+            pairs = [
+                (rf(2, poly({(0, 1): 1, (0,): 1}), [den[0]]), rf(Fraction(-1, 3), poly({(0, 0, 2): 1}), [den[1]])),
+                (rf(-1, poly({(0, 3): 1}), [den[1]]), rf(1, poly({(0, 0, 1): 1, (0,): 2}), [den[0]])),
+            ]
+            for items in (plain, pairs, [big, -big, *pairs, plain[1]]):
+                built = [r[0] * r[1] if isinstance(r, tuple) else r for r in items]
+                assert rf_sum(items) == rf_sum_via_full_lift(built)
 
 
 def test_rf_sum_multiplies_a_unit_its_whole_group_misses_once(monkeypatch):

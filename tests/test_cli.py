@@ -118,17 +118,19 @@ def test_depth_8_is_refused_before_any_work(argv):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("claim", ["pal-symmetral", "dupal-alternal"])
+@pytest.mark.parametrize("claim", ["pal-symmetral", "dupal-alternal", "psi-odd", "sang-expansion"])
 def test_the_first_depth_above_a_claims_own_limit_is_refused_before_any_work(claim):
-    # pal-symmetral at depth 11 did not finish in 75 s, and dupal-alternal
-    # at depth 17 would need a slot variable beyond the kernel's table
+    # pal-symmetral at depth 11 did not finish in 75 s, dupal-alternal at
+    # depth 17 would need a slot variable beyond the kernel's table, and the
+    # singulator claims stop at special.SANG_MAX_DEPTH, below cli.MAX_DEPTH
+    key = "dmax" if claim == "psi-odd" else "depth"
     limit = CLAIM_MAX_DEPTH[claim]
-    done = run_process("verify", claim, "--depth", str(limit + 1), capture_output=True)
+    done = run_process("verify", claim, f"--{key}", str(limit + 1), capture_output=True)
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr == f"error: --depth {limit + 1} exceeds the configured maximum {limit}\n"
+    assert done.stderr == f"error: --{key} {limit + 1} exceeds the configured maximum {limit}\n"
     with pytest.raises(ValueError, match=f"depth {limit + 1} exceeds the maximum {limit}"):
-        run_claim(claim, depth=limit + 1)
+        run_claim(claim, **{key: limit + 1})
 
 
 @pytest.mark.parametrize(

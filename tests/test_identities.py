@@ -113,8 +113,8 @@ def test_generic_slices_sum_to_singulator():
 
 
 def test_generic_slices_of_depth1_input_sum_to_singulator():
-    # an opaque depth-1-supported input must not reach the four-sum
-    # expansion inside the slicer: its symbols make no concrete mould
+    # an opaque depth-1-supported input takes lazy_sang inside the slicer
+    # too, with no support probe reading it before the slices do
     A = OpaqueMould(SymbolRegistry(), "A", 3, support=(1,))
     w = canonical_word(3)
     total = sum((lazy_slang(r, A).eval_word(w) for r in (1, 2, 3)), RationalFunction.zero())

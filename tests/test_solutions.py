@@ -454,13 +454,14 @@ def test_lazy_mu_log_matches_mu_log_at_any_word():
 
 
 def test_the_expansion_at_a_word_matches_its_substituted_component():
+    # building at a word, as every route does, against building at the
+    # canonical word and substituting
     for s in (3, 5, -1):
         S = sa(s, 5)
         want = sang_expanded(S)
-        build = special._sang_expansion(S)
         for d in range(1, 6):
             for w in _words(d):
-                assert build(w) == want.components[d].substitute(w)
+                assert special._sang_expanded_at(S, w) == want.components[d].substitute(w)
 
 
 def test_the_sharp_claims_never_call_sharp(monkeypatch):

@@ -298,22 +298,22 @@ def _count_lazy_sang(monkeypatch, module=special) -> list:
     return calls
 
 
-def _count_expansion_depths(monkeypatch) -> list:
-    """The depths at which the four-sum expansion is built from now on."""
+def _record_expansion_words(monkeypatch) -> list:
+    """The words at which the four-sum expansion is built from now on."""
     built = []
     build = special._sang_expanded_at
 
-    def counting(M, w):
-        built.append(len(w))
+    def recording(M, w):
+        built.append(w)
         return build(M, w)
 
-    monkeypatch.setattr(special, "_sang_expanded_at", counting)
+    monkeypatch.setattr(special, "_sang_expanded_at", recording)
     return built
 
 
 def test_sang_takes_the_expansion_at_every_admitted_depth(monkeypatch):
     calls = _count_lazy_sang(monkeypatch)
-    built = _count_expansion_depths(monkeypatch)
+    built = _record_expansion_words(monkeypatch)
     # the expansion is built lazily, so depth 7 costs nothing until read
     for d in range(1, special.SANG_MAX_DEPTH + 1):
         special._singulator(sa(3, d))
@@ -327,8 +327,8 @@ def test_sang_takes_the_expansion_at_every_admitted_depth(monkeypatch):
 
 
 def test_sang_falls_back_to_lazy_sang_on_opaque_input(monkeypatch):
-    # an opaque mould takes lazy_sang even on depth-1 support: the
-    # expansion's components would hold symbols no substitution reaches
+    # an opaque mould takes lazy_sang even on depth-1 support, with no
+    # support probe that would read it, and so number its symbols, first
     calls = _count_lazy_sang(monkeypatch)
     S = OpaqueMould(SymbolRegistry(), "S", special.SANG_MAX_DEPTH, support=(1,))
     special._singulator(S)
@@ -340,9 +340,10 @@ def test_sang_falls_back_to_lazy_sang_on_opaque_input(monkeypatch):
 
 
 def test_a_slice_builds_only_the_expansion_depths_it_reads(monkeypatch):
-    built = _count_expansion_depths(monkeypatch)
+    built = _record_expansion_words(monkeypatch)
     slang(1, sa(3, 6))
-    assert sorted(built) == [0, 1]
+    assert {len(w) for w in built} == {0, 1}
+    assert len(built) == len(set(built))  # each word once
 
 
 def test_sang_expansion_claim_keeps_lazy_sang_as_its_oracle(monkeypatch):
