@@ -29,7 +29,10 @@ pal-symmetral depth 10, dupal-alternal depth 16, sang-expansion depth 7)
 or, for compute targets and the other claims, above MAX_DEPTH.  So are
 parameters a target or claim rejects (a ValueError from the library: among
 them the singulator targets above depth 7 and an n above the psi-odd and
-comparison limits, whose cost the library bounds),
+comparison limits, whose cost the library bounds; ``psi:K`` at depth d
+refuses n = (K - 1)/2 above ``solutions.PSI_ODD_MOULD_MAX_N[d]`` (the
+psi-odd limits, and 2 at depth 8), and ``xi:N``, ``sigma_c:N`` and
+``luma:N`` an N above ``solutions.FAMILY_MAX_N``: 242, 84 and 69),
 targets and claims whose total degree outgrows the kernel's exponent field,
 ``--out`` paths that cannot be written, and claims that would run no check
 or would pass vacuously (``pal-symmetral`` and ``dupal-alternal`` at depth

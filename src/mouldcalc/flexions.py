@@ -81,7 +81,6 @@ __all__ = [
     "flexion_up",
     "flexion_down",
     "tri_factorizations",
-    "garit_factorizations",
     "arit",
     "preari",
     "preari_n",
@@ -144,41 +143,6 @@ def tri_factorizations(w: Word) -> Iterator[tuple[Word, Word, Word]]:
             yield w[:i], w[i:j], w[j:]
 
 
-def garit_factorizations(
-    w: Word,
-) -> Iterator[tuple[tuple[Word, Word, Word], ...]]:
-    """All block factorizations w = a1 b1 c1 ... as bs cs.
-
-    Constraints: every b_i is nonempty, and for i < s the concatenation
-    c_i a_{i+1} is nonempty (the trailing c_s may be empty).
-    """
-    n = len(w)
-
-    def rec(start: int, empty_a: bool):
-        for a, rest in _next_blocks(w, start, empty_a):
-            for b, c, k in rest:
-                if k == n:
-                    yield ((a, b, c),)
-                else:
-                    for tail in rec(k, bool(c)):
-                        yield ((a, b, c),) + tail
-
-    yield from rec(0, True)
-
-
-def _next_blocks(w: Word, start: int, empty_a: bool) -> Iterator[tuple[Word, list]]:
-    """The next block a b c of a block factorization of w that has covered
-    w[:start]: each a = w[start:i] with its continuations (b, c, k), where
-    b = w[i:j] is nonempty and c = w[j:k].  ``a`` may be empty only when
-    ``empty_a``: in the first block, or after a nonempty c.  The block ends
-    the factorization when k == len(w)."""
-    n = len(w)
-    for i in range(start if empty_a else start + 1, n):
-        yield w[start:i], [
-            (w[i:j], w[j:k], k) for j in range(i + 1, n + 1) for k in range(j, n + 1)
-        ]
-
-
 # ---------------------------------------------------------------------------
 # factorization sums at the level of words
 # ---------------------------------------------------------------------------
@@ -215,8 +179,9 @@ def preari_at(w: Word, m_eval: Eval, n_eval: Eval) -> RationalFunction:
 
 
 def garit_at(w: Word, s_eval: Eval, t_eval: Eval, tinv_eval: Eval) -> RationalFunction:
-    """The twisted action sum over block factorizations of w: S at the
-    decorated word times the T(a_i) and T^-1(c_i) of every block.
+    """The twisted action sum over the block factorizations w = a_1 b_1 c_1
+    ... a_s b_s c_s: S at the decorated word times the T(a_i) and T^-1(c_i)
+    of every block.
 
     The walk carries each block prefix's decorated word and factor, so a
     prefix's factor is multiplied once, not once per factorization through
@@ -228,28 +193,35 @@ def garit_at(w: Word, s_eval: Eval, t_eval: Eval, tinv_eval: Eval) -> RationalFu
     parts = []
 
     def walk(start: int, empty_a: bool, prefix: Word, factor) -> None:
-        # factor None stands for 1, the factor of the empty prefix
-        for a, rest in _next_blocks(w, start, empty_a):
+        # The next block is a = w[start:i], b = w[i:j], c = w[j:k]: b is
+        # nonempty, a may be empty only in the first block or after a
+        # nonempty c, and the block ends the factorization when k == n.
+        # factor None stands for 1, the factor of the empty prefix.
+        for i in range(start if empty_a else start + 1, n):
+            a = w[start:i]
             with_a = factor
             if a:
                 value = t_eval(a)
                 with_a = value if factor is None else factor * value
                 if with_a.is_zero():
                     continue
-            for b, c, k in rest:
-                with_c = with_a
-                if c:
-                    value = tinv_eval(c)
-                    with_c = value if with_a is None else with_a * value
-                    if with_c.is_zero():
+            for j in range(i + 1, n + 1):
+                b = w[i:j]
+                for k in range(j, n + 1):
+                    c = w[j:k]
+                    with_c = with_a
+                    if c:
+                        value = tinv_eval(c)
+                        with_c = value if with_a is None else with_a * value
+                        if with_c.is_zero():
+                            continue
+                    decorated = prefix + flexion_up(a, flexion_down(b, c))
+                    if k < n:
+                        walk(k, bool(c), decorated, with_c)
                         continue
-                decorated = prefix + flexion_up(a, flexion_down(b, c))
-                if k < n:
-                    walk(k, bool(c), decorated, with_c)
-                    continue
-                sval = s_eval(decorated)
-                if not sval.is_zero():
-                    parts.append(sval if with_c is None else (sval, with_c))
+                    sval = s_eval(decorated)
+                    if not sval.is_zero():
+                        parts.append(sval if with_c is None else (sval, with_c))
 
     walk(0, True, (), None)
     return rf_sum(parts)

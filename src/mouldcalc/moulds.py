@@ -177,10 +177,6 @@ class Mould:
         )
 
     @staticmethod
-    def from_function(depth: int, fn: Callable[[int], RationalFunction]) -> "Mould":
-        return Mould([fn(m) for m in range(depth + 1)])
-
-    @staticmethod
     def from_word_function(
         depth: int, eval_word: Callable[[Word], RationalFunction]
     ) -> "Mould":

@@ -48,7 +48,12 @@ that the depth limits refuse did not finish (the CLI on a 2-vCPU x86-64
 host with Python 3.11.7, single runs, about +-15 %).  The psi-odd limits
 also bound memory: each admitted n verifies within 1 GB of peak RSS, the
 memory the CI proofs job budgets, which binds at dmax 3 to 5 (peak RSS read
-with ``resource.getrusage(RUSAGE_CHILDREN)`` around one CLI run).
+with ``resource.getrusage(RUSAGE_CHILDREN)`` around one CLI run).  The
+builders the compute targets call refuse, by the same 60 s and 1 GB rule,
+before any work: ``psi_odd_mould`` an n above ``PSI_ODD_MOULD_MAX_N[depth]``,
+the psi-odd limits plus one of its own at depth 8, and every depth above 8;
+``xi``, ``sigma_c`` and ``luma`` an n above ``FAMILY_MAX_N``, measured for
+each family alone.
 """
 
 from __future__ import annotations
@@ -105,9 +110,31 @@ PSI_MINUS1_MAX_DMAX = 8
 #   outgrows the kernel's exponent field
 PSI_ODD_MAX_N = {1: 32767, 2: 3225, 3: 1209, 4: 785, 5: 416, 6: 155, 7: 23}
 
+# The largest n that psi_odd_mould, and so compute psi:K, admits at each
+# depth: PSI_ODD_MAX_N's, and at depth 8, where no psi-odd claim runs (the
+# singulator stops at depth 7) and so no verifier reads it, the largest n
+# that one ``compute psi:K --depth 8`` finished within 60 s and 1 GB: n = 2
+# took 43 s (264 MB), n = 3 did not finish in 60 s.
+PSI_ODD_MOULD_MAX_N = {**PSI_ODD_MAX_N, 8: 2}
+
 # The largest n that verify comparison admits.  Measured: n = 32 took 10 s,
 # n = 48 38 s, n = 56 68 s.
 COMPARISON_MAX_N = 48
+
+# The largest n that each polynomial family, and so compute xi:N, sigma_c:N
+# and luma:N, admits: the largest that one ``compute <family>:N --depth 3``
+# finished within 60 s and 1 GB (each run under 240 MB).  Measured:
+#   xi: n = 242 took 48 s (n = 231 to 238 55 to 56 s), n = 246 did not finish
+#   sigma_c: n = 84 took 53 s, n = 85 did not finish in 60 s
+#   luma: n = 69 took 58 s, n = 70 did not finish in 60 s
+FAMILY_MAX_N = {"xi": 242, "sigma_c": 84, "luma": 69}
+
+
+def _require_n(n: int, what: str, limit: int) -> None:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > limit:
+        raise ValueError(f"{what} n {n} exceeds the maximum {limit}")
 
 
 def _x(i: int) -> LinearForm:
@@ -205,7 +232,15 @@ def _mould_of(component: Callable[[int], RationalFunction], depth: int) -> Mould
 
 
 def psi_odd_mould(n: int, depth: int) -> Mould:
-    """Components psi_{2n+1}^{(d)} for 1 <= d <= depth (0 at depth 0)."""
+    """Components psi_{2n+1}^{(d)} for 1 <= d <= depth (0 at depth 0); a
+    depth above the table or an n above ``PSI_ODD_MOULD_MAX_N[depth]`` is
+    refused before any work."""
+    top = max(PSI_ODD_MOULD_MAX_N)
+    if depth > top:
+        raise ValueError(f"psi_{2 * n + 1} depth {depth} exceeds the maximum {top}")
+    limit = PSI_ODD_MOULD_MAX_N.get(depth)
+    if limit is not None and n > limit:
+        raise ValueError(f"psi_{2 * n + 1} n {n} exceeds the maximum {limit} at depth {depth}")
     return _mould_of(lambda d: psi_odd(n, d), depth)
 
 
@@ -229,8 +264,7 @@ def xi_prime(S: Mould) -> Mould:
 
 def xi(n: int) -> Mould:
     """xi_{2n+1} = xi'(sa_{2n+1}) below depth 4."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_n(n, "xi", FAMILY_MAX_N["xi"])
     return xi_prime(sa(2 * n + 1, 3))
 
 
@@ -272,6 +306,7 @@ def sigma_c(n: int, correction_scale: Fraction | int = 1) -> Mould:
     ``correction_scale`` rescales the Bernoulli-weighted sum; it exists so
     negative-control tests can flip the coefficient's sign.
     """
+    _require_n(n, "sigma_c", FAMILY_MAX_N["sigma_c"])
     total = xi(n)
     for a, b in _correction_pairs(n):
         coeff = _weight(n, a) / (24 * b) * Fraction(correction_scale)
@@ -283,8 +318,7 @@ def luma(n: int) -> Mould:
     """Flexion-side polynomial solution below depth 4:
     slang_1(sa_{2n+1}) - (1/12) sum_{a+b=n} (B_2a B_2b / B_2n) C(2n, 2a)
     ari(slang_1(sa_{2a+1}), slang_2(sa_{2b}))."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _require_n(n, "luma", FAMILY_MAX_N["luma"])
     total = _slang_sa(1, 2 * n + 1)
     for a, b in _correction_pairs(n):
         total = total + _ari_slang(a, b) * (_weight(n, a) * Fraction(-1, 12))
@@ -402,10 +436,7 @@ def verify_comparison_theorem(n: int, sigma: Mould | None = None) -> dict:
     (iii) each D_{a,b}^(3) in the sum is a polynomial (and depths 1, 2
     vanish); a failing polynomial check carries D_{a,b}^(3) as residual.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > COMPARISON_MAX_N:
-        raise ValueError(f"comparison n {n} exceeds the maximum {COMPARISON_MAX_N}")
+    _require_n(n, "comparison", COMPARISON_MAX_N)
     checks = _compare(
         lambda m: f"xi_{2*n+1}^({m}) == slang_1(sa_{2*n+1})^({m})",
         xi(n),

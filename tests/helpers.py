@@ -18,10 +18,12 @@ replaced, the former rendering of monomials from their full exponent
 tuples, and the former alternality and symmetrality deciders, which
 evaluate every ordered cell (p, q) where the deciders now evaluate only
 p <= q; an inductive alternality recursion whose solutions are
-alternal, a consistency check on ``is_alternal``; the former
-twisted-action sum, which builds each block factorization's factor from
-scratch where ``garit_at`` now shares it between the factorizations
-through a block prefix; the former polar
+alternal, a consistency check on ``is_alternal``; a brute-force
+enumeration of garit's block factorizations, which slices the word at
+every choice of nondecreasing cut points and shares no code with
+``garit_at``'s walk, and on it the former twisted-action sum, which builds
+each block factorization's factor from scratch where ``garit_at`` now
+shares it between the factorizations through a block prefix; the former polar
 solutions psi_{2n+1} and psi_{-1} and ``x_AB``, each term a product of
 separately canonicalized powers and reciprocal difference products where
 ``solutions._term`` now builds it by one ``make``; the former checks of
@@ -35,9 +37,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-
+from itertools import combinations_with_replacement
 from math import gcd
 from operator import add
+from typing import Iterator
 
 from mouldcalc.algebra import (
     LinearForm,
@@ -52,7 +55,6 @@ from mouldcalc.flexions import (
     flexion_down,
     flexion_up,
     garit_at,
-    garit_factorizations,
     invgari,
     lazy_expari,
     lazy_gari,
@@ -97,6 +99,7 @@ __all__ = [
     "count_products",
     "opaque_sang_expansion",
     "prove_sang_expansion",
+    "garit_factorizations",
     "garit_at_per_factorization",
     "x_AB_via_products",
     "psi_odd_via_products",
@@ -371,6 +374,24 @@ def prove_sang_expansion(top: int) -> None:
     got, want = opaque_sang_expansion(top)
     assert got == want
     assert all(not c.is_zero() for c in got[1:])
+
+
+def garit_factorizations(w) -> Iterator[tuple[tuple[tuple, tuple, tuple], ...]]:
+    """All block factorizations w = a_1 b_1 c_1 ... a_s b_s c_s, each
+    exactly once, by brute force: for each s, every 3s - 1 nondecreasing cut
+    points in 0..n slice w into 3s blocks, and a slicing is kept when every
+    b_i is nonempty and every c_i a_{i+1} is nonempty (a_1 and c_s may be
+    empty)."""
+    n = len(w)
+    for s in range(1, n + 1):
+        for cuts in combinations_with_replacement(range(n + 1), 3 * s - 1):
+            ends = (0, *cuts, n)
+            parts = [w[p:q] for p, q in zip(ends, ends[1:])]
+            blocks = tuple(tuple(parts[3 * i : 3 * i + 3]) for i in range(s))
+            if all(b for _, b, _ in blocks) and all(
+                c or a for (_, _, c), (a, _, _) in zip(blocks, blocks[1:])
+            ):
+                yield blocks
 
 
 def garit_at_per_factorization(w, s_eval, t_eval, tinv_eval) -> RationalFunction:

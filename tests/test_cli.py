@@ -11,12 +11,21 @@ from pathlib import Path
 
 import pytest
 
+from mouldcalc import solutions, verify
+from mouldcalc.algebra import Polynomial, RationalFunction
 from mouldcalc.cli import MAX_DEPTH, TARGETS, build_target, main, render_mould
 from mouldcalc.flexions import adari, invgari, lazy_adari, lazy_leng
 from mouldcalc.moulds import _materialize, mould_from_json, mould_to_json
-from mouldcalc.solutions import COMPARISON_MAX_N, PSI_ODD_MAX_N
+from mouldcalc.solutions import (
+    COMPARISON_MAX_N,
+    FAMILY_MAX_N,
+    PSI_ODD_MAX_N,
+    PSI_ODD_MOULD_MAX_N,
+)
 from mouldcalc.special import lazy_sang, pal, sa
 from mouldcalc.verify import CLAIM_MAX_DEPTH, run_claim
+
+from helpers import with_component
 
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -209,6 +218,64 @@ def test_invalid_parameter_exits_2_with_one_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _no_work(*args):
+    raise AssertionError("work before the gate")
+
+
+@pytest.mark.parametrize("depth", sorted(PSI_ODD_MOULD_MAX_N))
+def test_compute_psi_above_its_n_limit_is_refused_before_any_work(monkeypatch, capsys, depth):
+    monkeypatch.setattr(solutions, "psi_odd", _no_work)
+    limit = PSI_ODD_MOULD_MAX_N[depth]
+    k = 2 * (limit + 1) + 1
+    message = f"error: psi_{k} n {limit + 1} exceeds the maximum {limit} at depth {depth}\n"
+    assert run(capsys, "compute", f"psi:{k}", "--depth", str(depth)) == (2, "", message)
+    with pytest.raises(AssertionError, match="work before the gate"):
+        solutions.psi_odd_mould(limit, depth)
+
+
+def test_psi_mould_above_the_limits_depth_is_refused_before_any_work(monkeypatch):
+    # the command line's MAX_DEPTH refuses depth 9 first; the library refuses too
+    monkeypatch.setattr(solutions, "psi_odd", _no_work)
+    depth = max(PSI_ODD_MOULD_MAX_N) + 1
+    with pytest.raises(ValueError, match=f"^psi_3 depth {depth} exceeds the maximum {depth - 1}$"):
+        solutions.psi_odd_mould(1, depth)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_MAX_N))
+def test_compute_family_above_its_n_limit_is_refused_before_any_work(monkeypatch, capsys, family):
+    monkeypatch.setattr(solutions, "sa", _no_work)
+    monkeypatch.setattr(solutions, "_slang_sa", _no_work)
+    limit = FAMILY_MAX_N[family]
+    message = f"error: {family} n {limit + 1} exceeds the maximum {limit}\n"
+    assert run(capsys, "compute", f"{family}:{limit + 1}", "--depth", "3") == (2, "", message)
+    with pytest.raises(AssertionError, match="work before the gate"):
+        getattr(solutions, family)(limit)
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("sa:x", "S in sa:S must be an integer, got 'x'"),
+        ("psi:4", "psi index must be -1 or an odd integer >= 3"),
+    ],
+)
+def test_malformed_compute_target_exits_2_with_its_message(capsys, target, message):
+    assert run(capsys, "compute", target) == (2, "", f"error: {message}\n")
+
+
+def test_failing_symmetry_claim_carries_its_residual_and_witness(monkeypatch, capsys):
+    # pal's depth-2 component plus x1 is not symmetral: the shuffle sum of
+    # the cell p = q = 1 leaves x1 + x2
+    x1 = RationalFunction.make(1, Polynomial.variable(1))
+    monkeypatch.setattr(verify, "pal", lambda depth: with_component(pal(depth), 2, lambda c: c + x1))
+    code, out, _ = run(capsys, "verify", "pal-symmetral", "--depth", "2")
+    assert code == 1
+    shuffle_sums, dimould = json.loads(out)["checks"]
+    assert shuffle_sums["status"] == dimould["status"] == "fail"
+    assert shuffle_sums["residual"] == "(x1 + x2)"
+    assert (shuffle_sums["witness"]["p"], shuffle_sums["witness"]["q"]) == (1, 1)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -288,6 +355,19 @@ def test_render_parse_error_with_location(tmp_path, capsys):
     code, _, err = run(capsys, "render", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+def test_render_unreadable_path_exits_2_with_one_line(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    message = f"error: cannot read {path!r}: [Errno 2] No such file or directory: {path!r}\n"
+    assert run(capsys, "render", path) == (2, "", message)
+
+
+def test_render_component_count_off_its_depth_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**mould_to_json(pal(1)), "depth": 2}))
+    message = f"error: invalid mould file {str(path)!r}: component count does not match depth\n"
+    assert run(capsys, "render", str(path)) == (2, "", message)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

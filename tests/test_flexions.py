@@ -23,7 +23,6 @@ from mouldcalc.flexions import (
     gari,
     garit,
     garit_at,
-    garit_factorizations,
     invgari,
     lazy_adari,
     lazy_ari,
@@ -61,6 +60,7 @@ from helpers import (
     expari_via_materialized_chain,
     gari_via_shift_mu,
     garit_at_per_factorization,
+    garit_factorizations,
     mu_inverse_via_shift,
     random_ari_mould,
     random_gari_mould,
@@ -148,6 +148,25 @@ def test_garit_at_matches_the_per_factorization_sum(depth):
     got = garit_at(w, *evals)
     assert got == garit_at_per_factorization(w, *evals)
     assert not got.is_zero()
+
+
+@pytest.mark.parametrize("n, fib_2n", zip(range(1, 7), (1, 3, 8, 21, 55, 144)))
+def test_garit_factorizations_number_f_2n(n, fib_2n):
+    # a word of n letters has F(2n) block factorizations: the brute-force
+    # enumeration finds each once, and garit_at, whose opaque factors never
+    # vanish, reads S once per factorization
+    w = canonical_word(n)
+    found = list(garit_factorizations(w))
+    assert len(found) == len(set(found)) == fib_2n
+    S, T, Tinv = _opaque_group("S", "T", "Ti", depth=n)
+    reads = []
+
+    def s_eval(v):
+        reads.append(v)
+        return S.eval_word(v)
+
+    garit_at(w, s_eval, T.eval_word, Tinv.eval_word)
+    assert len(reads) == fib_2n
 
 
 def _block_prefix_products(w) -> int:
