@@ -23,16 +23,10 @@ every claim with the flags it takes.
 The default ``compute`` depth is 4, overridable with --depth; the families
 xi, sigma_c, luma and D are defined below depth 4, so they stop at depth 3.
 ``verify`` uses each claim's own defaults.  Depths and ``verify --dmax``
-below 1 are refused, and so are those above the claim's own limit in
-``verify.CLAIM_MAX_DEPTH`` (psi-odd dmax 7, psi-minus1 dmax 8,
-pal-symmetral depth 10, dupal-alternal depth 16, sang-expansion depth 7)
-or, for compute targets and the other claims, above MAX_DEPTH.  So are
-parameters a target or claim rejects (a ValueError from the library: among
-them the singulator targets above depth 7 and an n above the psi-odd and
-comparison limits, whose cost the library bounds; ``psi:K`` at depth d
-refuses n = (K - 1)/2 above ``solutions.PSI_ODD_MOULD_MAX_N[d]`` (the
-psi-odd limits, and 2 at depth 8), and ``xi:N``, ``sigma_c:N`` and
-``luma:N`` an N above ``solutions.FAMILY_MAX_N``: 242, 84 and 69),
+below 1 are refused, and so are those above their limit in
+``limits.LIMITS``: the compute depth's, or the limit of what the claim runs.
+So are parameters a target or claim rejects (a ValueError from the
+library: among them a depth or an n above a cost limit of the library's),
 targets and claims whose total degree outgrows the kernel's exponent field,
 ``--out`` paths that cannot be written, and claims that would run no check
 or would pass vacuously (``pal-symmetral`` and ``dupal-alternal`` at depth
@@ -49,14 +43,17 @@ import sys
 from typing import Callable, Sequence
 
 from .algebra import ExponentOverflowError, rf_latex, rf_str
+from .limits import gate
 from .moulds import Mould, dur, mould_from_json, mould_to_json
 from .solutions import D_ab, luma, psi_minus1_mould, psi_odd_mould, sigma_c, xi
 from .special import dupal, mupaj, paj, pal, sa, sang, slang
-from .verify import CLAIM_MAX_DEPTH, CLAIMS, run_claim
+from .verify import CLAIMS, run_claim
 
-MAX_DEPTH = 8
+__all__ = ["main", "build_target", "render_mould", "TARGETS"]
 
-__all__ = ["main", "build_target", "render_mould", "MAX_DEPTH", "TARGETS"]
+# The limit of each claim's --dmax or --depth: the singulator's for the
+# claims that run it, and otherwise the claim's own.
+_CLAIM_LIMITS = {"psi-odd": ("singulator", "depth"), "sang-expansion": ("singulator", "depth")}
 
 
 class UsageError(Exception):
@@ -70,11 +67,12 @@ def _parse_int(token: str, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {token!r}")
 
 
-def _check_depth(depth: int, what: str, limit: int = MAX_DEPTH) -> None:
+def _check_depth(depth: int, what: str, entry: tuple[str, str]) -> None:
+    """Refuse a depth below 1 with UsageError and one above the limit of
+    ``entry`` with ValueError."""
     if depth < 1:
         raise UsageError(f"{what} must be at least 1")
-    if depth > limit:
-        raise UsageError(f"{what} {depth} exceeds the configured maximum {limit}")
+    gate(entry, depth, flag=what)
 
 
 def _psi_target(depth: int, k: int) -> Mould:
@@ -161,8 +159,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_compute(target: str, depth: int, format: str, out: str | None) -> int:
-    _check_depth(depth, "depth")
     try:
+        _check_depth(depth, "depth", ("compute", "depth"))
         M = build_target(target, depth)
     except (ValueError, ExponentOverflowError) as exc:
         raise UsageError(str(exc))
@@ -188,10 +186,10 @@ def _cmd_verify(claim: str, out: str | None, **given: int | None) -> int:
         if key not in takes:
             flags = ", ".join(f"--{name}" for name in takes) or "no flags"
             raise UsageError(f"claim {claim!r} takes no --{key} (it takes {flags})")
-    for key in ("dmax", "depth"):
-        if key in params:
-            _check_depth(params[key], f"--{key}", CLAIM_MAX_DEPTH.get(claim, MAX_DEPTH))
     try:
+        for key in ("dmax", "depth"):
+            if key in params:
+                _check_depth(params[key], f"--{key}", _CLAIM_LIMITS.get(claim, (claim, key)))
         report = run_claim(claim, **params)
     except (ValueError, ExponentOverflowError) as exc:
         raise UsageError(str(exc))

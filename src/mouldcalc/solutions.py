@@ -10,14 +10,11 @@ numerator forms over a product of blocks x_{A,B} = prod_{a in A, b in B}
 ``x_AB`` is its one-block case.  Verifier routines check, as exact symbolic
 identities:
 
-* sharp(psi_{2n+1}) equals the singulator value sang(sa_{2n+1}), up to
-  the singulator's depth limit ``special.SANG_MAX_DEPTH`` and for n up to
-  ``PSI_ODD_MAX_N[dmax]``;
-* sharp(psi_{-1}) equals mu-log(paj) divided by x_1 + ... + x_d, up to
-  ``PSI_MINUS1_MAX_DMAX`` = 8;
+* sharp(psi_{2n+1}) equals the singulator value sang(sa_{2n+1});
+* sharp(psi_{-1}) equals mu-log(paj) divided by x_1 + ... + x_d;
 * xi_{2n+1} agrees with slang_1(sa_{2n+1}) below depth 4, sigma^c - luma
   is the Bernoulli-weighted sum of the D_{a,b}, and each D_{a,b}^(3) is a
-  polynomial, for n up to ``COMPARISON_MAX_N``.
+  polynomial.
 
 The families are concrete moulds, built by the eager operators, which take
 any mould and return a concrete one.  The slices slang_r(sa_s) that they
@@ -41,19 +38,11 @@ surface with their residuals.  Every check of these verifiers goes through
 ``_check``: it passes when its residual is zero, and a failing check
 carries the residual as text and as JSON.  ``_compare`` makes one check per
 depth from two moulds; "D_{a,b}^(3) is a polynomial" has residual 0 when it
-is one and D_{a,b}^(3) when it is not.  A depth or an n beyond a limit is
-refused with ValueError before any work.  Each n limit admits the largest n
-measured to verify within 60 s, a tenth of the 600 s in which the depths
-that the depth limits refuse did not finish (the CLI on a 2-vCPU x86-64
-host with Python 3.11.7, single runs, about +-15 %).  The psi-odd limits
-also bound memory: each admitted n verifies within 1 GB of peak RSS, the
-memory the CI proofs job budgets, which binds at dmax 3 to 5 (peak RSS read
-with ``resource.getrusage(RUSAGE_CHILDREN)`` around one CLI run).  The
-builders the compute targets call refuse, by the same 60 s and 1 GB rule,
-before any work: ``psi_odd_mould`` an n above ``PSI_ODD_MOULD_MAX_N[depth]``,
-the psi-odd limits plus one of its own at depth 8, and every depth above 8;
-``xi``, ``sigma_c`` and ``luma`` an n above ``FAMILY_MAX_N``, measured for
-each family alone.
+is one and D_{a,b}^(3) when it is not; a verifier left with no check to
+make is refused, not passed.  The verifiers and the builders the compute
+targets call (``psi_odd_mould``, ``xi``, ``sigma_c``, ``luma``) refuse a
+depth or an n above its cost limit in ``limits.LIMITS`` with ValueError
+before any work.
 """
 
 from __future__ import annotations
@@ -73,6 +62,7 @@ from .algebra import (
     rf_to_json,
 )
 from .flexions import ari
+from .limits import gate
 from .moulds import Mould, _letter_sum, _sharp_word, lazy_mu_log, unsharp_word
 from .special import _sang_expansion, bernoulli, paj, sa, slang, s_prime
 
@@ -93,48 +83,10 @@ __all__ = [
     "verify_comparison_theorem",
 ]
 
-# verify psi-minus1 --dmax 8 took 37 to 53 s with 204 to 239 MB; --dmax 9 did
-# not finish in 75 s
-PSI_MINUS1_MAX_DMAX = 8
-
-# The largest n that verify psi-odd admits at each dmax: the largest that
-# verified within 60 s and within 1 GB (1024 MB) of peak RSS.  Measured
-# (peak RSS, MB = 2**20 bytes):
-#   dmax 7: n = 23 took 58 s (310 MB), n = 24 did not finish in 60 s
-#   dmax 6: n = 155 took 51 to 55 s (822 MB), n = 163 did not finish in 60 s
-#   dmax 5: n = 416 took 41 s (1019 MB), n = 417 peaked at 1024.4 MB
-#   dmax 4: n = 785 took 27 s (1010 MB), n = 791 peaked at 1028 MB
-#   dmax 3: n = 1209 took 20 to 27 s (1021 MB), n = 1219 peaked at 1043 MB
-#   dmax 2: n = 3225 took 59 s (46 MB), n = 3337 did not finish in 60 s
-#   dmax 1: n = 32767 took under 1 s; above it sa_{2n+1}'s degree 2n
-#   outgrows the kernel's exponent field
-PSI_ODD_MAX_N = {1: 32767, 2: 3225, 3: 1209, 4: 785, 5: 416, 6: 155, 7: 23}
-
-# The largest n that psi_odd_mould, and so compute psi:K, admits at each
-# depth: PSI_ODD_MAX_N's, and at depth 8, where no psi-odd claim runs (the
-# singulator stops at depth 7) and so no verifier reads it, the largest n
-# that one ``compute psi:K --depth 8`` finished within 60 s and 1 GB: n = 2
-# took 43 s (264 MB), n = 3 did not finish in 60 s.
-PSI_ODD_MOULD_MAX_N = {**PSI_ODD_MAX_N, 8: 2}
-
-# The largest n that verify comparison admits.  Measured: n = 32 took 10 s,
-# n = 48 38 s, n = 56 68 s.
-COMPARISON_MAX_N = 48
-
-# The largest n that each polynomial family, and so compute xi:N, sigma_c:N
-# and luma:N, admits: the largest that one ``compute <family>:N --depth 3``
-# finished within 60 s and 1 GB (each run under 240 MB).  Measured:
-#   xi: n = 242 took 48 s (n = 231 to 238 55 to 56 s), n = 246 did not finish
-#   sigma_c: n = 84 took 53 s, n = 85 did not finish in 60 s
-#   luma: n = 69 took 58 s, n = 70 did not finish in 60 s
-FAMILY_MAX_N = {"xi": 242, "sigma_c": 84, "luma": 69}
-
-
-def _require_n(n: int, what: str, limit: int) -> None:
+def _require_n(n: int, what: str) -> None:
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > limit:
-        raise ValueError(f"{what} n {n} exceeds the maximum {limit}")
+    gate((what, "n"), n)
 
 
 def _x(i: int) -> LinearForm:
@@ -233,14 +185,8 @@ def _mould_of(component: Callable[[int], RationalFunction], depth: int) -> Mould
 
 def psi_odd_mould(n: int, depth: int) -> Mould:
     """Components psi_{2n+1}^{(d)} for 1 <= d <= depth (0 at depth 0); a
-    depth above the table or an n above ``PSI_ODD_MOULD_MAX_N[depth]`` is
-    refused before any work."""
-    top = max(PSI_ODD_MOULD_MAX_N)
-    if depth > top:
-        raise ValueError(f"psi_{2 * n + 1} depth {depth} exceeds the maximum {top}")
-    limit = PSI_ODD_MOULD_MAX_N.get(depth)
-    if limit is not None and n > limit:
-        raise ValueError(f"psi_{2 * n + 1} n {n} exceeds the maximum {limit} at depth {depth}")
+    depth or an n above psi's limits is refused before any work."""
+    gate(("psi", "n"), n, f"psi_{2 * n + 1}", ("depth", depth))
     return _mould_of(lambda d: psi_odd(n, d), depth)
 
 
@@ -264,7 +210,7 @@ def xi_prime(S: Mould) -> Mould:
 
 def xi(n: int) -> Mould:
     """xi_{2n+1} = xi'(sa_{2n+1}) below depth 4."""
-    _require_n(n, "xi", FAMILY_MAX_N["xi"])
+    _require_n(n, "xi")
     return xi_prime(sa(2 * n + 1, 3))
 
 
@@ -306,7 +252,7 @@ def sigma_c(n: int, correction_scale: Fraction | int = 1) -> Mould:
     ``correction_scale`` rescales the Bernoulli-weighted sum; it exists so
     negative-control tests can flip the coefficient's sign.
     """
-    _require_n(n, "sigma_c", FAMILY_MAX_N["sigma_c"])
+    _require_n(n, "sigma_c")
     total = xi(n)
     for a, b in _correction_pairs(n):
         coeff = _weight(n, a) / (24 * b) * Fraction(correction_scale)
@@ -318,7 +264,7 @@ def luma(n: int) -> Mould:
     """Flexion-side polynomial solution below depth 4:
     slang_1(sa_{2n+1}) - (1/12) sum_{a+b=n} (B_2a B_2b / B_2n) C(2n, 2a)
     ari(slang_1(sa_{2a+1}), slang_2(sa_{2b}))."""
-    _require_n(n, "luma", FAMILY_MAX_N["luma"])
+    _require_n(n, "luma")
     total = _slang_sa(1, 2 * n + 1)
     for a, b in _correction_pairs(n):
         total = total + _ari_slang(a, b) * (_weight(n, a) * Fraction(-1, 12))
@@ -357,6 +303,10 @@ def _compare(
 
 
 def _wrap(claim: str, checks: list[dict]) -> dict:
+    """The report of ``claim``; one with no checks is refused with
+    ValueError rather than reported as a vacuous pass."""
+    if not checks:
+        raise ValueError(f"claim {claim!r} has no checks to run")
     return {
         "claim": claim,
         "status": "pass" if all(c["status"] == "pass" for c in checks) else "fail",
@@ -396,9 +346,8 @@ def verify_psi_odd_theorem(
     ``psi_components`` may be overridden (negative controls inject mutated
     components here).
     """
-    limit = PSI_ODD_MAX_N.get(dmax)
-    if limit is not None and n > limit:
-        raise ValueError(f"psi-odd n {n} exceeds the maximum {limit} at dmax {dmax}")
+    gate(("singulator", "depth"), dmax)
+    gate(("psi", "n"), n, "psi-odd", ("dmax", dmax))
     checks = _sharp_checks(
         lambda d: f"sharp(psi_{2*n+1})^({d}) == sang(sa_{2*n+1})^({d})",
         lambda d: psi_components(n, d),
@@ -415,8 +364,7 @@ def verify_psi_minus1_theorem(
     """Check sharp(psi_{-1})^{(d)} = mu_log(paj)^{(d)} / (x_1+...+x_d),
     with mu_log(paj) read at ``unsharp_word(d)`` and divided by the sum of
     its letters, x_d (``_sharp_checks``)."""
-    if dmax > PSI_MINUS1_MAX_DMAX:
-        raise ValueError(f"psi-minus1 dmax {dmax} exceeds the maximum {PSI_MINUS1_MAX_DMAX}")
+    gate(("psi-minus1", "dmax"), dmax)
     log = lazy_mu_log(paj(dmax))
     checks = _sharp_checks(
         lambda d: f"sharp(psi_-1)^({d}) == mu_log(paj)^({d})/(x_1+..+x_{d})",
@@ -436,7 +384,7 @@ def verify_comparison_theorem(n: int, sigma: Mould | None = None) -> dict:
     (iii) each D_{a,b}^(3) in the sum is a polynomial (and depths 1, 2
     vanish); a failing polynomial check carries D_{a,b}^(3) as residual.
     """
-    _require_n(n, "comparison", COMPARISON_MAX_N)
+    _require_n(n, "comparison")
     checks = _compare(
         lambda m: f"xi_{2*n+1}^({m}) == slang_1(sa_{2*n+1})^({m})",
         xi(n),

@@ -18,17 +18,15 @@ inverse is pal, so neither conjugation solves anything more.
 ``sang_expanded``, built one word at a time as it is read, for concrete
 depth-1-supported input, and ``lazy_sang``, the expansion's oracle, on any
 other input.  On an opaque depth-1-supported mould the two agree at every
-depth up to ``SANG_MAX_DEPTH``, so the expansion holds for every such input
+depth the singulator admits, so the expansion holds for every such input
 (``proofs/test_singulator_expansion.py``; tier-1 proves depth 5).  The
 expansion's builder, ``_sang_expanded_at``, takes a word, and every route
 builds it at the word it reads: the lazy mould memoizes each word's value,
 and the psi-odd verifier builds its own words unmemoized, which keeps its
 peak memory at large n within the limits it is measured by.  Every route
-refuses a depth above ``SANG_MAX_DEPTH`` with ValueError before any work,
-in the two builders all routes go through, ``lazy_sang`` and
-``_sang_expansion``: ``compute sang:sa:3 --depth 7`` takes about 8 s and
-94 MB, and the compositional singulator does not finish in 600 s at depth
-8.
+refuses a depth above the singulator's limit (``limits.LIMITS``) with
+ValueError before any work, in the two builders all routes go through,
+``lazy_sang`` and ``_sang_expansion``.
 """
 
 from __future__ import annotations
@@ -60,6 +58,7 @@ from .moulds import (
     mu_at,
     sum_form,
 )
+from .limits import gate
 
 __all__ = [
     "bernoulli",
@@ -77,9 +76,6 @@ __all__ = [
     "lazy_slang",
     "UnsupportedInputError",
 ]
-
-SANG_MAX_DEPTH = 7
-
 
 class UnsupportedInputError(ValueError):
     """The expanded singulator formula needs depth-1-supported input."""
@@ -211,15 +207,10 @@ def s_prime(depth: int = 3) -> Mould:
     return Mould(comps)
 
 
-def _require_singulator_depth(d: int) -> None:
-    if d > SANG_MAX_DEPTH:
-        raise ValueError(f"singulator depth {d} exceeds the maximum {SANG_MAX_DEPTH}")
-
-
 def lazy_sang(M) -> LazyMould:
     """Singulator (1/2)(id + neg . adari(paj)) (mupaj x M x paj), lazily."""
     d = M.depth
-    _require_singulator_depth(d)
+    gate(("singulator", "depth"), d)
     B = lazy_mu(lazy_mu(mupaj(d), M), paj(d))
     C = lazy_neg(lazy_adari(paj(d))(B))
     half = Fraction(1, 2)
@@ -282,9 +273,9 @@ def _is_depth1_supported(M) -> bool:
 
 def _sang_expansion(M):
     """w -> the four-sum expansion of sang(M) built at the word w, for a
-    depth-1-supported M; refuses a depth above ``SANG_MAX_DEPTH`` or other
+    depth-1-supported M; refuses a depth above the singulator's limit or other
     input before any work."""
-    _require_singulator_depth(M.depth)
+    gate(("singulator", "depth"), M.depth)
     if not _is_depth1_supported(M):
         raise UnsupportedInputError(
             "expanded singulator needs a depth-1-supported mould"

@@ -63,8 +63,8 @@ from .flexions import (
 )
 from .generic import OpaqueMould, SymbolRegistry
 from .moulds import Mould, _materialize, canonical_word
+from .limits import gate
 from .solutions import (
-    PSI_MINUS1_MAX_DMAX,
     _check,
     _compare,
     _wrap,
@@ -72,7 +72,7 @@ from .solutions import (
     verify_psi_minus1_theorem,
     verify_psi_odd_theorem,
 )
-from .special import SANG_MAX_DEPTH, dupal, lazy_sang, lazy_slang, pal, sa, sang_expanded
+from .special import dupal, lazy_sang, lazy_slang, pal, sa, sang_expanded
 from .symmetry import (
     _require_shuffle_sums,
     is_alternal,
@@ -84,7 +84,6 @@ from .symmetry import (
 __all__ = [
     "run_claim",
     "CLAIMS",
-    "CLAIM_MAX_DEPTH",
     "expansion_checks",
     "generic_expansion_checks",
     "random_expansion_checks",
@@ -382,33 +381,13 @@ def random_expansion_checks(seed: int = 2024, rounds: int = 2) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-# The largest depth or dmax of each claim that has a limit of its own: the
-# largest that verified through the CLI within 60 s and 1 GB (1024 MB) of
-# peak RSS.  Measured (single runs, peak RSS in MB = 2**20 bytes):
-#   pal-symmetral: depth 10 took 13 s (240 MB), depth 11 did not
-#   finish in 75 s (888 MB)
-#   dupal-alternal: depth 14 took 3.1 to 4.6 s (88 MB), depth 16 19 to 20 s
-#   (351 MB); 16 is also algebra._K, the last slot variable below the table
-#   psi-minus1: solutions.PSI_MINUS1_MAX_DMAX
-#   psi-odd and sang-expansion: special.SANG_MAX_DEPTH, which the
-#   singulator enforces on every route
-CLAIM_MAX_DEPTH = {
-    "psi-odd": SANG_MAX_DEPTH,
-    "psi-minus1": PSI_MINUS1_MAX_DMAX,
-    "pal-symmetral": 10,
-    "dupal-alternal": 16,
-    "sang-expansion": SANG_MAX_DEPTH,
-}
-
-
 def _symmetry_claim(name: str, build, decide, cross_check, depth: int) -> dict:
     """Claim ``name`` on ``build(depth)``: the shuffle-sum decision
     ``decide``, whose failing check carries the residual and the witness,
     and the dimould characterization ``cross_check`` up to depth 4.  A depth
-    above the claim's ``CLAIM_MAX_DEPTH`` is refused before any work."""
+    above the claim's own limit is refused before any work."""
     _require_shuffle_sums(f"claim {name!r}", depth)
-    if depth > CLAIM_MAX_DEPTH[name]:
-        raise ValueError(f"claim {name!r} depth {depth} exceeds the maximum {CLAIM_MAX_DEPTH[name]}")
+    gate((name, "depth"), depth, f"claim {name!r}")
     M = build(depth)
     claim = f"{name.replace('-', ' ')} to depth {depth}"
     report = decide(M)
@@ -475,11 +454,6 @@ CLAIMS: dict[str, Callable[..., dict]] = {
 
 
 def run_claim(name: str, **params) -> dict:
-    """Run a named claim; a claim whose parameters leave it no check to run
-    is refused with ValueError rather than reported as a vacuous pass."""
-    if name not in CLAIMS:
-        raise KeyError(name)
-    report = CLAIMS[name](**params)
-    if not report["checks"]:
-        raise ValueError(f"claim {name!r} has no checks to run with {params}")
-    return report
+    """Run a named claim (KeyError if there is none); one left with no
+    check to run is refused with ValueError (``solutions._wrap``)."""
+    return CLAIMS[name](**params)

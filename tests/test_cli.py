@@ -2,28 +2,25 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-from mouldcalc import solutions, verify
+from mouldcalc import cli, limits, solutions, special, verify
 from mouldcalc.algebra import Polynomial, RationalFunction
-from mouldcalc.cli import MAX_DEPTH, TARGETS, build_target, main, render_mould
+from mouldcalc.cli import TARGETS, build_target, main, render_mould
 from mouldcalc.flexions import adari, invgari, lazy_adari, lazy_leng
+from mouldcalc.limits import LIMITS
 from mouldcalc.moulds import _materialize, mould_from_json, mould_to_json
-from mouldcalc.solutions import (
-    COMPARISON_MAX_N,
-    FAMILY_MAX_N,
-    PSI_ODD_MAX_N,
-    PSI_ODD_MOULD_MAX_N,
-)
 from mouldcalc.special import lazy_sang, pal, sa
-from mouldcalc.verify import CLAIM_MAX_DEPTH, run_claim
+from mouldcalc.verify import run_claim
 
 from helpers import with_component
 
@@ -102,7 +99,7 @@ def test_unknown_target_exits_2(capsys):
 
 
 def test_depth_cap(capsys):
-    code, _, err = run(capsys, "compute", "paj", "--depth", str(MAX_DEPTH + 1))
+    code, _, err = run(capsys, "compute", "paj", "--depth", str(LIMITS["compute", "depth"] + 1))
     assert code == 2
     assert "exceeds" in err
 
@@ -112,7 +109,7 @@ def test_depth_cap(capsys):
     [
         ("verify", "psi-odd", "--n", "1", "--dmax", "8"),
         ("verify", "sang-expansion", "--depth", "8"),
-        ("verify", "psi-minus1", "--dmax", "9"),  # admits 8; MAX_DEPTH refuses 9
+        ("verify", "psi-minus1", "--dmax", "9"),  # admits 8
         ("compute", "sang:sa:3", "--depth", "8"),
         ("compute", "slang:1:sa:3", "--depth", "8"),
     ],
@@ -131,9 +128,9 @@ def test_depth_8_is_refused_before_any_work(argv):
 def test_the_first_depth_above_a_claims_own_limit_is_refused_before_any_work(claim):
     # pal-symmetral at depth 11 did not finish in 75 s, dupal-alternal at
     # depth 17 would need a slot variable beyond the kernel's table, and the
-    # singulator claims stop at special.SANG_MAX_DEPTH, below cli.MAX_DEPTH
+    # singulator claims stop at the singulator's depth, below the compute depth
     key = "dmax" if claim == "psi-odd" else "depth"
-    limit = CLAIM_MAX_DEPTH[claim]
+    limit = LIMITS[cli._CLAIM_LIMITS.get(claim, (claim, key))]
     done = run_process("verify", claim, f"--{key}", str(limit + 1), capture_output=True)
     assert done.returncode == 2
     assert done.stdout == ""
@@ -206,9 +203,9 @@ def test_verify_pass_exit_zero(capsys):
         ("verify", "comparison", "--n", "40000"),
         ("verify", "pal-symmetral", "--depth", "1"),  # no shuffle sum below depth 2
         ("verify", "dupal-alternal", "--depth", "1"),
-        ("verify", "psi-odd", "--n", str(PSI_ODD_MAX_N[3] + 1)),  # default dmax 3
-        ("verify", "psi-odd", "--n", str(PSI_ODD_MAX_N[7] + 1), "--dmax", "7"),
-        ("verify", "comparison", "--n", str(COMPARISON_MAX_N + 1)),
+        ("verify", "psi-odd", "--n", str(LIMITS["psi", "n"][3] + 1)),  # default dmax 3
+        ("verify", "psi-odd", "--n", str(LIMITS["psi", "n"][7] + 1), "--dmax", "7"),
+        ("verify", "comparison", "--n", str(LIMITS["comparison", "n"] + 1)),
     ],
 )
 def test_invalid_parameter_exits_2_with_one_line(capsys, argv):
@@ -222,10 +219,54 @@ def _no_work(*args):
     raise AssertionError("work before the gate")
 
 
-@pytest.mark.parametrize("depth", sorted(PSI_ODD_MOULD_MAX_N))
+@cache
+def _limits_script():
+    spec = importlib.util.spec_from_file_location("limits_script", _ROOT / "scripts" / "limits.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_limits_script_has_a_command_for_every_entry():
+    assert set(_limits_script().COMMANDS) == set(LIMITS)
+
+
+# The first work that each entry's command in scripts/limits.py does once its
+# gate has admitted it.
+_WORK = {
+    ("compute", "depth"): (solutions, "psi_minus1"),
+    ("singulator", "depth"): (special, "_sang_expanded_at"),
+    ("psi-minus1", "dmax"): (solutions, "paj"),
+    ("pal-symmetral", "depth"): (verify, "pal"),
+    ("dupal-alternal", "depth"): (verify, "dupal"),
+    ("psi", "n"): (solutions, "sa"),
+    ("comparison", "n"): (solutions, "xi"),
+    ("xi", "n"): (solutions, "sa"),
+    ("sigma_c", "n"): (solutions, "sa"),
+    ("luma", "n"): (solutions, "_slang_sa"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LIMITS), ids=".".join)
+def test_each_limit_refuses_one_more_before_any_work(monkeypatch, capsys, entry):
+    # the two runs scripts/limits.py measures: one above the limit is
+    # refused before any work, and the limit is admitted, as is one above it
+    # with that entry alone lifted
+    monkeypatch.setattr(*_WORK[entry], _no_work)
+    (at_limit, _), (above, lifted) = _limits_script().runs(entry)
+    code, out, err = run(capsys, *above)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: \S+( \S+)? \d+ exceeds the (configured )?maximum \d+( at \w+ \d+)?\n", err)
+    for argv, table in ((at_limit, LIMITS), (above, {**LIMITS, **lifted})):
+        monkeypatch.setattr(limits, "LIMITS", table)
+        with pytest.raises(AssertionError, match="work before the gate"):
+            main(argv)
+
+
+@pytest.mark.parametrize("depth", sorted(LIMITS["psi", "n"]))
 def test_compute_psi_above_its_n_limit_is_refused_before_any_work(monkeypatch, capsys, depth):
     monkeypatch.setattr(solutions, "psi_odd", _no_work)
-    limit = PSI_ODD_MOULD_MAX_N[depth]
+    limit = LIMITS["psi", "n"][depth]
     k = 2 * (limit + 1) + 1
     message = f"error: psi_{k} n {limit + 1} exceeds the maximum {limit} at depth {depth}\n"
     assert run(capsys, "compute", f"psi:{k}", "--depth", str(depth)) == (2, "", message)
@@ -234,18 +275,18 @@ def test_compute_psi_above_its_n_limit_is_refused_before_any_work(monkeypatch, c
 
 
 def test_psi_mould_above_the_limits_depth_is_refused_before_any_work(monkeypatch):
-    # the command line's MAX_DEPTH refuses depth 9 first; the library refuses too
+    # the command line's compute depth refuses depth 9 first; the library refuses too
     monkeypatch.setattr(solutions, "psi_odd", _no_work)
-    depth = max(PSI_ODD_MOULD_MAX_N) + 1
+    depth = max(LIMITS["psi", "n"]) + 1
     with pytest.raises(ValueError, match=f"^psi_3 depth {depth} exceeds the maximum {depth - 1}$"):
         solutions.psi_odd_mould(1, depth)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_MAX_N))
+@pytest.mark.parametrize("family", ["luma", "sigma_c", "xi"])
 def test_compute_family_above_its_n_limit_is_refused_before_any_work(monkeypatch, capsys, family):
     monkeypatch.setattr(solutions, "sa", _no_work)
     monkeypatch.setattr(solutions, "_slang_sa", _no_work)
-    limit = FAMILY_MAX_N[family]
+    limit = LIMITS[family, "n"]
     message = f"error: {family} n {limit + 1} exceeds the maximum {limit}\n"
     assert run(capsys, "compute", f"{family}:{limit + 1}", "--depth", "3") == (2, "", message)
     with pytest.raises(AssertionError, match="work before the gate"):
@@ -281,8 +322,8 @@ def test_failing_symmetry_claim_carries_its_residual_and_witness(monkeypatch, ca
     [
         (("verify", "psi-odd", "--dmax", "0"), "at least 1"),
         (("verify", "pal-symmetral", "--depth", "0"), "at least 1"),
-        (("verify", "psi-minus1", "--dmax", str(MAX_DEPTH + 1)), "exceeds"),
-        (("verify", "pal-symmetral", "--depth", str(CLAIM_MAX_DEPTH["pal-symmetral"] + 1)), "exceeds"),
+        (("verify", "psi-minus1", "--dmax", str(LIMITS["psi-minus1", "dmax"] + 1)), "exceeds"),
+        (("verify", "pal-symmetral", "--depth", str(LIMITS["pal-symmetral", "depth"] + 1)), "exceeds"),
     ],
 )
 def test_verify_depth_bounds_exit_2(capsys, argv, message):

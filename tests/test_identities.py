@@ -125,8 +125,8 @@ def test_sang_expansion_holds_for_every_depth1_mould():
     # on an opaque depth-1-supported S the four-sum form and the
     # compositional singulator agree as canonical forms at each depth up to
     # 5, so the expansion holds for every depth-1-supported mould there;
-    # proofs/test_singulator_expansion.py runs the same proof up to
-    # SANG_MAX_DEPTH, every depth at which sang takes the expansion
+    # proofs/test_singulator_expansion.py runs the same proof up to the
+    # singulator's depth limit, every depth at which sang takes the expansion
     prove_sang_expansion(5)
 
 

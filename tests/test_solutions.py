@@ -27,9 +27,8 @@ from mouldcalc.moulds import (
     unsharp_word,
 )
 from mouldcalc.special import bernoulli, paj, sa, sang_expanded, slang
+from mouldcalc.limits import LIMITS
 from mouldcalc.solutions import (
-    COMPARISON_MAX_N,
-    PSI_ODD_MAX_N,
     D_ab,
     luma,
     psi_minus1,
@@ -364,10 +363,10 @@ def _no_mould(*args, **kwargs):
     raise AssertionError("a mould was built")
 
 
-@pytest.mark.parametrize("dmax", sorted(PSI_ODD_MAX_N))
+@pytest.mark.parametrize("dmax", range(1, LIMITS["singulator", "depth"] + 1))
 def test_psi_odd_refuses_n_above_its_limit_before_any_work(monkeypatch, dmax):
     # the limit itself gets as far as building a mould; one more does not
-    limit = PSI_ODD_MAX_N[dmax]
+    limit = LIMITS["psi", "n"][dmax]
     monkeypatch.setattr(Mould, "__init__", _no_mould)
     with pytest.raises(ValueError, match=f"maximum {limit} at dmax {dmax}$"):
         verify_psi_odd_theorem(limit + 1, dmax)
@@ -377,10 +376,22 @@ def test_psi_odd_refuses_n_above_its_limit_before_any_work(monkeypatch, dmax):
 
 def test_comparison_refuses_n_above_its_limit_before_any_work(monkeypatch):
     monkeypatch.setattr(Mould, "__init__", _no_mould)
-    with pytest.raises(ValueError, match=f"maximum {COMPARISON_MAX_N}$"):
-        verify_comparison_theorem(COMPARISON_MAX_N + 1)
+    limit = LIMITS["comparison", "n"]
+    with pytest.raises(ValueError, match=f"maximum {limit}$"):
+        verify_comparison_theorem(limit + 1)
     with pytest.raises(AssertionError, match="a mould was built"):
-        verify_comparison_theorem(COMPARISON_MAX_N)
+        verify_comparison_theorem(limit)
+
+
+@pytest.mark.parametrize(
+    "verifier",
+    [lambda: verify_psi_odd_theorem(1, 0), lambda: verify_psi_minus1_theorem(0)],
+    ids=["psi-odd", "psi-minus1"],
+)
+def test_a_verifier_with_no_check_to_make_is_refused(verifier):
+    # at dmax 0 there is no depth to check: no vacuous pass
+    with pytest.raises(ValueError, match="no checks"):
+        verifier()
 
 
 # ---------------------------------------------------------------------------

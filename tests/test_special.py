@@ -16,6 +16,7 @@ from mouldcalc.algebra import (
 )
 from mouldcalc.flexions import adari, invgari
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
+from mouldcalc.limits import LIMITS
 from mouldcalc.moulds import Mould, _materialize, canonical_word, mu, mu_inverse
 from mouldcalc.special import (
     UnsupportedInputError,
@@ -315,7 +316,7 @@ def test_sang_takes_the_expansion_at_every_admitted_depth(monkeypatch):
     calls = _count_lazy_sang(monkeypatch)
     built = _record_expansion_words(monkeypatch)
     # the expansion is built lazily, so depth 7 costs nothing until read
-    for d in range(1, special.SANG_MAX_DEPTH + 1):
+    for d in range(1, LIMITS["singulator", "depth"] + 1):
         special._singulator(sa(3, d))
     assert built == []
     for d in range(1, 5):
@@ -330,13 +331,13 @@ def test_sang_falls_back_to_lazy_sang_on_opaque_input(monkeypatch):
     # an opaque mould takes lazy_sang even on depth-1 support, with no
     # support probe that would read it, and so number its symbols, first
     calls = _count_lazy_sang(monkeypatch)
-    S = OpaqueMould(SymbolRegistry(), "S", special.SANG_MAX_DEPTH, support=(1,))
+    S = OpaqueMould(SymbolRegistry(), "S", LIMITS["singulator", "depth"], support=(1,))
     special._singulator(S)
-    assert calls == [special.SANG_MAX_DEPTH]
+    assert calls == [LIMITS["singulator", "depth"]]
     A = OpaqueMould(SymbolRegistry(), "A", 2)
     w = canonical_word(2)
     assert special._singulator(A).eval_word(w) == lazy_sang(A).eval_word(w)
-    assert calls == [special.SANG_MAX_DEPTH, 2]
+    assert calls == [LIMITS["singulator", "depth"], 2]
 
 
 def test_a_slice_builds_only_the_expansion_depths_it_reads(monkeypatch):

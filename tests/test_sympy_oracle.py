@@ -6,9 +6,11 @@ and ``import mouldcalc`` must not load it.
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +23,10 @@ NVARS = 3
 
 def test_import_leaves_sympy_out():
     code = "import sys, mouldcalc; print('sympy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.stdout.strip() == "False"
 
