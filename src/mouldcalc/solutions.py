@@ -346,6 +346,8 @@ def verify_psi_odd_theorem(
     ``psi_components`` may be overridden (negative controls inject mutated
     components here).
     """
+    # the singulator's depth first, so that a dmax above it is refused as
+    # every other singulator route refuses it, whatever the n
     gate(("singulator", "depth"), dmax)
     gate(("psi", "n"), n, "psi-odd", ("dmax", dmax))
     checks = _sharp_checks(
