@@ -45,6 +45,7 @@ from .algebra import (
     rf_sum,
 )
 from .flexions import _conjugation, lazy_adari, lazy_invgari
+from .limits import gate
 from .moulds import (
     LazyMould,
     Mould,
@@ -58,7 +59,6 @@ from .moulds import (
     mu_at,
     sum_form,
 )
-from .limits import gate
 
 __all__ = [
     "bernoulli",

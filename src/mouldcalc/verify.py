@@ -62,8 +62,8 @@ from .flexions import (
     lazy_preari,
 )
 from .generic import OpaqueMould, SymbolRegistry
-from .moulds import Mould, _materialize, canonical_word
 from .limits import gate
+from .moulds import Mould, _materialize, canonical_word
 from .solutions import (
     _check,
     _compare,

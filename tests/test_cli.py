@@ -126,9 +126,9 @@ def test_depth_8_is_refused_before_any_work(argv):
 
 @pytest.mark.parametrize("claim", ["pal-symmetral", "dupal-alternal", "psi-odd", "sang-expansion"])
 def test_the_first_depth_above_a_claims_own_limit_is_refused_before_any_work(claim):
-    # pal-symmetral at depth 11 did not finish in 75 s, dupal-alternal at
-    # depth 17 would need a slot variable beyond the kernel's table, and the
-    # singulator claims stop at the singulator's depth, below the compute depth
+    # pal-symmetral at depth 11 did not finish in 75 s, dupal-alternal stops
+    # at the kernel's slot variables, and the singulator claims stop at the
+    # singulator's depth, below the compute depth
     key = "dmax" if claim == "psi-odd" else "depth"
     limit = LIMITS[cli._CLAIM_LIMITS.get(claim, (claim, key))]
     done = run_process("verify", claim, f"--{key}", str(limit + 1), capture_output=True)
