@@ -6,9 +6,11 @@ limit, and at the first refused value, for which the child lifts that one
 entry by rebinding the table in its own process.  Each child is killed
 after 60 s.  Its wall time, its peak RSS (from ``os.wait4`` on that child
 alone; ``ru_maxrss`` is in KiB on Linux) and its exit code go to
-``BENCH_limits.json`` with the git sha and the Python version.  Arguments
-name entries as subject.parameter; with none, every entry runs (about 20
-minutes).  The exit status is 1 when a run at its limit does not exit 0.
+``BENCH_limits.json``, each entry with the git sha, Python version and
+host it was measured on; the entries not measured in this run are kept as
+they are.  Arguments name entries as subject.parameter; with none, every
+entry runs (about 20 minutes).  The exit status is 1 when a run at its
+limit does not exit 0.
 
     python scripts/limits.py
     python scripts/limits.py psi-minus1.dmax psi.n
@@ -96,22 +98,23 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown entries {unknown}; choose from {', '.join(entries)}", file=sys.stderr)
         return 2
-    report = {}
-    for name in names or entries:
-        at_limit, refused = (measure(*run) for run in runs(entries[name]))
-        report[name] = {"at_limit": at_limit, "refused": refused}
-        for run in (at_limit, refused):
-            print(f"{name}: {' '.join(run['argv'])}: {run['wall_s']} s, "
-                  f"{run['peak_rss_mb']} MB, exit {run['exit']}", flush=True)
     sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
-    out = {
+    provenance = {
         "git_sha": sha.stdout.strip(),
         "python": platform.python_version(),
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "timeout_s": TIMEOUT_S,
-        "entries": report,
     }
-    (ROOT / "BENCH_limits.json").write_text(json.dumps(out, indent=2) + "\n")
+    report = {}
+    for name in names or entries:
+        at_limit, refused = (measure(*run) for run in runs(entries[name]))
+        report[name] = {**provenance, "at_limit": at_limit, "refused": refused}
+        for run in (at_limit, refused):
+            print(f"{name}: {' '.join(run['argv'])}: {run['wall_s']} s, "
+                  f"{run['peak_rss_mb']} MB, exit {run['exit']}", flush=True)
+    path = ROOT / "BENCH_limits.json"
+    kept = json.loads(path.read_text())["entries"] if path.exists() else {}
+    out = {"timeout_s": TIMEOUT_S, "entries": {**kept, **report}}
+    path.write_text(json.dumps(out, indent=2) + "\n")
     return 1 if any(r["at_limit"]["exit"] for r in report.values()) else 0
 
 

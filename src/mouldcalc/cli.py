@@ -23,10 +23,10 @@ every claim with the flags it takes.
 The default ``compute`` depth is 4, overridable with --depth; the families
 xi, sigma_c, luma and D are defined below depth 4, so they stop at depth 3.
 ``verify`` uses each claim's own defaults.  Depths and ``verify --dmax``
-below 1 are refused, and so are those above their limit in
-``limits.LIMITS``: the compute depth's, or the limit of what the claim runs.
-So are parameters a target or claim rejects (a ValueError from the
-library: among them a depth or an n above a cost limit of the library's),
+below 1 are refused here, and so is a compute depth above its entry of
+``limits.LIMITS``; every other cost limit is refused by the target or claim
+that runs into it.  So are parameters a target or claim rejects (a
+ValueError from the library, a cost limit's in ``limits.gate``'s words),
 targets and claims whose total degree outgrows the kernel's exponent field,
 ``--out`` paths that cannot be written, and claims that would run no check
 or would pass vacuously (``pal-symmetral`` and ``dupal-alternal`` at depth
@@ -51,11 +51,6 @@ from .verify import CLAIMS, run_claim
 
 __all__ = ["main", "build_target", "render_mould", "TARGETS"]
 
-# The limit of each claim's --dmax or --depth: the singulator's for the
-# claims that run it, and otherwise the claim's own.
-_CLAIM_LIMITS = {"psi-odd": ("singulator", "depth"), "sang-expansion": ("singulator", "depth")}
-
-
 class UsageError(Exception):
     pass
 
@@ -65,14 +60,6 @@ def _parse_int(token: str, what: str) -> int:
         return int(token)
     except ValueError:
         raise UsageError(f"{what} must be an integer, got {token!r}")
-
-
-def _check_depth(depth: int, what: str, entry: tuple[str, str]) -> None:
-    """Refuse a depth below 1 with UsageError and one above the limit of
-    ``entry`` with ValueError."""
-    if depth < 1:
-        raise UsageError(f"{what} must be at least 1")
-    gate(entry, depth, flag=what)
 
 
 def _psi_target(depth: int, k: int) -> Mould:
@@ -159,8 +146,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_compute(target: str, depth: int, format: str, out: str | None) -> int:
+    if depth < 1:
+        raise UsageError("depth must be at least 1")
     try:
-        _check_depth(depth, "depth", ("compute", "depth"))
+        gate(("compute", "depth"), depth)
         M = build_target(target, depth)
     except (ValueError, ExponentOverflowError) as exc:
         raise UsageError(str(exc))
@@ -186,10 +175,10 @@ def _cmd_verify(claim: str, out: str | None, **given: int | None) -> int:
         if key not in takes:
             flags = ", ".join(f"--{name}" for name in takes) or "no flags"
             raise UsageError(f"claim {claim!r} takes no --{key} (it takes {flags})")
+    for key in ("dmax", "depth"):
+        if params.get(key, 1) < 1:
+            raise UsageError(f"--{key} must be at least 1")
     try:
-        for key in ("dmax", "depth"):
-            if key in params:
-                _check_depth(params[key], f"--{key}", _CLAIM_LIMITS.get(claim, (claim, key)))
         report = run_claim(claim, **params)
     except (ValueError, ExponentOverflowError) as exc:
         raise UsageError(str(exc))

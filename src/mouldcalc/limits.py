@@ -52,26 +52,24 @@ LIMITS: dict[tuple[str, str], int | dict[int, int]] = {
 }
 
 
-def gate(entry: tuple[str, str], value: int, subject: str | None = None,
-         at: tuple[str, int] | None = None, flag: str | None = None) -> None:
-    """Refuse ``value`` above the limit of ``entry`` with ValueError,
-    "<subject> <parameter> <value> exceeds the maximum <limit>", the
-    subject being the entry's own unless given.
+def gate(entry: tuple[str, str], value: int, at: tuple[str, int] | None = None) -> None:
+    """Refuse ``value`` above the limit of ``entry`` = (subject, parameter)
+    with ValueError, "<subject> <parameter> <value> exceeds the maximum
+    <limit>": worded by the key alone, so a refusal names the entry that
+    ``scripts/limits.py`` takes as subject.parameter.  This is the only
+    place a cost limit is refused.
 
     A table entry reads its limit at ``at`` = (name, key), adding " at
     <name> <key>"; a key above the table is itself refused, "<subject>
     <name> <key> exceeds the maximum <largest key>", and one below it has no
-    limit.  ``flag`` names the value on the command line, whose refusal
-    reads "<flag> <value> exceeds the configured maximum <limit>".
+    limit.
     """
-    limit, subject = LIMITS[entry], subject or entry[0]
-    what, where = f"{subject} {entry[1]}", ""
+    (subject, what), limit, where = entry, LIMITS[entry], ""
     if at is not None:
         name, key = at
         if key > max(limit):
-            what, value, limit = f"{subject} {name}", key, max(limit)
+            what, value, limit = name, key, max(limit)
         else:
             limit, where = limit.get(key, value), f" at {name} {key}"
     if value > limit:
-        wording = "exceeds the configured maximum" if flag else "exceeds the maximum"
-        raise ValueError(f"{flag or what} {value} {wording} {limit}{where}")
+        raise ValueError(f"{subject} {what} {value} exceeds the maximum {limit}{where}")

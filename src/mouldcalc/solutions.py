@@ -18,8 +18,10 @@ identities:
 
 The families are concrete moulds, built by the eager operators, which take
 any mould and return a concrete one.  The slices slang_r(sa_s) that they
-read come from ``_slang_sa``, cached for the life of the process, so check
-(i), ``luma`` and ``D_ab`` build each distinct slice once.
+read come from ``_slang_sa``, and the ari brackets that ``sigma_c``, ``luma``
+and ``D_ab`` share from ``_ari_sa`` and ``_ari_slang``, each cached for the
+life of the process, so ``verify comparison`` builds each distinct slice and
+bracket once.
 
 The two sharp claims never substitute psi.  ``sharp`` is an invertible
 substitution, so sharp(psi)^(d) == T^(d) holds exactly when psi^(d) equals
@@ -186,7 +188,7 @@ def _mould_of(component: Callable[[int], RationalFunction], depth: int) -> Mould
 def psi_odd_mould(n: int, depth: int) -> Mould:
     """Components psi_{2n+1}^{(d)} for 1 <= d <= depth (0 at depth 0); a
     depth or an n above psi's limits is refused before any work."""
-    gate(("psi", "n"), n, f"psi_{2 * n + 1}", ("depth", depth))
+    gate(("psi", "n"), n, ("depth", depth))
     return _mould_of(lambda d: psi_odd(n, d), depth)
 
 
@@ -228,6 +230,7 @@ def _weight(n: int, a: int) -> Fraction:
     return bernoulli(2 * a) * bernoulli(2 * b) / bernoulli(2 * n) * comb(2 * n, 2 * a)
 
 
+@lru_cache(maxsize=None)
 def _ari_sa(a: int, b: int) -> Mould:
     """ari(sa_{2a+1}, ari(sa_{2b+1}, sa_{-1})) below depth 4."""
     return ari(sa(2 * a + 1, 3), ari(sa(2 * b + 1, 3), sa(-1, 3)))
@@ -239,6 +242,7 @@ def _slang_sa(r: int, s: int) -> Mould:
     return slang(r, sa(s, 3))
 
 
+@lru_cache(maxsize=None)
 def _ari_slang(a: int, b: int) -> Mould:
     """ari(slang_1(sa_{2a+1}), slang_2(sa_{2b})) below depth 4."""
     return ari(_slang_sa(1, 2 * a + 1), _slang_sa(2, 2 * b))
@@ -349,7 +353,7 @@ def verify_psi_odd_theorem(
     # the singulator's depth first, so that a dmax above it is refused as
     # every other singulator route refuses it, whatever the n
     gate(("singulator", "depth"), dmax)
-    gate(("psi", "n"), n, "psi-odd", ("dmax", dmax))
+    gate(("psi", "n"), n, ("dmax", dmax))
     checks = _sharp_checks(
         lambda d: f"sharp(psi_{2*n+1})^({d}) == sang(sa_{2*n+1})^({d})",
         lambda d: psi_components(n, d),

@@ -387,7 +387,7 @@ def _symmetry_claim(name: str, build, decide, cross_check, depth: int) -> dict:
     and the dimould characterization ``cross_check`` up to depth 4.  A depth
     above the claim's own limit is refused before any work."""
     _require_shuffle_sums(f"claim {name!r}", depth)
-    gate((name, "depth"), depth, f"claim {name!r}")
+    gate((name, "depth"), depth)
     M = build(depth)
     claim = f"{name.replace('-', ' ')} to depth {depth}"
     report = decide(M)

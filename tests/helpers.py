@@ -30,7 +30,9 @@ separately canonicalized powers and reciprocal difference products where
 the two sharp claims, which pushed psi through ``sharp`` and compared it
 with the u-side at the canonical words; and the opaque-symbol
 proofs of the singulator's four-sum expansion and of the gari inverse,
-shared by the tier-1 suite and the deeper proofs in ``proofs/``.
+shared by the tier-1 suite and the deeper proofs in ``proofs/``; and
+``outcome``, which reads a call as its value or as the exact type and
+message of what it raises, for the refusal tables.
 """
 
 from __future__ import annotations
@@ -129,6 +131,7 @@ __all__ = [
     "random_ari_mould",
     "random_gari_mould",
     "random_rf",
+    "outcome",
 ]
 
 
@@ -891,3 +894,11 @@ def random_rf(rng: random.Random, nvars: int = 3) -> RationalFunction:
             den.append((LinearForm(coeffs), rng.randint(1, 2)))
     scalar = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
     return RationalFunction.make(scalar, num, den)
+
+
+def outcome(call):
+    """``call()``'s value, or (type, message) of the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)

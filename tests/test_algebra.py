@@ -52,6 +52,7 @@ from helpers import (
     monomial_latex_via_tuple,
     monomial_str_via_tuple,
     mul_via_tuples,
+    outcome,
     poly_eval,
     random_rf,
     rf_sum_via_full_lift,
@@ -318,6 +319,34 @@ def test_a_difference_with_a_foreign_operand_names_minus():
             assert value.__sub__(other) is NotImplemented
             with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -:"):
                 value - other
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: ONE.mul_linear(LinearForm.zero()), RationalFunction.zero()),
+        # (1,) and (1, 0) pack to one key, so their terms cancel
+        (lambda: poly({(1,): 1, (1, 0): -1}), Polynomial.zero()),
+        (lambda: rf(1, Polynomial.variable(3)).substitute([x1]),
+         (ValueError, "value uses x_3 but only 1 forms given")),
+        (lambda: rf(1, Polynomial.one(), [(x1, -1)]), (ValueError, "negative multiplicity")),
+        (lambda: Polynomial.variable(0), (ValueError, "variable indices start at 1")),
+        (lambda: LinearForm.variable(0), (ValueError, "variable indices start at 1")),
+        (lambda: LinearForm.zero().leading_var(), (ValueError, "zero form has no leading variable")),
+        (lambda: rf(1, Polynomial.variable(1)).constant_value(), (ValueError, "x1 is not constant")),
+        (lambda: ONE / ONE, (TypeError, "only scalar division is supported; use div_linear")),
+        (lambda: ONE.div_linear(LinearForm.zero()), (ZeroDivisionError, "division by the zero form")),
+        (lambda: Polynomial.one().try_div_linear(LinearForm.zero()),
+         (ZeroDivisionError, "division by the zero form")),
+        (lambda: Polynomial.zero().leading_monomial(),
+         (ValueError, "zero polynomial has no leading monomial")),
+    ],
+    ids=["mul_linear-zero", "from_dict-cancels", "substitute-short", "make-negative",
+         "poly-variable-0", "form-variable-0", "leading_var-zero", "constant_value-x1",
+         "rf-division", "div_linear-zero", "try_div_linear-zero", "leading_monomial-zero"],
+)
+def test_kernel_edge_cases(call, expected):
+    assert outcome(call) == expected
 
 
 def test_inequality():

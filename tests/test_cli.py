@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from mouldcalc import cli, limits, solutions, special, verify
+from mouldcalc import limits, solutions, special, verify
 from mouldcalc.algebra import Polynomial, RationalFunction
 from mouldcalc.cli import TARGETS, build_target, main, render_mould
 from mouldcalc.flexions import adari, invgari, lazy_adari, lazy_leng
@@ -124,19 +124,34 @@ def test_depth_8_is_refused_before_any_work(argv):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("claim", ["pal-symmetral", "dupal-alternal", "psi-odd", "sang-expansion"])
+# Each claim's depth flag and the LIMITS entry that refuses it: the
+# singulator's for the claims that run it, and otherwise the claim's own.
+_CLAIM_ENTRY = {
+    "psi-odd": ("dmax", ("singulator", "depth")),
+    "psi-minus1": ("dmax", ("psi-minus1", "dmax")),
+    "pal-symmetral": ("depth", ("pal-symmetral", "depth")),
+    "dupal-alternal": ("depth", ("dupal-alternal", "depth")),
+    "sang-expansion": ("depth", ("singulator", "depth")),
+}
+
+
+@pytest.mark.parametrize(
+    "claim", ["pal-symmetral", "dupal-alternal", "psi-odd", "sang-expansion", "psi-minus1"]
+)
 def test_the_first_depth_above_a_claims_own_limit_is_refused_before_any_work(claim):
     # pal-symmetral at depth 11 did not finish in 75 s, dupal-alternal stops
     # at the kernel's slot variables, and the singulator claims stop at the
-    # singulator's depth, below the compute depth
-    key = "dmax" if claim == "psi-odd" else "depth"
-    limit = LIMITS[cli._CLAIM_LIMITS.get(claim, (claim, key))]
+    # singulator's depth, below the compute depth; the command line adds
+    # nothing to the refusal of the claim's own gate
+    key, (subject, parameter) = _CLAIM_ENTRY[claim]
+    limit = LIMITS[subject, parameter]
     done = run_process("verify", claim, f"--{key}", str(limit + 1), capture_output=True)
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr == f"error: --{key} {limit + 1} exceeds the configured maximum {limit}\n"
-    with pytest.raises(ValueError, match=f"depth {limit + 1} exceeds the maximum {limit}"):
+    assert done.stderr == f"error: {subject} {parameter} {limit + 1} exceeds the maximum {limit}\n"
+    with pytest.raises(ValueError) as refused:
         run_claim(claim, **{key: limit + 1})
+    assert done.stderr == f"error: {refused.value}\n"
 
 
 @pytest.mark.parametrize(
@@ -231,6 +246,23 @@ def test_the_limits_script_has_a_command_for_every_entry():
     assert set(_limits_script().COMMANDS) == set(LIMITS)
 
 
+def test_a_partial_limits_run_keeps_the_other_entries(monkeypatch, tmp_path):
+    script = _limits_script()
+    run = {"argv": ["compute", "xi:1"], "wall_s": 0.25, "peak_rss_mb": 20.5, "exit": 0}
+    kept = {"git_sha": "0" * 40, "python": "3.11.7", "host": "x86_64, 2 CPUs",
+            "at_limit": {**run, "wall_s": 54.21}, "refused": {**run, "wall_s": 58.86, "exit": -9}}
+    record = {"timeout_s": 60, "entries": {"psi.n": kept, "xi.n": kept}}
+    (tmp_path / "BENCH_limits.json").write_text(json.dumps(record, indent=2) + "\n")
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    monkeypatch.setattr(script, "measure", lambda argv, rebind: run)
+    assert script.main(["xi.n"]) == 0
+    text = (tmp_path / "BENCH_limits.json").read_text()
+    after = json.loads(text)["entries"]
+    assert list(after) == ["psi.n", "xi.n"]
+    assert after["xi.n"]["at_limit"] == after["xi.n"]["refused"] == run
+    assert json.dumps(kept, indent=2).replace("\n", "\n    ") in text
+
+
 # The first work that each entry's command in scripts/limits.py does once its
 # gate has admitted it.
 _WORK = {
@@ -250,13 +282,16 @@ _WORK = {
 @pytest.mark.parametrize("entry", sorted(LIMITS), ids=".".join)
 def test_each_limit_refuses_one_more_before_any_work(monkeypatch, capsys, entry):
     # the two runs scripts/limits.py measures: one above the limit is
-    # refused before any work, and the limit is admitted, as is one above it
-    # with that entry alone lifted
+    # refused before any work, in the words of the entry the script names,
+    # and the limit is admitted, as is one above it with that entry alone
+    # lifted
     monkeypatch.setattr(*_WORK[entry], _no_work)
-    (at_limit, _), (above, lifted) = _limits_script().runs(entry)
-    code, out, err = run(capsys, *above)
-    assert (code, out) == (2, "")
-    assert re.fullmatch(r"error: \S+( \S+)? \d+ exceeds the (configured )?maximum \d+( at \w+ \d+)?\n", err)
+    script = _limits_script()
+    (at_limit, _), (above, lifted) = script.runs(entry)
+    _, key = script.COMMANDS[entry]
+    limit, where = (LIMITS[entry], "") if key is None else (LIMITS[entry][key], f" at dmax {key}")
+    message = f"error: {' '.join(entry)} {limit + 1} exceeds the maximum {limit}{where}\n"
+    assert run(capsys, *above) == (2, "", message)
     for argv, table in ((at_limit, LIMITS), (above, {**LIMITS, **lifted})):
         monkeypatch.setattr(limits, "LIMITS", table)
         with pytest.raises(AssertionError, match="work before the gate"):
@@ -268,7 +303,7 @@ def test_compute_psi_above_its_n_limit_is_refused_before_any_work(monkeypatch, c
     monkeypatch.setattr(solutions, "psi_odd", _no_work)
     limit = LIMITS["psi", "n"][depth]
     k = 2 * (limit + 1) + 1
-    message = f"error: psi_{k} n {limit + 1} exceeds the maximum {limit} at depth {depth}\n"
+    message = f"error: psi n {limit + 1} exceeds the maximum {limit} at depth {depth}\n"
     assert run(capsys, "compute", f"psi:{k}", "--depth", str(depth)) == (2, "", message)
     with pytest.raises(AssertionError, match="work before the gate"):
         solutions.psi_odd_mould(limit, depth)
@@ -278,7 +313,7 @@ def test_psi_mould_above_the_limits_depth_is_refused_before_any_work(monkeypatch
     # the command line's compute depth refuses depth 9 first; the library refuses too
     monkeypatch.setattr(solutions, "psi_odd", _no_work)
     depth = max(LIMITS["psi", "n"]) + 1
-    with pytest.raises(ValueError, match=f"^psi_3 depth {depth} exceeds the maximum {depth - 1}$"):
+    with pytest.raises(ValueError, match=f"^psi depth {depth} exceeds the maximum {depth - 1}$"):
         solutions.psi_odd_mould(1, depth)
 
 

@@ -62,6 +62,7 @@ from helpers import (
     garit_at_per_factorization,
     garit_factorizations,
     mu_inverse_via_shift,
+    outcome,
     random_ari_mould,
     random_gari_mould,
 )
@@ -267,6 +268,7 @@ def test_preari_iterates():
 def test_preari_degenerate():
     M = random_ari_mould(random.Random(6), 3)
     assert preari(M, Mould.zero(3)).is_zero()
+    assert outcome(lambda: preari_n(-1, M)) == (ValueError, "iterate index must be nonnegative")
 
 
 @settings(max_examples=8, deadline=None)

@@ -44,6 +44,7 @@ from helpers import (
     mu_inverse_via_shift,
     mu_log_via_shift,
     mu_via_shift,
+    outcome,
     random_ari_mould,
     random_gari_mould,
 )
@@ -145,6 +146,19 @@ def test_depth_exceeded():
     P = paj(2)
     with pytest.raises(DepthExceededError):
         P.eval_word(word(x1, x2, x3))
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        (lambda: Mould([]), (ValueError, "a mould needs at least the depth-0 component")),
+        (lambda: paj(2).component(3), (DepthExceededError, "depth 3 exceeds truncation 2")),
+        (lambda: leng(-1, paj(2)), (ValueError, "depth selector must be nonnegative")),
+    ],
+    ids=["no-components", "component-above-depth", "leng-negative"],
+)
+def test_mould_refusals(call, refusal):
+    assert outcome(call) == refusal
 
 
 # ---------------------------------------------------------------------------

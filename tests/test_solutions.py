@@ -46,6 +46,7 @@ from mouldcalc.solutions import (
 from mouldcalc.verify import random_gari_mould, run_claim
 
 from helpers import (
+    outcome,
     psi_minus1_report_via_sharp,
     psi_minus1_via_products,
     psi_odd_report_via_sharp,
@@ -149,6 +150,19 @@ def test_psi_minus1_two_variables_frozen():
         1, 2
     )
     assert psi_minus1(2) == want
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        (lambda: D_ab(0, 1), (ValueError, "need a, b >= 1")),
+        (lambda: psi_odd(1, 0), (ValueError, "need n >= 1 and d >= 1")),
+        (lambda: psi_minus1(0), (ValueError, "need d >= 1")),
+    ],
+    ids=["D_ab-a-0", "psi_odd-depth-0", "psi_minus1-depth-0"],
+)
+def test_solution_refusals(call, refusal):
+    assert outcome(call) == refusal
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +327,9 @@ def test_reports_serialize_to_json():
 
 @pytest.fixture
 def slang_calls(monkeypatch):
-    """The slang builds of the test, counted from an empty slice cache; the
-    cache is emptied again afterwards, so no counted slice leaks into
-    another test."""
+    """The slang builds of the test, counted from empty slice and bracket
+    caches; the caches are emptied again afterwards, so no counted slice
+    leaks into another test."""
     from mouldcalc import solutions
 
     calls = []
@@ -324,10 +338,13 @@ def slang_calls(monkeypatch):
         calls.append((r, A))
         return slang(r, A)
 
+    caches = (solutions._slang_sa, solutions._ari_sa, solutions._ari_slang)
     monkeypatch.setattr(solutions, "slang", counting)
-    solutions._slang_sa.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     yield calls
-    solutions._slang_sa.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 def test_comparison_builds_each_discrepancy_mould_once(slang_calls):

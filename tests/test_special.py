@@ -39,6 +39,7 @@ from mouldcalc.symmetry import is_alternal, is_symmetral
 from helpers import (
     count_products,
     inductive_alternality_oracle,
+    outcome,
     random_ari_mould,
     sang_via_eager_moulds,
     slang_via_eager_moulds,
@@ -203,6 +204,18 @@ def test_pal_builds_no_product(monkeypatch):
 # ---------------------------------------------------------------------------
 # s'
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        (lambda: s_prime(1), (ValueError, "s' needs depth at least 2")),
+        (lambda: bernoulli(-1), (ValueError, "Bernoulli index must be nonnegative")),
+    ],
+    ids=["s_prime-depth-1", "bernoulli-negative"],
+)
+def test_special_refusals(call, refusal):
+    assert outcome(call) == refusal
 
 
 def test_s_prime_values():

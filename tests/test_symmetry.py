@@ -45,6 +45,7 @@ from helpers import (
     is_alternal_all_pairs,
     is_symmetral_all_pairs,
     middle_cell_mould,
+    outcome,
     random_ari_mould,
     random_gari_mould,
     substitute_via_powers,
@@ -70,6 +71,13 @@ def test_dimould_unit_law():
     one = Dimould.unit(3)
     assert dimould_mu(one, B) == B
     assert dimould_mu(B, one) == B
+
+
+def test_dimould_refuses_a_component_with_too_many_variables():
+    # the (1, 0) component is a function of x_1 alone
+    x2_value = RationalFunction.make(1, Polynomial.variable(2))
+    assert outcome(lambda: Dimould(1, {(1, 0): x2_value})) == (
+        ValueError, "component (1,0) uses too many variables")
 
 
 def test_dimould_product_low_cell():
