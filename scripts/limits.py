@@ -32,19 +32,27 @@ from mouldcalc.limits import LIMITS  # noqa: E402
 
 TIMEOUT_S = 60
 
-# Each entry's command line, with {} for the value, and for an entry that is
-# a table, the key it is measured at.
+# Each entry's command line, with {} for the value and {1} for the value
+# less one, and for an entry that is a table, the (name, key) it is measured
+# at, as its gate reads it.
 COMMANDS = {
     ("compute", "depth"): ("compute psi:-1 --depth {}", None),
-    ("singulator", "depth"): ("compute sang:sa:3 --depth {}", None),
+    # a route that no other entry bounds above this limit: compute sang:sa:S
+    # also reads the sang table, whose depths end at it
+    ("singulator", "depth"): ("verify psi-odd --n 1 --dmax {}", None),
     ("psi-minus1", "dmax"): ("verify psi-minus1 --dmax {}", None),
     ("pal-symmetral", "depth"): ("verify pal-symmetral --depth {}", None),
     ("dupal-alternal", "depth"): ("verify dupal-alternal --depth {}", None),
-    ("psi", "n"): ("verify psi-odd --n {} --dmax 7", 7),
+    ("psi", "n"): ("verify psi-odd --n {} --dmax 7", ("dmax", 7)),
     ("comparison", "n"): ("verify comparison --n {}", None),
     ("xi", "n"): ("compute xi:{} --depth 3", None),
     ("sigma_c", "n"): ("compute sigma_c:{} --depth 3", None),
     ("luma", "n"): ("compute luma:{} --depth 3", None),
+    # a = 1, the slower split of a + b
+    ("D", "a+b"): ("compute D:1:{1} --depth 3", None),
+    # s = 1 - exponent, a pole, the slower sign of sa_s = u^(s-1)
+    ("sang", "exponent"): ("compute sang:sa:-{1} --depth 6", ("depth", 6)),
+    ("slang", "exponent"): ("compute slang:5:sa:-{1} --depth 6", ("depth", 6)),
 }
 
 # The child rebinds the table with the entries it is given, then runs the
@@ -60,13 +68,13 @@ CHILD = (
 def runs(entry: tuple[str, str]) -> list[tuple[list[str], dict]]:
     """The two runs of ``entry`` as (argv, entries the child rebinds): at
     the limit, and at the first refused value with the entry lifted to it."""
-    template, key = COMMANDS[entry]
+    template, at = COMMANDS[entry]
     limit = LIMITS[entry]
-    value = limit if key is None else limit[key]
-    lifted = value + 1 if key is None else {**limit, key: value + 1}
+    value = limit if at is None else limit[at[1]]
+    lifted = value + 1 if at is None else {**limit, at[1]: value + 1}
     return [
-        (template.format(value).split(), {}),
-        (template.format(value + 1).split(), {entry: lifted}),
+        (template.format(value, value - 1).split(), {}),
+        (template.format(value + 1, value).split(), {entry: lifted}),
     ]
 
 

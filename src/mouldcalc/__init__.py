@@ -5,7 +5,6 @@ from .algebra import (
     LinearForm,
     NotDivisibleError,
     Polynomial,
-    Rational,
     RationalFunction,
     ZeroDenominatorError,
     x_var,

@@ -214,10 +214,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Monomial",
     "Polynomial",
     "LinearForm",

@@ -23,9 +23,12 @@ every claim with the flags it takes.
 The default ``compute`` depth is 4, overridable with --depth; the families
 xi, sigma_c, luma and D are defined below depth 4, so they stop at depth 3.
 ``verify`` uses each claim's own defaults.  Depths and ``verify --dmax``
-below 1 are refused here, and so is a compute depth above its entry of
-``limits.LIMITS``; every other cost limit is refused by the target or claim
-that runs into it.  So are parameters a target or claim rejects (a
+below 1 are refused here, and so are a compute depth above its entry of
+``limits.LIMITS`` and, in the ``sang:sa:S`` and ``slang:R:sa:S`` builders,
+an |S - 1| above its entry at that depth: S exists only in the target
+grammar, since the library's ``sang`` and ``slang`` take a mould.  Every
+other cost limit is refused by the target or claim that runs into it.  So
+are parameters a target or claim rejects (a
 ValueError from the library, a cost limit's in ``limits.gate``'s words),
 targets and claims whose total degree outgrows the kernel's exponent field,
 ``--out`` paths that cannot be written, and claims that would run no check
@@ -62,6 +65,17 @@ def _parse_int(token: str, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {token!r}")
 
 
+def _sa_input(subject: str, depth: int, s: int) -> Mould:
+    """sa_s = u^(s-1) at ``depth`` for the singulator target ``subject``.
+    After ``sa``'s own refusals, the singulator's depth is refused as
+    ``sang`` and ``slang`` refuse it, then an exponent size |s - 1| above
+    the subject's limit at that depth, before any singulator work."""
+    A = sa(s, depth)
+    gate(("singulator", "depth"), depth)
+    gate((subject, "exponent"), abs(s - 1), ("depth", depth))
+    return A
+
+
 def _psi_target(depth: int, k: int) -> Mould:
     if k >= 3 and k % 2 == 1:
         return psi_odd_mould((k - 1) // 2, depth)
@@ -81,8 +95,8 @@ TARGETS: dict[str, Callable[..., Mould]] = {
     "pal": lambda depth: pal(depth),
     "dur": lambda depth: dur(depth),
     "sa:S": lambda depth, s: sa(s, depth),
-    "sang:sa:S": lambda depth, s: sang(sa(s, depth)),
-    "slang:R:sa:S": lambda depth, r, s: slang(r, sa(s, depth)),
+    "sang:sa:S": lambda depth, s: sang(_sa_input("sang", depth, s)),
+    "slang:R:sa:S": lambda depth, r, s: slang(r, _sa_input("slang", depth, s)),
     "psi:-1": lambda depth: psi_minus1_mould(depth),
     "psi:K": lambda depth, k: _psi_target(depth, k),
     "xi:N": lambda depth, n: xi(n).truncate(depth),

@@ -73,7 +73,6 @@ from .moulds import (
     lazy_mu,
     lazy_mu_inverse,
     lazy_neg,
-    lazy_unit,
     mu_at,
 )
 
@@ -105,7 +104,6 @@ __all__ = [
     "lazy_adari",
     "lazy_neg",
     "lazy_leng",
-    "lazy_unit",
 ]
 
 

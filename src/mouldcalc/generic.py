@@ -59,19 +59,15 @@ class OpaqueMould:
 
     ``unit_value`` is the (constant) value on the empty word: 0 for
     Lie-algebra-side moulds, 1 for group-side ones; any other value raises
-    ValueError.  ``support`` optionally restricts the nonzero depths, so
-    depth-1-supported inputs can be modelled faithfully.
+    ValueError.  A mould supported in one depth r is ``lazy_leng(r, S)`` of
+    an opaque S: it reads S only at words of length r, so no symbol is
+    allocated for the depths it leaves out.
     """
 
-    __slots__ = ("registry", "name", "depth", "_empty", "_support")
+    __slots__ = ("registry", "name", "depth", "_empty")
 
     def __init__(
-        self,
-        registry: SymbolRegistry,
-        name: str,
-        depth: int,
-        unit_value: int = 0,
-        support: tuple[int, ...] | None = None,
+        self, registry: SymbolRegistry, name: str, depth: int, unit_value: int = 0
     ):
         if unit_value not in (0, 1):
             raise ValueError(f"unit_value must be 0 or 1, got {unit_value!r}")
@@ -81,11 +77,8 @@ class OpaqueMould:
         self._empty = (
             RationalFunction.one() if unit_value == 1 else RationalFunction.zero()
         )
-        self._support = support
 
     def eval_word(self, w: Word) -> RationalFunction:
         if not w:
             return self._empty
-        if self._support is not None and len(w) not in self._support:
-            return RationalFunction.zero()
         return self.registry.symbol(self.name, tuple(w))

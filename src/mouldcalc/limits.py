@@ -19,7 +19,9 @@ LIMITS: dict[tuple[str, str], int | dict[int, int]] = {
     # sang, slang, verify psi-odd --dmax and verify sang-expansion --depth:
     # compute sang:sa:3 --depth 7 took 9.0 s (96 MB); at depth 8 the
     # compositional sang did not finish in 600 s, and the proof that the
-    # four-sum expansion equals it is out of reach
+    # four-sum expansion equals it is out of reach.  verify psi-odd --n 1
+    # took 1.2 s (32 MB) at --dmax 7, and 26 s (229 MB) at 8 with this
+    # limit lifted
     ("singulator", "depth"): 7,
     # verify psi-minus1 --dmax 8 took 37 to 53 s (204 to 239 MB); 9 did not
     # finish in 75 s (682 MB)
@@ -49,6 +51,29 @@ LIMITS: dict[tuple[str, str], int | dict[int, int]] = {
     ("xi", "n"): 242,  # 48 s; n = 246 did not finish in 60 s
     ("sigma_c", "n"): 84,  # 53 s; n = 85 did not finish in 60 s
     ("luma", "n"): 69,  # 58 s; n = 70 did not finish in 60 s
+    # compute D:A:B --depth 3, by a + b, at a = 1, the slower split (a + b =
+    # 200 took 48 s at a = 1, 38 s at b = 1 and 20 s at a = b): 52 s
+    # (332 MB); a + b = 230 did not finish in 60 s
+    ("D", "a+b"): 225,
+    # compute sang:sa:S and slang:R:sa:S at each depth d, by the size
+    # |S - 1| of sa_S = u^(S-1)'s exponent; a pole (S < 1) costs far more
+    # than a power of the same size, so each is measured at S = 1 - limit,
+    # and slang at its slowest R.  Measured, with the first refused size:
+    #   1: under 1 s; above it a power's degree outgrows the exponent field
+    #   2: sang 56 s (S = -10239), 10752 did not finish in 60 s; slang 56 s
+    #      (R = 2, S = -4607), 4736 did not finish
+    #   3: sang 52 s (S = -195), 203 did not finish; slang 56 s (R = 3,
+    #      S = -147), 152 did not finish
+    #   4: sang 52 s (S = -40), 43 did not finish; slang 48 s (R = 4,
+    #      S = -18), 20 did not finish
+    #   5: sang 56 s (S = -14), 16 did not finish; slang 34 s (R = 5,
+    #      S = -4), 6 did not finish
+    #   6: sang 24 s (S = -5), 7 did not finish; slang 24 s (R = 5, S = -1),
+    #      3 did not finish
+    #   7: sang 21 s (S = -1), 3 did not finish; slang 31 s (R = 7, S = 2),
+    #      2 did not finish at R = 3, 5 or 6
+    ("sang", "exponent"): {1: 65535, 2: 10240, 3: 196, 4: 41, 5: 15, 6: 6, 7: 2},
+    ("slang", "exponent"): {1: 65535, 2: 4608, 3: 148, 4: 19, 5: 5, 6: 2, 7: 1},
 }
 
 

@@ -82,7 +82,6 @@ __all__ = [
     "lazy_mu_inverse",
     "lazy_neg",
     "lazy_leng",
-    "lazy_unit",
 ]
 
 
@@ -306,12 +305,6 @@ def _require_gari(S, what: str) -> None:
         raise NotInvertibleError(f"{what} needs depth-0 component 1")
 
 
-def lazy_unit(depth: int) -> LazyMould:
-    one = RationalFunction.one()
-    zero = RationalFunction.zero()
-    return LazyMould(depth, lambda w: one if not w else zero)
-
-
 def mu_at(w: Word, f: Eval, g: Eval) -> RationalFunction:
     """The mould product at one word: sum over w = ab of f(a) g(b)."""
     return rf_sum(_mu_parts(w, f, g))
@@ -369,9 +362,10 @@ def lazy_mu_inverse(T) -> LazyMould:
 
 
 def _powers(A, product) -> list:
-    """[1, A, product(A, A), product(product(A, A), A), ...], lazily, up to
-    the A.depth-fold product."""
-    chain = [lazy_unit(A.depth), A]
+    """[None, A, product(A, A), product(product(A, A), A), ...], lazily, up
+    to the A.depth-fold product: entry n is the n-fold product, and entry 0,
+    which no series reads, is None."""
+    chain = [None, A]
     for _ in range(2, A.depth + 1):
         chain.append(product(chain[-1], A))
     return chain

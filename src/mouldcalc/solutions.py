@@ -42,9 +42,9 @@ carries the residual as text and as JSON.  ``_compare`` makes one check per
 depth from two moulds; "D_{a,b}^(3) is a polynomial" has residual 0 when it
 is one and D_{a,b}^(3) when it is not; a verifier left with no check to
 make is refused, not passed.  The verifiers and the builders the compute
-targets call (``psi_odd_mould``, ``xi``, ``sigma_c``, ``luma``) refuse a
-depth or an n above its cost limit in ``limits.LIMITS`` with ValueError
-before any work.
+targets call (``psi_odd_mould``, ``xi``, ``sigma_c``, ``luma``, ``D_ab``)
+refuse a depth, an n or an a + b above its cost limit in ``limits.LIMITS``
+with ValueError before any work.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .algebra import (
 from .flexions import ari
 from .limits import gate
 from .moulds import Mould, _letter_sum, _sharp_word, lazy_mu_log, unsharp_word
-from .special import _sang_expansion, bernoulli, paj, sa, slang, s_prime
+from .special import _lazy_sang_expanded, bernoulli, paj, sa, slang, s_prime
 
 __all__ = [
     "x_AB",
@@ -280,6 +280,7 @@ def D_ab(a: int, b: int) -> Mould:
     + 2b ari(slang_1(sa_{2a+1}), slang_2(sa_{2b})); lives in depths >= 3."""
     if a < 1 or b < 1:
         raise ValueError("need a, b >= 1")
+    gate(("D", "a+b"), a + b)
     return _ari_sa(a, b) + _ari_slang(a, b) * (2 * b)
 
 
@@ -357,7 +358,7 @@ def verify_psi_odd_theorem(
     checks = _sharp_checks(
         lambda d: f"sharp(psi_{2*n+1})^({d}) == sang(sa_{2*n+1})^({d})",
         lambda d: psi_components(n, d),
-        _sang_expansion(sa(2 * n + 1, dmax)),
+        _lazy_sang_expanded(sa(2 * n + 1, dmax)).eval_word,
         dmax,
     )
     return _wrap(f"psi-odd n={n}", checks)

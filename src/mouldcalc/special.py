@@ -20,13 +20,13 @@ depth-1-supported input, and ``lazy_sang``, the expansion's oracle, on any
 other input.  On an opaque depth-1-supported mould the two agree at every
 depth the singulator admits, so the expansion holds for every such input
 (``proofs/test_singulator_expansion.py``; tier-1 proves depth 5).  The
-expansion's builder, ``_sang_expanded_at``, takes a word, and every route
-builds it at the word it reads: the lazy mould memoizes each word's value,
-and the psi-odd verifier builds its own words unmemoized, which keeps its
-peak memory at large n within the limits it is measured by.  Every route
-refuses a depth above the singulator's limit (``limits.LIMITS``) with
-ValueError before any work, in the two builders all routes go through,
-``lazy_sang`` and ``_sang_expansion``.
+expansion at one word, ``_sang_expanded_at``, is built only inside
+``_lazy_sang_expanded``, which memoizes each word's value; the psi-odd
+verifier reads it at ``unsharp_word(d)`` as every other route reads it.
+Every route refuses a depth above the singulator's limit (``limits.LIMITS``)
+with ValueError before any work, in the two builders all routes go through,
+``lazy_sang`` and ``_lazy_sang_expanded``.  An opaque depth-1-supported
+input is ``lazy_leng(1, S)`` of an opaque S.
 """
 
 from __future__ import annotations
@@ -271,24 +271,18 @@ def _is_depth1_supported(M) -> bool:
     )
 
 
-def _sang_expansion(M):
-    """w -> the four-sum expansion of sang(M) built at the word w, for a
-    depth-1-supported M; refuses a depth above the singulator's limit or other
-    input before any work."""
+def _lazy_sang_expanded(M) -> LazyMould:
+    """``sang_expanded(M)``, lazily: ``_sang_expanded_at`` builds each word
+    once, at that word.  M is read only through ``eval_word``: on an opaque
+    depth-1 mould the canonical values prove the expansion for every such
+    mould.  A depth above the singulator's limit, or input that is not
+    depth-1-supported, is refused before any work."""
     gate(("singulator", "depth"), M.depth)
     if not _is_depth1_supported(M):
         raise UnsupportedInputError(
             "expanded singulator needs a depth-1-supported mould"
         )
-    return lambda w: _sang_expanded_at(M, w)
-
-
-def _lazy_sang_expanded(M) -> LazyMould:
-    """``sang_expanded(M)``, lazily: ``_sang_expanded_at`` builds each word
-    once, at that word.  M is read only through ``eval_word``: on an opaque
-    depth-1 mould the canonical values prove the expansion for every such
-    mould."""
-    return LazyMould(M.depth, _sang_expansion(M))
+    return LazyMould(M.depth, lambda w: _sang_expanded_at(M, w))
 
 
 def _sang_expanded_at(M, w) -> RationalFunction:

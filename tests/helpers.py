@@ -71,6 +71,7 @@ from mouldcalc.moulds import (
     NotInvertibleError,
     canonical_word,
     dur_unscale,
+    lazy_leng,
     leng,
     mu,
     mu_log,
@@ -365,7 +366,7 @@ def opaque_sang_expansion(top: int) -> tuple[list, list]:
     Wherever the two agree as canonical forms, the expansion holds for
     every depth-1-supported mould: each value of S is a free symbol.
     """
-    S = OpaqueMould(SymbolRegistry(), "S", top, support=(1,))
+    S = lazy_leng(1, OpaqueMould(SymbolRegistry(), "S", top))
     expanded, oracle = _lazy_sang_expanded(S), lazy_sang(S)
     words = [canonical_word(m) for m in range(top + 1)]
     return [expanded.eval_word(w) for w in words], [oracle.eval_word(w) for w in words]

@@ -267,7 +267,7 @@ def test_a_partial_limits_run_keeps_the_other_entries(monkeypatch, tmp_path):
 # gate has admitted it.
 _WORK = {
     ("compute", "depth"): (solutions, "psi_minus1"),
-    ("singulator", "depth"): (special, "_sang_expanded_at"),
+    ("singulator", "depth"): (solutions, "sa"),
     ("psi-minus1", "dmax"): (solutions, "paj"),
     ("pal-symmetral", "depth"): (verify, "pal"),
     ("dupal-alternal", "depth"): (verify, "dupal"),
@@ -276,6 +276,9 @@ _WORK = {
     ("xi", "n"): (solutions, "sa"),
     ("sigma_c", "n"): (solutions, "sa"),
     ("luma", "n"): (solutions, "_slang_sa"),
+    ("D", "a+b"): (solutions, "_ari_sa"),
+    ("sang", "exponent"): (special, "_sang_expanded_at"),
+    ("slang", "exponent"): (special, "_sang_expanded_at"),
 }
 
 
@@ -288,14 +291,46 @@ def test_each_limit_refuses_one_more_before_any_work(monkeypatch, capsys, entry)
     monkeypatch.setattr(*_WORK[entry], _no_work)
     script = _limits_script()
     (at_limit, _), (above, lifted) = script.runs(entry)
-    _, key = script.COMMANDS[entry]
-    limit, where = (LIMITS[entry], "") if key is None else (LIMITS[entry][key], f" at dmax {key}")
+    _, at = script.COMMANDS[entry]
+    limit, where = (LIMITS[entry], "") if at is None else (LIMITS[entry][at[1]], " at %s %d" % at)
     message = f"error: {' '.join(entry)} {limit + 1} exceeds the maximum {limit}{where}\n"
     assert run(capsys, *above) == (2, "", message)
     for argv, table in ((at_limit, LIMITS), (above, {**LIMITS, **lifted})):
         monkeypatch.setattr(limits, "LIMITS", table)
         with pytest.raises(AssertionError, match="work before the gate"):
             main(argv)
+
+
+@pytest.mark.parametrize(
+    "subject, depth",
+    [(subject, depth) for subject in ("sang", "slang") for depth in sorted(LIMITS[subject, "exponent"])],
+)
+def test_compute_singulator_exponents_above_the_limit_are_refused_before_any_work(
+    monkeypatch, capsys, subject, depth
+):
+    # sa_s = u^(s-1): the size |s - 1| is bounded on both sides, a pole
+    # (s < 1) and a power, and both of its values at the limit are admitted
+    monkeypatch.setattr(special, "_sang_expanded_at", _no_work)
+    limit = LIMITS[subject, "exponent"][depth]
+    target = {"sang": "sang:sa:{}", "slang": "slang:1:sa:{}"}[subject]
+    message = f"error: {subject} exponent {limit + 1} exceeds the maximum {limit} at depth {depth}\n"
+    # a power of degree above 65535 is refused by sa first, as a degree past
+    # the exponent field
+    for s in (-limit, limit + 2) if limit < 65535 else (-limit,):
+        assert run(capsys, "compute", target.format(s), "--depth", str(depth)) == (2, "", message)
+    for s in {1 - limit, limit + 1} - {0}:
+        with pytest.raises(AssertionError, match="work before the gate"):
+            main(["compute", target.format(s), "--depth", str(depth)])
+
+
+def test_a_singulator_target_refuses_sa_then_the_singulator_depth_then_the_exponent(capsys):
+    # sa's own refusals come first, then the depth above every exponent table
+    top = LIMITS["singulator", "depth"]
+    for target in ("sang:sa:{}", "slang:1:sa:{}"):
+        code, _, err = run(capsys, "compute", target.format(0), "--depth", str(top + 1))
+        assert (code, err) == (2, "error: exponent s must be nonzero\n")
+        code, _, err = run(capsys, "compute", target.format(-999), "--depth", str(top + 1))
+        assert (code, err) == (2, f"error: singulator depth {top + 1} exceeds the maximum {top}\n")
 
 
 @pytest.mark.parametrize("depth", sorted(LIMITS["psi", "n"]))

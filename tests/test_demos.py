@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script, and README's library example, runs to completion
+against the source tree."""
 
 from __future__ import annotations
 
@@ -24,3 +25,10 @@ def test_demo_exits_zero(demo):
         [sys.executable, str(demo)], cwd=_ROOT, env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_example_runs():
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

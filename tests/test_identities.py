@@ -8,7 +8,7 @@ from mouldcalc import flexions, special, verify
 from mouldcalc.algebra import Polynomial, RationalFunction, rf_from_json, x_var
 from mouldcalc.flexions import lazy_arit
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
-from mouldcalc.moulds import canonical_word
+from mouldcalc.moulds import canonical_word, lazy_leng
 from mouldcalc.special import (
     UnsupportedInputError,
     _lazy_sang_expanded,
@@ -115,7 +115,7 @@ def test_generic_slices_sum_to_singulator():
 def test_generic_slices_of_depth1_input_sum_to_singulator():
     # an opaque depth-1-supported input takes lazy_sang inside the slicer
     # too, with no support probe reading it before the slices do
-    A = OpaqueMould(SymbolRegistry(), "A", 3, support=(1,))
+    A = lazy_leng(1, OpaqueMould(SymbolRegistry(), "A", 3))
     w = canonical_word(3)
     total = sum((lazy_slang(r, A).eval_word(w) for r in (1, 2, 3)), RationalFunction.zero())
     assert total == lazy_sang(A).eval_word(w)
@@ -167,7 +167,7 @@ def test_a_mutated_sang_expansion_fails_the_proof(monkeypatch):
 
 
 def test_sang_expansion_refuses_opaque_input_beyond_depth_1():
-    S = OpaqueMould(SymbolRegistry(), "S", 3, support=(1, 2))
+    S = lazy_leng(2, OpaqueMould(SymbolRegistry(), "S", 3))
     with pytest.raises(UnsupportedInputError):
         _lazy_sang_expanded(S)
 

@@ -518,4 +518,4 @@ def test_the_sharp_claims_gate_before_any_work(monkeypatch):
     M = Mould.zero(2)
     M = Mould([M.components[0], M.components[1], one_over_forms(x1, x2)])
     with pytest.raises(special.UnsupportedInputError):
-        special._sang_expansion(M)
+        special._lazy_sang_expanded(M)

@@ -17,7 +17,7 @@ from mouldcalc.algebra import (
 from mouldcalc.flexions import adari, invgari
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.limits import LIMITS
-from mouldcalc.moulds import Mould, _materialize, canonical_word, mu, mu_inverse
+from mouldcalc.moulds import Mould, _materialize, canonical_word, lazy_leng, mu, mu_inverse
 from mouldcalc.special import (
     UnsupportedInputError,
     bernoulli,
@@ -344,7 +344,7 @@ def test_sang_falls_back_to_lazy_sang_on_opaque_input(monkeypatch):
     # an opaque mould takes lazy_sang even on depth-1 support, with no
     # support probe that would read it, and so number its symbols, first
     calls = _count_lazy_sang(monkeypatch)
-    S = OpaqueMould(SymbolRegistry(), "S", LIMITS["singulator", "depth"], support=(1,))
+    S = lazy_leng(1, OpaqueMould(SymbolRegistry(), "S", LIMITS["singulator", "depth"]))
     special._singulator(S)
     assert calls == [LIMITS["singulator", "depth"]]
     A = OpaqueMould(SymbolRegistry(), "A", 2)
