@@ -51,7 +51,7 @@ COMMANDS = {
     # a = 1, the slower split of a + b
     ("D", "a+b"): ("compute D:1:{1} --depth 3", None),
     # s = 1 - exponent, a pole, the slower sign of sa_s = u^(s-1)
-    ("sang", "exponent"): ("compute sang:sa:-{1} --depth 6", ("depth", 6)),
+    ("sang", "exponent"): ("compute sang:sa:-{1} --depth 7", ("depth", 7)),
     ("slang", "exponent"): ("compute slang:5:sa:-{1} --depth 6", ("depth", 6)),
 }
 
