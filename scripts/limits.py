@@ -40,6 +40,7 @@ COMMANDS = {
     # a route that no other entry bounds above this limit: compute sang:sa:S
     # also reads the sang table, whose depths end at it
     ("singulator", "depth"): ("verify psi-odd --n 1 --dmax {}", None),
+    ("sang-expansion", "depth"): ("verify sang-expansion --depth {}", None),
     ("psi-minus1", "dmax"): ("verify psi-minus1 --dmax {}", None),
     ("pal-symmetral", "depth"): ("verify pal-symmetral --depth {}", None),
     ("dupal-alternal", "depth"): ("verify dupal-alternal --depth {}", None),

@@ -21,7 +21,7 @@ form, the content goes into the scalar, and equal forms are merged.  A
 substitution composes each denominator form in one pass, adding each
 letter's coefficients into one list; a letter that is one variable moves
 the coefficient to it without a scan, and only the letters of the
-variables the value uses are read, so a shift builds only those letters.
+variables the value uses are read.
 A form's packed linear terms (``_linear_terms``) are built once per
 distinct form, in a bounded cache of immutable tuples, however many words
 it is a letter of.
@@ -585,7 +585,8 @@ class Polynomial:
         (x_{1+k}, ..., x_{n+k}), n the largest index used."""
         if k == 0 or not self._terms:
             return self
-        return self.compose(_ShiftWord(self.max_var(), k))
+        n = self.max_var()
+        return self.compose(tuple(map(LinearForm.variable, range(1 + k, n + 1 + k))))
 
     def compose(self, forms: Sequence["LinearForm"]) -> "Polynomial":
         """Substitute ``forms[i-1]`` for x_i.  Result is exact.
@@ -961,28 +962,6 @@ def x_var(i: int) -> LinearForm:
     return LinearForm.variable(i)
 
 
-class _ShiftWord:
-    """The word (x_{1+k}, ..., x_{n+k}) at which a shift by k substitutes.
-
-    A letter is built when it is read, and a substitution reads only the
-    letters of the variables its value uses: a value in x_5000 reads one
-    letter, not five thousand forms of up to 5,000 coefficients.
-    """
-
-    __slots__ = ("n", "k")
-
-    def __init__(self, n: int, k: int):
-        self.n, self.k = n, k
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> LinearForm:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return LinearForm.variable(i + 1 + self.k)
-
-
 # ---------------------------------------------------------------------------
 # rational functions with linear-form denominators
 # ---------------------------------------------------------------------------
@@ -1165,7 +1144,8 @@ class RationalFunction:
         (x_{1+k}, ..., x_{n+k}), n the largest index used."""
         if k == 0 or self.scalar == 0:
             return self
-        return self.substitute(_ShiftWord(self.max_var(), k))
+        n = self.max_var()
+        return self.substitute(tuple(map(LinearForm.variable, range(1 + k, n + 1 + k))))
 
 
 RF_ZERO = RationalFunction(0, _POLY_ONE, ())

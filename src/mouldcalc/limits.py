@@ -16,13 +16,16 @@ This module imports nothing from the package, so every module may read it.
 LIMITS: dict[tuple[str, str], int | dict[int, int]] = {
     # compute TARGET --depth: compute psi:-1 --depth 8 took 19 s (167 MB)
     ("compute", "depth"): 8,
-    # sang, slang, verify psi-odd --dmax and verify sang-expansion --depth:
-    # compute sang:sa:3 --depth 7 took 9.0 s (96 MB); at depth 8 the
-    # compositional sang did not finish in 600 s, and the proof that the
-    # four-sum expansion equals it is out of reach.  verify psi-odd --n 1
-    # took 1.2 s (32 MB) at --dmax 7, and 26 s (229 MB) at 8 with this
-    # limit lifted
+    # sang, slang and verify psi-odd --dmax: compute sang:sa:3 --depth 7
+    # took 9.0 s (96 MB); at depth 8 the compositional sang did not finish
+    # in 600 s, and the proof that the four-sum expansion equals it is out
+    # of reach.  verify psi-odd --n 1 took 1.2 s (32 MB) at --dmax 7, and
+    # 26 s (229 MB) at 8 with this limit lifted
     ("singulator", "depth"): 7,
+    # verify sang-expansion --depth, which also builds the compositional
+    # sang of sa_3 and sa_5: depth 6 took 3.2 to 3.5 s; 7 did not finish in
+    # 60 s (424 to 531 MB)
+    ("sang-expansion", "depth"): 6,
     # verify psi-minus1 --dmax 8 took 37 to 53 s (204 to 239 MB); 9 did not
     # finish in 75 s (682 MB)
     ("psi-minus1", "dmax"): 8,
@@ -47,10 +50,13 @@ LIMITS: dict[tuple[str, str], int | dict[int, int]] = {
     ("psi", "n"): {1: 32767, 2: 3225, 3: 1209, 4: 785, 5: 416, 6: 155, 7: 23, 8: 2},
     # verify comparison --n: n = 48 took 38 s; n = 56 68 s
     ("comparison", "n"): 48,
-    # compute xi:N, sigma_c:N and luma:N --depth 3, each under 240 MB
-    ("xi", "n"): 242,  # 48 s; n = 246 did not finish in 60 s
-    ("sigma_c", "n"): 84,  # 53 s; n = 85 did not finish in 60 s
-    ("luma", "n"): 69,  # 58 s; n = 70 did not finish in 60 s
+    # compute xi:N, sigma_c:N and luma:N --depth 3, each under 450 MB, with
+    # the first refused n: xi:273 took 54 s, xi:274 55 s once and did not
+    # finish in 60 s once; sigma_c:93 58 to 60 s, sigma_c:94 did not finish;
+    # luma:76 57 to 60 s, luma:77 59 s once and did not finish twice
+    ("xi", "n"): 273,
+    ("sigma_c", "n"): 93,
+    ("luma", "n"): 76,
     # compute D:A:B --depth 3, by a + b, at a = 1, the slower split (a + b =
     # 200 took 48 s at a = 1, 38 s at b = 1 and 20 s at a = b): 52 s
     # (332 MB); a + b = 230 did not finish in 60 s

@@ -425,6 +425,8 @@ def claim_dupal_alternal(depth: int = 6) -> dict:
 def claim_sang_expansion(depth: int = 4) -> dict:
     if depth < 1:
         raise ValueError("claim 'sang-expansion' needs depth 1 or more: both sides are 0 below it")
+    gate(("singulator", "depth"), depth)
+    gate(("sang-expansion", "depth"), depth)
     checks = []
     for s in (3, 5):
         # the composition is lazy_sang's: sang itself takes the expansion

@@ -157,6 +157,9 @@ def test_linear_form_compose_is_linear():
     # letters that cancel: the image is zero, with every trailing zero trimmed
     assert (x1 + x2).compose((x3 - x_var(4), x_var(4) - x3)) == LinearForm.zero()
     assert (x1 + x2).compose((x1 + x3, x2 - x3)).coeffs == (1, 1)
+    # a letter that is one variable moves the form's coefficient to it
+    big = x_var(5000)
+    assert (3 * x1 - 2 * x3).compose((x_var(4), x2, big)) == 3 * x_var(4) - 2 * big
     # seeded random cases against the image computed coefficient by coefficient
     rng = random.Random("compose")
     for _ in range(300):
@@ -1441,36 +1444,6 @@ def test_table_fields_hold_255_and_refuse_256():
     with pytest.raises(ExponentOverflowError):
         mono((16, top + 1)).shift(1)
     assert mono((1, _MAX_EXP)).shift(15).terms == mono((16, _MAX_EXP)).terms
-
-
-def test_a_shift_reads_only_the_letters_of_the_variables_it_uses(monkeypatch):
-    # x2 x_5000 / (x1 (x1 + x3)) uses x1, x2, x3 and x_5000: its shift by 2
-    # reads those four letters, not a dense word of 5,000 forms
-    big = 5000
-    value = rf(1, Polynomial.variable(2) * Polynomial.variable(big), [(x1, 1), (x1 + x3, 1)])
-    read = []
-    variable = LinearForm.variable
-
-    def reading(i):
-        read.append(i)
-        return variable(i)
-
-    monkeypatch.setattr(LinearForm, "variable", staticmethod(reading))
-    got = value.shift(2)
-    want = rf(
-        1,
-        Polynomial.variable(4) * Polynomial.variable(big + 2),
-        [(variable(3), 1), (variable(3) + variable(5), 1)],
-    )
-    assert _structure(got) == _structure(want)
-    assert set(read) == {3, 4, 5, big + 2}
-    read.clear()
-    assert value.numerator.shift(2) == want.numerator
-    assert set(read) == {4, big + 2}
-    # a letter that is one variable moves the form's coefficient to it
-    assert (3 * x1 - 2 * x3).compose([variable(4), x2, variable(big)]) == 3 * variable(
-        4
-    ) - 2 * variable(big)
 
 
 _ROUND_TRIP = """

@@ -131,7 +131,7 @@ _CLAIM_ENTRY = {
     "psi-minus1": ("dmax", ("psi-minus1", "dmax")),
     "pal-symmetral": ("depth", ("pal-symmetral", "depth")),
     "dupal-alternal": ("depth", ("dupal-alternal", "depth")),
-    "sang-expansion": ("depth", ("singulator", "depth")),
+    "sang-expansion": ("depth", ("sang-expansion", "depth")),
 }
 
 
@@ -246,6 +246,20 @@ def test_the_limits_script_has_a_command_for_every_entry():
     assert set(_limits_script().COMMANDS) == set(LIMITS)
 
 
+@pytest.mark.parametrize("entry", sorted(LIMITS), ids=".".join)
+def test_each_limit_has_a_recorded_reading_within_budget(entry):
+    # BENCH_limits.json holds the script's run at the limit's current value,
+    # and that run finished within the timeout and 1 GB; a limit moved
+    # without a new reading, or admitting a run that did not finish, fails
+    record = json.loads((_ROOT / "BENCH_limits.json").read_text())
+    reading = record["entries"][".".join(entry)]["at_limit"]
+    (argv, _), _ = _limits_script().runs(entry)
+    assert reading["argv"] == argv
+    assert reading["exit"] == 0
+    assert reading["wall_s"] < record["timeout_s"]
+    assert reading["peak_rss_mb"] < 1024
+
+
 def test_a_partial_limits_run_keeps_the_other_entries(monkeypatch, tmp_path):
     script = _limits_script()
     run = {"argv": ["compute", "xi:1"], "wall_s": 0.25, "peak_rss_mb": 20.5, "exit": 0}
@@ -268,6 +282,7 @@ def test_a_partial_limits_run_keeps_the_other_entries(monkeypatch, tmp_path):
 _WORK = {
     ("compute", "depth"): (solutions, "psi_minus1"),
     ("singulator", "depth"): (solutions, "sa"),
+    ("sang-expansion", "depth"): (verify, "sa"),
     ("psi-minus1", "dmax"): (solutions, "paj"),
     ("pal-symmetral", "depth"): (verify, "pal"),
     ("dupal-alternal", "depth"): (verify, "dupal"),
