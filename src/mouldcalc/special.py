@@ -9,10 +9,15 @@ depth projections slang_r conjugated by pal.
 The singulator and its slices follow the flexion layer's single path:
 ``lazy_sang``/``lazy_slang`` compose lazy flexion operators over any input
 with ``depth`` and ``eval_word`` (concrete or opaque), and ``sang``,
-``slang`` and ``slang_split`` check their input and materialize them.  A
-slicer solves pal's gari inverse once, lazily, and conjugates by that one
-pair both ways: by pal outward, and by the inverse inward, whose own
-inverse is pal, so neither conjugation solves anything more.
+``slang`` and ``slang_split`` check their input and materialize them.
+pal's gari inverse is solved once per depth for the process, lazily, and
+every slicer at that depth conjugates by that one pair both ways: by pal
+outward, and by the inverse inward, whose own inverse is pal, so neither
+conjugation solves anything more.  Likewise every ``lazy_sang`` at a depth
+shares one ``lazy_adari(paj)``, so paj's gari inverse is solved once per
+depth too.  These per-depth caches hold only concrete pal- and paj-derived
+values; no opaque symbol enters them, so symbol numbering does not depend
+on what ran before.
 
 ``sang`` and the slicer's inner singulator take the four-sum expansion
 ``sang_expanded``, built one word at a time as it is read, for concrete
@@ -35,6 +40,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Callable
 
 from .algebra import (
     LinearForm,
@@ -207,12 +213,31 @@ def s_prime(depth: int = 3) -> Mould:
     return Mould(comps)
 
 
+@lru_cache(maxsize=None)
+def _paj_conjugation(depth: int) -> Callable:
+    """``lazy_adari(paj(depth))``, built once per depth for the process:
+    every ``lazy_sang`` at the depth shares paj's solved gari inverse and
+    its twisted action, which hold only concrete paj-derived values."""
+    return lazy_adari(paj(depth))
+
+
+@lru_cache(maxsize=None)
+def _pal_conjugations(depth: int) -> tuple[Callable, Callable]:
+    """Conjugation by pal(depth) outward and by its gari inverse inward,
+    built once per depth for the process: pal's inverse is solved lazily,
+    once, and the inward conjugation's own inverse is pal, so neither
+    solves anything more.  Both hold only concrete pal-derived values."""
+    p = pal(depth)
+    pinv = lazy_invgari(p)
+    return _conjugation(p, pinv), _conjugation(pinv, p)
+
+
 def lazy_sang(M) -> LazyMould:
     """Singulator (1/2)(id + neg . adari(paj)) (mupaj x M x paj), lazily."""
     d = M.depth
     gate(("singulator", "depth"), d)
     B = lazy_mu(lazy_mu(mupaj(d), M), paj(d))
-    C = lazy_neg(lazy_adari(paj(d))(B))
+    C = lazy_neg(_paj_conjugation(d)(B))
     half = Fraction(1, 2)
     return LazyMould(d, lambda w: (B.eval_word(w) + C.eval_word(w)) * half)
 
@@ -228,21 +253,19 @@ def _singulator(M):
     return lazy_sang(M)
 
 
-def _lazy_slicer(A):
-    """r -> slang_r(A); the slices share pal's conjugations and the inner
-    mould adari(pal)^{-1} . sang(A), so a slice reads only its own depth
-    of the singulator."""
-    singulator = _singulator(A)  # checks the depth before pal is solved
-    p = pal(A.depth)
-    pinv = lazy_invgari(p)
-    conj = _conjugation(p, pinv)
-    inner = _conjugation(pinv, p)(singulator)
+def _slices(singulator):
+    """r -> slang_r of the mould whose singulator is given; the slices
+    share the inner mould adari(pal)^{-1} . sang, so a slice reads only its
+    own depth of the singulator.  The singulator is built first, and its
+    builder checks the depth before pal is solved."""
+    conj, inner_conj = _pal_conjugations(singulator.depth)
+    inner = inner_conj(singulator)
     return lambda r: conj(lazy_leng(r, inner))
 
 
 def lazy_slang(r: int, A) -> LazyMould:
     """Depth-r slice of the singulator conjugated by pal, lazily."""
-    return _lazy_slicer(A)(r)
+    return _slices(_singulator(A))(r)
 
 
 def sang(M: Mould) -> Mould:
@@ -330,5 +353,5 @@ def slang_split(A: Mould) -> list[Mould]:
     Their sum recovers sang(A) up to the truncation depth.
     """
     _require_ari(A, "slang_split")
-    slice_r = _lazy_slicer(A)
+    slice_r = _slices(_singulator(A))
     return [_materialize(slice_r(r)) for r in range(1, A.depth + 1)]

@@ -9,11 +9,13 @@ singulator and its slices) and checks it two ways:
 * concretely, with seeded random polynomial moulds.
 
 Both ways evaluate the same lazy operators (the flexion module's
-``lazy_*`` and the singulator's ``lazy_sang``/``lazy_slang``) and share the
+``lazy_*``, the singulator ``lazy_sang`` and its slices) and share the
 same right-hand-side builders, so a typo would have to appear twice to go
-unnoticed.  Each expansion is written once, and the larger ones are built
-from the smaller: preari(M, N) is the arit expansion plus the mould
-product, ari(M, N) is preari(M, N) - preari(N, M), expari reads preari at
+unnoticed.  The sang rows and both slice rows share one singulator: the
+slices are taken from the ``lazy_sang`` that the sang rows read.  Each
+expansion is written once, and the larger ones are built from the
+smaller: preari(M, N) is the arit expansion plus the mould product,
+ari(M, N) is preari(M, N) - preari(N, M), expari reads preari at
 (A, A) and the hand-expanded preari_3, gari at depth d is the garit
 expansion at each prefix times T at the rest plus T at the whole word, and
 the depth-1 slice slang_1 is sang's depth 1.  No expansion reads an
@@ -72,7 +74,7 @@ from .solutions import (
     verify_psi_minus1_theorem,
     verify_psi_odd_theorem,
 )
-from .special import dupal, lazy_sang, lazy_slang, pal, sa, sang_expanded
+from .special import _slices, dupal, lazy_sang, pal, sa, sang_expanded
 from .symmetry import (
     _require_shuffle_sums,
     is_alternal,
@@ -300,7 +302,8 @@ def expansion_checks(M, N, S, T, A, AD, label: str) -> list[dict]:
     ex = lazy_expari(A)
     ad = lazy_adari(S)(A)
     sg = lazy_sang(AD)
-    sl1, sl2 = lazy_slang(1, AD), lazy_slang(2, AD)
+    slice_r = _slices(sg)
+    sl1, sl2 = slice_r(1), slice_r(2)
     return _row_checks(
         [
             ("arit vanishing", 1, la, _zero),

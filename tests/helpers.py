@@ -78,7 +78,7 @@ from mouldcalc.moulds import (
     neg,
     sharp,
 )
-from mouldcalc import solutions
+from mouldcalc import flexions, solutions, special
 from mouldcalc.solutions import psi_minus1, psi_odd, vine_partitions
 from mouldcalc.special import _lazy_sang_expanded, lazy_sang, mupaj, paj, pal, sa, sang
 from mouldcalc.symmetry import SymmetryReport, _shuffle_sum
@@ -100,6 +100,7 @@ __all__ = [
     "mul_via_full_make",
     "count_div_attempts",
     "count_products",
+    "count_lazy_invgari",
     "opaque_sang_expansion",
     "prove_sang_expansion",
     "garit_factorizations",
@@ -335,6 +336,25 @@ def count_div_attempts(monkeypatch) -> list:
 
     monkeypatch.setattr(Polynomial, "try_div_linear", counting)
     return attempts
+
+
+def count_lazy_invgari(monkeypatch) -> list:
+    """Patch ``lazy_invgari`` where the flexion layer and the singulator read
+    it to record every mould whose gari inverse is solved, and the eager
+    ``invgari`` to refuse; returns the (growing) list of moulds."""
+    solved: list = []
+
+    def counting(S):
+        solved.append(S)
+        return lazy_invgari(S)
+
+    def eager(S):
+        raise AssertionError("an eager invgari call")
+
+    for module in (flexions, special):
+        monkeypatch.setattr(module, "lazy_invgari", counting)
+    monkeypatch.setattr(flexions, "invgari", eager)
+    return solved
 
 
 def count_products(monkeypatch, cls) -> list:

@@ -47,7 +47,7 @@ _LIE_SIDE = {"preari_2", "preari_3", "ari", "expari", "adari", "sang", "slang_1"
     ],
 )
 def test_a_doubled_factorization_sum_fails_exactly_its_rows(
-    monkeypatch, name, from_length, families
+    monkeypatch, fresh_conjugations, name, from_length, families
 ):
     # every operator family that reads the doubled sum fails, and no other;
     # an expansion that read the operator it checks would see the doubled
@@ -137,7 +137,7 @@ def test_gari_inverse_holds_generically():
     prove_gari_inverse(5)
 
 
-def test_a_mutated_garit_at_fails_the_gari_inverse_proof(monkeypatch):
+def test_a_mutated_garit_at_fails_the_gari_inverse_proof(monkeypatch, fresh_conjugations):
     # a twisted action doubled on every word of length >= 2 still gives
     # gari(S, invgari(S)) = 1, since the solver and gari(S, G) compute the
     # same garit(G)(S); the left inverse gari(invgari(S), S) catches it

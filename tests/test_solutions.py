@@ -46,6 +46,7 @@ from mouldcalc.solutions import (
 from mouldcalc.verify import random_gari_mould, run_claim
 
 from helpers import (
+    count_lazy_invgari,
     outcome,
     psi_minus1_report_via_sharp,
     psi_minus1_via_products,
@@ -326,10 +327,10 @@ def test_reports_serialize_to_json():
 
 
 @pytest.fixture
-def slang_calls(monkeypatch):
-    """The slang builds of the test, counted from empty slice and bracket
-    caches; the caches are emptied again afterwards, so no counted slice
-    leaks into another test."""
+def slang_calls(monkeypatch, fresh_conjugations):
+    """The slang builds of the test, counted from empty slice, bracket and
+    conjugation caches; the caches are emptied again afterwards, so no
+    counted slice leaks into another test."""
     from mouldcalc import solutions
 
     calls = []
@@ -356,6 +357,14 @@ def test_comparison_builds_each_discrepancy_mould_once(slang_calls):
     assert report["status"] == "pass"
     assert len(slang_calls) == 5
     assert len({(r, A) for r, A in slang_calls}) == 5
+
+
+def test_comparison_solves_pals_inverse_once(monkeypatch, slang_calls):
+    # the five slices of n = 3 share one conjugation by pal(3)
+    solved = count_lazy_invgari(monkeypatch)
+    assert verify_comparison_theorem(3)["status"] == "pass"
+    assert len(slang_calls) == 5
+    assert solved == [special.pal(3)]
 
 
 def test_comparison_second_call_builds_no_slice(slang_calls):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mouldcalc import flexions, special
+from mouldcalc import special
 from mouldcalc.algebra import (
     Polynomial,
     RationalFunction,
@@ -17,7 +17,7 @@ from mouldcalc.algebra import (
 from mouldcalc.flexions import adari, invgari
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.limits import LIMITS
-from mouldcalc.moulds import Mould, _materialize, canonical_word, lazy_leng, mu, mu_inverse
+from mouldcalc.moulds import Mould, _materialize, canonical_word, lazy_leng, mu, mu_inverse, neg
 from mouldcalc.special import (
     UnsupportedInputError,
     bernoulli,
@@ -37,6 +37,7 @@ from mouldcalc.special import (
 from mouldcalc.symmetry import is_alternal, is_symmetral
 
 from helpers import (
+    count_lazy_invgari,
     count_products,
     inductive_alternality_oracle,
     outcome,
@@ -272,23 +273,13 @@ def test_singulator_admits_depth_7_and_refuses_depth_8(monkeypatch):
             build(sa(3, 8))
 
 
-def test_a_slicer_solves_pals_inverse_once(monkeypatch):
-    A = sa(3, 4)
+def test_a_slicer_solves_pals_inverse_once(monkeypatch, fresh_conjugations):
+    A, B = sa(3, 4), sa(5, 4)
     want = [slang_via_eager_moulds(r, A) for r in range(1, 5)]
-    solve = flexions.lazy_invgari
-    solved = []
-
-    def counting(S):
-        solved.append(S)
-        return solve(S)
-
-    def eager(S):
-        raise AssertionError("the slicer made an eager invgari call")
-
-    for module in (flexions, special):
-        monkeypatch.setattr(module, "lazy_invgari", counting)
-    monkeypatch.setattr(flexions, "invgari", eager)
+    want_b = slang_via_eager_moulds(1, B)
+    solved = count_lazy_invgari(monkeypatch)
     assert slang_split(A) == want
+    assert slang(1, B) == want_b
     assert solved == [pal(4)]
 
 
@@ -358,6 +349,32 @@ def test_a_slice_builds_only_the_expansion_depths_it_reads(monkeypatch):
     slang(1, sa(3, 6))
     assert {len(w) for w in built} == {0, 1}
     assert len(built) == len(set(built))  # each word once
+
+
+def test_the_sang_expansion_claim_solves_pajs_inverse_once(monkeypatch, fresh_conjugations):
+    # sa_3 and sa_5 each take lazy_sang at depth 4; both share one adari(paj)
+    from mouldcalc import verify
+
+    solved = count_lazy_invgari(monkeypatch)
+    assert verify.claim_sang_expansion(4)["status"] == "pass"
+    assert solved == [paj(4)]
+
+
+def test_the_expansion_checks_build_one_singulator_for_sang_and_both_slices(monkeypatch):
+    from mouldcalc import verify
+
+    calls = _count_lazy_sang(monkeypatch, verify)
+    inner = _count_lazy_sang(monkeypatch)
+    verify.generic_expansion_checks()
+    assert calls == [2]
+    assert inner == []
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_pajs_gari_inverse_is_its_neg(depth):
+    # a fact the library does not use: lazy_sang, the oracle of the sang
+    # expansion, keeps conjugating by the solved inverse of the definition
+    assert invgari(paj(depth)) == neg(paj(depth))
 
 
 def test_sang_expansion_claim_keeps_lazy_sang_as_its_oracle(monkeypatch):
