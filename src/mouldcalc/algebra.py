@@ -1132,10 +1132,8 @@ class RationalFunction:
             )
         scalar, den = _normalize(self.scalar, self.denominator, forms)
         num = _compose(self.numerator._terms, forms, fields)
-        # letters that end in distinct variables are in echelon form, so
-        # independent: no form can cancel (coefficients are trimmed)
-        lasts = {len(forms[i - 1].coeffs) for i in used}
-        if len(lasts) == len(used) and 0 not in lasts:
+        # letters in echelon form are independent: no form can cancel
+        if _echelon([forms[i - 1] for i in used]):
             return _build(scalar, num, den, ())
         return _build(scalar, num, den, list(den))
 
@@ -1150,6 +1148,14 @@ class RationalFunction:
 
 RF_ZERO = RationalFunction(0, _POLY_ONE, ())
 RF_ONE = RationalFunction(1, _POLY_ONE, ())
+
+
+def _echelon(forms: Sequence[LinearForm]) -> bool:
+    """Every form is nonzero and the forms end in distinct variables
+    (coefficients are trimmed): they are in echelon form, ordered by last
+    variable, hence linearly independent."""
+    lasts = {len(f.coeffs) for f in forms}
+    return len(lasts) == len(forms) and 0 not in lasts
 
 
 def _scalar(q: int | Fraction) -> int | Fraction:

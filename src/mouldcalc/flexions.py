@@ -25,6 +25,9 @@ module re-exports:
 * the lazy wrappers (``lazy_*``) run them at arbitrary words and memoize
   the values.  Their inputs only need ``depth`` and ``eval_word``, so
   concrete moulds, opaque symbol moulds and other lazy moulds mix freely.
+  Each wrapper declares its inputs, so over concrete moulds it is natural
+  (``moulds``) and reaches shifted, permuted and negated words through its
+  canonical values.
   ``expari`` and ``logari`` are series of pre-Lie iterates summed like
   the mould exponential, by one ``rf_sum`` per word.  The solvers are
   lazy fixed points solved depth by depth: ``logari`` inverts ``expari``,
@@ -314,7 +317,7 @@ def adari(S: Mould) -> Callable[[Mould], Mould]:
 def lazy_arit(N) -> Callable:
     def apply(M) -> LazyMould:
         return LazyMould(
-            min(M.depth, N.depth), lambda w: arit_at(w, M.eval_word, N.eval_word)
+            min(M.depth, N.depth), lambda w: arit_at(w, M.eval_word, N.eval_word), M, N
         )
 
     return apply
@@ -322,7 +325,7 @@ def lazy_arit(N) -> Callable:
 
 def lazy_preari(M, N) -> LazyMould:
     return LazyMould(
-        min(M.depth, N.depth), lambda w: preari_at(w, M.eval_word, N.eval_word)
+        min(M.depth, N.depth), lambda w: preari_at(w, M.eval_word, N.eval_word), M, N
     )
 
 
@@ -333,6 +336,8 @@ def lazy_ari(M, N) -> LazyMould:
             _preari_parts(w, M.eval_word, N.eval_word)
             + [(-a, b) for a, b in _preari_parts(w, N.eval_word, M.eval_word)]
         ),
+        M,
+        N,
     )
 
 
@@ -343,6 +348,8 @@ def lazy_garit(T) -> Callable:
         return LazyMould(
             min(S.depth, T.depth),
             lambda w: garit_at(w, S.eval_word, T.eval_word, Tinv.eval_word),
+            S,
+            T,
         )
 
     return apply
@@ -369,6 +376,7 @@ def lazy_expari(A) -> LazyMould:
             _inverse_factorials(A.depth),
             _powers(A, lazy_preari),
         ),
+        A,
     )
 
 
@@ -376,7 +384,7 @@ def lazy_logari(S) -> LazyMould:
     """Solve expari(X) = S for X: X = S - sum_{n >= 2} preari_n(X) / n!.
     The correction terms at a word only involve X at strictly shorter
     words, so the recursion is well founded."""
-    X = LazyMould(S.depth, None)
+    X = LazyMould(S.depth, None, S)
     chain = _powers(X, lazy_preari)
     chain[1] = S
     coeffs = [None, Fraction(1)] + [-c for c in _inverse_factorials(S.depth)[2:]]
@@ -392,7 +400,7 @@ def lazy_invgari(S) -> LazyMould:
     b), and mu_inverse at a word only involves its argument at that word
     and its own values at strictly shorter words.
     """
-    G = LazyMould(S.depth, None)
+    G = LazyMould(S.depth, None, S)
     G._fn = lazy_mu_inverse(lazy_garit(G)(S)).eval_word
     return G
 

@@ -16,7 +16,10 @@ it.  Each symbol's value is built once, the first time its (name, word)
 is met, and every later call returns that same immutable value.
 Values built from opaque moulds are
 only ever combined by ring operations, never substituted into, so the
-symbols behave exactly like constants.
+symbols behave exactly like constants.  That is also why a lazy mould
+over an opaque one is not natural (``moulds``): a symbol is keyed by the
+word it is read at, not by what its letters are, so the lazy mould reads
+every word through its rule and never renames a canonical value.
 """
 
 from __future__ import annotations

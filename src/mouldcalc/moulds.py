@@ -28,6 +28,40 @@ map, ``_per_depth``.  ``sharp`` reads depth m at ``_sharp_word(m)``, and
 ``unsharp_word(m)`` inverts that substitution: ``sharp(M)^(m) == T``
 can be checked as M^(m) == T at ``unsharp_word(m)``, without
 substituting M.
+
+A lazy mould is *natural* when it declares the moulds its rule reads and
+each is a ``Mould`` or a natural ``LazyMould``.  A natural lazy mould's
+value at a word w of length n is its canonical value, at
+``canonical_word(n)``, with w put in.  Every lazy rule here, in
+``flexions`` and in ``special`` reads its inputs only through
+``eval_word``, at words built from w's letters by subwords, letter sums,
+flexions and sign flips, and combines those values only by ring
+operations.  Putting w in for the canonical word maps each word that the
+rule reads at the canonical word to the word it reads at w, letter by
+letter, since those operations are linear in the letters.  The
+substitution is a ring map, and a ``Mould``'s value at a word is its
+component with the word substituted.  So, by induction over the rules
+(over word length for the solvers, which also read themselves at shorter
+words), the value at w is the canonical value with w put in.  This needs
+the substitution to send no denominator form to zero.  That holds when w
+is echelon (``algebra._echelon``): every letter is nonzero and the
+letters end in distinct variables, so they are independent, and
+``substitute`` then tries no form either.  An opaque symbol is keyed by the word it is read at, not by
+what its letters are, so an opaque input is not natural, and a lazy mould
+over one evaluates every word by its rule and numbers its symbols as it
+always did; a lazy mould that declares no input is not natural either.
+
+So on a memo miss at an echelon word other than the canonical one, a
+natural lazy mould substitutes its canonical value if it holds it, and
+when every letter is a single variable (shifts, permutations, ``neg``,
+one renaming pass) it computes the canonical value first; every other
+word runs the rule.  This is a memo rule, not a second builder: the
+value it stores is the one the rule would return, in the same canonical
+form, and the rule stays each operator's one definition.  A canonical
+value that is not held is not forced for a word with a letter of several
+variables: psi's claims read the singulator at ``unsharp_word(d)``,
+where the direct value costs far less than the canonical value and a
+substitution of sums of variables into it.
 """
 
 from __future__ import annotations
@@ -40,6 +74,7 @@ from typing import Callable, Mapping, Sequence
 from .algebra import (
     LinearForm,
     RationalFunction,
+    _echelon,
     _json_int,
     rf_sum,
     rf_from_json,
@@ -270,21 +305,41 @@ class LazyMould:
 
     Anything with ``depth`` and ``eval_word`` interoperates with these
     wrappers, including concrete moulds and opaque symbol moulds.
+    ``inputs`` are the moulds the rule reads; the mould is natural when
+    there is one and each is a ``Mould`` or a natural ``LazyMould``, and a
+    natural mould reaches some words through its canonical values (see
+    the module docstring).
     """
 
-    __slots__ = ("depth", "_fn", "_memo")
+    __slots__ = ("depth", "_fn", "_memo", "natural")
 
-    def __init__(self, depth: int, fn: Eval | None):
+    def __init__(self, depth: int, fn: Eval | None, *inputs):
         self.depth = depth
         self._fn = fn
         self._memo: dict = {}
+        self.natural = bool(inputs) and all(
+            isinstance(M, Mould) or (isinstance(M, LazyMould) and M.natural)
+            for M in inputs
+        )
 
     def eval_word(self, w: Word) -> RationalFunction:
         got = self._memo.get(w)
         if got is None:
-            got = self._fn(w)
+            held = self._canonical_value(w) if self.natural else None
+            got = self._fn(w) if held is None else held.substitute(w)
             self._memo[w] = got
         return got
+
+    def _canonical_value(self, w: Word) -> RationalFunction | None:
+        """The canonical value that w's value is substituted from, or None
+        where w runs the rule; computed first only when every letter of w
+        is a single variable."""
+        c = canonical_word(len(w))
+        if w == c or not _echelon(w):
+            return None
+        if c in self._memo or any(any(f.coeffs[:-1]) for f in w):
+            return self._memo.get(c)
+        return self.eval_word(c)
 
 
 def _materialize(L) -> Mould:
@@ -340,14 +395,14 @@ def _mu_parts(w: Word, f: Eval, g: Eval) -> list:
 
 def lazy_mu(M, N) -> LazyMould:
     return LazyMould(
-        min(M.depth, N.depth), lambda w: mu_at(w, M.eval_word, N.eval_word)
+        min(M.depth, N.depth), lambda w: mu_at(w, M.eval_word, N.eval_word), M, N
     )
 
 
 def _less_unit(S) -> LazyMould:
     """S - 1 for S with S(empty) = 1: S off the empty word, 0 on it."""
     zero = RationalFunction.zero()
-    return LazyMould(S.depth, lambda w: S.eval_word(w) if w else zero)
+    return LazyMould(S.depth, lambda w: S.eval_word(w) if w else zero, S)
 
 
 def lazy_mu_inverse(T) -> LazyMould:
@@ -355,7 +410,7 @@ def lazy_mu_inverse(T) -> LazyMould:
     word.  T - 1 vanishes on the empty word, so U is read only at proper
     suffixes of w."""
     D = _less_unit(T)
-    U = LazyMould(T.depth, None)
+    U = LazyMould(T.depth, None, T)
     one = RationalFunction.one()
     U._fn = lambda w: -mu_at(w, D.eval_word, U.eval_word) if w else one
     return U
@@ -415,7 +470,7 @@ def mu_exp(A: Mould) -> Mould:
     series = _series(
         RationalFunction.one(), _inverse_factorials(A.depth), _powers(A, lazy_mu)
     )
-    return _materialize(LazyMould(A.depth, series))
+    return _materialize(LazyMould(A.depth, series, A))
 
 
 def lazy_mu_log(S) -> LazyMould:
@@ -425,7 +480,7 @@ def lazy_mu_log(S) -> LazyMould:
     series = _series(
         RationalFunction.zero(), [None] + coeffs, _powers(_less_unit(S), lazy_mu)
     )
-    return LazyMould(S.depth, series)
+    return LazyMould(S.depth, series, S)
 
 
 def mu_log(S: Mould) -> Mould:
@@ -442,14 +497,14 @@ def mu_log(S: Mould) -> Mould:
 
 def lazy_neg(M) -> LazyMould:
     return LazyMould(
-        M.depth, lambda w: M.eval_word(tuple(-letter for letter in w))
+        M.depth, lambda w: M.eval_word(tuple(-letter for letter in w)), M
     )
 
 
 def lazy_leng(r: int, M) -> LazyMould:
     zero = RationalFunction.zero()
     return LazyMould(
-        M.depth, lambda w: M.eval_word(w) if len(w) == r else zero
+        M.depth, lambda w: M.eval_word(w) if len(w) == r else zero, M
     )
 
 

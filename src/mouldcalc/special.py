@@ -20,14 +20,18 @@ values; no opaque symbol enters them, so symbol numbering does not depend
 on what ran before.
 
 ``sang`` and the slicer's inner singulator take the four-sum expansion
-``sang_expanded``, built one word at a time as it is read, for concrete
-depth-1-supported input, and ``lazy_sang``, the expansion's oracle, on any
-other input.  On an opaque depth-1-supported mould the two agree at every
-depth the singulator admits, so the expansion holds for every such input
+``sang_expanded`` for concrete depth-1-supported input, and ``lazy_sang``,
+the expansion's oracle, on any other input.  On an opaque
+depth-1-supported mould the two agree at every depth the singulator
+admits, so the expansion holds for every such input
 (``proofs/test_singulator_expansion.py``; tier-1 proves depth 5).  The
 expansion at one word, ``_sang_expanded_at``, is built only inside
-``_lazy_sang_expanded``, which memoizes each word's value; the psi-odd
-verifier reads it at ``unsharp_word(d)`` as every other route reads it.
+``_lazy_sang_expanded``, which memoizes each word's value.  Over a
+concrete mould both are natural lazy moulds (``moulds``): the slicer
+reads them at shifted and permuted words, which they reach by renaming
+their canonical value, so it builds the expansion once per depth, at the
+canonical word.  The psi-odd verifier reads it at ``unsharp_word(d)``,
+where it is built one word at a time as it is read.
 Every route refuses a depth above the singulator's limit (``limits.LIMITS``)
 with ValueError before any work, in the two builders all routes go through,
 ``lazy_sang`` and ``_lazy_sang_expanded``.  An opaque depth-1-supported
@@ -239,7 +243,7 @@ def lazy_sang(M) -> LazyMould:
     B = lazy_mu(lazy_mu(mupaj(d), M), paj(d))
     C = lazy_neg(_paj_conjugation(d)(B))
     half = Fraction(1, 2)
-    return LazyMould(d, lambda w: (B.eval_word(w) + C.eval_word(w)) * half)
+    return LazyMould(d, lambda w: (B.eval_word(w) + C.eval_word(w)) * half, B, C)
 
 
 def _singulator(M):
@@ -295,17 +299,19 @@ def _is_depth1_supported(M) -> bool:
 
 
 def _lazy_sang_expanded(M) -> LazyMould:
-    """``sang_expanded(M)``, lazily: ``_sang_expanded_at`` builds each word
-    once, at that word.  M is read only through ``eval_word``: on an opaque
-    depth-1 mould the canonical values prove the expansion for every such
-    mould.  A depth above the singulator's limit, or input that is not
-    depth-1-supported, is refused before any work."""
+    """``sang_expanded(M)``, lazily: ``_sang_expanded_at`` builds a word's
+    value at most once, at that word, and not at all where a concrete M's
+    value is substituted from the canonical word's (``moulds``).  M is read
+    only through ``eval_word``: on an opaque depth-1 mould the canonical
+    values prove the expansion for every such mould.  A depth above the
+    singulator's limit, or input that is not depth-1-supported, is refused
+    before any work."""
     gate(("singulator", "depth"), M.depth)
     if not _is_depth1_supported(M):
         raise UnsupportedInputError(
             "expanded singulator needs a depth-1-supported mould"
         )
-    return LazyMould(M.depth, lambda w: _sang_expanded_at(M, w))
+    return LazyMould(M.depth, lambda w: _sang_expanded_at(M, w), M)
 
 
 def _sang_expanded_at(M, w) -> RationalFunction:

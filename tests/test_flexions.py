@@ -26,9 +26,17 @@ from mouldcalc.flexions import (
     invgari,
     lazy_adari,
     lazy_ari,
+    lazy_arit,
     lazy_expari,
     lazy_gari,
+    lazy_garit,
+    lazy_invgari,
+    lazy_leng,
+    lazy_logari,
+    lazy_mu,
     lazy_mu_inverse,
+    lazy_neg,
+    lazy_preari,
     logari,
     mu_at,
     preari,
@@ -44,15 +52,17 @@ from mouldcalc.moulds import (
     canonical_word,
     dur_scale,
     dur_unscale,
+    lazy_mu_log,
     leng,
     mu,
     mu_inverse,
     mu_log,
     neg,
     sharp,
+    unsharp_word,
     word,
 )
-from mouldcalc.special import mupaj, paj, pal, sa, sang
+from mouldcalc.special import _lazy_sang_expanded, lazy_sang, mupaj, paj, pal, sa, sang
 
 from helpers import (
     adari_via_logari,
@@ -532,3 +542,56 @@ def test_lazy_matches_eager(seed):
     assert gari_via_shift_mu(S, Sinv) == one
     assert gari_via_shift_mu(Sinv, S) == one
     assert expari_via_materialized_chain(logari(S)) == S
+
+
+# Each operator over (S, T, A, B): S and T group-like, A and B Lie-like.
+_NATURAL_OPERATORS = {
+    "mu": lambda S, T, A, B: lazy_mu(S, T),
+    "arit": lambda S, T, A, B: lazy_arit(B)(A),
+    "preari": lambda S, T, A, B: lazy_preari(A, B),
+    "ari": lambda S, T, A, B: lazy_ari(A, B),
+    "garit": lambda S, T, A, B: lazy_garit(T)(S),
+    "gari": lambda S, T, A, B: lazy_gari(S, T),
+    "expari": lambda S, T, A, B: lazy_expari(A),
+    "logari": lambda S, T, A, B: lazy_logari(S),
+    "invgari": lambda S, T, A, B: lazy_invgari(S),
+    "adari": lambda S, T, A, B: lazy_adari(S)(A),
+    "mu_log": lambda S, T, A, B: lazy_mu_log(S),
+    "neg": lambda S, T, A, B: lazy_neg(A),
+    "leng": lambda S, T, A, B: lazy_leng(2, A),
+    "sang": lambda S, T, A, B: lazy_sang(A),
+    "sang_expanded": lambda S, T, A, B: _lazy_sang_expanded(lazy_leng(1, A)),
+}
+
+# shifted, permuted, negated, flexed and unsharp words, at depths 2 to 4
+_NATURALITY_WORDS = [
+    canonical_word(4, 2),
+    (x2, x4, x1, x3),
+    tuple(-x for x in canonical_word(4)),
+    (x3, -x1),
+    (x1 + x2, x3, x4 + x_var(5), x_var(6)),
+    (x2 - x1, x1 + x3),
+    unsharp_word(4),
+    unsharp_word(3),
+]
+
+
+@pytest.mark.parametrize("op", list(_NATURAL_OPERATORS), ids=list(_NATURAL_OPERATORS))
+def test_natural_lazy_mould_substitutes_its_canonical_values(op):
+    # a lazy mould over concrete moulds reaches an echelon word through its
+    # canonical value; the oracle wraps the same inputs as lazy moulds with
+    # no declared input, so it runs the rule at every word
+    rng = random.Random(36)
+    inputs = (
+        random_gari_mould(rng, 4),
+        random_gari_mould(rng, 4),
+        random_ari_mould(rng, 4),
+        random_ari_mould(rng, 4),
+    )
+    natural = _NATURAL_OPERATORS[op](*inputs)
+    oracle = _NATURAL_OPERATORS[op](*(LazyMould(M.depth, M.eval_word) for M in inputs))
+    assert natural.natural and not oracle.natural
+    for m in range(5):
+        natural.eval_word(canonical_word(m))
+    for w in _NATURALITY_WORDS:
+        assert natural.eval_word(w) == oracle.eval_word(w), w

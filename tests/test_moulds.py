@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mouldcalc.algebra import Polynomial, RationalFunction, one_over_forms, x_var
+from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.moulds import (
     DepthExceededError,
+    LazyMould,
     Mould,
     NotDefinedError,
     NotInvertibleError,
@@ -22,6 +24,9 @@ from mouldcalc.moulds import (
     dur_scale,
     dur_unscale,
     equal_mod_depth,
+    lazy_leng,
+    lazy_mu,
+    lazy_neg,
     leng,
     lu,
     mould_from_json,
@@ -407,3 +412,25 @@ def test_mould_json_round_trip():
 def test_mould_validates_components():
     with pytest.raises(ValueError):
         Mould([one_over_forms(x1)])  # depth-0 slot cannot use x1
+
+
+def test_a_lazy_mould_is_natural_only_over_concrete_moulds():
+    # an opaque input, one below a depth-1 projection, or no declared input
+    # leaves a lazy mould to run its rule at every word
+    reg = SymbolRegistry()
+    A, M = OpaqueMould(reg, "A", 3), sa(3, 3)
+    assert lazy_mu(M, lazy_neg(M)).natural and lazy_leng(1, M).natural
+    assert not lazy_neg(A).natural
+    assert not lazy_mu(M, A).natural
+    assert not lazy_neg(lazy_leng(1, A)).natural
+    assert not LazyMould(3, M.eval_word).natural
+    assert not lazy_mu(M, LazyMould(3, M.eval_word)).natural
+
+
+def test_an_opaque_lazy_mould_numbers_the_words_it_reads():
+    # a symbol is keyed by its word, so a lazy mould over an opaque one reads
+    # each word itself and never detours through the canonical word
+    reg = SymbolRegistry()
+    value = lazy_neg(OpaqueMould(reg, "A", 2)).eval_word((x_var(2), x_var(3)))
+    assert list(reg._vars) == [("A", (-x_var(2), -x_var(3)))]
+    assert value == reg.symbol("A", (-x_var(2), -x_var(3)))

@@ -20,6 +20,7 @@ from mouldcalc.flexions import ari
 from mouldcalc.cli import main
 from mouldcalc.moulds import (
     Mould,
+    canonical_word,
     equal_mod_depth,
     lazy_mu_log,
     mu_log,
@@ -348,15 +349,30 @@ def slang_calls(monkeypatch, fresh_conjugations):
         cache.cache_clear()
 
 
-def test_comparison_builds_each_discrepancy_mould_once(slang_calls):
+def test_comparison_builds_each_discrepancy_mould_once(
+    slang_calls, monkeypatch, fresh_conjugations
+):
     # each distinct slice is built once: at n = 3, check (i), luma and the
     # two D_ab read slang_1(sa_7), slang_1(sa_3), slang_2(sa_4),
     # slang_1(sa_5) and slang_2(sa_2) (10 calls when each reader built its
     # own, 14 when each D_ab was built twice)
+    built = []
+    build = special._sang_expanded_at
+
+    def recording(M, w):
+        built.append(w)
+        return build(M, w)
+
+    monkeypatch.setattr(special, "_sang_expanded_at", recording)
     report = verify_comparison_theorem(3)
     assert report["status"] == "pass"
     assert len(slang_calls) == 5
     assert len({(r, A) for r, A in slang_calls}) == 5
+    # and each slice's expansion once per depth it reads, at the canonical
+    # word: the slicer's shifted and permuted words rename that value (30
+    # depth-1 and 8 depth-2 builds when every word read ran the expansion)
+    assert [sum(len(w) == d for w in built) for d in (1, 2)] == [5, 2]
+    assert all(w == canonical_word(len(w)) for w in built)
 
 
 def test_comparison_solves_pals_inverse_once(monkeypatch, slang_calls):

@@ -17,7 +17,16 @@ from mouldcalc.algebra import (
 from mouldcalc.flexions import adari, invgari
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.limits import LIMITS
-from mouldcalc.moulds import Mould, _materialize, canonical_word, lazy_leng, mu, mu_inverse, neg
+from mouldcalc.moulds import (
+    Mould,
+    _materialize,
+    canonical_word,
+    lazy_leng,
+    mu,
+    mu_inverse,
+    neg,
+    unsharp_word,
+)
 from mouldcalc.special import (
     UnsupportedInputError,
     bernoulli,
@@ -488,3 +497,13 @@ def test_sang_expanded_agrees_on_mixed_depth1_input():
     comps[1] = f
     M = Mould(comps)
     assert sang_expanded(M) == _materialize(lazy_sang(M))
+
+
+def test_psi_odd_builds_the_expansion_only_at_the_unsharp_words(monkeypatch):
+    # a canonical value that is not held is not forced for a word with a
+    # letter of two variables: unsharp_word(d) is read directly
+    from mouldcalc.solutions import verify_psi_odd_theorem
+
+    built = _record_expansion_words(monkeypatch)
+    assert verify_psi_odd_theorem(1, 4)["status"] == "pass"
+    assert built == [unsharp_word(d) for d in range(1, 5)]
