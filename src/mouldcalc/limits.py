@@ -23,8 +23,8 @@ LIMITS: dict[tuple[str, str], int | dict[int, int]] = {
     # 26 s (229 MB) at 8 with this limit lifted
     ("singulator", "depth"): 7,
     # verify sang-expansion --depth, which also builds the compositional
-    # sang of sa_3 and sa_5: depth 6 took 3.2 to 3.5 s; 7 did not finish in
-    # 60 s (424 to 531 MB)
+    # sang of sa_3 and sa_5: depth 6 took 3.2 to 4.4 s; 7 did not finish in
+    # 60 s (418 to 531 MB)
     ("sang-expansion", "depth"): 6,
     # verify psi-minus1 --dmax 8 took 37 to 53 s (204 to 239 MB); 9 did not
     # finish in 75 s (682 MB)
@@ -48,7 +48,8 @@ LIMITS: dict[tuple[str, str], int | dict[int, int]] = {
     #   8, where no claim runs: compute psi:5 took 43 s (264 MB), psi:7 did
     #   not finish in 60 s
     ("psi", "n"): {1: 32767, 2: 3225, 3: 1209, 4: 785, 5: 416, 6: 155, 7: 23, 8: 2},
-    # verify comparison --n: n = 48 took 38 s; n = 56 68 s
+    # verify comparison --n: n = 48 took 18.7 to 21.9 s (157 MB), and the
+    # refused n = 49 19.4 to 24.7 s (165 MB)
     ("comparison", "n"): 48,
     # compute xi:N, sigma_c:N and luma:N --depth 3, each under 450 MB, with
     # the first refused n: xi:273 took 54 s, xi:274 55 s once and did not
@@ -76,8 +77,8 @@ LIMITS: dict[tuple[str, str], int | dict[int, int]] = {
     #      S = -18), 20 did not finish
     #   5: sang 56 s (S = -14), 16 did not finish; slang 34 s (R = 5,
     #      S = -4), 6 did not finish
-    #   6: sang 24 s (S = -5), 7 did not finish; slang 24 s (R = 5, S = -1),
-    #      3 did not finish
+    #   6: sang 24 s (S = -5), 7 did not finish; slang 12 to 14 s (R = 5,
+    #      S = -1), and the refused 3 (S = -2) 1.4 s
     #   7: sang 21 s (S = -1), 3 did not finish; slang 31 s (R = 7, S = 2),
     #      2 did not finish at R = 3, 5 or 6
     ("sang", "exponent"): {1: 65535, 2: 10240, 3: 196, 4: 41, 5: 15, 6: 6, 7: 2},
