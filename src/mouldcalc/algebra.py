@@ -21,7 +21,12 @@ form, the content goes into the scalar, and equal forms are merged.  A
 substitution composes each denominator form in one pass, adding each
 letter's coefficients into one list; a letter that is one variable moves
 the coefficient to it without a scan, and only the letters of the
-variables the value uses are read.
+variables the value uses are read.  A word whose letters are x_j or -x_j
+for distinct slot variables, a signed permutation (shuffle words,
+``shift``, ``neg``), skips all of that: it maps a canonical value to a
+canonical value, so ``_renamed`` moves and signs each form's coefficients,
+renames the numerator in one ``_rename`` pass and fixes only leading signs
+(see ``substitute`` below).
 A form's packed linear terms (``_linear_terms``) are built once per
 distinct form, in a bounded cache of immutable tuples, however many words
 it is a letter of.
@@ -107,6 +112,32 @@ still worth trying.
   and the word of ``sharp`` are such words.  Every other word tries every
   form, as ``make`` does: the test reads the letters' lengths, with no
   elimination and no cache.
+
+  When moreover every one of those n letters is x_j or -x_j with j <= _K
+  (``_slot_renaming``; the ends are distinct, so the j are, and n <= _K:
+  the value has no table variable), the word is a signed permutation s,
+  and the image of the canonical value is canonical once its signs are
+  fixed, so nothing else is computed (``_renamed``): no ``compose``, no
+  ``primitive``, no content gcd and no trial division.  Why it is the
+  same value:
+
+  - s is a ring automorphism (its inverse is a signed permutation too), so
+    as above no image form divides the image numerator.
+  - s sends distinct monomials to distinct monomials and each term to one
+    term with the same coefficient up to sign, so the image numerator has
+    the same multiset of coefficients up to sign, and its content stays 1.
+    Only its grlex-leading coefficient may turn negative; then the
+    numerator and the scalar are negated (``_leading``).
+  - A form's image has the form's coefficients, moved and signed, so its
+    content stays 1 too: it is primitive up to sign.  When its first
+    nonzero coefficient is negative it is negated, and the scalar takes
+    (-1)^mult.
+  - s is injective on linear forms, so distinct primitive forms have
+    distinct images, and no multiplicities merge.
+
+  The numerator's terms go through ``_rename``'s injective variant, which
+  reads each monomial's fields at once and writes them moved; no two
+  images meet, so no coefficient is added.
 * ``__mul__``: cross-cancellation, as in ``fractions.Fraction``.  A form of
   one denominator that is not in the other can divide the product only
   through the other numerator, so only that numerator is tried; a form of
@@ -209,7 +240,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, count
-from operator import or_
+from operator import itemgetter, mul, or_
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -256,8 +287,8 @@ _TABLE_BITS = 8  # width of a table field, one per variable above x_K
 _MAX_TABLE_EXP = (1 << _TABLE_BITS) - 1  # the largest table exponent, and its mask
 _TABLE_POS = _BITS * (_K + 1)  # the lowest bit of the first table field
 _TABLE_UNIT = 1 << _TABLE_POS  # a packed monomial at least this holds a table variable
-# little-endian readers of the lowest n fields, n up to _K + 1
-_LOW_FIELDS = tuple(struct.Struct(f"<{n}H") for n in range(_K + 2))
+# little-endian readers of the lowest n fields, n up to _K + 2
+_LOW_FIELDS = tuple(struct.Struct(f"<{n}H") for n in range(_K + 3))
 
 # The field of each variable above x_K, given the first time it is packed
 # and never changed, so a packed value stays valid for the life of the
@@ -767,10 +798,43 @@ def _levels(terms: dict, bits: int, mask: int) -> dict:
 def _rename(terms: dict, lins: dict) -> dict:
     """Substitute ``c*x_j`` or 0 for each variable: one monomial per term.
 
-    ``lins[i]`` is the linear terms put in for x_i.  The terms hold slot
-    variables only, so one loop reads their fields; an image x_j may still
-    lie in the table, under ``_compose``'s degree check.
+    ``lins[i]`` is the linear terms put in for x_i, i = 1..n.  The terms
+    hold slot variables only, so one loop reads their fields; an image x_j
+    may still lie in the table, under ``_compose``'s degree check.
+
+    When every image is +-x_j with distinct j <= _K, a signed permutation,
+    distinct monomials stay distinct: each monomial's fields are read at
+    once, reordered by one ``itemgetter`` and packed again, and a term
+    changes sign when the exponents of the negated variables have an odd
+    sum, the parity of the lowest bits of their fields.
     """
+    n = len(lins)
+    order = [n + 1] * (_K + 1)  # the field each output field reads; n + 1 is 0
+    order[0] = top = negated = 0
+    for i in range(1, n + 1):
+        lin = lins[i]
+        if len(lin) != 1:
+            break
+        u, a = lin[0]
+        j = (u.bit_length() - 1) // _BITS  # u is x_j's monomial
+        if a not in (1, -1) or j > _K or order[j] <= n:
+            break
+        order[j] = i
+        top = max(top, j)
+        if a < 0:
+            negated |= 1 << _BITS * i
+    else:
+        if n:
+            size = 2 * (n + 2)  # fields 0..n + 1 of a monomial in x_1..x_n
+            read, write = _LOW_FIELDS[n + 2].unpack, _LOW_FIELDS[top + 1].pack
+            move = itemgetter(*order[: top + 1])
+            to_int = int.from_bytes
+            return {
+                to_int(write(*move(read(m.to_bytes(size, "little")))), "little"): (
+                    -c if negated and (m & negated).bit_count() & 1 else c
+                )
+                for m, c in terms.items()
+            }
     out: dict = {}
     for m, c in terms.items():
         key = m & _MAX_EXP  # a renaming keeps the degree
@@ -1116,20 +1180,33 @@ class RationalFunction:
     def substitute(self, forms: Sequence[LinearForm]) -> "RationalFunction":
         """Evaluate at the given linear forms (x_i := forms[i-1]).
 
-        Raises ZeroDenominatorError if a denominator factor collapses to
-        the zero form.
+        With n the largest index the value uses: when the first n letters
+        are x_j or -x_j for distinct j <= _K (so n <= _K, and no variable
+        lies in the table), the word is a signed permutation and the value
+        is renamed in one pass (``_renamed``).  Every other word composes
+        each form and the numerator and canonicalizes the result, trying
+        the forms only when the letters of the used variables are not in
+        echelon form (see "Where cancellation is attempted" in the module
+        docstring).
+
+        Raises ValueError when fewer than n forms are given, and
+        ZeroDenominatorError if a denominator factor collapses to the zero
+        form.
         """
         if self.scalar == 0:
             return self
-        _, fields = _variables(self.numerator._terms)
-        used = set(map(_index, fields))
-        for f, _ in self.denominator:
-            used.update(compress(count(1), f.coeffs))
-        width = max(used, default=0)
+        n, fields = _variables(self.numerator._terms)
+        width = max(n, max((len(f.coeffs) for f, _ in self.denominator), default=0))
         if width > len(forms):
             raise ValueError(
                 f"value uses x_{width} but only {len(forms)} forms given"
             )
+        letters = forms[:width]
+        if _echelon(letters) and _slot_renaming(letters):
+            return _renamed(self, letters, fields)  # a signed permutation
+        used = set(map(_index, fields))
+        for f, _ in self.denominator:
+            used.update(compress(count(1), f.coeffs))
         scalar, den = _normalize(self.scalar, self.denominator, forms)
         num = _compose(self.numerator._terms, forms, fields)
         # letters in echelon form are independent: no form can cancel
@@ -1156,6 +1233,71 @@ def _echelon(forms: Sequence[LinearForm]) -> bool:
     variable, hence linearly independent."""
     lasts = {len(f.coeffs) for f in forms}
     return len(lasts) == len(forms) and 0 not in lasts
+
+
+def _slot_renaming(forms: Sequence[LinearForm]) -> bool:
+    """Every form is x_j or -x_j for a slot variable x_j, j <= _K: one
+    nonzero coefficient, +-1, the last of at most _K."""
+    for f in forms:
+        c = f.coeffs
+        if not c or len(c) > _K or c[-1] not in (1, -1) or c.count(0) != len(c) - 1:
+            return False
+    return True
+
+
+def _renamed(
+    r: RationalFunction, letters: Sequence[LinearForm], fields
+) -> RationalFunction:
+    """``r.substitute(letters)`` for a nonzero r free of table variables,
+    whose letters, one for each of x_1..x_n that r may use, are +-x_j with
+    distinct j <= _K: a signed permutation, which maps a canonical value to
+    a canonical value once the signs are normalized (see "Where
+    cancellation is attempted" in the module docstring).  ``fields`` are
+    the numerator's (``_variables``)."""
+    terms = _rename(r.numerator._terms, {i: _linear_terms(letters[i - 1].coeffs) for i in fields})
+    scalar = r.scalar
+    if terms[_leading(terms)] < 0:
+        terms = {m: -c for m, c in terms.items()}
+        scalar = -scalar
+    den = {}
+    wide = []  # forms of two or more variables
+    for f, mult in r.denominator:
+        coeffs = f.coeffs
+        if coeffs.count(0) < len(coeffs) - 1:
+            wide.append((coeffs, mult))
+            continue
+        image = letters[len(coeffs) - 1]  # f is x_i: its letter, up to sign
+        if image.coeffs[-1] < 0:
+            image = LinearForm.variable(len(image.coeffs))
+            if mult & 1:
+                scalar = -scalar
+        den[image] = mult
+    if wide:
+        # place j - 1 of an image reads the coefficient of the variable
+        # sent to +-x_j; place n of a form padded to n + 1 places is 0
+        n = len(letters)
+        source = [n] * (_K + 1)
+        signs = [1] * _K
+        top = 0
+        for i, image in enumerate(letters):
+            c = image.coeffs
+            top = max(top, len(c))
+            source[len(c) - 1] = i
+            signs[len(c) - 1] = c[-1]
+        # place top reads the pad too, so the getter returns a tuple
+        gather = itemgetter(*source[: top + 1])
+        pad = (0,) * (n + 1)
+        negated = -1 in signs
+        for coeffs, mult in wide:
+            out = gather(coeffs + pad[len(coeffs) :])
+            if negated:
+                out = tuple(map(mul, out, signs))
+            if next(filter(None, out)) < 0:
+                out = tuple(-c for c in out)
+                if mult & 1:
+                    scalar = -scalar
+            den[_form(out)] = mult
+    return _assemble(scalar, Polynomial(terms), den)
 
 
 def _scalar(q: int | Fraction) -> int | Fraction:

@@ -53,9 +53,9 @@ always did; a lazy mould that declares no input is not natural either.
 
 So on a memo miss at an echelon word other than the canonical one, a
 natural lazy mould substitutes its canonical value if it holds it, and
-when every letter is a single variable (shifts, permutations, ``neg``,
-one renaming pass) it computes the canonical value first; every other
-word runs the rule.  This is a memo rule, not a second builder: the
+when every letter is x_j or -x_j (``algebra._slot_renaming``: shifts,
+permutations, ``neg``, one renaming pass in ``substitute``) it computes
+the canonical value first; every other word runs the rule.  This is a memo rule, not a second builder: the
 value it stores is the one the rule would return, in the same canonical
 form, and the rule stays each operator's one definition.  A canonical
 value that is not held is not forced for a word with a letter of several
@@ -76,6 +76,7 @@ from .algebra import (
     RationalFunction,
     _echelon,
     _json_int,
+    _slot_renaming,
     rf_sum,
     rf_from_json,
     rf_to_json,
@@ -333,11 +334,11 @@ class LazyMould:
     def _canonical_value(self, w: Word) -> RationalFunction | None:
         """The canonical value that w's value is substituted from, or None
         where w runs the rule; computed first only when every letter of w
-        is a single variable."""
+        is x_j or -x_j."""
         c = canonical_word(len(w))
         if w == c or not _echelon(w):
             return None
-        if c in self._memo or any(any(f.coeffs[:-1]) for f in w):
+        if c in self._memo or not _slot_renaming(w):
             return self._memo.get(c)
         return self.eval_word(c)
 

@@ -716,6 +716,134 @@ def test_renaming_and_sharp_make_no_division_attempt(monkeypatch):
     assert attempts
 
 
+def count_canonicalizations(monkeypatch) -> list:
+    """Patch ``Polynomial.content_sign_primitive``, which every value built
+    through ``_build`` calls once and the renaming path never calls, to
+    record each call; returns the (growing) list of polynomials."""
+    calls: list = []
+    original = Polynomial.content_sign_primitive
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Polynomial, "content_sign_primitive", counting)
+    return calls
+
+
+def random_value(rng, nvars):
+    """A nonzero value in x_1..x_nvars: a Fraction or int scalar and forms
+    of multiplicity 1 to 3."""
+    num = Polynomial.zero()
+    while num.is_zero():
+        num = random_poly(rng, nvars, nterms=rng.randint(1, 6))
+    den = [(random_form(rng, nvars), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+    return rf(Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.randint(1, 4)), num, den)
+
+
+def signed_permutation(rng, nvars, top=16):
+    """Letters +-x_j for distinct j <= top, one for each of x_1..x_nvars."""
+    return tuple(rng.choice([1, -1]) * x_var(j) for j in rng.sample(range(1, top + 1), nvars))
+
+
+@pytest.mark.parametrize("kind", ["signed", "permutation", "gaps", "neg", "shift"])
+def test_renaming_path_matches_powers_oracle(kind, monkeypatch):
+    """Words of letters +-x_j with distinct j <= 16 take the renaming path
+    and give the value the general path's oracle gives."""
+    rng = random.Random(f"renaming-{kind}")
+    calls = count_canonicalizations(monkeypatch)
+    flipped = 0  # images whose form or numerator led negative
+    for _ in range(60):
+        nvars = rng.randint(1, 5)
+        value = random_value(rng, nvars)
+        if kind == "signed":
+            word = signed_permutation(rng, nvars, nvars)
+        elif kind == "permutation":
+            word = tuple(x_var(j) for j in rng.sample(range(1, nvars + 1), nvars))
+        elif kind == "gaps":  # targets spread over x_1..x_16
+            word = signed_permutation(rng, nvars)
+        elif kind == "neg":
+            word = tuple(-x_var(i) for i in range(1, nvars + 1))
+        else:
+            k = rng.randint(1, 16 - nvars)
+            word = tuple(x_var(i + k) for i in range(1, nvars + 1))
+        calls.clear()
+        got = value.shift(k) if kind == "shift" else value.substitute(word)
+        assert calls == []
+        assert got == substitute_via_powers(value, word)
+        flipped += got.scalar != value.scalar
+    # an increasing renaming keeps every sign; the others flip some
+    assert flipped == 0 if kind == "shift" else flipped > 5
+
+
+def test_renaming_normalizes_the_signs_of_forms_and_numerator(monkeypatch):
+    swap = (x2, x1)
+    # x1 - x2 -> x2 - x1 = -(x1 - x2): the scalar takes (-1)^mult; the
+    # numerator x1^2 - x2 -> x2^2 - x1 still leads with a positive x2^2
+    values = [
+        rf(Fraction(3, 2), poly({(2,): 1, (0, 1): -1}), [(x1 - x2, mult), (x1, 1)])
+        for mult in (1, 2, 3)
+    ]
+    # x1 - x2^2 -> x2 - x1^2 = -(x1^2 - x2): the numerator is negated
+    negated = rf(5, poly({(1,): 1, (0, 2): -1}), [(x1 + x2, 2)])
+    calls = count_canonicalizations(monkeypatch)
+    got = [value.substitute(swap) for value in values]
+    got_negated = negated.substitute(swap)
+    assert calls == []
+    monkeypatch.undo()
+    for mult, value, image in zip((1, 2, 3), values, got):
+        assert image == substitute_via_powers(value, swap)
+        assert image.denominator == ((x2, 1), (x1 - x2, mult))
+        assert image.scalar == Fraction(3, 2) * (-1) ** mult
+    assert got_negated == rf(-5, poly({(2,): 1, (0, 1): -1}), [(x1 + x2, 2)])
+
+
+def test_words_that_are_no_signed_permutation_take_the_general_path(monkeypatch):
+    value = rf(Fraction(-2, 3), poly({(1, 1, 1): 1, (0, 0, 3): -2, (): 1}), [(x1 + x3, 2), (x1, 1)])
+    wide = rf(1, poly({(1,) + (0,) * 999 + (1,): 1, (2,): 1}), [(x1 + x2, 1)])  # x1 x1001 + x1^2
+    x17 = x_var(17)  # the first variable past the slots lies in the table
+    cases = [
+        (value, (x2, LinearForm.zero(), x1)),  # a zero letter
+        (value, (x1, x2, x1)),  # a repeated target
+        (value, (x2, 2 * x1, x3)),  # a letter 2 x_j
+        (value, (x3, x2, x17)),  # a table variable in the word
+        (value, (x3, -x1 + x2, x2)),  # a letter of two variables
+        (wide, (x2, x1) + tuple(map(x_var, range(3, 1002)))),  # in the value
+    ]
+    calls = count_canonicalizations(monkeypatch)
+    for r, word in cases:
+        calls.clear()
+        got = r.substitute(word)
+        assert len(calls) == 1
+        assert got == substitute_via_powers(r, word)
+    # the letters of unused variables are read too: a zero letter past the
+    # value's variables is not read, one in a gap is
+    calls.clear()
+    longer = value.substitute((x3, x1, x2, LinearForm.zero()))
+    assert calls == []
+    assert longer == value.substitute((x3, x1, x2))
+    gap = rf(1, poly({(1,): 1}), [(x1 + x3, 1)])  # x1 / (x1 + x3)
+    calls.clear()
+    got = gap.substitute((x2, LinearForm.zero(), x1))
+    assert len(calls) == 1
+    assert got == rf(1, poly({(0, 1): 1}), [(x1 + x2, 1)])
+
+
+def test_shuffle_words_take_the_renaming_path(monkeypatch):
+    from mouldcalc.moulds import canonical_word, shuffle
+    from mouldcalc.special import dupal, pal
+
+    for M, n in ((dupal(6), 6), (pal(5), 5)):
+        value = M.components[n]
+        c = canonical_word(n)
+        words = list(shuffle(c[:2], c[2:]))
+        calls = count_canonicalizations(monkeypatch)
+        got = [value.substitute(w) for w in words]
+        assert calls == []
+        monkeypatch.undo()
+        assert got == [substitute_via_powers(value, w) for w in words]
+
+
 _TRAFFIC = """
 from mouldcalc.algebra import Polynomial, RationalFunction
 from mouldcalc.special import sa, slang
