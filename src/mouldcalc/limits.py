@@ -29,10 +29,10 @@ LIMITS: dict[tuple[str, str], int | dict[int, int]] = {
     # verify psi-minus1 --dmax 8 took 37 to 53 s (204 to 239 MB); 9 did not
     # finish in 75 s (682 MB)
     ("psi-minus1", "dmax"): 8,
-    # verify pal-symmetral --depth 10 took 13 s (240 MB); 11 did not finish
-    # in 75 s (888 MB)
+    # verify pal-symmetral --depth 10 took 9.1 s (228 MB); 11 did not finish
+    # in 60 s (914 MB)
     ("pal-symmetral", "depth"): 10,
-    # verify dupal-alternal --depth 16 took 19 to 20 s (351 MB); x_16 is the
+    # verify dupal-alternal --depth 16 took 6.5 s (175 MB); x_16 is the
     # kernel's last slot variable (algebra._K)
     ("dupal-alternal", "depth"): 16,
     # psi_{2n+1}'s n at each depth d: verify psi-odd --n at --dmax d, and

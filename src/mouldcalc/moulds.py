@@ -55,13 +55,14 @@ So on a memo miss at an echelon word other than the canonical one, a
 natural lazy mould substitutes its canonical value if it holds it, and
 when every letter is x_j or -x_j (``algebra._slot_renaming``: shifts,
 permutations, ``neg``, one renaming pass in ``substitute``) it computes
-the canonical value first; every other word runs the rule.  This is a memo rule, not a second builder: the
-value it stores is the one the rule would return, in the same canonical
-form, and the rule stays each operator's one definition.  A canonical
-value that is not held is not forced for a word with a letter of several
-variables: psi's claims read the singulator at ``unsharp_word(d)``,
-where the direct value costs far less than the canonical value and a
-substitution of sums of variables into it.
+the canonical value first; every other word runs the rule.  This is a
+memo rule, not a second builder: the value it stores is the one the rule
+would return, in the same canonical form, and the rule stays each
+operator's one definition.  A canonical value that is not held is not
+forced for a word with a letter of several variables: psi's claims read
+the singulator at ``unsharp_word(d)``, where the direct value costs far
+less than the canonical value and a substitution of sums of variables
+into it.
 """
 
 from __future__ import annotations
