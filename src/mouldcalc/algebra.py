@@ -22,11 +22,16 @@ substitution composes each denominator form in one pass, adding each
 letter's coefficients into one list; a letter that is one variable moves
 the coefficient to it without a scan, and only the letters of the
 variables the value uses are read.  A word whose letters are x_j or -x_j
-for distinct slot variables, a signed permutation (shuffle words,
-``shift``, ``neg``), skips all of that: it maps a canonical value to a
-canonical value, so ``_renamed`` moves and signs each form's coefficients,
-renames the numerator in one ``_rename`` pass and fixes only leading signs
-(see ``substitute`` below).
+for distinct slot variables is a signed permutation (shuffle words,
+``shift``, ``neg``).  One decoder says whether a word is one,
+``_signed_permutation``, which returns the signed index +-j of each
+letter, and every path reads its answer.  Such a word skips all of the
+above: it maps a canonical value to a canonical value, so ``_renamed``
+moves and signs each form's coefficients by the decoded indices, renames
+the numerator in one ``_rename`` pass and fixes only leading signs (see
+``substitute`` below).  A numerator is substituted by one of two loops:
+``_rename`` when the letters of its variables decode, ``_horner`` for
+every other word, a scaling c*x_j or a zero letter included.
 A form's packed linear terms (``_linear_terms``) are built once per
 distinct form, in a bounded cache of immutable tuples, however many words
 it is a letter of.
@@ -113,13 +118,13 @@ still worth trying.
   form, as ``make`` does: the test reads the letters' lengths, with no
   elimination and no cache.
 
-  When moreover every one of those n letters is x_j or -x_j with j <= _K
-  (``_slot_renaming``; the ends are distinct, so the j are, and n <= _K:
-  the value has no table variable), the word is a signed permutation s,
-  and the image of the canonical value is canonical once its signs are
-  fixed, so nothing else is computed (``_renamed``): no ``compose``, no
-  ``primitive``, no content gcd and no trial division.  Why it is the
-  same value:
+  When the letters of x_1..x_n, n the largest index the value uses,
+  decode to a signed permutation s (``_signed_permutation``: each is x_j
+  or -x_j, the j distinct and at most _K, so the letters are echelon and
+  the value has no table variable), the image of the canonical value is
+  canonical once its signs are fixed, so nothing else is computed
+  (``_renamed``): no ``compose``, no ``primitive``, no content gcd and no
+  trial division.  Why it is the same value:
 
   - s is a ring automorphism (its inverse is a signed permutation too), so
     as above no image form divides the image numerator.
@@ -135,9 +140,12 @@ still worth trying.
   - s is injective on linear forms, so distinct primitive forms have
     distinct images, and no multiplicities merge.
 
-  The numerator's terms go through ``_rename``'s injective variant, which
-  reads each monomial's fields at once and writes them moved; no two
-  images meet, so no coefficient is added.
+  The numerator's terms go through ``_rename``, which reads each
+  monomial's fields at once and writes them moved; no two images meet,
+  so no coefficient is added.  The forms' images are read off the same
+  decoded indices: a form x_i goes to the variable of the i-th index, and
+  a wider form's coefficients are gathered into the places the indices
+  name and signed by them.
 * ``__mul__``: cross-cancellation, as in ``fractions.Fraction``.  A form of
   one denominator that is not in the other can divide the product only
   through the other numerator, so only that numerator is tried; a form of
@@ -622,17 +630,19 @@ class Polynomial:
     def compose(self, forms: Sequence["LinearForm"]) -> "Polynomial":
         """Substitute ``forms[i-1]`` for x_i.  Result is exact.
 
-        A renaming or scaling (every form ``c*x_j`` or zero) maps each
-        monomial to one monomial.  Otherwise the substitution runs by Horner
-        evaluation in the last variable, recursively (``_horner``).  Linear
-        forms are homogeneous, so no degree grows.
+        When the forms of the variables used are a signed permutation
+        (``_signed_permutation``), each monomial maps to one monomial
+        (``_rename``).  Every other word, a scaling ``c*x_j`` or a zero
+        form included, runs by Horner evaluation in the last variable,
+        recursively (``_horner``).  Linear forms are homogeneous, so no
+        degree grows.
         """
         width, fields = _variables(self._terms)
         if width > len(forms):
             raise ValueError(
                 f"polynomial uses x_{width} but only {len(forms)} forms given"
             )
-        return _compose(self._terms, forms, fields)
+        return _compose(self._terms, forms[:width], fields)
 
     def mul_linear(self, form: "LinearForm") -> "Polynomial":
         terms = self._terms
@@ -770,17 +780,19 @@ def _mul_form(terms: dict, lin: Iterable, out: dict | None = None) -> dict:
     return out
 
 
-def _compose(terms: dict, forms: Sequence["LinearForm"], fields) -> Polynomial:
+def _compose(terms: dict, letters: Sequence["LinearForm"], fields) -> Polynomial:
     """``Polynomial.compose`` on a terms dict whose variables' fields are
-    ``fields`` (``_variables``), once the forms are known to cover them."""
-    lins = {f: _linear_terms(forms[_index(f) - 1].coeffs) for f in fields}
+    ``fields`` (``_variables``), at ``letters``, the forms put in for
+    x_1..x_n, n the largest index used: one renaming pass when the letters
+    are a signed permutation (``_signed_permutation``), Horner otherwise."""
+    perm = _signed_permutation(letters)
+    if perm is not None:
+        return Polynomial(_rename(terms, perm))
+    lins = {f: _linear_terms(letters[_index(f) - 1].coeffs) for f in fields}
     # a substitution keeps the degree, which an image's table field must
     # hold; a form holds a table variable exactly when its last one is
     _check_degree(_degree(terms), (lin[-1][0] for lin in lins.values() if lin))
-    # the renaming loop reads slot fields only; Horner reads any field
-    if max(fields, default=0) > _K or any(len(lin) > 1 for lin in lins.values()):
-        return Polynomial(_horner(terms, lins))
-    return Polynomial(_rename(terms, lins))
+    return Polynomial(_horner(terms, lins))
 
 
 def _levels(terms: dict, bits: int, mask: int) -> dict:
@@ -795,70 +807,38 @@ def _levels(terms: dict, bits: int, mask: int) -> dict:
     return levels
 
 
-def _rename(terms: dict, lins: dict) -> dict:
-    """Substitute ``c*x_j`` or 0 for each variable: one monomial per term.
+def _rename(terms: dict, perm: tuple) -> dict:
+    """Substitute the signed permutation ``perm`` (``_signed_permutation``)
+    into terms in x_1..x_n, n = len(perm): x_j for x_i when perm[i-1] is j,
+    and -x_j when it is -j.
 
-    ``lins[i]`` is the linear terms put in for x_i, i = 1..n.  The terms
-    hold slot variables only, so one loop reads their fields; an image x_j
-    may still lie in the table, under ``_compose``'s degree check.
-
-    When every image is +-x_j with distinct j <= _K, a signed permutation,
-    distinct monomials stay distinct: each monomial's fields are read at
+    Distinct monomials stay distinct: each monomial's fields are read at
     once, reordered by one ``itemgetter`` and packed again, and a term
     changes sign when the exponents of the negated variables have an odd
-    sum, the parity of the lowest bits of their fields.
+    sum, the parity of the lowest bits of their fields.  Constant terms
+    (n = 0) are returned as they are.
     """
-    n = len(lins)
+    n = len(perm)
+    if not n:
+        return dict(terms)
     order = [n + 1] * (_K + 1)  # the field each output field reads; n + 1 is 0
-    order[0] = top = negated = 0
-    for i in range(1, n + 1):
-        lin = lins[i]
-        if len(lin) != 1:
-            break
-        u, a = lin[0]
-        j = (u.bit_length() - 1) // _BITS  # u is x_j's monomial
-        if a not in (1, -1) or j > _K or order[j] <= n:
-            break
-        order[j] = i
-        top = max(top, j)
-        if a < 0:
+    order[0] = negated = 0
+    for i, j in enumerate(perm, 1):
+        if j < 0:
+            j = -j
             negated |= 1 << _BITS * i
-    else:
-        if n:
-            size = 2 * (n + 2)  # fields 0..n + 1 of a monomial in x_1..x_n
-            read, write = _LOW_FIELDS[n + 2].unpack, _LOW_FIELDS[top + 1].pack
-            move = itemgetter(*order[: top + 1])
-            to_int = int.from_bytes
-            return {
-                to_int(write(*move(read(m.to_bytes(size, "little")))), "little"): (
-                    -c if negated and (m & negated).bit_count() & 1 else c
-                )
-                for m, c in terms.items()
-            }
-    out: dict = {}
-    for m, c in terms.items():
-        key = m & _MAX_EXP  # a renaming keeps the degree
-        rest = m >> _BITS  # fields 1, 2, ... in its low bits
-        i = 1
-        while rest:
-            e = rest & _MAX_EXP
-            if e:
-                lin = lins[i]
-                if not lin:
-                    break  # x_i -> 0 kills the term
-                u, a = lin[0]
-                key += e * (u - 1)
-                if a != 1:
-                    c *= a**e
-            rest >>= _BITS
-            i += 1
-        else:
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
+        order[j] = i
+    top = max(map(abs, perm))
+    size = 2 * (n + 2)  # fields 0..n + 1 of a monomial in x_1..x_n
+    read, write = _LOW_FIELDS[n + 2].unpack, _LOW_FIELDS[top + 1].pack
+    move = itemgetter(*order[: top + 1])
+    to_int = int.from_bytes
+    return {
+        to_int(write(*move(read(m.to_bytes(size, "little")))), "little"): (
+            -c if negated and (m & negated).bit_count() & 1 else c
+        )
+        for m, c in terms.items()
+    }
 
 
 def _horner(terms: dict, lins: dict) -> dict:
@@ -1181,13 +1161,13 @@ class RationalFunction:
         """Evaluate at the given linear forms (x_i := forms[i-1]).
 
         With n the largest index the value uses: when the first n letters
-        are x_j or -x_j for distinct j <= _K (so n <= _K, and no variable
-        lies in the table), the word is a signed permutation and the value
-        is renamed in one pass (``_renamed``).  Every other word composes
-        each form and the numerator and canonicalizes the result, trying
-        the forms only when the letters of the used variables are not in
-        echelon form (see "Where cancellation is attempted" in the module
-        docstring).
+        decode to a signed permutation (``_signed_permutation``: x_j or -x_j
+        for distinct j <= _K, so n <= _K, and no variable lies in the
+        table), the value is renamed in one pass (``_renamed``).  Every
+        other word composes each form and the numerator (``_compose``) and
+        canonicalizes the result, trying the forms only when the letters
+        of the used variables are not in echelon form (see "Where
+        cancellation is attempted" in the module docstring).
 
         Raises ValueError when fewer than n forms are given, and
         ZeroDenominatorError if a denominator factor collapses to the zero
@@ -1201,14 +1181,14 @@ class RationalFunction:
             raise ValueError(
                 f"value uses x_{width} but only {len(forms)} forms given"
             )
-        letters = forms[:width]
-        if _echelon(letters) and _slot_renaming(letters):
-            return _renamed(self, letters, fields)  # a signed permutation
+        perm = _signed_permutation(forms[:width])
+        if perm is not None:
+            return _renamed(self, perm, n)
         used = set(map(_index, fields))
         for f, _ in self.denominator:
             used.update(compress(count(1), f.coeffs))
         scalar, den = _normalize(self.scalar, self.denominator, forms)
-        num = _compose(self.numerator._terms, forms, fields)
+        num = _compose(self.numerator._terms, forms[:n], fields)
         # letters in echelon form are independent: no form can cancel
         if _echelon([forms[i - 1] for i in used]):
             return _build(scalar, num, den, ())
@@ -1235,26 +1215,32 @@ def _echelon(forms: Sequence[LinearForm]) -> bool:
     return len(lasts) == len(forms) and 0 not in lasts
 
 
-def _slot_renaming(forms: Sequence[LinearForm]) -> bool:
-    """Every form is x_j or -x_j for a slot variable x_j, j <= _K: one
-    nonzero coefficient, +-1, the last of at most _K."""
-    for f in forms:
+def _signed_permutation(letters: Sequence[LinearForm]) -> tuple | None:
+    """The word as a signed permutation: j for each letter x_j and -j for
+    each letter -x_j, when the j are distinct and at most _K; None for
+    every other word.  The one test of a renaming word.  Such letters are
+    nonzero and end in distinct variables, so they are echelon
+    (``_echelon``)."""
+    perm = []
+    for f in letters:
         c = f.coeffs
-        if not c or len(c) > _K or c[-1] not in (1, -1) or c.count(0) != len(c) - 1:
-            return False
-    return True
+        j = len(c)
+        if not 0 < j <= _K or c[-1] not in (1, -1) or c.count(0) != j - 1:
+            return None
+        perm.append(j * c[-1])
+    if len(set(map(abs, perm))) < len(perm):
+        return None
+    return tuple(perm)
 
 
-def _renamed(
-    r: RationalFunction, letters: Sequence[LinearForm], fields
-) -> RationalFunction:
-    """``r.substitute(letters)`` for a nonzero r free of table variables,
-    whose letters, one for each of x_1..x_n that r may use, are +-x_j with
-    distinct j <= _K: a signed permutation, which maps a canonical value to
-    a canonical value once the signs are normalized (see "Where
-    cancellation is attempted" in the module docstring).  ``fields`` are
-    the numerator's (``_variables``)."""
-    terms = _rename(r.numerator._terms, {i: _linear_terms(letters[i - 1].coeffs) for i in fields})
+def _renamed(r: RationalFunction, perm: tuple, n: int) -> RationalFunction:
+    """``r.substitute(word)`` for a nonzero r free of table variables and a
+    word that covers every variable r may use and decodes to the signed
+    permutation ``perm`` (``_signed_permutation``), which maps a canonical
+    value to a canonical value once the signs are normalized (see "Where
+    cancellation is attempted" in the module docstring).  The numerator
+    uses x_1..x_n (``_variables``)."""
+    terms = _rename(r.numerator._terms, perm[:n])
     scalar = r.scalar
     if terms[_leading(terms)] < 0:
         terms = {m: -c for m, c in terms.items()}
@@ -1266,28 +1252,26 @@ def _renamed(
         if coeffs.count(0) < len(coeffs) - 1:
             wide.append((coeffs, mult))
             continue
-        image = letters[len(coeffs) - 1]  # f is x_i: its letter, up to sign
-        if image.coeffs[-1] < 0:
-            image = LinearForm.variable(len(image.coeffs))
+        j = perm[len(coeffs) - 1]  # f is x_i: its image is x_|j|, negated when j < 0
+        if j < 0:
+            j = -j
             if mult & 1:
                 scalar = -scalar
-        den[image] = mult
+        den[LinearForm.variable(j)] = mult
     if wide:
         # place j - 1 of an image reads the coefficient of the variable
-        # sent to +-x_j; place n of a form padded to n + 1 places is 0
-        n = len(letters)
-        source = [n] * (_K + 1)
+        # sent to +-x_j; place m of a form padded to m + 1 places is 0
+        m = len(perm)
+        source = [m] * (_K + 1)
         signs = [1] * _K
-        top = 0
-        for i, image in enumerate(letters):
-            c = image.coeffs
-            top = max(top, len(c))
-            source[len(c) - 1] = i
-            signs[len(c) - 1] = c[-1]
+        for i, j in enumerate(perm):
+            source[abs(j) - 1] = i
+            signs[abs(j) - 1] = 1 if j > 0 else -1
         # place top reads the pad too, so the getter returns a tuple
+        top = max(map(abs, perm))
         gather = itemgetter(*source[: top + 1])
-        pad = (0,) * (n + 1)
-        negated = -1 in signs
+        pad = (0,) * (m + 1)
+        negated = min(perm) < 0
         for coeffs, mult in wide:
             out = gather(coeffs + pad[len(coeffs) :])
             if negated:

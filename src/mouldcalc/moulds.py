@@ -53,9 +53,10 @@ always did; a lazy mould that declares no input is not natural either.
 
 So on a memo miss at an echelon word other than the canonical one, a
 natural lazy mould substitutes its canonical value if it holds it, and
-when every letter is x_j or -x_j (``algebra._slot_renaming``: shifts,
-permutations, ``neg``, one renaming pass in ``substitute``) it computes
-the canonical value first; every other word runs the rule.  This is a
+when the word decodes to a signed permutation, every letter x_j or -x_j
+(``algebra._signed_permutation``, the decoder that also picks the
+renaming pass in ``substitute``: shifts, permutations, ``neg``), it
+computes the canonical value first; every other word runs the rule.  This is a
 memo rule, not a second builder: the value it stores is the one the rule
 would return, in the same canonical form, and the rule stays each
 operator's one definition.  A canonical value that is not held is not
@@ -77,7 +78,7 @@ from .algebra import (
     RationalFunction,
     _echelon,
     _json_int,
-    _slot_renaming,
+    _signed_permutation,
     rf_sum,
     rf_from_json,
     rf_to_json,
@@ -339,7 +340,7 @@ class LazyMould:
         c = canonical_word(len(w))
         if w == c or not _echelon(w):
             return None
-        if c in self._memo or not _slot_renaming(w):
+        if c in self._memo or _signed_permutation(w) is None:
             return self._memo.get(c)
         return self.eval_word(c)
 

@@ -798,6 +798,20 @@ def test_renaming_normalizes_the_signs_of_forms_and_numerator(monkeypatch):
     assert got_negated == rf(-5, poly({(2,): 1, (0, 1): -1}), [(x1 + x2, 2)])
 
 
+def count_horner(monkeypatch) -> list:
+    """Patch ``algebra._horner`` to record every call, its recursive ones
+    included; returns the (growing) list of the terms it was given."""
+    calls: list = []
+    original = algebra._horner
+
+    def counting(terms, lins):
+        calls.append(terms)
+        return original(terms, lins)
+
+    monkeypatch.setattr(algebra, "_horner", counting)
+    return calls
+
+
 def test_words_that_are_no_signed_permutation_take_the_general_path(monkeypatch):
     value = rf(Fraction(-2, 3), poly({(1, 1, 1): 1, (0, 0, 3): -2, (): 1}), [(x1 + x3, 2), (x1, 1)])
     wide = rf(1, poly({(1,) + (0,) * 999 + (1,): 1, (2,): 1}), [(x1 + x2, 1)])  # x1 x1001 + x1^2
@@ -811,11 +825,15 @@ def test_words_that_are_no_signed_permutation_take_the_general_path(monkeypatch)
         (wide, (x2, x1) + tuple(map(x_var, range(3, 1002)))),  # in the value
     ]
     calls = count_canonicalizations(monkeypatch)
+    horner = count_horner(monkeypatch)
     for r, word in cases:
         calls.clear()
+        horner.clear()
         got = r.substitute(word)
         assert len(calls) == 1
+        assert horner  # the numerator's letters are no signed permutation
         assert got == substitute_via_powers(r, word)
+        assert dict(r.numerator.compose(word).terms) == compose_via_tuples(r.numerator, word)
     # the letters of unused variables are read too: a zero letter past the
     # value's variables is not read, one in a gap is
     calls.clear()
@@ -836,12 +854,35 @@ def test_shuffle_words_take_the_renaming_path(monkeypatch):
     for M, n in ((dupal(6), 6), (pal(5), 5)):
         value = M.components[n]
         c = canonical_word(n)
-        words = list(shuffle(c[:2], c[2:]))
+        # the shuffle words, neg's word and shift's word up to x_16
+        words = list(shuffle(c[:2], c[2:])) + [tuple(-x for x in c)]
+        words.append(tuple(x_var(i + 16 - n) for i in range(1, n + 1)))
         calls = count_canonicalizations(monkeypatch)
+        horner = count_horner(monkeypatch)
         got = [value.substitute(w) for w in words]
-        assert calls == []
+        assert value.shift(16 - n) == got[-1]
+        assert value.numerator.shift(16 - n) == got[-1].numerator
+        assert calls == horner == []
         monkeypatch.undo()
         assert got == [substitute_via_powers(value, w) for w in words]
+
+
+def test_signed_permutation_decodes_renaming_words_only():
+    decode = algebra._signed_permutation
+    x16, x17 = x_var(16), x_var(17)
+    assert decode(()) == ()
+    assert decode((x2, -x1, x3)) == (2, -1, 3)
+    assert decode((-x16, x_var(9), x1)) == (-16, 9, 1)  # gaps up to x_16
+    assert decode(tuple(map(x_var, range(16, 0, -1)))) == tuple(range(16, 0, -1))
+    refused = [
+        (x2, LinearForm.zero(), x1),  # a zero letter
+        (x2, 2 * x1, x3),  # a letter 2 x_j
+        (x1, x2, -x1),  # a repeated target, up to sign
+        (x3, x2, x17),  # past the slots
+        (x3, -x1 + x2, x1),  # a letter of two variables
+    ]
+    for word in refused:
+        assert decode(word) is None
 
 
 _TRAFFIC = """
