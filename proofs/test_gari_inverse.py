@@ -4,13 +4,13 @@ Each value of S is a free symbol, so both identities hold for every S of
 the gari group; the tier-1 suite runs the same proof at depth 5.  At depth
 8 it goes through every flexion sum the solver and the group law use
 (``garit_at``, ``mu_at`` and the mu-inverse).  The right inverse holds
-whatever ``garit_at`` computes, because the solver defines invgari(S) by
-the same twisted action that gari(S, invgari(S)) recomputes; the left
-inverse reads an action the solver never computes, so it is the side that
-checks ``garit_at``.  Both sides take about 6 s and 630 MB (peak RSS) on
-a 2-vCPU x86-64 host with Python 3.11.7.  It sits outside the tier-1
-``testpaths``, and CI runs it on every Python version of the tier-1
-matrix as a step of its own:
+whatever ``garit_at`` computes, because gari(S, invgari(S)) reads the
+twisted action that the solver defines invgari(S) by, the node it built;
+the left inverse reads an action the solver never computes, so it is the
+side that checks ``garit_at``.  Both sides take about 5 s and 650 MB
+(peak RSS) on a 2-vCPU x86-64 host with Python 3.11.7.  It sits outside
+the tier-1 ``testpaths``, and CI runs it on every Python version of the
+tier-1 matrix as a step of its own:
 
     python -m pytest proofs/test_gari_inverse.py -q
 """

@@ -27,7 +27,11 @@ module re-exports:
   concrete moulds, opaque symbol moulds and other lazy moulds mix freely.
   Each wrapper declares its inputs, so over concrete moulds it is natural
   (``moulds``) and reaches shifted, permuted and negated words through its
-  canonical values.
+  canonical values.  Each goes through the node table of ``moulds``, so
+  while a node lives, its operator on the same input objects returns it
+  and its memo: ``lazy_expari(A)``'s chain is ``lazy_preari(A, A)``,
+  ``lazy_gari(S, T)`` reads ``lazy_garit(T)(S)``, and an operator such as
+  ``lazy_garit(T)`` keys the node it returns by both inputs, (T, S).
   ``expari`` and ``logari`` are series of pre-Lie iterates summed like
   the mould exponential, by one ``rf_sum`` per word.  The solvers are
   lazy fixed points solved depth by depth: ``logari`` inverts ``expari``,
@@ -65,13 +69,16 @@ from .moulds import (
     Mould,
     Word,
     _inverse_factorials,
+    _key,
     _letter_sum,
     _materialize,
     _mu_parts,
+    _node,
     _powers,
     _require_ari,
     _require_gari,
     _series,
+    _tabled,
     lazy_leng,
     lazy_mu,
     lazy_mu_inverse,
@@ -315,20 +322,22 @@ def adari(S: Mould) -> Callable[[Mould], Mould]:
 
 
 def lazy_arit(N) -> Callable:
-    def apply(M) -> LazyMould:
+    def build(M) -> LazyMould:
         return LazyMould(
             min(M.depth, N.depth), lambda w: arit_at(w, M.eval_word, N.eval_word), M, N
         )
 
-    return apply
+    return lambda M: _node(_key(lazy_arit, (N, M)), lambda: build(M))
 
 
+@_tabled
 def lazy_preari(M, N) -> LazyMould:
     return LazyMould(
         min(M.depth, N.depth), lambda w: preari_at(w, M.eval_word, N.eval_word), M, N
     )
 
 
+@_tabled
 def lazy_ari(M, N) -> LazyMould:
     return LazyMould(
         min(M.depth, N.depth),
@@ -344,7 +353,7 @@ def lazy_ari(M, N) -> LazyMould:
 def lazy_garit(T) -> Callable:
     Tinv = lazy_mu_inverse(T)
 
-    def apply(S) -> LazyMould:
+    def build(S) -> LazyMould:
         return LazyMould(
             min(S.depth, T.depth),
             lambda w: garit_at(w, S.eval_word, T.eval_word, Tinv.eval_word),
@@ -352,22 +361,24 @@ def lazy_garit(T) -> Callable:
             T,
         )
 
-    return apply
+    return lambda S: _node(_key(lazy_garit, (T, S)), lambda: build(S))
 
 
 def lazy_gari(S, T) -> LazyMould:
-    """gari(S, T) = garit(T)(S) x T, with a twisted action of its own.
+    """gari(S, T) = garit(T)(S) x T, reading the live twisted action of
+    (T, S) from the node table.
 
-    For T = G = ``lazy_invgari(S)`` this action recomputes the X =
-    garit(G)(S) that the solver defined G by, G = mu_inverse(X), so
-    ``gari(S, invgari(S)) = 1`` is mu(X, mu_inverse(X)) = 1 and holds
-    whatever ``garit_at`` computes, shared action or not.  The left
-    inverse ``gari(invgari(S), S) = 1`` reads garit(S)(G), which the
-    solver never computes: that side is the one that checks ``garit_at``.
+    For T = G = ``lazy_invgari(S)`` that action is the X = garit(G)(S) that
+    the solver defined G by, G = mu_inverse(X), so ``gari(S, invgari(S)) =
+    1`` is mu(X, mu_inverse(X)) = 1 and holds whatever ``garit_at``
+    computes, shared action or not.  The left inverse ``gari(invgari(S), S)
+    = 1`` reads garit(S)(G), which the solver never computes: that side is
+    the one that checks ``garit_at``.
     """
     return lazy_mu(lazy_garit(T)(S), T)
 
 
+@_tabled
 def lazy_expari(A) -> LazyMould:
     return LazyMould(
         A.depth,
@@ -380,6 +391,7 @@ def lazy_expari(A) -> LazyMould:
     )
 
 
+@_tabled
 def lazy_logari(S) -> LazyMould:
     """Solve expari(X) = S for X: X = S - sum_{n >= 2} preari_n(X) / n!.
     The correction terms at a word only involve X at strictly shorter
@@ -392,6 +404,7 @@ def lazy_logari(S) -> LazyMould:
     return X
 
 
+@_tabled
 def lazy_invgari(S) -> LazyMould:
     """Solve gari(S, G) = 1 for G, i.e. G = mu_inverse(garit(G)(S)).
 

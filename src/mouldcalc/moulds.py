@@ -64,14 +64,24 @@ forced for a word with a letter of several variables: psi's claims read
 the singulator at ``unsharp_word(d)``, where the direct value costs far
 less than the canonical value and a substitution of sums of variables
 into it.
+
+Every ``lazy_*`` constructor here and in ``flexions`` goes through one
+node table, keyed by the constructor and its inputs' identities, with an
+int parameter such as ``lazy_leng``'s r by value: while a node lives, the
+same constructor on the same input objects returns it, memo and all.  The
+table is weak, so an entry dies with its node and no lazy value outlives
+its users, and a node holds its declared ``inputs``, so no identity in a
+live key is reused.  Equal moulds that are distinct objects get nodes of
+their own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from itertools import combinations, zip_longest
 from typing import Callable, Mapping, Sequence
+from weakref import WeakValueDictionary
 
 from .algebra import (
     LinearForm,
@@ -314,12 +324,13 @@ class LazyMould:
     the module docstring).
     """
 
-    __slots__ = ("depth", "_fn", "_memo", "natural")
+    __slots__ = ("depth", "_fn", "_memo", "inputs", "natural", "__weakref__")
 
     def __init__(self, depth: int, fn: Eval | None, *inputs):
         self.depth = depth
         self._fn = fn
         self._memo: dict = {}
+        self.inputs = inputs
         self.natural = bool(inputs) and all(
             isinstance(M, Mould) or (isinstance(M, LazyMould) and M.natural)
             for M in inputs
@@ -343,6 +354,36 @@ class LazyMould:
         if c in self._memo or _signed_permutation(w) is None:
             return self._memo.get(c)
         return self.eval_word(c)
+
+
+# The node table: the live lazy node of each constructor and inputs.  It is
+# weak, so an entry dies with its node and the table keeps no value alive.
+_NODES: WeakValueDictionary = WeakValueDictionary()
+
+
+def _node(key: tuple, build: Callable[[], LazyMould]) -> LazyMould:
+    """The live node entered under ``key``, else ``build()``'s, entered now.
+    The key names a constructor and its inputs by identity; the node holds
+    those inputs (``inputs``), so no identity in a live key is reused."""
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = build()
+    return node
+
+
+def _key(fn: Callable, args: tuple) -> tuple:
+    """The key of ``fn`` at ``args``: an int argument (``lazy_leng``'s r) by
+    value, and every other argument, a mould, by identity."""
+    return (fn, *(a if type(a) is int else id(a) for a in args))
+
+
+def _tabled(constructor: Callable[..., LazyMould]) -> Callable[..., LazyMould]:
+    """``constructor`` through the node table, keyed by ``_key``."""
+
+    def tabled(*args) -> LazyMould:
+        return _node(_key(constructor, args), lambda: constructor(*args))
+
+    return update_wrapper(tabled, constructor)
 
 
 def _materialize(L) -> Mould:
@@ -396,6 +437,7 @@ def _mu_parts(w: Word, f: Eval, g: Eval) -> list:
     return parts
 
 
+@_tabled
 def lazy_mu(M, N) -> LazyMould:
     return LazyMould(
         min(M.depth, N.depth), lambda w: mu_at(w, M.eval_word, N.eval_word), M, N
@@ -408,6 +450,7 @@ def _less_unit(S) -> LazyMould:
     return LazyMould(S.depth, lambda w: S.eval_word(w) if w else zero, S)
 
 
+@_tabled
 def lazy_mu_inverse(T) -> LazyMould:
     """U = T^-1 from T x U = 1: U(w) = -mu_at(w, T - 1, U) off the empty
     word.  T - 1 vanishes on the empty word, so U is read only at proper
@@ -476,6 +519,7 @@ def mu_exp(A: Mould) -> Mould:
     return _materialize(LazyMould(A.depth, series, A))
 
 
+@_tabled
 def lazy_mu_log(S) -> LazyMould:
     """Logarithm for the mould product, lazily, for S with S^0 = 1:
     sum_h ((-1)^{h+1}/h) (S - 1)^{x h}, finite at each word."""
@@ -498,12 +542,14 @@ def mu_log(S: Mould) -> Mould:
 # ---------------------------------------------------------------------------
 
 
+@_tabled
 def lazy_neg(M) -> LazyMould:
     return LazyMould(
         M.depth, lambda w: M.eval_word(tuple(-letter for letter in w)), M
     )
 
 
+@_tabled
 def lazy_leng(r: int, M) -> LazyMould:
     zero = RationalFunction.zero()
     return LazyMould(

@@ -18,10 +18,11 @@ identities:
 
 The families are concrete moulds, built by the eager operators, which take
 any mould and return a concrete one.  The slices slang_r(sa_s) that they
-read come from ``_slang_sa``, and the ari brackets that ``sigma_c``, ``luma``
-and ``D_ab`` share from ``_ari_sa`` and ``_ari_slang``, each cached for the
-life of the process, so ``verify comparison`` builds each distinct slice and
-bracket once.
+read come from ``_slang_sa``, the ari brackets that ``sigma_c``, ``luma``
+and ``D_ab`` share from ``_ari_sa`` and ``_ari_slang``, and ``xi``, which
+check (i) and ``sigma_c`` both read, is memoized by n; each is cached for
+the life of the process, so ``verify comparison`` builds each distinct
+slice, bracket and xi once.
 
 The two sharp claims never substitute psi.  ``sharp`` is an invertible
 substitution, so sharp(psi)^(d) == T^(d) holds exactly when psi^(d) equals
@@ -210,8 +211,9 @@ def xi_prime(S: Mould) -> Mould:
     return S3 + first + ari(first, sp) * Fraction(1, 2)
 
 
+@lru_cache(maxsize=None)
 def xi(n: int) -> Mould:
-    """xi_{2n+1} = xi'(sa_{2n+1}) below depth 4."""
+    """xi_{2n+1} = xi'(sa_{2n+1}) below depth 4, built once per n."""
     _require_n(n, "xi")
     return xi_prime(sa(2 * n + 1, 3))
 

@@ -18,14 +18,21 @@ smaller: preari(M, N) is the arit expansion plus the mould product,
 ari(M, N) is preari(M, N) - preari(N, M), expari reads preari at
 (A, A) and the hand-expanded preari_3, gari at depth d is the garit
 expansion at each prefix times T at the rest plus T at the whole word, and
-the depth-1 slice slang_1 is sang's depth 1.  No expansion reads an
-operator it checks.  The checks are one table of rows (name, depth, mould,
-expansion) read by one loop, ``_row_checks``; each row reads its mould
-before its expansion, and the rows keep a fixed order, so the opaque
-registry numbers its symbols the same way on every run and a failing
-residual is reproducible.  The concrete rounds also check the eager
-``arit``, ``gari``, ``expari`` and ``adari`` at their top depth with the
-same loop; each of those materializes its lazy twin at the canonical words.
+the depth-1 slice slang_1 is sang's depth 1.  Each right-hand-side
+builder runs once per inputs within a suite run, one ``expansion_checks``
+call or one random round with its eager rows, and nothing is held after
+it (``_suite_run``), so the larger expansions reuse the smaller ones'
+values.  No expansion reads an operator it checks.  The checks are one
+table of rows (name, depth, mould, expansion) read by one loop,
+``_row_checks``; each row reads its mould before its expansion, and the
+rows keep a fixed order, so the opaque registry numbers its symbols the
+same way on every run and a failing residual is reproducible.  A value
+that a run or the node table shares was built earlier in the same order,
+so sharing it numbers no symbol differently.  The concrete rounds also
+check the eager ``arit``, ``gari``, ``expari`` and ``adari`` at their top
+depth with the same loop; each of those materializes its lazy twin at the
+canonical words, which, built while the round's rows live, is the node
+the rows read (``moulds``' node table).
 
 The named claims drive these checks plus the theorem verifiers from the
 solutions module; every claim returns a report dict {claim, status,
@@ -39,8 +46,10 @@ whose failing shuffle-sum check carries ``residual`` and the decider's
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable
+from functools import update_wrapper
+from typing import Callable, Iterator
 
 from .algebra import (
     LinearForm,
@@ -65,7 +74,7 @@ from .flexions import (
 )
 from .generic import OpaqueMould, SymbolRegistry
 from .limits import gate
-from .moulds import Mould, _materialize, canonical_word
+from .moulds import Mould, _key, _materialize, canonical_word
 from .solutions import (
     _check,
     _compare,
@@ -132,14 +141,50 @@ def random_gari_mould(rng: random.Random, depth: int) -> Mould:
 # ---------------------------------------------------------------------------
 
 
+# The right-hand sides of the suite run in progress, by ``moulds._key`` of
+# builder and inputs, each with the inputs it was built from; None between runs.
+_RUN: dict | None = None
+
+
+@contextmanager
+def _suite_run() -> Iterator[None]:
+    """One suite run: each right-hand-side builder runs once per inputs
+    inside it, and nothing is held after it."""
+    global _RUN
+    _RUN = {}
+    try:
+        yield
+    finally:
+        _RUN = None
+
+
+def _per_run(builder: Callable[..., RationalFunction]) -> Callable[..., RationalFunction]:
+    """``builder`` once per inputs within a suite run, and on every call
+    outside one.  The entry holds its inputs, so no identity in a key of
+    the run is reused."""
+
+    def once(*args) -> RationalFunction:
+        if _RUN is None:
+            return builder(*args)
+        key = _key(builder, args)
+        got = _RUN.get(key)
+        if got is None:
+            got = _RUN[key] = (args, builder(*args))
+        return got[1]
+
+    return update_wrapper(once, builder)
+
+
 def _ev(mould, *letters: LinearForm) -> RationalFunction:
     return mould.eval_word(tuple(letters))
 
 
+@_per_run
 def _arit_rhs2(M, N):
     return _ev(M, _X1 + _X2) * (_ev(N, _X1) - _ev(N, _X2))
 
 
+@_per_run
 def _arit_rhs3(M, N):
     return (
         _ev(M, _X1, _X2 + _X3) * (_ev(N, _X2) - _ev(N, _X3))
@@ -148,11 +193,13 @@ def _arit_rhs3(M, N):
     )
 
 
+@_per_run
 def _preari_rhs2(M, N):
     # preari(M, N) = arit(N)(M) + mu(M, N); ari(M, N) is its antisymmetrization
     return _arit_rhs2(M, N) + _ev(M, _X1) * _ev(N, _X2)
 
 
+@_per_run
 def _preari_rhs3(M, N):
     return (
         _arit_rhs3(M, N)
@@ -161,6 +208,7 @@ def _preari_rhs3(M, N):
     )
 
 
+@_per_run
 def _preari3_rhs3(A):
     return (
         (
@@ -181,10 +229,12 @@ def _preari3_rhs3(A):
     )
 
 
+@_per_run
 def _garit_rhs2(S, T):
     return _ev(S, _X1, _X2) + _ev(S, _X1 + _X2) * (_ev(T, _X1) - _ev(T, _X2))
 
 
+@_per_run
 def _garit_rhs3(S, T):
     # The depth-3 bracket carries both product corrections
     # + T^1(x_2) T^1(x_3) - T^1(x_1) T^1(x_3); this is the form consistent
@@ -203,6 +253,7 @@ def _garit_rhs3(S, T):
     )
 
 
+@_per_run
 def _gari_rhs(S, T, d):
     """gari(S, T) = mu(garit(T)(S), T) at x_1..x_d: the garit expansion at
     each nonempty prefix x_1..x_k, longest first, times T at the rest, plus
@@ -215,6 +266,7 @@ def _gari_rhs(S, T, d):
     return value + _ev(T, *w)
 
 
+@_per_run
 def _expari_rhs3(A):
     # expari(A) = sum_n preari_n(A) / n!, with preari_2 = preari(A, A)
     return (
@@ -224,6 +276,7 @@ def _expari_rhs3(A):
     )
 
 
+@_per_run
 def _adari_rhs2(S, A):
     return (
         _ev(A, _X1, _X2)
@@ -233,10 +286,12 @@ def _adari_rhs2(S, A):
     )
 
 
+@_per_run
 def _sang_rhs1(A):
     return _HALF * (_ev(A, _X1) + _ev(A, -_X1))
 
 
+@_per_run
 def _sang_rhs2(A):
     x1, x2 = _X1, _X2
     return (
@@ -249,6 +304,7 @@ def _sang_rhs2(A):
     )
 
 
+@_per_run
 def _slang_rhs2(A, r):
     x1, x2 = _X1, _X2
     if r == 2:
@@ -286,13 +342,20 @@ def _row_checks(rows, label: str) -> list[dict]:
 
 
 def expansion_checks(M, N, S, T, A, AD, label: str) -> list[dict]:
-    """All closed-expansion identities, for the given inputs.
+    """All closed-expansion identities, for the given inputs, in one suite
+    run.
 
     M, N: Lie-side pair; S, T: group-side pair (S also conjugates in the
     adari rows); A: Lie-side single input; AD: Lie-side input for singulator
     checks (may carry depth-2 components).  Everything only needs ``depth``
     and ``eval_word``.
     """
+    with _suite_run():
+        return _row_checks(_expansion_rows(M, N, S, T, A, AD), label)
+
+
+def _expansion_rows(M, N, S, T, A, AD) -> list:
+    """The rows of ``expansion_checks``."""
     la = lazy_arit(N)(M)
     p2 = lazy_preari(A, A)
     p3 = lazy_preari(p2, A)
@@ -304,42 +367,39 @@ def expansion_checks(M, N, S, T, A, AD, label: str) -> list[dict]:
     sg = lazy_sang(AD)
     slice_r = _slices(sg)
     sl1, sl2 = slice_r(1), slice_r(2)
-    return _row_checks(
-        [
-            ("arit vanishing", 1, la, _zero),
-            ("arit depth 2", 2, la, lambda: _arit_rhs2(M, N)),
-            ("arit depth 3", 3, la, lambda: _arit_rhs3(M, N)),
-            ("preari_2 depth 1", 1, p2, _zero),
-            ("preari_2 depth 2", 2, p2, lambda: _preari_rhs2(A, A)),
-            ("preari_2 depth 3", 3, p2, lambda: _preari_rhs3(A, A)),
-            ("preari_3 depth 2", 2, p3, _zero),
-            ("preari_3 depth 3", 3, p3, lambda: _preari3_rhs3(A)),
-            ("ari depth 2", 2, lr, lambda: _preari_rhs2(M, N) - _preari_rhs2(N, M)),
-            ("ari depth 3", 3, lr, lambda: _preari_rhs3(M, N) - _preari_rhs3(N, M)),
-            ("garit depth 1", 1, lg, lambda: _ev(S, _X1)),
-            ("garit depth 2", 2, lg, lambda: _garit_rhs2(S, T)),
-            ("garit depth 3", 3, lg, lambda: _garit_rhs3(S, T)),
-            ("gari depth 0", 0, gr, _one),
-            ("gari depth 1", 1, gr, lambda: _gari_rhs(S, T, 1)),
-            ("gari depth 2", 2, gr, lambda: _gari_rhs(S, T, 2)),
-            ("gari depth 3", 3, gr, lambda: _gari_rhs(S, T, 3)),
-            ("expari depth 0", 0, ex, _one),
-            ("expari depth 1", 1, ex, lambda: _ev(A, _X1)),
-            ("expari depth 2", 2, ex, lambda: _ev(A, _X1, _X2) + _HALF * _preari_rhs2(A, A)),
-            ("expari depth 3", 3, ex, lambda: _expari_rhs3(A)),
-            ("adari depth 0", 0, ad, _zero),
-            ("adari depth 1", 1, ad, lambda: _ev(A, _X1)),
-            ("adari depth 2", 2, ad, lambda: _adari_rhs2(S, A)),
-            ("sang depth 0", 0, sg, _zero),
-            ("sang depth 1", 1, sg, lambda: _sang_rhs1(AD)),
-            ("sang depth 2", 2, sg, lambda: _sang_rhs2(AD)),
-            ("slang_1 depth 1", 1, sl1, lambda: _sang_rhs1(AD)),
-            ("slang_1 depth 2", 2, sl1, lambda: _slang_rhs2(AD, 1)),
-            ("slang_2 depth 1", 1, sl2, _zero),
-            ("slang_2 depth 2", 2, sl2, lambda: _slang_rhs2(AD, 2)),
-        ],
-        label,
-    )
+    return [
+        ("arit vanishing", 1, la, _zero),
+        ("arit depth 2", 2, la, lambda: _arit_rhs2(M, N)),
+        ("arit depth 3", 3, la, lambda: _arit_rhs3(M, N)),
+        ("preari_2 depth 1", 1, p2, _zero),
+        ("preari_2 depth 2", 2, p2, lambda: _preari_rhs2(A, A)),
+        ("preari_2 depth 3", 3, p2, lambda: _preari_rhs3(A, A)),
+        ("preari_3 depth 2", 2, p3, _zero),
+        ("preari_3 depth 3", 3, p3, lambda: _preari3_rhs3(A)),
+        ("ari depth 2", 2, lr, lambda: _preari_rhs2(M, N) - _preari_rhs2(N, M)),
+        ("ari depth 3", 3, lr, lambda: _preari_rhs3(M, N) - _preari_rhs3(N, M)),
+        ("garit depth 1", 1, lg, lambda: _ev(S, _X1)),
+        ("garit depth 2", 2, lg, lambda: _garit_rhs2(S, T)),
+        ("garit depth 3", 3, lg, lambda: _garit_rhs3(S, T)),
+        ("gari depth 0", 0, gr, _one),
+        ("gari depth 1", 1, gr, lambda: _gari_rhs(S, T, 1)),
+        ("gari depth 2", 2, gr, lambda: _gari_rhs(S, T, 2)),
+        ("gari depth 3", 3, gr, lambda: _gari_rhs(S, T, 3)),
+        ("expari depth 0", 0, ex, _one),
+        ("expari depth 1", 1, ex, lambda: _ev(A, _X1)),
+        ("expari depth 2", 2, ex, lambda: _ev(A, _X1, _X2) + _HALF * _preari_rhs2(A, A)),
+        ("expari depth 3", 3, ex, lambda: _expari_rhs3(A)),
+        ("adari depth 0", 0, ad, _zero),
+        ("adari depth 1", 1, ad, lambda: _ev(A, _X1)),
+        ("adari depth 2", 2, ad, lambda: _adari_rhs2(S, A)),
+        ("sang depth 0", 0, sg, _zero),
+        ("sang depth 1", 1, sg, lambda: _sang_rhs1(AD)),
+        ("sang depth 2", 2, sg, lambda: _sang_rhs2(AD)),
+        ("slang_1 depth 1", 1, sl1, lambda: _sang_rhs1(AD)),
+        ("slang_1 depth 2", 2, sl1, lambda: _slang_rhs2(AD, 1)),
+        ("slang_2 depth 1", 1, sl2, _zero),
+        ("slang_2 depth 2", 2, sl2, lambda: _slang_rhs2(AD, 2)),
+    ]
 
 
 def generic_expansion_checks() -> list[dict]:
@@ -356,7 +416,9 @@ def generic_expansion_checks() -> list[dict]:
 
 def random_expansion_checks(seed: int = 2024, rounds: int = 2) -> list[dict]:
     """Expansion identities instantiated with random polynomial moulds,
-    plus top-depth checks of the eager operators."""
+    plus top-depth checks of the eager operators.  Each round is one suite
+    run, and its rows live until its eager rows are checked, so those read
+    the rows' nodes and right-hand sides."""
     checks = []
     rng = random.Random(seed)
     for k in range(rounds):
@@ -366,16 +428,18 @@ def random_expansion_checks(seed: int = 2024, rounds: int = 2) -> list[dict]:
         T = random_gari_mould(rng, 3)
         A = random_ari_mould(rng, 3)
         AD = random_ari_mould(rng, 2)
-        checks += expansion_checks(M, N, S, T, A, AD, f"random {k}")
-        checks += _row_checks(
-            [
-                ("eager arit depth 3", 3, arit(N)(M), lambda: _arit_rhs3(M, N)),
-                ("eager gari depth 3", 3, gari(S, T), lambda: _gari_rhs(S, T, 3)),
-                ("eager expari depth 3", 3, expari(A), lambda: _expari_rhs3(A)),
-                ("eager adari depth 2", 2, adari(S)(A), lambda: _adari_rhs2(S, A)),
-            ],
-            f"random {k}",
-        )
+        rows = _expansion_rows(M, N, S, T, A, AD)
+        with _suite_run():
+            checks += _row_checks(rows, f"random {k}")
+            checks += _row_checks(
+                [
+                    ("eager arit depth 3", 3, arit(N)(M), lambda: _arit_rhs3(M, N)),
+                    ("eager gari depth 3", 3, gari(S, T), lambda: _gari_rhs(S, T, 3)),
+                    ("eager expari depth 3", 3, expari(A), lambda: _expari_rhs3(A)),
+                    ("eager adari depth 2", 2, adari(S)(A), lambda: _adari_rhs2(S, A)),
+                ],
+                f"random {k}",
+            )
     return checks
 
 

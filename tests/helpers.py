@@ -455,10 +455,10 @@ def prove_gari_inverse(top: int) -> None:
     nonzero at every depth above 0.
 
     The right inverse alone would not check ``garit_at``: invgari solves
-    G = mu_inverse(garit(G)(S)), and gari(S, G) recomputes that same
-    garit(G)(S), so it is mu(X, mu_inverse(X)) = 1 whatever ``garit_at``
-    computes.  The left inverse reads garit(S)(G), which the solver never
-    computes."""
+    G = mu_inverse(garit(G)(S)), and gari(S, G) reads the solver's own
+    garit(G)(S) (the node table gives it the live action of (G, S)), so it
+    is mu(X, mu_inverse(X)) = 1 whatever ``garit_at`` computes.  The left
+    inverse reads garit(S)(G), which the solver never computes."""
     S = OpaqueMould(SymbolRegistry(), "S", top, unit_value=1)
     G = lazy_invgari(S)
     sides = {

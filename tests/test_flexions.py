@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mouldcalc import flexions
 from mouldcalc.algebra import LinearForm, Polynomial, RationalFunction, x_var
 from mouldcalc.flexions import (
     LazyMould,
@@ -595,3 +596,102 @@ def test_natural_lazy_mould_substitutes_its_canonical_values(op):
         natural.eval_word(canonical_word(m))
     for w in _NATURALITY_WORDS:
         assert natural.eval_word(w) == oracle.eval_word(w), w
+
+
+# ---------------------------------------------------------------------------
+# the node table: one lazy node per operator and inputs
+# ---------------------------------------------------------------------------
+
+
+def _opaque_pair(depth: int = 3):
+    reg = SymbolRegistry()
+    return (
+        OpaqueMould(reg, "A", depth),
+        OpaqueMould(reg, "B", depth),
+        OpaqueMould(reg, "S", depth, unit_value=1),
+        OpaqueMould(reg, "T", depth, unit_value=1),
+    )
+
+
+def test_each_flexion_constructor_returns_the_live_node_of_its_inputs():
+    A, B, S, T = _opaque_pair()
+    for build in (
+        lambda: lazy_preari(A, B),
+        lambda: lazy_ari(A, B),
+        lambda: lazy_arit(B)(A),
+        lambda: lazy_garit(T)(S),
+        lambda: lazy_gari(S, T),
+        lambda: lazy_expari(A),
+        lambda: lazy_logari(S),
+        lambda: lazy_invgari(S),
+        lambda: lazy_adari(S)(A),
+    ):
+        assert build() is build()
+    # expari's chain is the pre-Lie square the expansion suite checks, and
+    # gari(S, T) reads the twisted action garit(T)(S)
+    square, ex = lazy_preari(A, A), lazy_expari(A)
+    ex.eval_word(canonical_word(2))
+    assert canonical_word(2) in square._memo
+    action, product = lazy_garit(T)(S), lazy_gari(S, T)
+    assert product.inputs[0] is action
+
+
+def test_operator_nodes_are_keyed_by_both_inputs():
+    # lazy_garit(T)(S) by (T, S), lazy_arit(N)(M) by (N, M): swapping the
+    # inputs or changing either one gives a node of its own
+    A, B, S, T = _opaque_pair()
+    C = OpaqueMould(SymbolRegistry(), "C", 3)
+    U = OpaqueMould(SymbolRegistry(), "U", 3, unit_value=1)
+    w = canonical_word(2)
+    for nodes in (
+        [lazy_garit(T)(S), lazy_garit(S)(T), lazy_garit(T)(U), lazy_garit(U)(S)],
+        [lazy_arit(B)(A), lazy_arit(A)(B), lazy_arit(B)(C), lazy_arit(C)(A)],
+        [lazy_preari(A, B), lazy_preari(B, A), lazy_preari(A, C)],
+        [lazy_ari(A, B), lazy_ari(B, A), lazy_ari(A, C)],
+    ):
+        assert len({id(node) for node in nodes}) == len(nodes)
+        assert len({node.eval_word(w) for node in nodes}) == len(nodes)
+
+
+def test_the_group_law_reads_the_twisted_action_once_per_word(monkeypatch):
+    # garit(T)(S) and gari(S, T) = garit(T)(S) x T share one action: over
+    # opaque moulds each canonical word runs garit_at once
+    words = []
+    garit_sum = flexions.garit_at
+
+    def counting(w, *evals):
+        words.append(w)
+        return garit_sum(w, *evals)
+
+    monkeypatch.setattr(flexions, "garit_at", counting)
+    _, _, S, T = _opaque_pair(4)
+    action, product = lazy_garit(T)(S), lazy_gari(S, T)
+    for m in range(5):
+        action.eval_word(canonical_word(m))
+        product.eval_word(canonical_word(m))
+    assert words == [canonical_word(m) for m in range(5)]
+
+
+def test_the_right_gari_inverse_reads_the_solvers_action(monkeypatch):
+    # gari(S, invgari(S)) takes garit(G)(S), G = invgari(S), from the
+    # solver, which holds it: no word runs garit_at a second time, and the
+    # product runs it only at the empty word, which the solver never reads
+    words = []
+    garit_sum = flexions.garit_at
+
+    def counting(w, *evals):
+        words.append(w)
+        return garit_sum(w, *evals)
+
+    monkeypatch.setattr(flexions, "garit_at", counting)
+    _, _, S, _ = _opaque_pair(4)
+    G = lazy_invgari(S)
+    product = lazy_gari(S, G)
+    for m in range(5):
+        G.eval_word(canonical_word(m))
+    solved = list(words)
+    for m in range(5):
+        assert product.eval_word(canonical_word(m)) == (
+            RationalFunction.one() if m == 0 else RationalFunction.zero()
+        )
+    assert words == solved + [()]

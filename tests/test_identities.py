@@ -139,8 +139,8 @@ def test_gari_inverse_holds_generically():
 
 def test_a_mutated_garit_at_fails_the_gari_inverse_proof(monkeypatch, fresh_conjugations):
     # a twisted action doubled on every word of length >= 2 still gives
-    # gari(S, invgari(S)) = 1, since the solver and gari(S, G) compute the
-    # same garit(G)(S); the left inverse gari(invgari(S), S) catches it
+    # gari(S, invgari(S)) = 1, since gari(S, G) reads the solver's own
+    # garit(G)(S); the left inverse gari(invgari(S), S) catches it
     garit_at = flexions.garit_at
 
     def doubled(w, *evals):
@@ -184,6 +184,59 @@ def test_wrong_display_is_caught():
         N.eval_word((x1,)) + N.eval_word((x2,))
     )
     assert lhs != wrong_rhs
+
+
+_RHS_BUILDERS = (
+    "_arit_rhs2",
+    "_arit_rhs3",
+    "_preari_rhs2",
+    "_preari_rhs3",
+    "_preari3_rhs3",
+    "_garit_rhs2",
+    "_garit_rhs3",
+    "_gari_rhs",
+    "_expari_rhs3",
+    "_adari_rhs2",
+    "_sang_rhs1",
+    "_sang_rhs2",
+    "_slang_rhs2",
+)
+
+
+def _count_rhs_builds(monkeypatch) -> list:
+    """Each right-hand-side builder, still under the per-run memo, records
+    every build as (name, inputs by identity); returns the list."""
+    built = []
+    for name in _RHS_BUILDERS:
+        builder = getattr(verify, name).__wrapped__
+
+        def counting(*args, _name=name, _builder=builder):
+            built.append((_name, *(a if type(a) is int else id(a) for a in args)))
+            return _builder(*args)
+
+        monkeypatch.setattr(verify, name, verify._per_run(counting))
+    return built
+
+
+def test_one_suite_run_builds_each_right_hand_side_once(monkeypatch):
+    # the larger expansions reuse the smaller ones' values within a run,
+    # the random round's eager rows included; nothing is held after a run,
+    # so a second run on the same inputs builds every value again
+    built = _count_rhs_builds(monkeypatch)
+    reg = SymbolRegistry()
+    inputs = [OpaqueMould(reg, name, 3) for name in ("M", "N")]
+    inputs += [OpaqueMould(reg, name, 3, unit_value=1) for name in ("S", "T")]
+    inputs += [OpaqueMould(reg, "A", 3), OpaqueMould(reg, "B", 2)]
+    _assert_all_pass(verify.expansion_checks(*inputs, "generic"))
+    once = list(built)
+    assert len(set(once)) == len(once) > len(_RHS_BUILDERS)
+    assert verify._RUN is None
+    _assert_all_pass(verify.expansion_checks(*inputs, "generic"))
+    assert built == once + once
+    built.clear()
+    _assert_all_pass(random_expansion_checks(seed=5, rounds=1))
+    assert len(set(built)) == len(built)
+    assert verify._RUN is None
 
 
 def test_failing_expansion_check_carries_its_residual(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mouldcalc import moulds
 from mouldcalc.algebra import Polynomial, RationalFunction, one_over_forms, x_var
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.moulds import (
@@ -26,6 +28,8 @@ from mouldcalc.moulds import (
     equal_mod_depth,
     lazy_leng,
     lazy_mu,
+    lazy_mu_inverse,
+    lazy_mu_log,
     lazy_neg,
     leng,
     lu,
@@ -434,3 +438,62 @@ def test_an_opaque_lazy_mould_numbers_the_words_it_reads():
     value = lazy_neg(OpaqueMould(reg, "A", 2)).eval_word((x_var(2), x_var(3)))
     assert list(reg._vars) == [("A", (-x_var(2), -x_var(3)))]
     assert value == reg.symbol("A", (-x_var(2), -x_var(3)))
+
+
+# ---------------------------------------------------------------------------
+# the node table
+# ---------------------------------------------------------------------------
+
+
+def _opaque_inputs():
+    reg = SymbolRegistry()
+    return (
+        OpaqueMould(reg, "A", 3),
+        OpaqueMould(reg, "B", 3),
+        OpaqueMould(reg, "C", 3),
+        OpaqueMould(reg, "S", 3, unit_value=1),
+    )
+
+
+def test_one_constructor_on_the_same_inputs_returns_the_same_node():
+    A, B, _, S = _opaque_inputs()
+    assert lazy_mu(A, B) is lazy_mu(A, B)
+    assert lazy_neg(A) is lazy_neg(A)
+    assert lazy_leng(2, A) is lazy_leng(2, A)
+    assert lazy_mu_inverse(S) is lazy_mu_inverse(S)
+    assert lazy_mu_log(S) is lazy_mu_log(S)
+    # and an expression built twice from the same inputs, while the first
+    # lives, shares its memo
+    first = lazy_mu(lazy_neg(A), B)
+    first.eval_word(canonical_word(2))
+    assert canonical_word(2) in lazy_mu(lazy_neg(A), B)._memo
+
+
+def test_distinct_inputs_or_int_parameters_never_share_a_node():
+    # each node is held while the others are built, so no identity is reused
+    A, B, C, _ = _opaque_inputs()
+    w = canonical_word(2)
+    products = [lazy_mu(A, B), lazy_mu(B, A), lazy_mu(A, C)]
+    assert len({id(node) for node in products}) == 3
+    assert len({node.eval_word(w) for node in products}) == 3
+    slices = [lazy_leng(1, A), lazy_leng(2, A), lazy_leng(1, B)]
+    assert len({id(node) for node in slices}) == 3
+    assert [node.eval_word(w).is_zero() for node in slices] == [True, False, True]
+    negs = [lazy_neg(A), lazy_neg(B)]
+    assert negs[0] is not negs[1]
+
+
+def test_the_node_table_holds_no_entry_once_its_nodes_are_dropped():
+    # the table is weak: an entry dies with its node, even one in a cycle
+    # (mu_inverse reads itself), so no lazy value outlives its users
+    gc.collect()
+    before = set(moulds._NODES.keys())
+    A, B, _, S = _opaque_inputs()
+    nodes = [lazy_mu(A, B), lazy_leng(1, A), lazy_mu_inverse(S), lazy_mu_log(S)]
+    for node in nodes:
+        node.eval_word(canonical_word(2))
+    added = set(moulds._NODES.keys()) - before
+    assert len(added) >= len(nodes)
+    del A, B, S, node, nodes
+    gc.collect()
+    assert not added & set(moulds._NODES.keys())

@@ -329,8 +329,8 @@ def test_reports_serialize_to_json():
 
 @pytest.fixture
 def slang_calls(monkeypatch, fresh_conjugations):
-    """The slang builds of the test, counted from empty slice, bracket and
-    conjugation caches; the caches are emptied again afterwards, so no
+    """The slang builds of the test, counted from empty slice, bracket, xi
+    and conjugation caches; the caches are emptied again afterwards, so no
     counted slice leaks into another test."""
     from mouldcalc import solutions
 
@@ -340,7 +340,7 @@ def slang_calls(monkeypatch, fresh_conjugations):
         calls.append((r, A))
         return slang(r, A)
 
-    caches = (solutions._slang_sa, solutions._ari_sa, solutions._ari_slang)
+    caches = (solutions._slang_sa, solutions._ari_sa, solutions._ari_slang, solutions.xi)
     monkeypatch.setattr(solutions, "slang", counting)
     for cache in caches:
         cache.cache_clear()
@@ -381,6 +381,22 @@ def test_comparison_solves_pals_inverse_once(monkeypatch, slang_calls):
     assert verify_comparison_theorem(3)["status"] == "pass"
     assert len(slang_calls) == 5
     assert solved == [special.pal(3)]
+
+
+def test_comparison_builds_xi_once(monkeypatch, slang_calls):
+    # check (i) and sigma_c both read xi_7, which is built once for the
+    # process (twice per comparison when each built its own)
+    built = []
+    build = solutions.xi_prime
+
+    def counting(S):
+        built.append(S)
+        return build(S)
+
+    monkeypatch.setattr(solutions, "xi_prime", counting)
+    assert verify_comparison_theorem(3)["status"] == "pass"
+    assert verify_comparison_theorem(3)["status"] == "pass"
+    assert len(built) == 1
 
 
 def test_comparison_second_call_builds_no_slice(slang_calls):
