@@ -26,9 +26,11 @@ LIMITS: dict[tuple[str, str], int | dict[int, int]] = {
     # sang of sa_3 and sa_5: depth 6 took 3.2 to 4.4 s; 7 did not finish in
     # 60 s (418 to 531 MB)
     ("sang-expansion", "depth"): 6,
-    # verify psi-minus1 --dmax 8 took 37 to 53 s (204 to 239 MB); 9 did not
-    # finish in 75 s (682 MB)
-    ("psi-minus1", "dmax"): 8,
+    # verify psi-minus1 --dmax 16 took 36 s (299 MB), one rf_sum per depth
+    # of psi_{-1}'s vines and mu-log(paj)'s splittings, about 2.3x per step
+    # from dmax 9 (0.2 s); x_16 is the kernel's last slot variable
+    # (algebra._K), as for dupal-alternal
+    ("psi-minus1", "dmax"): 16,
     # verify pal-symmetral --depth 10 took 9.1 s (228 MB); 11 did not finish
     # in 60 s (914 MB)
     ("pal-symmetral", "depth"): 10,

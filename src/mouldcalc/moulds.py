@@ -13,9 +13,11 @@ the splittings of one word, and ``LazyMould`` memoizes a rule's values at
 any word.  ``mu_at`` is one ``rf_sum`` of products per word: each
 product f(a) g(b) goes in as a pair, so it is never built on its own
 (``_mu_parts`` lists them for the flexions).  ``lazy_mu_inverse`` solves
-T x U = 1 through it, as U(w) = -mu_at(w, T - 1, U), and ``lazy_mu_log``
-sums the powers of the same T - 1 (``_less_unit``) by one ``rf_sum`` per
-word (``_series``, as for ``mu_exp`` and ``expari``).  The eager forms of
+T x U = 1 through it, as U(w) = -mu_at(w, T - 1, U).  ``lazy_mu_log(S)``
+is mu-log's definition, one ``rf_sum`` per word w of ``_mu_log_terms``:
+over the splittings of w into h blocks, (-1)^(h+1)/h times the product of
+S's values at the blocks.  ``mu_exp`` sums lazy powers by one ``rf_sum``
+per word (``_series``, as for ``expari``).  The eager forms of
 these operators take any mould (concrete, lazy or opaque), check its
 depth-0 value through ``eval_word(())`` and materialize the lazy rule at
 the canonical words, so they always return a ``Mould``: ``mu``,
@@ -52,18 +54,11 @@ over one evaluates every word by its rule and numbers its symbols as it
 always did; a lazy mould that declares no input is not natural either.
 
 So on a memo miss at an echelon word other than the canonical one, a
-natural lazy mould substitutes its canonical value if it holds it, and
-when the word decodes to a signed permutation, every letter x_j or -x_j
-(``algebra._signed_permutation``, the decoder that also picks the
-renaming pass in ``substitute``: shifts, permutations, ``neg``), it
-computes the canonical value first; every other word runs the rule.  This is a
+natural lazy mould substitutes its canonical value, which it computes
+first if it does not hold it; every other word runs the rule.  This is a
 memo rule, not a second builder: the value it stores is the one the rule
 would return, in the same canonical form, and the rule stays each
-operator's one definition.  A canonical value that is not held is not
-forced for a word with a letter of several variables: psi's claims read
-the singulator at ``unsharp_word(d)``, where the direct value costs far
-less than the canonical value and a substitution of sums of variables
-into it.
+operator's one definition.
 
 Every ``lazy_*`` constructor here and in ``flexions`` goes through one
 node table, keyed by the constructor and its inputs' identities, with an
@@ -80,7 +75,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, update_wrapper
 from itertools import combinations, zip_longest
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 from weakref import WeakValueDictionary
 
 from .algebra import (
@@ -88,7 +83,6 @@ from .algebra import (
     RationalFunction,
     _echelon,
     _json_int,
-    _signed_permutation,
     rf_sum,
     rf_from_json,
     rf_to_json,
@@ -346,13 +340,10 @@ class LazyMould:
 
     def _canonical_value(self, w: Word) -> RationalFunction | None:
         """The canonical value that w's value is substituted from, or None
-        where w runs the rule; computed first only when every letter of w
-        is x_j or -x_j."""
+        where w runs the rule."""
         c = canonical_word(len(w))
         if w == c or not _echelon(w):
             return None
-        if c in self._memo or _signed_permutation(w) is None:
-            return self._memo.get(c)
         return self.eval_word(c)
 
 
@@ -519,15 +510,35 @@ def mu_exp(A: Mould) -> Mould:
     return _materialize(LazyMould(A.depth, series, A))
 
 
+def vine_partitions(d: int) -> Iterator[tuple[int, ...]]:
+    """Cut-point sequences 0 = i_0 < i_1 < ... < i_h = d, one per splitting
+    of a word of length d into h nonempty blocks (a vine of psi_{-1})."""
+    for h in range(1, d + 1):
+        for interior in combinations(range(1, d), h - 1):
+            yield (0, *interior, d)
+
+
+def _mu_log_terms(S, w: Word) -> list:
+    """The summands of mu-log(S) at w, by its definition: for each splitting
+    of w into h nonempty blocks, (-1)^(h+1)/h times the product of S's
+    values at the blocks, as an ``rf_sum`` pair (the scaled product of all
+    but the last, the last).  The product of the blocks before a cut is
+    built once, from the product before the cut ahead of it: the
+    splittings come in order of h, so that one is already held."""
+    terms, heads = [], {(0,): RationalFunction.one()}
+    for cuts in vine_partitions(len(w)):
+        lead, h = cuts[:-1], len(cuts) - 1
+        if lead not in heads:
+            heads[lead] = heads[lead[:-1]] * S.eval_word(w[lead[-2] : lead[-1]])
+        terms.append((heads[lead] * Fraction((-1) ** (h + 1), h), S.eval_word(w[lead[-1] :])))
+    return terms
+
+
 @_tabled
 def lazy_mu_log(S) -> LazyMould:
-    """Logarithm for the mould product, lazily, for S with S^0 = 1:
-    sum_h ((-1)^{h+1}/h) (S - 1)^{x h}, finite at each word."""
-    coeffs = [Fraction((-1) ** (h + 1), h) for h in range(1, S.depth + 1)]
-    series = _series(
-        RationalFunction.zero(), [None] + coeffs, _powers(_less_unit(S), lazy_mu)
-    )
-    return LazyMould(S.depth, series, S)
+    """Logarithm for the mould product, lazily, for S with S^0 = 1: one
+    ``rf_sum`` of ``_mu_log_terms`` at each word."""
+    return LazyMould(S.depth, lambda w: rf_sum(_mu_log_terms(S, w)), S)
 
 
 def mu_log(S: Mould) -> Mould:

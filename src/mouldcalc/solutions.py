@@ -27,14 +27,22 @@ slice, bracket and xi once.
 The two sharp claims never substitute psi.  ``sharp`` is an invertible
 substitution, so sharp(psi)^(d) == T^(d) holds exactly when psi^(d) equals
 T read at ``unsharp_word(d)`` = (x_1, x_2 - x_1, ..., x_d - x_{d-1}), whose
-prefix sums are x_1..x_d.  ``_sharp_checks`` makes that comparison, with T
-built at the word: the four-sum expansion of sang(sa_{2n+1}), and
-``lazy_mu_log(paj)`` divided by the sum of the word's letters, x_d.  There
-every paj, mupaj and sa factor is read at differences x_j - x_i, as psi's
-own denominators are, so each sum lifts by forms of two terms.  A nonzero
-residual is read back at sharp's word (x_1, x_1 + x_2, ...), which is in
-echelon form, so the report carries the canonical sharp(psi)^(d) - T^(d),
-as a check through ``sharp`` would.
+prefix sums are x_1..x_d.  ``_sharp_checks`` makes that comparison by one
+``rf_sum`` per depth (``_difference``) of psi's terms and T's terms at the
+word, negated.  T's terms are, for psi-odd, the four-sum expansion's of
+sang(sa_{2n+1}) (``special._sang_expansion_terms``), and for psi-minus1,
+mu-log(paj)'s (``_mu_log_terms``), each divided by the sum of the word's
+letters, x_d.  Each builder's term
+list is its one definition: ``psi_odd`` and ``psi_minus1`` are the sums of
+``_psi_odd_terms`` and ``_psi_minus1_terms``.  So neither claim builds a
+canonical side: when the claim holds, the lifted numerator is zero and
+the sum returns before it tries any form, and at the unsharp word the two
+sides even cancel term by term, psi_{-1}'s vines against mu-log's
+splittings.  There every paj, mupaj and sa factor is read at differences
+x_j - x_i, as psi's own denominators are, so the sum lifts by forms of two
+terms.  A nonzero residual is read back at sharp's word (x_1, x_1 + x_2,
+...), which is in echelon form, so the report carries the canonical
+sharp(psi)^(d) - T^(d), as a check through ``sharp`` would.
 
 Verifiers return report dictionaries rather than raising, so failures
 surface with their residuals.  Every check of these verifiers goes through
@@ -52,7 +60,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -66,8 +73,8 @@ from .algebra import (
 )
 from .flexions import ari
 from .limits import gate
-from .moulds import Mould, _letter_sum, _sharp_word, lazy_mu_log, unsharp_word
-from .special import _lazy_sang_expanded, bernoulli, paj, sa, slang, s_prime
+from .moulds import Mould, _letter_sum, _mu_log_terms, _sharp_word, unsharp_word, vine_partitions
+from .special import _sang_expansion_terms, bernoulli, paj, sa, slang, s_prime
 
 __all__ = [
     "x_AB",
@@ -123,7 +130,8 @@ def x_AB(A: Iterable[int], B: Iterable[int]) -> RationalFunction:
 
 
 def psi_odd(n: int, d: int) -> RationalFunction:
-    """The degree-2n polar solution component in d variables.
+    """The degree-2n polar solution component in d variables: one ``rf_sum``
+    of ``_psi_odd_terms``.
 
     Every term is a power over two blocks x_{A,B} (``_term``), with x_0 = 0
     and [a, b] = {a, ..., b}.  Half the sum over 1 <= i <= d of the
@@ -133,11 +141,16 @@ def psi_odd(n: int, d: int) -> RationalFunction:
     (x_1 - x_d)^{2n} / x_{[2,i],{1}} x_{[i+1,d-1] u {0},{d}} and
     x_{d-1}^{2n} / x_{{d} u [1,i-1],{0}} x_{[i,d-2],{d-1}}.
     """
+    return rf_sum(_psi_odd_terms(n, d))
+
+
+def _psi_odd_terms(n: int, d: int) -> list[RationalFunction]:
+    """The 4d - 2 terms of ``psi_odd(n, d)``, each at its scale +-1/2."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
 
     def term(sign, form, *blocks):
-        return _term(sign, [form] * (2 * n), *blocks)
+        return _term(Fraction(sign, 2), [form] * (2 * n), *blocks)
 
     parts = []
     for i in range(1, d + 1):
@@ -150,23 +163,22 @@ def psi_odd(n: int, d: int) -> RationalFunction:
             term(-1, _x(1) - _x(d), (range(2, i + 1), [1]), ([*range(i + 1, d), 0], [d])),
             term(-1, _x(d - 1), ([d, *range(1, i)], [0]), (range(i, d - 1), [d - 1])),
         ]
-    return rf_sum(parts) * Fraction(1, 2)
-
-
-def vine_partitions(d: int) -> Iterator[tuple[int, ...]]:
-    """Cut-point sequences 0 = i_0 < i_1 < ... < i_h = d, one per vine."""
-    for h in range(1, d + 1):
-        for interior in combinations(range(1, d), h - 1):
-            yield (0, *interior, d)
+    return parts
 
 
 def psi_minus1(d: int) -> RationalFunction:
-    """The weight -1 polar solution component in d variables.
+    """The weight -1 polar solution component in d variables: one
+    ``rf_sum`` of ``_psi_minus1_terms``.
 
     Sum over vines, written through their cut points 0 = i_0 < ... < i_h
     = d: a vine contributes (-1)^(h+1)/h over the block x_{{d},{0}} = x_d
     followed by one block x_{A,{i_s}} per cut, A = {i_s + 1, ..., i_{s+1}}.
     """
+    return rf_sum(_psi_minus1_terms(d))
+
+
+def _psi_minus1_terms(d: int) -> list[RationalFunction]:
+    """The 2^(d-1) vine terms of ``psi_minus1(d)``."""
     if d < 1:
         raise ValueError("need d >= 1")
     parts = []
@@ -176,7 +188,7 @@ def psi_minus1(d: int) -> RationalFunction:
             (range(cuts[s] + 1, cuts[s + 1] + 1), [cuts[s]]) for s in range(h)
         ]
         parts.append(_term(Fraction((-1) ** (h + 1), h), (), ([d], [0]), *blocks))
-    return rf_sum(parts)
+    return parts
 
 
 def _mould_of(component: Callable[[int], RationalFunction], depth: int) -> Mould:
@@ -321,19 +333,27 @@ def _wrap(claim: str, checks: list[dict]) -> dict:
     }
 
 
+def _difference(lhs: list, rhs: list) -> RationalFunction:
+    """sum(lhs) - sum(rhs), canonicalized once: one ``rf_sum`` of rhs and
+    the negated lhs, negated.  lhs holds values and rhs may hold ``rf_sum``
+    pairs, so lhs is the side negated term by term."""
+    return -rf_sum([*(-t for t in lhs), *rhs])
+
+
 def _sharp_checks(
     label: Callable[[int], str],
-    psi: Callable[[int], RationalFunction],
-    target: Callable[[tuple], RationalFunction],
+    psi: Callable[[int], list],
+    target: Callable[[tuple], list],
     dmax: int,
 ) -> list[dict]:
     """One check per depth d <= dmax, named ``label(d)``: sharp(psi)^(d) ==
     T^(d), made as ``psi(d) == target(unsharp_word(d))``, T read at that
-    word.  A nonzero residual is read back at sharp's word, which is in
-    echelon form, so it is the canonical sharp(psi)^(d) - T^(d)."""
+    word, by one ``_difference`` of the two term lists.  A nonzero residual
+    is read back at sharp's word, which is in echelon form, so it is the
+    canonical sharp(psi)^(d) - T^(d)."""
     checks = []
     for d in range(1, dmax + 1):
-        residual = psi(d) - target(unsharp_word(d))
+        residual = _difference(psi(d), target(unsharp_word(d)))
         if not residual.is_zero():
             residual = residual.substitute(_sharp_word(d))
         checks.append(_check(label(d), d, residual))
@@ -343,24 +363,26 @@ def _sharp_checks(
 def verify_psi_odd_theorem(
     n: int,
     dmax: int,
-    psi_components: Callable[[int, int], RationalFunction] = psi_odd,
+    psi_components: Callable[[int, int], RationalFunction] | None = None,
 ) -> dict:
     """Check sharp(psi_{2n+1})^{(d)} = sang(sa_{2n+1})^{(d)} for d <= dmax.
 
     ``sang`` takes the four-sum expansion, which is proven equal to the
     compositional singulator for every depth-1-supported mould at every
-    admitted depth; it is built at ``unsharp_word(d)`` (``_sharp_checks``).
-    ``psi_components`` may be overridden (negative controls inject mutated
-    components here).
+    admitted depth; its terms are read at ``unsharp_word(d)`` against
+    psi's own (``_sharp_checks``).  ``psi_components`` may be given
+    (negative controls inject mutated components here); its value enters
+    the sum as one term.
     """
     # the singulator's depth first, so that a dmax above it is refused as
     # every other singulator route refuses it, whatever the n
     gate(("singulator", "depth"), dmax)
     gate(("psi", "n"), n, ("dmax", dmax))
+    S = sa(2 * n + 1, dmax)
     checks = _sharp_checks(
         lambda d: f"sharp(psi_{2*n+1})^({d}) == sang(sa_{2*n+1})^({d})",
-        lambda d: psi_components(n, d),
-        _lazy_sang_expanded(sa(2 * n + 1, dmax)).eval_word,
+        lambda d: _psi_odd_terms(n, d) if psi_components is None else [psi_components(n, d)],
+        lambda w: _sang_expansion_terms(S, w),
         dmax,
     )
     return _wrap(f"psi-odd n={n}", checks)
@@ -368,17 +390,18 @@ def verify_psi_odd_theorem(
 
 def verify_psi_minus1_theorem(
     dmax: int,
-    psi_components: Callable[[int], RationalFunction] = psi_minus1,
+    psi_components: Callable[[int], RationalFunction] | None = None,
 ) -> dict:
     """Check sharp(psi_{-1})^{(d)} = mu_log(paj)^{(d)} / (x_1+...+x_d),
-    with mu_log(paj) read at ``unsharp_word(d)`` and divided by the sum of
-    its letters, x_d (``_sharp_checks``)."""
+    with mu_log(paj)'s terms read at ``unsharp_word(d)`` and divided by the
+    sum of its letters, x_d (``_sharp_checks``).  A given
+    ``psi_components`` enters the sum as one term."""
     gate(("psi-minus1", "dmax"), dmax)
-    log = lazy_mu_log(paj(dmax))
+    P = paj(dmax)
     checks = _sharp_checks(
         lambda d: f"sharp(psi_-1)^({d}) == mu_log(paj)^({d})/(x_1+..+x_{d})",
-        psi_components,
-        lambda w: log.eval_word(w).div_linear(_letter_sum(w)),
+        _psi_minus1_terms if psi_components is None else lambda d: [psi_components(d)],
+        lambda w: [(a.div_linear(_letter_sum(w)), b) for a, b in _mu_log_terms(P, w)],
         dmax,
     )
     return _wrap("psi-minus1", checks)

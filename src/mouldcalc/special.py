@@ -25,13 +25,14 @@ the expansion's oracle, on any other input.  On an opaque
 depth-1-supported mould the two agree at every depth the singulator
 admits, so the expansion holds for every such input
 (``proofs/test_singulator_expansion.py``; tier-1 proves depth 5).  The
-expansion at one word, ``_sang_expanded_at``, is built only inside
-``_lazy_sang_expanded``, which memoizes each word's value.  Over a
-concrete mould both are natural lazy moulds (``moulds``): the slicer
-reads them at shifted and permuted words, which they reach by renaming
-their canonical value, so it builds the expansion once per depth, at the
-canonical word.  The psi-odd verifier reads it at ``unsharp_word(d)``,
-where it is built one word at a time as it is read.
+expansion at one word is one term list, ``_sang_expansion_terms``, with
+two readers: ``_lazy_sang_expanded`` sums it into the value it memoizes,
+and the psi-odd and sang-expansion verifiers sum it with the other side's
+terms (``solutions._difference``), so neither verifier builds a value of
+the expansion.  Over a concrete mould both lazy forms are natural
+(``moulds``): the slicer reads them at shifted and permuted words, which
+they reach by renaming their canonical value, so it builds the expansion
+once per depth, at the canonical word.
 Every route refuses a depth above the singulator's limit (``limits.LIMITS``)
 with ValueError before any work, in the two builders all routes go through,
 ``lazy_sang`` and ``_lazy_sang_expanded``.  An opaque depth-1-supported
@@ -299,49 +300,48 @@ def _is_depth1_supported(M) -> bool:
 
 
 def _lazy_sang_expanded(M) -> LazyMould:
-    """``sang_expanded(M)``, lazily: ``_sang_expanded_at`` builds a word's
-    value at most once, at that word, and not at all where a concrete M's
-    value is substituted from the canonical word's (``moulds``).  M is read
-    only through ``eval_word``: on an opaque depth-1 mould the canonical
-    values prove the expansion for every such mould.  A depth above the
-    singulator's limit, or input that is not depth-1-supported, is refused
-    before any work."""
+    """``sang_expanded(M)``, lazily: one ``rf_sum`` of
+    ``_sang_expansion_terms`` builds a word's value at most once, at that
+    word, and not at all where a concrete M's value is substituted from the
+    canonical word's (``moulds``).  M is read only through ``eval_word``:
+    on an opaque depth-1 mould the canonical values prove the expansion for
+    every such mould.  A depth above the singulator's limit, or input that
+    is not depth-1-supported, is refused before any work."""
     gate(("singulator", "depth"), M.depth)
     if not _is_depth1_supported(M):
         raise UnsupportedInputError(
             "expanded singulator needs a depth-1-supported mould"
         )
-    return LazyMould(M.depth, lambda w: _sang_expanded_at(M, w), M)
+    return LazyMould(M.depth, lambda w: rf_sum(_sang_expansion_terms(M, w)), M)
 
 
-def _sang_expanded_at(M, w) -> RationalFunction:
-    """The four-sum expansion of sang(M) at the word w, for depth-1-supported
-    M: paj, mupaj and M are read at w's subwords and letter sums."""
+def _sang_expansion_terms(M, w) -> list:
+    """The terms of the four-sum expansion of sang(M) at the word w, for
+    depth-1-supported M, as ``rf_sum`` pairs: paj, mupaj and M are read at
+    w's subwords and letter sums, and M's value carries the expansion's
+    1/2 and its division by the letter sum."""
     d = len(w)
     if d == 0:
-        return RationalFunction.zero()
+        return []
     pj, mp = paj(M.depth).eval_word, mupaj(M.depth).eval_word
-    terms = []
+    half = Fraction(1, 2)
     whole = _letter_sum(w)
     # mupaj(w_1..w_{i-1}) S(w_i) paj(w_{i+1}..w_d)
-    for i in range(1, d + 1):
-        terms.append(mp(w[: i - 1]) * M.eval_word(w[i - 1 : i]) * pj(w[i:]))
+    terms = [
+        (mp(w[: i - 1]) * (M.eval_word(w[i - 1 : i]) * half), pj(w[i:]))
+        for i in range(1, d + 1)
+    ]
     # paj(w_1..w_{i-1}) S(-(w_1+..+w_d)) mupaj(w_{i+1}..w_d)
-    s_whole = M.eval_word((-whole,))
-    for i in range(1, d + 1):
-        terms.append(pj(w[: i - 1]) * s_whole * mp(w[i:]))
+    s = M.eval_word((-whole,)) * half
+    terms += [(pj(w[: i - 1]) * s, mp(w[i:])) for i in range(1, d + 1)]
     if d >= 2:
         # - paj(w_1..w_{i-1}) S(-(w_1+..+w_{d-1})) mupaj(w_{i+1}..w_{d-1}) / (w_1+..+w_d)
-        s_head = M.eval_word((-_letter_sum(w[:-1]),))
-        for i in range(1, d):
-            term = pj(w[: i - 1]) * s_head * mp(w[i:-1])
-            terms.append(-term.div_linear(whole))
+        s = M.eval_word((-_letter_sum(w[:-1]),)).div_linear(whole) * -half
+        terms += [(pj(w[: i - 1]) * s, mp(w[i:-1])) for i in range(1, d)]
         # + paj(w_2..w_{i-1}) S(-(w_2+..+w_d)) mupaj(w_{i+1}..w_d) / (w_1+..+w_d)
-        s_tail = M.eval_word((-_letter_sum(w[1:]),))
-        for i in range(2, d + 1):
-            term = pj(w[1 : i - 1]) * s_tail * mp(w[i:])
-            terms.append(term.div_linear(whole))
-    return rf_sum(terms) * Fraction(1, 2)
+        s = M.eval_word((-_letter_sum(w[1:]),)).div_linear(whole) * half
+        terms += [(pj(w[1 : i - 1]) * s, mp(w[i:])) for i in range(2, d + 1)]
+    return terms
 
 
 def slang(r: int, A: Mould) -> Mould:

@@ -37,7 +37,7 @@ the rows read (``moulds``' node table).
 The named claims drive these checks plus the theorem verifiers from the
 solutions module; every claim returns a report dict {claim, status,
 checks: [{claim, depth, status, ...}]}.  Checks are made by the solutions
-module's ``_check`` and ``_compare``, so a failing check carries
+module's ``_check``, so a failing check carries
 ``residual`` and ``residual_json``; the two symmetry claims share one body,
 whose failing shuffle-sum check carries ``residual`` and the decider's
 ``witness`` instead.
@@ -74,16 +74,16 @@ from .flexions import (
 )
 from .generic import OpaqueMould, SymbolRegistry
 from .limits import gate
-from .moulds import Mould, _key, _materialize, canonical_word
+from .moulds import Mould, _key, canonical_word
 from .solutions import (
     _check,
-    _compare,
+    _difference,
     _wrap,
     verify_comparison_theorem,
     verify_psi_minus1_theorem,
     verify_psi_odd_theorem,
 )
-from .special import _slices, dupal, lazy_sang, pal, sa, sang_expanded
+from .special import _sang_expansion_terms, _slices, dupal, lazy_sang, pal, sa
 from .symmetry import (
     _require_shuffle_sums,
     is_alternal,
@@ -497,12 +497,13 @@ def claim_sang_expansion(depth: int = 4) -> dict:
     checks = []
     for s in (3, 5):
         # the composition is lazy_sang's: sang itself takes the expansion
-        checks += _compare(
-            lambda m: f"sang(sa_{s}) composition == four-sum expansion, depth {m}",
-            _materialize(lazy_sang(sa(s, depth))),
-            sang_expanded(sa(s, depth)),
-            range(depth + 1),
-        )
+        S = sa(s, depth)
+        composition = lazy_sang(S)
+        for m in range(depth + 1):
+            w = canonical_word(m)
+            residual = _difference([composition.eval_word(w)], _sang_expansion_terms(S, w))
+            label = f"sang(sa_{s}) composition == four-sum expansion, depth {m}"
+            checks.append(_check(label, m, residual))
     return _wrap(f"sang-expansion to depth {depth}", checks)
 
 

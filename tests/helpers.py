@@ -9,7 +9,8 @@ and for each denominator form) and summation
 (every summand lifted to the full common denominator by full products),
 the product canonicalized by ``make`` trying every denominator form, the
 former shift-based mould product with its inverse, exponential and
-logarithm (component by component, summed by chained ``+``), and the
+logarithm (component by component, summed by chained ``+``), the
+former lazy mu-log, a series of lazy powers of S - 1, and the
 former eager gari, expari, singulator and slices, built from that product
 and the component-wise neg and leng, and the former tuple kernel (products,
 products with a linear form, exact division, substitution and the lifting of
@@ -66,12 +67,17 @@ from mouldcalc.flexions import (
 )
 from mouldcalc.generic import OpaqueMould, SymbolRegistry
 from mouldcalc.moulds import (
+    LazyMould,
     Mould,
     NotDefinedError,
     NotInvertibleError,
+    _less_unit,
+    _powers,
+    _series,
     canonical_word,
     dur_unscale,
     lazy_leng,
+    lazy_mu,
     leng,
     mu,
     mu_log,
@@ -89,6 +95,7 @@ __all__ = [
     "mu_inverse_via_shift",
     "mu_exp_via_shift",
     "mu_log_via_shift",
+    "mu_log_via_powers",
     "adari_via_logari",
     "gari_via_shift_mu",
     "expari_via_materialized_chain",
@@ -198,6 +205,15 @@ def mu_log_via_shift(S: Mould) -> Mould:
         if h < S.depth:
             power = mu_via_shift(power, D)
     return total
+
+
+def mu_log_via_powers(S) -> LazyMould:
+    """mu-log(S) by the rule ``lazy_mu_log`` had before it summed the
+    definition over a word's splittings: sum_h ((-1)^{h+1}/h) (S - 1)^{x h},
+    each power a chain of lazy products of S - 1, one ``rf_sum`` per word."""
+    coeffs = [None] + [Fraction((-1) ** (h + 1), h) for h in range(1, S.depth + 1)]
+    powers = _powers(_less_unit(S), lazy_mu)
+    return LazyMould(S.depth, _series(RationalFunction.zero(), coeffs, powers), S)
 
 
 def adari_via_logari(S):

@@ -109,15 +109,16 @@ def test_depth_cap(capsys):
     [
         ("verify", "psi-odd", "--n", "1", "--dmax", "8"),
         ("verify", "sang-expansion", "--depth", "8"),
-        ("verify", "psi-minus1", "--dmax", "9"),  # admits 8
+        ("verify", "psi-minus1", "--dmax", "17"),  # admits 16
         ("compute", "sang:sa:3", "--depth", "8"),
         ("compute", "slang:1:sa:3", "--depth", "8"),
     ],
     ids=["psi-odd", "sang-expansion", "psi-minus1", "sang", "slang"],
 )
 def test_depth_8_is_refused_before_any_work(argv):
-    # none of these finishes in 600 s if run, so a limit that stops being
-    # checked first fails on the timeout instead of hanging
+    # each is refused by its gate before any work; run, the compositional
+    # singulator at depth 8 would not finish in 600 s, so a limit that
+    # stops being checked first fails here instead of hanging or passing
     done = run_process(*argv, capture_output=True)
     assert done.returncode == 2
     assert done.stdout == ""
@@ -292,8 +293,8 @@ _WORK = {
     ("sigma_c", "n"): (solutions, "sa"),
     ("luma", "n"): (solutions, "_slang_sa"),
     ("D", "a+b"): (solutions, "_ari_sa"),
-    ("sang", "exponent"): (special, "_sang_expanded_at"),
-    ("slang", "exponent"): (special, "_sang_expanded_at"),
+    ("sang", "exponent"): (special, "_sang_expansion_terms"),
+    ("slang", "exponent"): (special, "_sang_expansion_terms"),
 }
 
 
@@ -325,7 +326,7 @@ def test_compute_singulator_exponents_above_the_limit_are_refused_before_any_wor
 ):
     # sa_s = u^(s-1): the size |s - 1| is bounded on both sides, a pole
     # (s < 1) and a power, and both of its values at the limit are admitted
-    monkeypatch.setattr(special, "_sang_expanded_at", _no_work)
+    monkeypatch.setattr(special, "_sang_expansion_terms", _no_work)
     limit = LIMITS[subject, "exponent"][depth]
     target = {"sang": "sang:sa:{}", "slang": "slang:1:sa:{}"}[subject]
     message = f"error: {subject} exponent {limit + 1} exceeds the maximum {limit} at depth {depth}\n"

@@ -42,6 +42,7 @@ from mouldcalc.moulds import (
     neg,
     sharp,
     shuffle,
+    unsharp_word,
     word,
 )
 from mouldcalc.flexions import invgari
@@ -51,6 +52,7 @@ from mouldcalc.symmetry import is_symmetral_via_sh
 from helpers import (
     mu_exp_via_shift,
     mu_inverse_via_shift,
+    mu_log_via_powers,
     mu_log_via_shift,
     mu_via_shift,
     outcome,
@@ -315,6 +317,25 @@ def test_product_and_series_match_shift_oracles(seed):
     ]
     for fn, oracle, args in cases:
         assert fn(*args) == oracle(*args), fn.__name__
+
+
+def _log_words(d: int) -> list:
+    """The canonical word and ``unsharp_word(d)`` of length d, and for d >= 2
+    a word whose letters end in x_2, x_2, x_3, x_3, x_4, x_4: not in echelon
+    form, so substitution tries every form."""
+    letters = [x1 + x2, x2 - x1 * 2, x1 * 3 + x3, x3 - x2 * 2, x_var(4) + x1, x_var(4) * 2 - x2]
+    return [canonical_word(d), unsharp_word(d)] + ([tuple(letters[:d])] if d >= 2 else [])
+
+
+def test_lazy_mu_log_matches_the_chain_of_powers_and_the_shift_oracle():
+    # mu-log by its definition, summed over the splittings of each word,
+    # against the series of lazy powers it replaced and the shift oracle
+    for M in (paj(6), random_gari_mould(random.Random(5), 6)):
+        log, chain, shift = lazy_mu_log(M), mu_log_via_powers(M), mu_log_via_shift(M)
+        for d in range(7):
+            for w in _log_words(d):
+                want = shift.components[d].substitute(w)
+                assert log.eval_word(w) == chain.eval_word(w) == want
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ from math import comb
 
 import pytest
 
-from mouldcalc import moulds, solutions, special
+from mouldcalc import moulds, solutions, special, verify
 from mouldcalc.algebra import (
     Polynomial,
     RationalFunction,
     one_over_forms,
+    rf_sum,
     x_var,
 )
 from mouldcalc.flexions import ari
@@ -357,13 +358,13 @@ def test_comparison_builds_each_discrepancy_mould_once(
     # slang_1(sa_5) and slang_2(sa_2) (10 calls when each reader built its
     # own, 14 when each D_ab was built twice)
     built = []
-    build = special._sang_expanded_at
+    build = special._sang_expansion_terms
 
     def recording(M, w):
         built.append(w)
         return build(M, w)
 
-    monkeypatch.setattr(special, "_sang_expanded_at", recording)
+    monkeypatch.setattr(special, "_sang_expansion_terms", recording)
     report = verify_comparison_theorem(3)
     assert report["status"] == "pass"
     assert len(slang_calls) == 5
@@ -530,32 +531,40 @@ def test_the_expansion_at_a_word_matches_its_substituted_component():
         want = sang_expanded(S)
         for d in range(1, 6):
             for w in _words(d):
-                assert special._sang_expanded_at(S, w) == want.components[d].substitute(w)
+                got = rf_sum(special._sang_expansion_terms(S, w))
+                assert got == want.components[d].substitute(w)
 
 
 def test_the_sharp_claims_never_call_sharp(monkeypatch):
     # psi is compared in its own coordinates, against the u-side read at
     # unsharp_word(d); neither claim pushes a mould through sharp, nor
-    # builds mu_log(paj) at the canonical words and unscales it
+    # builds mu_log(paj) at the canonical words and unscales it.  Each
+    # claim, and sang-expansion, sums both sides' terms: none builds psi,
+    # mu_log(paj) or the expansion as a value of its own
     def refused(*args, **kwargs):
         raise AssertionError("the old path was taken")
 
-    for name in ("sharp", "mu_log", "dur_unscale"):
-        for module in (moulds, solutions):
+    names = ("sharp", "mu_log", "dur_unscale", "psi_odd", "psi_minus1", "lazy_mu_log")
+    names += ("_lazy_sang_expanded", "sang_expanded")
+    for name in names:
+        for module in (moulds, solutions, special, verify):
             monkeypatch.setattr(module, name, refused, raising=False)
-    assert main(["verify", "psi-odd", "--n", "1", "--dmax", "5"]) == 0
+    assert main(["verify", "psi-odd", "--n", "2", "--dmax", "5"]) == 0
     assert main(["verify", "psi-minus1", "--dmax", "6"]) == 0
+    assert main(["verify", "sang-expansion", "--depth", "4"]) == 0
 
 
 def test_the_sharp_claims_gate_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work before the gate")
 
-    monkeypatch.setattr(special, "_sang_expanded_at", no_work)
+    for module in (special, solutions):
+        monkeypatch.setattr(module, "_sang_expansion_terms", no_work)
+    monkeypatch.setattr(solutions, "_mu_log_terms", no_work)
     with pytest.raises(ValueError, match="singulator depth 8 exceeds the maximum 7"):
         verify_psi_odd_theorem(1, 8, psi_components=no_work)
-    with pytest.raises(ValueError, match="psi-minus1 dmax 9 exceeds the maximum 8"):
-        verify_psi_minus1_theorem(9, psi_components=no_work)
+    with pytest.raises(ValueError, match="psi-minus1 dmax 17 exceeds the maximum 16"):
+        verify_psi_minus1_theorem(17, psi_components=no_work)
     M = Mould.zero(2)
     M = Mould([M.components[0], M.components[1], one_over_forms(x1, x2)])
     with pytest.raises(special.UnsupportedInputError):

@@ -275,7 +275,7 @@ def test_singulator_admits_depth_7_and_refuses_depth_8(monkeypatch):
     def no_work(M, w):
         raise AssertionError("built a component before the depth gate")
 
-    monkeypatch.setattr(special, "_sang_expanded_at", no_work)
+    monkeypatch.setattr(special, "_sang_expansion_terms", no_work)
     builds = (lazy_sang, sang, sang_expanded, lambda A: slang(1, A), slang_split)
     for build in builds:
         with pytest.raises(ValueError, match="singulator depth 8 exceeds the maximum 7"):
@@ -313,15 +313,20 @@ def _count_lazy_sang(monkeypatch, module=special) -> list:
 
 
 def _record_expansion_words(monkeypatch) -> list:
-    """The words at which the four-sum expansion is built from now on."""
+    """The words at which the four-sum expansion's terms are built from now
+    on, by the lazy expansion (``special``) or by psi-odd's verifier
+    (``solutions``)."""
+    from mouldcalc import solutions
+
     built = []
-    build = special._sang_expanded_at
+    build = special._sang_expansion_terms
 
     def recording(M, w):
         built.append(w)
         return build(M, w)
 
-    monkeypatch.setattr(special, "_sang_expanded_at", recording)
+    for module in (special, solutions):
+        monkeypatch.setattr(module, "_sang_expansion_terms", recording)
     return built
 
 
@@ -500,8 +505,8 @@ def test_sang_expanded_agrees_on_mixed_depth1_input():
 
 
 def test_psi_odd_builds_the_expansion_only_at_the_unsharp_words(monkeypatch):
-    # a canonical value that is not held is not forced for a word with a
-    # letter of two variables: unsharp_word(d) is read directly
+    # the verifier sums the expansion's terms at unsharp_word(d) with psi's
+    # own, and builds no value of the expansion at any other word
     from mouldcalc.solutions import verify_psi_odd_theorem
 
     built = _record_expansion_words(monkeypatch)
