@@ -26,10 +26,10 @@ LIMITS: dict[tuple[str, str], int | dict[int, int]] = {
     # sang of sa_3 and sa_5: depth 6 took 3.2 to 4.4 s; 7 did not finish in
     # 60 s (418 to 531 MB)
     ("sang-expansion", "depth"): 6,
-    # verify psi-minus1 --dmax 16 took 36 s (299 MB), one rf_sum per depth
+    # verify psi-minus1 --dmax 16 took 35 s (299 MB), one rf_sum per depth
     # of psi_{-1}'s vines and mu-log(paj)'s splittings, about 2.3x per step
-    # from dmax 9 (0.2 s); x_16 is the kernel's last slot variable
-    # (algebra._K), as for dupal-alternal
+    # from dmax 9 (0.2 s); 17 did not finish in 60 s (543 MB), and x_16 is
+    # the kernel's last slot variable (algebra._K), as for dupal-alternal
     ("psi-minus1", "dmax"): 16,
     # verify pal-symmetral --depth 10 took 9.1 s (228 MB); 11 did not finish
     # in 60 s (914 MB)
@@ -39,7 +39,13 @@ LIMITS: dict[tuple[str, str], int | dict[int, int]] = {
     ("dupal-alternal", "depth"): 16,
     # psi_{2n+1}'s n at each depth d: verify psi-odd --n at --dmax d, and
     # compute psi:K, n = (K - 1)/2, at --depth d; a depth above the table is
-    # refused too.  Measured, with the first refused n:
+    # refused too.  Since the verifier sums psi's terms with the expansion's,
+    # it runs verify psi-odd --n 23 --dmax 7 in 0.18 s and --n 24 in 0.15 s
+    # (16 MB), so compute psi:K, which still builds psi's canonical value,
+    # is the route that costs: psi:47 --depth 7 took 22 s (260 MB), psi:49
+    # 20 s (271 MB).  The rows are kept as measured through the verifier
+    # until compute psi:K's n has an entry of its own.  Measured, with the
+    # first refused n:
     #   1: under 1 s; above it sa_{2n+1}'s degree outgrows the exponent field
     #   2: 59 s (46 MB); n = 3337 did not finish in 60 s
     #   3: 20 to 27 s (1021 MB); n = 1219 peaked at 1043 MB

@@ -116,9 +116,8 @@ def test_depth_cap(capsys):
     ids=["psi-odd", "sang-expansion", "psi-minus1", "sang", "slang"],
 )
 def test_depth_8_is_refused_before_any_work(argv):
-    # each is refused by its gate before any work; run, the compositional
-    # singulator at depth 8 would not finish in 600 s, so a limit that
-    # stops being checked first fails here instead of hanging or passing
+    # each is refused by its gate before any work, so a limit that stops
+    # being checked first fails here
     done = run_process(*argv, capture_output=True)
     assert done.returncode == 2
     assert done.stdout == ""
